@@ -115,7 +115,7 @@ def test_mid_trace_worker_kill_loses_zero_requests():
         victim = service.worker_of(trace.sequence[0])
 
         def killer():
-            while service.requests_served < kill_after:
+            while service.obs.requests_served.value < kill_after:
                 threading.Event().wait(0.002)
             service.kill_worker(victim)
 

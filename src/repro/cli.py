@@ -377,8 +377,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # wait until the replay is genuinely in flight, then SIGKILL
             # the worker owning the trace's first matrix — the recovery
             # drill CI greps for
-            while service.requests_served < kill_after:
-                if service.requests_served >= args.requests:
+            while service.obs.requests_served.value < kill_after:
+                if service.obs.requests_served.value >= args.requests:
                     return
                 time.sleep(0.005)
             victim = service.worker_of(trace.sequence[0])

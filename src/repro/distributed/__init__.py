@@ -7,16 +7,17 @@ splits the service into a front-end **gateway** and N supervised
 **worker processes**:
 
 * :mod:`repro.distributed.gateway` —
-  :class:`~repro.distributed.gateway.DistributedService`, the
-  drop-in-compatible front end: validates and coalesces requests
-  (reusing :mod:`repro.service.coalesce`), routes each matrix
-  fingerprint to the worker that owns it, aggregates fleet-wide
-  ``stats()`` and forwards worker telemetry to the adaptive loop;
+  :class:`~repro.distributed.gateway.DistributedService`, a
+  :class:`~repro.service.service.TuningService` subclass: the one
+  serving front end (validation, coalescing, completion, failure
+  handling, telemetry, ``stats()``) with a dispatch step that routes
+  each matrix fingerprint to the worker that owns it, plus fleet-wide
+  accounting;
 * :mod:`repro.distributed.worker` — the single-threaded worker loop:
-  each process hosts its own :class:`~repro.service.cache
-  .ShardedEngineCache` slice and per-process kernel-backend warm-up,
-  and mirrors the service's serving arithmetic exactly so distributed
-  results are bitwise-identical to single-process serve;
+  each process hosts its own :class:`~repro.service.host.EngineHost`
+  slice — the same engine cache and serve step the in-process tier
+  runs, so distributed results are bitwise-identical to single-process
+  serve by construction — plus per-process kernel-backend warm-up;
 * :mod:`repro.distributed.shm` — the zero-copy vector transport:
   request/response vectors cross the process boundary through
   ``multiprocessing.shared_memory`` slots (pickling only for control

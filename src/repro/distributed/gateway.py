@@ -1,22 +1,21 @@
-"""The distributed tier's front end: validate, coalesce, route, survive.
+"""The distributed tier: the shared front end over worker processes.
 
-:class:`DistributedService` is API-compatible with the in-process
-:class:`~repro.service.service.TuningService` (``submit`` /
-``submit_update`` / ``spmv`` / ``update`` / ``session`` / ``stats`` /
-``promote_model`` / ``set_observer`` / ``close``), so sessions, the
-replay driver, and the adaptive controller work against either tier
-unchanged.  Behind the API:
+:class:`DistributedService` is a subclass of the one serving front end,
+:class:`~repro.service.service.TuningService`: submission, validation,
+coalescing, the drain loop, the completion and failure paths, telemetry,
+model deployment and the ``stats()`` view are inherited, so sessions,
+the replay driver and the adaptive controller work against either tier
+unchanged.  What this module adds is the transport:
 
-* requests are validated in the caller's thread and coalesced per
-  fingerprint through the same :mod:`repro.service.coalesce` machinery
-  the in-process service uses;
 * each fingerprint is **owned** by exactly one worker process —
   ``worker_of(fp)`` is the same stable blake2b hash the engine cache
   shards by — so one worker holds the only live engine for a matrix and
   barrier semantics reduce to FIFO order on that worker's control pipe;
-* vectors cross the process boundary through a
+* the dispatch step ships a drained batch to its owner instead of
+  serving it: vectors cross the process boundary through a
   :class:`~repro.distributed.shm.ShmVectorPool` (zero-copy views, slot
-  recycling); only control tuples are pickled;
+  recycling) and only control tuples are pickled; the worker's reply
+  feeds the inherited completion path;
 * workers are supervised (:mod:`repro.distributed.supervisor`): a dead
   worker's last-heartbeat accounting is folded into the gateway totals
   exactly as cache eviction folds an evicted engine, its shard slice is
@@ -39,40 +38,76 @@ reopens.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ReproError
 from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
-from repro.obs import Observability
 from repro.obs.metrics import merge_histogram_dumps
 from repro.obs.spans import merge_worker_stages
-from repro.obs.views import build_service_stats
-from repro.runtime.engine import request_key, validate_operand
-from repro.service.accounting import (
-    empty_engine_totals,
-    merge_engine_totals,
-)
+from repro.service.accounting import empty_engine_totals, fold_engine_stats
 from repro.service.cache import _stable_hash
-from repro.service.coalesce import FingerprintQueues, PendingRequest
-from repro.service.service import (
-    ServiceResult,
-    Session,
-    TuningService,
-    UpdateResult,
-)
+from repro.service.coalesce import PendingRequest
+from repro.service.service import TuningService
 from repro.distributed.shm import ShmVectorPool
 from repro.distributed.supervisor import Supervisor
 from repro.distributed.worker import WorkerConfig
 from repro.utils.concurrency import default_process_workers
 
 __all__ = ["DistributedService"]
+
+
+def _fold_snapshots(snapshots) -> Dict[str, object]:
+    """Sum worker accounting snapshots into one fleet-wide snapshot.
+
+    The result has the shape of a snapshot itself (``engines``,
+    ``engine_cache``, ``profiled_matrices``, merged ``latency``
+    buckets), so dead incarnations fold into one retired
+    block that later folds with the live workers' snapshots.  Empty
+    snapshots (a worker that never beat) are skipped.
+    """
+    engines = empty_engine_totals()
+    cache: Dict[str, object] = {
+        "capacity": 0,
+        "shards": 0,
+        "size": 0,
+        "shard_sizes": [],
+        "hits": 0,
+        "misses": 0,
+        "hit_rate": 0.0,
+        "evictions": 0,
+    }
+    profiled = 0
+    latency_dumps = []
+    for snapshot in snapshots:
+        if not snapshot:
+            continue
+        fold_engine_stats(
+            engines, snapshot.get("engines") or empty_engine_totals()
+        )
+        profiled += int(snapshot.get("profiled_matrices", 0))
+        latency_dumps.append(snapshot.get("latency") or {})
+        worker_cache = snapshot.get("engine_cache") or {}
+        for name in ("capacity", "shards", "size"):
+            cache[name] += int(worker_cache.get(name, 0))
+        for name in ("hits", "misses", "evictions"):
+            cache[name] += int(worker_cache.get(name, 0))
+        cache["shard_sizes"].extend(worker_cache.get("shard_sizes", ()))
+    lookups = cache["hits"] + cache["misses"]
+    cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
+    return {
+        "engines": engines,
+        "engine_cache": cache,
+        "profiled_matrices": profiled,
+        "latency": merge_histogram_dumps(latency_dumps),
+    }
 
 
 class _Inflight:
@@ -123,23 +158,23 @@ class _Inflight:
         #: death gate both target the same replacement incarnation, and
         #: only one of them may actually deliver.
         self.sent_to: Optional[int] = None
-        #: Span material: perf_counter stamp taken when the entry left
-        #: the dispatch path (after shm placement), seconds spent
-        #: copying operands into shared memory, and how many successful
-        #: deliveries the entry took (``deliveries - 1`` = retries
-        #: caused by worker deaths — the respawn replay re-sends under
-        #: the same trace IDs).
-        self.dispatched_at: Optional[float] = None
+        #: Span material: perf_counter stamp taken when the entry was
+        #: built (after shm placement, as it leaves the dispatch path),
+        #: seconds spent copying operands into shared memory, and how
+        #: many successful deliveries the entry took (``deliveries - 1``
+        #: = retries caused by worker deaths — the respawn replay
+        #: re-sends under the same trace IDs).
+        self.dispatched_at = time.perf_counter()
         self.deliveries = 0
         self.shm_put_seconds = 0.0
 
 
-class DistributedService:
-    """Multi-process serving gateway; a drop-in ``TuningService`` twin.
+class DistributedService(TuningService):
+    """Multi-process serving tier: the shared front end, remote engines.
 
-    Parameters mirror :class:`~repro.service.service.TuningService`
-    (``capacity`` is the *fleet-wide* engine budget, sliced evenly
-    across workers), plus:
+    Parameters are those of :class:`~repro.service.service.TuningService`
+    minus the storage/streaming knobs (``capacity`` is the *fleet-wide*
+    engine budget, sliced evenly across workers), plus:
 
     workers:
         Number of worker processes.  ``None`` derives from the host's
@@ -153,6 +188,10 @@ class DistributedService:
         Worker beat cadence and the staleness bound after which a
         silent worker is declared hung and killed.
     """
+
+    # a batch ships as one contiguous shared-memory block, so every
+    # coalesced member must be one column of it
+    _stackable_batches_only = True
 
     def __init__(
         self,
@@ -173,35 +212,25 @@ class DistributedService:
         heartbeat_timeout: float = 10.0,
         observability: bool = True,
     ) -> None:
-        if workers is None:
-            workers = default_process_workers()
-        if workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ValidationError(f"max_batch must be >= 1, got {max_batch}")
-        self.space = space
-        self.tuner = tuner
-        self.workers = int(workers)
+        # not TuningService.__init__: that builds an in-process engine
+        # host and serving pool, and this tier's engines live in workers
+        self._init_front_end(
+            space,
+            tuner,
+            tier="distributed",
+            workers=default_process_workers() if workers is None else workers,
+            max_batch=max_batch,
+            accelerate=accelerate,
+            kernel_backend=kernel_backend,
+            shadow_every=shadow_every,
+            redecision=redecision,
+            observability=observability,
+        )
         self.capacity = int(capacity)
         self.shards = int(shards)
-        self.max_batch = int(max_batch)
-        self.accelerate = accelerate
-        self.kernel_backend = kernel_backend
-        self.shadow_every = int(shadow_every)
-        self.redecision = redecision
         self.heartbeat_interval = float(heartbeat_interval)
-        self.model_info: Dict[str, object] = {
-            "version": "-",
-            "source": "",
-            "algorithm": type(tuner).__name__ if tuner is not None else "",
-            "promoted_at": None,
-        }
-        self._deployed = (tuner, self.model_info)
-        self._closed = False
-        self._observer = None
         self._kill_listener = None
         # request plumbing
-        self._pending = FingerprintQueues()
         self._msg_ids = itertools.count(1)
         self._inflight: Dict[int, _Inflight] = {}
         self._inflight_lock = threading.Lock()
@@ -220,12 +249,6 @@ class DistributedService:
         self._worker_gates = [threading.Event() for _ in range(self.workers)]
         for gate in self._worker_gates:
             gate.set()
-        # observability: request-path counters and the latency histogram
-        # live in the registry (the stats() view renders from them);
-        # _metrics_lock now guards only the dispatch counter and the
-        # retired-worker accounting folds
-        self.obs = Observability(tier="distributed", enabled=observability)
-        self.obs.registry.register_collector(self._collect_gauges)
         labels = {"tier": self.obs.tier}
         self._retried_requests = self.obs.registry.counter(
             "retried_requests", labels=labels,
@@ -235,22 +258,12 @@ class DistributedService:
             "worker_deaths", labels=labels,
             help="Worker incarnations that died (crash, kill, hang)",
         )
+        # accounting of dead worker incarnations, folded from their last
+        # heartbeat snapshots into one snapshot-shaped block; their
+        # latency buckets merge in too, so fleet quantiles keep covering
+        # every request ever served
         self._metrics_lock = threading.Lock()
-        self._dispatching = 0
-        self._retired_workers = empty_engine_totals()
-        # merged latency buckets of dead worker incarnations (their
-        # live buckets die with them; the last heartbeat's dump folds
-        # in here so fleet quantiles keep covering every request ever
-        # served)
-        self._retired_worker_latency = merge_histogram_dumps(())
-        self._retired_counters = {
-            "requests_served": 0,
-            "updates_served": 0,
-            "batches": 0,
-            "shadow_probes": 0,
-            "profiled_matrices": 0,
-            "engine_cache": {"hits": 0, "misses": 0, "evictions": 0},
-        }
+        self._retired: Dict[str, object] = {}
         # transport + fleet
         self.pool = ShmVectorPool(slot_bytes=shm_slot_bytes, slots=shm_slots)
         self._executor = ThreadPoolExecutor(
@@ -288,207 +301,31 @@ class DistributedService:
             heartbeat_interval=self.heartbeat_interval,
         )
 
-    from_model_database = classmethod(
-        TuningService.from_model_database.__func__
-    )
-
     def worker_of(self, fp: str) -> int:
         """The worker that owns *fp* — same stable hash the cache shards
         by, so routing is reproducible across runs and processes."""
         return _stable_hash(fp) % self.workers
 
     # ------------------------------------------------------------------
-    # read-compat counter views (the instruments are the truth)
-    # ------------------------------------------------------------------
-    @property
-    def requests_submitted(self) -> int:
-        return self.obs.requests_submitted.value
-
-    @property
-    def requests_served(self) -> int:
-        return self.obs.requests_served.value
-
-    @property
-    def updates_served(self) -> int:
-        return self.obs.updates_served.value
-
-    @property
-    def batches(self) -> int:
-        return self.obs.batches.value
-
-    @property
-    def coalesced_batches(self) -> int:
-        return self.obs.coalesced_batches.value
-
-    @property
-    def coalesced_requests(self) -> int:
-        return self.obs.coalesced_requests.value
-
-    @property
-    def promotions(self) -> int:
-        return self.obs.promotions.value
-
-    @property
-    def latency_total(self) -> float:
-        return self.obs.latency.sum
-
-    @property
-    def latency_max(self) -> float:
-        return self.obs.latency.max_value
-
-    @property
-    def retried_requests(self) -> int:
-        return self._retried_requests.value
-
-    @property
-    def dead_workers(self) -> int:
-        return self._dead_workers.value
-
-    # ------------------------------------------------------------------
-    # request path (mirrors TuningService submission semantics)
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        matrix,
-        x: np.ndarray,
-        *,
-        key: Optional[str] = None,
-        repetitions: int = 1,
-    ) -> "Future[ServiceResult]":
-        """Enqueue one request; returns a future resolving to its result."""
-        if self._closed:
-            raise ValidationError("service is closed")
-        submitted_at = time.perf_counter()
-        operand = validate_operand(matrix, x)
-        fp = key if key is not None else request_key(matrix)
-        self._remember_matrix(fp, matrix)
-        future: "Future[ServiceResult]" = Future()
-        request = PendingRequest(
-            matrix,
-            operand,
-            int(repetitions),
-            future,
-            trace_id=self.obs.mint(),
-            validate_seconds=time.perf_counter() - submitted_at,
-        )
-        self._enqueue(fp, request)
-        return future
-
-    def submit_update(
-        self,
-        matrix,
-        delta: MatrixDelta,
-        *,
-        key: Optional[str] = None,
-    ) -> "Future[UpdateResult]":
-        """Enqueue a mutation; a barrier on its fingerprint's queue."""
-        if self._closed:
-            raise ValidationError("service is closed")
-        submitted_at = time.perf_counter()
-        if not isinstance(delta, MatrixDelta):
-            raise ValidationError(
-                f"update needs a MatrixDelta, got {type(delta).__name__}"
-            )
-        concrete = (
-            matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-        )
-        delta.check_bounds(concrete.nrows, concrete.ncols)
-        fp = key if key is not None else request_key(matrix)
-        self._remember_matrix(fp, matrix)
-        future: "Future[UpdateResult]" = Future()
-        request = PendingRequest(
-            matrix,
-            None,
-            1,
-            future,
-            kind="update",
-            delta=delta,
-            trace_id=self.obs.mint(),
-            validate_seconds=time.perf_counter() - submitted_at,
-        )
-        self._enqueue(fp, request)
-        return future
-
-    def spmv(
-        self,
-        matrix,
-        x: np.ndarray,
-        *,
-        key: Optional[str] = None,
-        repetitions: int = 1,
-    ) -> ServiceResult:
-        """Blocking convenience wrapper: submit and wait for the result."""
-        return self.submit(matrix, x, key=key, repetitions=repetitions).result()
-
-    def update(
-        self,
-        matrix,
-        delta: MatrixDelta,
-        *,
-        key: Optional[str] = None,
-    ) -> UpdateResult:
-        """Blocking convenience wrapper around :meth:`submit_update`."""
-        return self.submit_update(matrix, delta, key=key).result()
-
-    def session(self, name: str = "") -> Session:
-        """A new client :class:`~repro.service.service.Session`."""
-        return Session(self, name=name)
-
-    def _remember_matrix(self, fp: str, matrix) -> None:
-        """Pin the matrix object a fingerprint is replayed from.
-
-        Only the *first* sighting is kept: the worker-side engine owns
-        the matrix's evolution (the delta log replays on top of this
-        base object), so a later submission's object must not replace
-        the epoch-0 base.
-        """
-        with self._state_lock:
-            self._matrices.setdefault(fp, matrix)
-
-    def _enqueue(self, fp: str, request: PendingRequest) -> None:
-        schedule = self._pending.push(fp, request)
-        self.obs.requests_submitted.inc()
-        if schedule:
-            self._schedule(fp)
-
-    def _schedule(self, fp: str) -> None:
-        try:
-            self._executor.submit(self._drain, fp)
-        except RuntimeError:  # executor shut down mid-close
-            self._drain(fp)
-
-    def _drain(self, fp: str) -> None:
-        """Dispatch the fingerprint's next batch; keep the drain alive.
-
-        Unlike the in-process service the drain does not wait for
-        serving: batches pipeline into the owning worker's pipe (which
-        preserves barrier order), and the reply path resolves futures.
-        """
-        with self._metrics_lock:
-            self._dispatching += 1  # close(wait=True) waits this out
-        try:
-            batch = self._pending.take_batch(
-                fp, self.max_batch, stackable_only=True
-            )
-            if batch:
-                try:
-                    if batch[0].kind == "update":
-                        self._dispatch_update(fp, batch[0])
-                    else:
-                        self._dispatch_batch(fp, batch)
-                except BaseException as exc:
-                    for request in batch:
-                        if not request.future.done():
-                            request.future.set_exception(exc)
-        finally:
-            with self._metrics_lock:
-                self._dispatching -= 1
-        if self._pending.finish(fp):
-            self._schedule(fp)
-
-    # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
+    def _dispatch(self, fp: str, batch: List[PendingRequest]):
+        """Ship one drained batch to its owning worker; never waits.
+
+        Batches pipeline into the owner's pipe (which preserves barrier
+        order) and the reply handlers complete them, so there is no
+        telemetry to hand back here.
+        """
+        with self._state_lock:
+            # the first sighting is the base a respawn replays from: the
+            # worker-side engine owns the matrix's evolution after it
+            self._matrices.setdefault(fp, batch[0].matrix)
+        if batch[0].kind == "update":
+            self._dispatch_update(fp, batch[0])
+        else:
+            self._dispatch_batch(fp, batch)
+        return [], []
+
     def _dispatch_batch(self, fp: str, batch: List[PendingRequest]) -> None:
         worker = self.worker_of(fp)
         matrix = batch[0].matrix
@@ -532,7 +369,6 @@ class DistributedService:
             out_ref=out_ref,
             message=("batch", msg_id, fp, spec),
         )
-        entry.dispatched_at = time.perf_counter()
         entry.shm_put_seconds = entry.dispatched_at - shm_start
         self._register_and_send(entry)
 
@@ -547,7 +383,6 @@ class DistributedService:
             batch=[request],
             message=("update", msg_id, fp, request.delta),
         )
-        entry.dispatched_at = time.perf_counter()
         self._register_and_send(entry)
 
     def _register_and_send(self, entry: _Inflight) -> None:
@@ -624,7 +459,7 @@ class DistributedService:
                 self._matrix_synced[fp] = incarnation
 
     # ------------------------------------------------------------------
-    # worker replies
+    # worker replies: each feeds the shared completion / failure path
     # ------------------------------------------------------------------
     def _on_message(self, index: int, incarnation: int, message) -> None:
         kind = message[0]
@@ -651,88 +486,43 @@ class DistributedService:
             return entry
 
     def _on_done(self, message) -> None:
-        _, msg_id, fp, metas, observations = message
+        _, msg_id, fp, served, worker_stages = message
         entry = self._take_inflight(msg_id)
         if entry is None:
             return  # duplicate reply after a resend race
-        batch = entry.batch
         with self._state_lock:
             # an acked SpMV means the worker holds a serving decision
             # for this fingerprint — a respawn must re-derive it or its
             # next update anchors drift differently than the dead
             # worker's would have
             self._served.add(fp)
+        # results arrive without y: column j of the shared-memory
+        # response block is request j's output
         base = self.pool.view(entry.out_ref, release_with_view=True)
         self.pool.release(entry.x_ref)
-        done_at = time.perf_counter()
-        latencies = [done_at - r.enqueued_at for r in batch]
-        o = self.obs
-        o.requests_served.inc(len(batch))
-        o.batches.inc()
-        if len(batch) > 1:
-            o.coalesced_batches.inc()
-            o.coalesced_requests.inc(len(batch))
-        for latency in latencies:
-            o.latency.observe(latency)
-        stacked = len(batch) > 1
-        for j, (request, meta, latency) in enumerate(
-            zip(batch, metas, latencies)
-        ):
-            y = base[:, j] if stacked else base
-            if not request.future.done():
-                request.future.set_result(
-                    ServiceResult(
-                        y=y,
-                        seconds=meta["seconds"],
-                        overhead_seconds=meta["overhead_seconds"],
-                        format=meta["format"],
-                        fingerprint=meta["fingerprint"],
-                        from_cache=meta["from_cache"],
-                        batch_size=len(batch),
-                        latency_seconds=latency,
-                        model_version=meta["model_version"],
-                        epoch=meta["epoch"],
-                        backend=meta["backend"],
-                        trace_id=request.trace_id,
-                    )
-                )
-        observer_start = time.perf_counter()
-        if observations:
-            for obs, latency in zip(observations, latencies):
-                obs["latency_seconds"] = latency
-            self._notify(observations, fp=fp, batch_size=len(batch))
-        if o.enabled:
-            # one span per request, all sharing the batch's RPC stages;
-            # the worker-side timings arrive in each reply meta and are
-            # merged under the trace ID minted at submit()
-            observer_seconds = time.perf_counter() - observer_start
-            dispatched = entry.dispatched_at or done_at
-            for request, meta in zip(batch, metas):
-                stages = {
-                    "validate": request.validate_seconds,
-                    "queue": (
-                        dispatched
-                        - entry.shm_put_seconds
-                        - request.enqueued_at
-                    ),
-                    "shm_put": entry.shm_put_seconds,
-                    "rpc": done_at - dispatched,
-                    "observer": observer_seconds,
-                }
-                merge_worker_stages(stages, meta.get("stages"))
-                o.span(
-                    request.trace_id,
-                    kind="spmv",
-                    fingerprint=fp,
-                    batch_size=len(batch),
-                    backend=meta["backend"],
-                    worker=entry.worker,
-                    retries=max(0, entry.deliveries - 1),
-                    stages=stages,
-                )
+        stacked = len(entry.batch) > 1
+        served.results = [
+            dataclasses.replace(result, y=base[:, j] if stacked else base)
+            for j, result in enumerate(served.results)
+        ]
+        stages = {
+            "shm_put": entry.shm_put_seconds,
+            "rpc": time.perf_counter() - entry.dispatched_at,
+        }
+        merge_worker_stages(stages, worker_stages)
+        self._deliver_telemetry(
+            *self._complete_batch(
+                fp,
+                entry.batch,
+                served,
+                queued_until=entry.dispatched_at - entry.shm_put_seconds,
+                stages=stages,
+                **self._span_fields(entry),
+            )
+        )
 
     def _on_update_done(self, message) -> None:
-        _, msg_id, fp, meta = message
+        _, msg_id, fp, upd, had_decision, worker_stages = message
         entry = self._take_inflight(msg_id)
         if entry is None:
             return
@@ -743,112 +533,48 @@ class DistributedService:
             # had_decision rides along so the replay re-derives the
             # serving decision before deltas that were applied under one
             self._delta_log.setdefault(fp, []).append(
-                (request.delta, bool(meta.get("had_decision", False)))
+                (request.delta, bool(had_decision))
             )
-        done_at = time.perf_counter()
-        latency = done_at - request.enqueued_at
-        o = self.obs
-        o.requests_served.inc()
-        o.updates_served.inc()
-        o.batches.inc()
-        o.latency.observe(latency)
-        if not request.future.done():
-            request.future.set_result(
-                UpdateResult(
-                    fingerprint=fp,
-                    epoch=meta["epoch"],
-                    carried_forward=meta["carried_forward"],
-                    retuned=meta["retuned"],
-                    format=meta["format"],
-                    drift=meta["drift"],
-                    nnz=meta["nnz"],
-                    latency_seconds=latency,
-                    trace_id=request.trace_id,
-                )
-            )
-        observer_start = time.perf_counter()
-        if self._observer is not None:
-            self._notify(
-                [
-                    {
-                        "kind": "update",
-                        "fingerprint": fp,
-                        "epoch": meta["epoch"],
-                        "stat_drift": meta["drift"],
-                        "retuned": meta["retuned"],
-                        "carried_forward": meta["carried_forward"],
-                        "nnz": meta["nnz"],
-                        "latency_seconds": latency,
-                    }
-                ],
-                fp=fp,
-                batch_size=1,
-            )
-        if o.enabled:
-            dispatched = entry.dispatched_at or done_at
-            stages = {
-                "validate": request.validate_seconds,
-                "queue": dispatched - request.enqueued_at,
-                "rpc": done_at - dispatched,
-                "observer": time.perf_counter() - observer_start,
-            }
-            merge_worker_stages(stages, meta.get("stages"))
-            o.span(
-                request.trace_id,
-                kind="update",
-                fingerprint=fp,
-                batch_size=1,
-                epoch=meta["epoch"],
-                retuned=meta["retuned"],
-                worker=entry.worker,
-                retries=max(0, entry.deliveries - 1),
+        stages = {"rpc": time.perf_counter() - entry.dispatched_at}
+        merge_worker_stages(stages, worker_stages)
+        self._deliver_telemetry(
+            *self._complete_update(
+                fp,
+                request,
+                upd,
+                queued_until=entry.dispatched_at,
                 stages=stages,
+                **self._span_fields(entry),
             )
+        )
+
+    @staticmethod
+    def _span_fields(entry: _Inflight) -> Dict[str, int]:
+        # respawn replays re-send under the same trace IDs; deliveries
+        # beyond the first are the retries a worker death caused
+        return {
+            "worker": entry.worker,
+            "retries": max(0, entry.deliveries - 1),
+        }
 
     def _on_error(self, message) -> None:
-        _, msg_id, kind, text = message
+        """Fail a batch the worker could not serve, with a typed error.
+
+        The worker ships the raised exception itself: a
+        :class:`~repro.errors.ReproError` is re-raised as is, anything
+        else becomes a :class:`ReproError` carrying the worker-side
+        traceback text.
+        """
+        _, msg_id, kind, exc, text = message
         entry = self._take_inflight(msg_id)
         if entry is None:
             return
-        if entry.x_ref is not None:
-            self.pool.release(entry.x_ref)
-        if entry.out_ref is not None:
-            self.pool.release(entry.out_ref)
-        self.obs.event(
-            "serve_error",
-            error=str(kind),
-            message=str(text)[:200],
-            fingerprint=entry.fp,
-            batch_size=len(entry.batch or ()),
-            worker=entry.worker,
-        )
-        exc = RuntimeError(f"worker {kind} failed: {text}")
-        for request in entry.batch or ():
-            if not request.future.done():
-                request.future.set_exception(exc)
-
-    def _notify(
-        self,
-        observations: List[dict],
-        *,
-        fp: Optional[str] = None,
-        batch_size: int = 0,
-    ) -> None:
-        observer = self._observer
-        if observer is None or not observations:
-            return
-        try:
-            observer(observations)
-        except Exception as exc:
-            self.obs.observer_errors.inc()
-            self.obs.event(
-                "observer_error",
-                error=type(exc).__name__,
-                message=str(exc)[:200],
-                fingerprint=fp,
-                batch_size=batch_size,
-                observations=len(observations),
-            )
+        for ref in (entry.x_ref, entry.out_ref):
+            if ref is not None:
+                self.pool.release(ref)
+        if not isinstance(exc, ReproError):
+            exc = ReproError(f"worker {kind} failed: {text}")
+        self._fail(entry.fp, entry.batch, exc, worker=entry.worker)
 
     # ------------------------------------------------------------------
     # death + recovery
@@ -865,30 +591,19 @@ class DistributedService:
             if snapshot
             else 0,
         )
-        with self._metrics_lock:
-            if snapshot:
-                merge_engine_totals(
-                    self._retired_workers, snapshot.get("engines", {}) or
-                    empty_engine_totals()
-                )
-                self._retired_worker_latency = merge_histogram_dumps(
-                    (
-                        self._retired_worker_latency,
-                        snapshot.get("latency") or {},
-                    )
-                )
-                folded = self._retired_counters
-                for name in (
-                    "requests_served",
-                    "updates_served",
-                    "batches",
-                    "shadow_probes",
-                    "profiled_matrices",
-                ):
-                    folded[name] += int(snapshot.get(name, 0))
-                cache = snapshot.get("engine_cache") or {}
-                for name in ("hits", "misses", "evictions"):
-                    folded["engine_cache"][name] += int(cache.get(name, 0))
+        if snapshot:
+            # a dead slice holds no engines: only its cumulative cache
+            # counters carry over, not its capacity or occupancy
+            cache = snapshot.get("engine_cache") or {}
+            dead = {
+                **snapshot,
+                "engine_cache": {
+                    name: cache.get(name, 0)
+                    for name in ("hits", "misses", "evictions")
+                },
+            }
+            with self._metrics_lock:
+                self._retired = _fold_snapshots((self._retired, dead))
         # fail any stats poll aimed at the dead incarnation
         with self._inflight_lock:
             stale = [
@@ -957,167 +672,65 @@ class DistributedService:
         self._kill_listener = listener
 
     # ------------------------------------------------------------------
-    # model management
+    # model install
     # ------------------------------------------------------------------
-    def set_observer(self, observer) -> None:
-        """Install (or clear) the telemetry observer.
+    def _install_model(self, tuner, info: Dict[str, object]) -> None:
+        """Broadcast ``(tuner, info)`` to every worker; await the acks.
 
-        Observations arrive from worker processes with the same schema
-        the in-process service emits (features and shadow timings
-        included), with wall latency filled in by the gateway.
+        Each worker installs it under its engine-cache shard locks (the
+        in-process atomicity contract).  The broadcast goes through the
+        death gates: a worker that dies mid-broadcast is re-sent the
+        promotion by the respawn replay, and boots onto the new model
+        anyway because respawned configs read the published pair.
         """
-        self._observer = observer
-
-    def set_model_info(
-        self, *, version: str, source: str = "", algorithm: str = ""
-    ) -> None:
-        """Stamp the currently deployed tuner's provenance (no swap)."""
-        info: Dict[str, object] = {
-            "version": str(version),
-            "source": source,
-            "algorithm": algorithm or type(self.tuner).__name__,
-            "promoted_at": None,
-        }
-        self._broadcast_model(self.tuner, info)
-
-    def promote_model(
-        self, tuner, *, version: str, source: str = "", algorithm: str = ""
-    ) -> Dict[str, object]:
-        """Hot-swap the serving model fleet-wide; returns the info block.
-
-        The promotion is broadcast to every worker and applied there
-        under each engine-cache shard lock (same atomicity contract as
-        the in-process service); a worker that dies mid-broadcast
-        respawns onto the new model anyway, because respawned configs
-        read the already-updated deployed pair.
-        """
-        info: Dict[str, object] = {
-            "version": str(version),
-            "source": source,
-            "algorithm": algorithm or type(tuner).__name__,
-            "promoted_at": time.time(),
-        }
-        self._broadcast_model(tuner, info)
-        self.obs.promotions.inc()
-        self.obs.event(
-            "model_promoted",
-            version=info["version"],
-            algorithm=info["algorithm"],
+        self._round_trip(
+            "promote", tuner, dict(info), timeout=30.0, gated=True
         )
-        return dict(info)
-
-    def _broadcast_model(
-        self, tuner, info: Dict[str, object], *, timeout: float = 30.0
-    ) -> None:
-        # publish first: respawns during the broadcast boot onto the
-        # new pair already
-        self._deployed = (tuner, info)
-        self.tuner = tuner
-        self.model_info = info
-        entries = []
-        for index in range(self.workers):
-            msg_id = next(self._msg_ids)
-            entry = _Inflight(
-                msg_id,
-                "promote",
-                index,
-                message=("promote", msg_id, tuner, dict(info)),
-            )
-            with self._inflight_lock:
-                self._inflight[msg_id] = entry
-            entries.append(entry)
-            self._send_entry(entry)
-        deadline = time.monotonic() + timeout
-        for entry in entries:
-            entry.event.wait(max(0.0, deadline - time.monotonic()))
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def _poll_workers(self, *, timeout: float = 5.0):
-        """Round-trip a stats request to every live worker.
+    def _round_trip(
+        self, kind: str, *payload, timeout: float, gated: bool
+    ) -> List[_Inflight]:
+        """Send ``(kind, msg_id, *payload)`` to every worker and wait up
+        to *timeout* seconds for the replies (``entry.reply``).
 
-        Falls back to the last heartbeat snapshot for workers that are
-        down or slow — stats() degrades, it never blocks serving.
+        A *gated* send waits out a respawn in progress (see
+        :meth:`_send_entry`); an ungated one fails fast on a dead
+        worker, leaving its reply ``None``.
         """
         entries = []
         for index in range(self.workers):
             msg_id = next(self._msg_ids)
             entry = _Inflight(
-                msg_id, "stats", index, message=("stats", msg_id)
+                msg_id, kind, index, message=(kind, msg_id, *payload)
             )
+            entries.append(entry)
+            if gated:
+                self._register_and_send(entry)
+                continue
             with self._inflight_lock:
                 self._inflight[msg_id] = entry
-            entries.append(entry)
             if not self.supervisor.send(index, entry.message):
                 entry.event.set()
-                self._take_inflight(msg_id)
         deadline = time.monotonic() + timeout
-        snapshots = []
-        for index, entry in enumerate(entries):
+        for entry in entries:
             entry.event.wait(max(0.0, deadline - time.monotonic()))
             self._take_inflight(entry.msg_id)
-            snapshot = entry.reply
-            if not snapshot:
-                snapshot = dict(
-                    self.supervisor.handle(index).last_snapshot
-                )
-            snapshots.append(snapshot)
-        return snapshots
+        return entries
 
-    def _aggregate_snapshots(self, snapshots) -> Dict[str, object]:
-        """Fold worker snapshots + retired accounting into fleet totals.
+    def _poll_workers(self) -> List[Dict[str, object]]:
+        """Every worker's accounting snapshot, freshly polled.
 
-        Shared by :meth:`stats` (which polls live workers) and the
-        metrics collector (which reads last-heartbeat snapshots so a
-        registry dump never does IPC).
+        Falls back to the last heartbeat snapshot for workers that are
+        down or slow — stats() degrades, it never blocks serving.
         """
-        with self._metrics_lock:
-            engines_total = empty_engine_totals()
-            merge_engine_totals(engines_total, self._retired_workers)
-            latency_dumps = [dict(self._retired_worker_latency)]
-            shadow_probes = self._retired_counters["shadow_probes"]
-            profiled = self._retired_counters["profiled_matrices"]
-            cache_total = {
-                "capacity": 0,
-                "shards": 0,
-                "size": 0,
-                "shard_sizes": [],
-                "hits": self._retired_counters["engine_cache"]["hits"],
-                "misses": self._retired_counters["engine_cache"]["misses"],
-                "hit_rate": 0.0,
-                "evictions": (
-                    self._retired_counters["engine_cache"]["evictions"]
-                ),
-            }
-        for worker_snapshot in snapshots:
-            if not worker_snapshot:
-                continue
-            merge_engine_totals(
-                engines_total,
-                worker_snapshot.get("engines") or empty_engine_totals(),
-            )
-            shadow_probes += int(worker_snapshot.get("shadow_probes", 0))
-            profiled += int(worker_snapshot.get("profiled_matrices", 0))
-            latency_dumps.append(worker_snapshot.get("latency") or {})
-            cache = worker_snapshot.get("engine_cache") or {}
-            cache_total["capacity"] += int(cache.get("capacity", 0))
-            cache_total["shards"] += int(cache.get("shards", 0))
-            cache_total["size"] += int(cache.get("size", 0))
-            cache_total["shard_sizes"].extend(cache.get("shard_sizes", ()))
-            for name in ("hits", "misses", "evictions"):
-                cache_total[name] += int(cache.get(name, 0))
-        lookups = cache_total["hits"] + cache_total["misses"]
-        cache_total["hit_rate"] = (
-            cache_total["hits"] / lookups if lookups else 0.0
-        )
-        return {
-            "engines": engines_total,
-            "engine_cache": cache_total,
-            "shadow_probes": shadow_probes,
-            "profiled_matrices": profiled,
-            "worker_latency": merge_histogram_dumps(latency_dumps),
-        }
+        return [
+            entry.reply
+            or dict(self.supervisor.handle(entry.worker).last_snapshot)
+            for entry in self._round_trip("stats", timeout=5.0, gated=False)
+        ]
 
     def _snapshot_ages(self) -> List[Optional[float]]:
         """Per-worker heartbeat-snapshot age in seconds (None = never).
@@ -1146,48 +759,44 @@ class DistributedService:
             for index in range(self.workers)
         ]
 
-    def _collect_gauges(self, registry) -> None:
-        """Dump-time collector: fleet gauges from heartbeat snapshots.
+    def _accounting(self, *, poll: bool) -> Dict[str, object]:
+        """Fleet totals: live remote engines, engines retired by
+        worker-local eviction, and dead incarnations' last heartbeats.
 
-        Runs on registry dumps only (exposition, spiller ticks) and
-        reads last-heartbeat state exclusively — a metrics scrape never
-        round-trips to worker processes or touches the request path.
+        ``stats()`` polls every worker; the gauge collector reads the
+        last heartbeat snapshots, so a registry dump never does IPC.
         """
-        labels = {"tier": self.obs.tier}
-        totals = self._aggregate_snapshots(self._heartbeat_snapshots())
-        cache = totals["engine_cache"]
-        registry.gauge("engine_cache_hits", labels=labels).set(cache["hits"])
-        registry.gauge("engine_cache_misses", labels=labels).set(
-            cache["misses"]
+        snapshots = (
+            self._poll_workers() if poll else self._heartbeat_snapshots()
         )
-        registry.gauge("engine_cache_evictions", labels=labels).set(
-            cache["evictions"]
-        )
-        registry.gauge("engine_cache_size", labels=labels).set(cache["size"])
-        registry.gauge("engine_cache_capacity", labels=labels).set(
-            cache["capacity"]
-        )
-        engines = totals["engines"]
-        registry.gauge("engine_requests", labels=labels).set(
-            engines["requests_served"]
-        )
-        for backend, usage in engines["backends"].items():
-            backend_labels = {"tier": self.obs.tier, "backend": backend}
-            registry.gauge("backend_requests", labels=backend_labels).set(
-                usage.get("requests", 0)
-            )
-            registry.gauge("backend_seconds", labels=backend_labels).set(
-                usage.get("seconds", 0.0)
-            )
-        for reason, count in engines["invalidations"].items():
-            registry.gauge(
-                "invalidations",
-                labels={"tier": self.obs.tier, "reason": reason},
-            ).set(count)
-        registry.gauge("profiled_matrices", labels=labels).set(
-            totals["profiled_matrices"]
-        )
-        worker_latency = totals["worker_latency"]
+        with self._metrics_lock:
+            retired = self._retired
+        return _fold_snapshots((retired, *snapshots))
+
+    def _tier_stats(self, totals: Dict[str, object]) -> Dict[str, object]:
+        """The ``distributed`` block: fleet health and transport usage."""
+        return {
+            "distributed": {
+                "fingerprints": len(self._matrices),
+                "retried_requests": self._retried_requests.value,
+                "dead_workers": self._dead_workers.value,
+                "supervisor": self.supervisor.stats(),
+                "shm": self.pool.stats(),
+                "worker_backends": [
+                    list(
+                        self.supervisor.handle(i).backends.get("backends", ())
+                    )
+                    for i in range(self.workers)
+                ],
+                "worker_snapshot_age_seconds": self._snapshot_ages(),
+                # bucket-merged worker-side service-time distribution:
+                # the fleet's p50/p99 as one histogram would have seen it
+                "worker_latency": totals["latency"],
+            }
+        }
+
+    def _tier_gauges(self, registry, labels, totals) -> None:
+        worker_latency = totals["latency"]
         registry.gauge("worker_latency_requests", labels=labels).set(
             worker_latency["count"]
         )
@@ -1208,52 +817,8 @@ class DistributedService:
             if age is not None:
                 registry.gauge(
                     "worker_snapshot_age_seconds",
-                    labels={"tier": self.obs.tier, "worker": str(index)},
+                    labels={**labels, "worker": str(index)},
                 ).set(age)
-
-    def stats(self) -> Dict[str, object]:
-        """The :meth:`TuningService.stats` schema, fleet-aggregated.
-
-        The common view is rendered by the same
-        :func:`~repro.obs.views.build_service_stats` generator every
-        tier uses (schema parity by construction — locked by the
-        cross-tier suite in ``tests/obs/test_stats_parity.py``).
-        ``engines`` folds live remote engines (polled from every
-        worker), engines retired by worker-local cache eviction, and
-        the last-heartbeat accounting of dead worker incarnations — the
-        same every-engine-ever-owned contract as single-process mode.
-        The extra ``distributed`` block carries fleet health:
-        per-worker liveness, heartbeat-snapshot ages, respawn/retry
-        counters, and shared-memory pool usage.
-        """
-        totals = self._aggregate_snapshots(self._poll_workers())
-        snapshot = build_service_stats(
-            self.obs,
-            space=self.space.name,
-            workers=self.workers,
-            max_batch=self.max_batch,
-            model_info=self.model_info,
-            engines_total=totals["engines"],
-            engine_cache=totals["engine_cache"],
-            profiled_matrices=totals["profiled_matrices"],
-            shadow_probes=totals["shadow_probes"],
-        )
-        snapshot["distributed"] = {
-            "fingerprints": len(self._matrices),
-            "retried_requests": self._retried_requests.value,
-            "dead_workers": self._dead_workers.value,
-            "supervisor": self.supervisor.stats(),
-            "shm": self.pool.stats(),
-            "worker_backends": [
-                list(self.supervisor.handle(i).backends.get("backends", ()))
-                for i in range(self.workers)
-            ],
-            "worker_snapshot_age_seconds": self._snapshot_ages(),
-            # bucket-merged worker-side service-time distribution: the
-            # fleet's p50/p99 as one histogram would have seen it
-            "worker_latency": totals["worker_latency"],
-        }
-        return snapshot
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -1262,24 +827,18 @@ class DistributedService:
         """Stop accepting requests and tear the fleet down.
 
         With ``wait=True`` every already-submitted request is served
-        first (queued drains run, in-flight replies are awaited).  The
-        shared-memory pool is closed last: every segment is unlinked,
-        and segments backing still-alive client result arrays unmap
-        when those arrays are garbage collected.
+        first: queued drains dispatch (see
+        :meth:`TuningService.close`), then in-flight replies are awaited
+        for up to *timeout* seconds.  The shared-memory pool is closed
+        last: every segment is unlinked, and segments backing
+        still-alive client result arrays unmap when those arrays are
+        garbage collected.
         """
         if self._closed:
             return
-        self._closed = True
+        super().close(wait=wait)
         if wait:
             deadline = time.monotonic() + timeout
-            # let queued drains dispatch...
-            while time.monotonic() < deadline:
-                with self._metrics_lock:
-                    dispatching = self._dispatching
-                if not len(self._pending) and not dispatching:
-                    break
-                time.sleep(0.01)
-            # ...then wait for the workers' replies to land
             with self._inflight_drained:
                 while (
                     any(
@@ -1290,8 +849,6 @@ class DistributedService:
                 ):
                     self._inflight_drained.wait(0.1)
         else:
-            for request in self._pending.pop_all():
-                request.future.cancel()
             with self._inflight_lock:
                 leftovers = list(self._inflight.values())
                 self._inflight.clear()
@@ -1301,12 +858,5 @@ class DistributedService:
                 entry.event.set()
         for gate in self._worker_gates:
             gate.set()  # unblock any sender wedged on a dead worker
-        self._executor.shutdown(wait=wait)
         self.supervisor.shutdown()
         self.pool.close()
-
-    def __enter__(self) -> "DistributedService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -55,6 +55,9 @@ class WorkerHandle:
         self.index = index
         self.process = None
         self.conn = None
+        #: reader thread of the current incarnation; it alone closes
+        #: the incarnation's pipe end (see ``Supervisor._read_loop``)
+        self.reader: Optional[threading.Thread] = None
         self.send_lock = threading.Lock()
         self.incarnation = 0
         self.ready = threading.Event()
@@ -153,13 +156,13 @@ class Supervisor:
         handle.process = process
         handle.last_heartbeat = time.monotonic()
         handle.dead = False
-        reader = threading.Thread(
+        handle.reader = threading.Thread(
             target=self._read_loop,
             args=(handle, incarnation),
             name=f"repro-dist-reader-{handle.index}",
             daemon=True,
         )
-        reader.start()
+        handle.reader.start()
 
     def handles(self) -> List[WorkerHandle]:
         return list(self._handles)
@@ -228,45 +231,58 @@ class Supervisor:
                 # a respawn raced the shutdown and the process handle is
                 # mid-replacement; _closing is set, so no further spawn
                 # follows and the daemon flag reaps the straggler
-                continue
-            handle.dead = True
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except Exception:
-                    pass
+                pass
+        for handle in self._handles:
+            with handle.send_lock:
+                handle.dead = True
+                handle.conn = None
+            reader = handle.reader
+            if reader is not None and reader is not threading.current_thread():
+                reader.join(1.0)  # it closes the pipe end
 
     # ------------------------------------------------------------------
     # watching
     # ------------------------------------------------------------------
     def _read_loop(self, handle: WorkerHandle, incarnation: int) -> None:
-        """Deliver one incarnation's messages until it dies or is replaced."""
+        """Deliver one incarnation's messages until it dies or is replaced.
+
+        The reader is the only thread that reads this incarnation's pipe
+        end, and the only one that closes it.  A close from another
+        thread can land while the reader sits in ``recv`` with the file
+        descriptor already fetched; the respawn's new pipe then reuses
+        that descriptor number, and the stale read steals bytes from the
+        replacement's stream, which desynchronises its framing and
+        silently stops its reader.
+        """
         conn = handle.conn
-        while not self._closing.is_set():
-            if handle.incarnation != incarnation:
-                return  # a respawn superseded this incarnation
-            try:
-                if not conn.poll(_POLL_SECONDS):
-                    continue
-                message = conn.recv()
-            except (EOFError, OSError, ValueError, TypeError):
-                # Pipe gone — the sentinel path owns recovery.  The
-                # TypeError arm covers close() landing between poll and
-                # recv: reading a just-closed Connection dereferences a
-                # None handle.
-                return
-            kind = message[0]
-            if kind == "heartbeat":
-                handle.last_heartbeat = time.monotonic()
-                handle.last_snapshot = message[2]
-            elif kind == "ready":
-                handle.last_heartbeat = time.monotonic()
-                handle.backends = message[2]
-                handle.ready.set()
-                self._on_message(handle.index, incarnation, message)
-            else:
-                handle.last_heartbeat = time.monotonic()
-                self._on_message(handle.index, incarnation, message)
+        try:
+            # death handling and shutdown mark the handle dead; a dying
+            # incarnation's buffered replies are dropped, because its
+            # in-flight requests are re-sent to the replacement
+            while not handle.dead and handle.incarnation == incarnation:
+                try:
+                    if not conn.poll(_POLL_SECONDS):
+                        continue
+                    message = conn.recv()
+                except (EOFError, OSError, ValueError, TypeError):
+                    return  # pipe gone — the sentinel path owns recovery
+                if handle.dead or handle.incarnation != incarnation:
+                    return
+                kind = message[0]
+                if kind == "heartbeat":
+                    handle.last_heartbeat = time.monotonic()
+                    handle.last_snapshot = message[2]
+                elif kind == "ready":
+                    handle.last_heartbeat = time.monotonic()
+                    handle.backends = message[2]
+                    handle.ready.set()
+                    self._on_message(handle.index, incarnation, message)
+                else:
+                    handle.last_heartbeat = time.monotonic()
+                    self._on_message(handle.index, incarnation, message)
+        finally:
+            with handle.send_lock:  # never under a sender mid-write
+                conn.close()
 
     def _monitor_loop(self) -> None:
         """Sentinel + heartbeat watchdog; respawns dead incarnations."""
@@ -311,12 +327,7 @@ class Supervisor:
         if process is not None:
             process.join(1.0)
         with handle.send_lock:
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except Exception:
-                    pass
-                handle.conn = None
+            handle.conn = None  # its reader closes it on the way out
         try:
             self._on_death(handle.index, dict(handle.last_snapshot))
         except Exception:

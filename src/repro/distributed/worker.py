@@ -7,13 +7,12 @@ matrix to the same worker, so the worker's private
 live engine for each of its matrices and no cross-process cache
 coherence is ever needed.
 
-Bitwise-identity contract: the worker mirrors
-:meth:`~repro.service.service.TuningService._serve` exactly — a batch
-of plain single-vector requests is served as one stacked
-``engine.execute`` call and fanned out through
-:func:`~repro.service.coalesce.split_stacked`; anything else is served
-solo.  The batched CSR kernel accumulates each output element in the
-same order as the single-vector kernel, so distributed results are
+Serving runs through :class:`~repro.service.host.EngineHost`, the same
+engine host and serve step the in-process
+:class:`~repro.service.service.TuningService` drains into: a batch of
+plain single-vector requests arrives as one stacked shared-memory block
+and is served by one ``engine.execute``; anything else is served solo
+through ``submit``/``flush``.  Distributed results are therefore
 bitwise-identical to single-process serve (and to serial dispatch) by
 construction, not by tolerance.
 
@@ -27,14 +26,17 @@ gateway -> worker                     worker -> gateway
 ``served)``                           list replays acked mutations on
                                       respawn; ``served`` primes the
                                       serving decision first)
-``("batch", id, fp, spec)``           ``("done", id, fp, metas, obs)``
-``("update", id, fp, delta)``         ``("update_done", id, fp, meta)``
+``("batch", id, fp, spec)``           ``("done", id, fp, served,``
+                                      ``stages)``
+``("update", id, fp, delta)``         ``("update_done", id, fp, upd,``
+                                      ``had_decision, stages)``
 ``("promote", id, tuner, info)``      ``("promoted", id)``
 ``("stats", id)``                     ``("stats_reply", id, snapshot)``
 ``("shutdown",)``                     —
 —                                     ``("ready", index, backends)``
 —                                     ``("heartbeat", n, snapshot)``
-—                                     ``("error", id, kind, text)``
+—                                     ``("error", id, kind, exc,``
+                                      ``text)``
 ====================================  ================================
 
 A batch ``spec`` dict carries only shared-memory references and scalar
@@ -42,11 +44,16 @@ metadata: ``x`` (operand :class:`~repro.distributed.shm.ShmRef` —
 ``(ncols, k)`` for a stacked batch), ``out`` (response ref the worker
 writes into), ``reps`` (per-request repetitions), ``stacked`` (bool).
 The worker answers every message even when serving fails — an
-``("error", ...)`` reply carries the exception text so the gateway can
-fail exactly the affected futures instead of the whole worker.
+``("error", ...)`` reply carries the raised exception (when it pickles)
+and its traceback text, so the gateway can fail exactly the affected
+futures, with a typed error, instead of the whole worker.  A ``done``
+reply carries the serve step's :class:`~repro.service.host.Served`
+record with each result's ``y`` stripped (outputs are in the response
+block); an ``update_done`` reply carries the engine's
+:class:`~repro.runtime.epoch.StreamUpdate`.
 
 Observability rides the existing messages instead of adding new ones:
-every reply meta carries the worker-side span ``stages`` (``shm_attach``
+every reply carries the worker-side span ``stages`` (``shm_attach``
 / ``kernel`` / ``shm_write``), which the gateway merges into the
 request's span under its original trace ID, and every stats/heartbeat
 snapshot is stamped with ``captured_monotonic`` so the gateway can tell
@@ -70,21 +77,21 @@ recounted on the respawn).
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.formats.base import FORMAT_IDS
 from repro.kernels import available_backends, probe_backends
 from repro.obs.metrics import Histogram
-from repro.runtime.engine import WorkloadEngine
 from repro.runtime.registry import REGISTRY
-from repro.service.cache import ShardedEngineCache
-from repro.service.coalesce import split_stacked
+from repro.service.host import EngineHost
 from repro.distributed.shm import SegmentCache, ShmRef
 
 __all__ = ["WorkerConfig", "worker_main"]
@@ -116,185 +123,104 @@ class WorkerConfig:
 
 
 class _WorkerState:
-    """Mutable serving state of one worker incarnation."""
+    """Mutable serving state of one worker incarnation.
+
+    The engines live in an :class:`~repro.service.host.EngineHost`, the
+    same host (and serve step) the in-process service drains into; what
+    this class adds is the shared-memory plumbing and the worker-side
+    counters its heartbeat snapshots carry.
+    """
 
     def __init__(self, config: WorkerConfig) -> None:
         self.config = config
-        self.deployed = (config.tuner, dict(config.model_info))
-        self.engines = ShardedEngineCache(
-            self._make_engine,
+        self.host = EngineHost(
+            config.space,
+            config.tuner,
+            dict(config.model_info),
             capacity=max(1, config.capacity),
             shards=max(1, config.shards),
-            on_evict=self._retire_engine,
-            # mutated stream content lives only in its engine; evicting
-            # one would silently lose acknowledged updates (the gateway
-            # delta log replays only on respawn, not on cache misses)
-            pinned=lambda _key, engine: engine.has_mutated_streams(),
+            accelerate=config.accelerate,
+            kernel_backend=config.kernel_backend,
+            shadow_every=config.shadow_every,
+            redecision=config.redecision,
         )
         self.segments = SegmentCache()
         self.matrices: Dict[str, object] = {}
-        self.shadow_counts: Dict[str, int] = {}
-        self.shadow_probes = 0
         self.requests_served = 0
-        self.updates_served = 0
-        self.batches = 0
         # worker-side service-time buckets: shipped raw in every
         # heartbeat snapshot so the gateway derives fleet p50/p99 from
         # merged buckets (repro.obs.metrics.merge_histogram_dumps), not
         # from per-worker summary statistics
         self.latency = Histogram("worker_latency")
-        from repro.service.accounting import empty_engine_totals
 
-        self.retired = empty_engine_totals()
-
-    def _make_engine(self) -> WorkloadEngine:
-        tuner, info = self.deployed
-        config = self.config
-        engine = WorkloadEngine(
-            config.space,
-            tuner=tuner,
-            accelerate=config.accelerate,
-            redecision=config.redecision,
-            kernel_backend=config.kernel_backend,
-        )
-        engine.model_version = str(info.get("version", "-"))
-        return engine
-
-    def _retire_engine(self, key: str, engine: WorkloadEngine) -> None:
-        from repro.service.accounting import fold_engine_stats
-
-        self.shadow_counts.pop(key, None)
-        fold_engine_stats(self.retired, engine.stats())
-
-    # ------------------------------------------------------------------
-    # serving (mirrors TuningService._serve / _serve_update)
-    # ------------------------------------------------------------------
     def serve_batch(self, fp: str, spec: Dict[str, object]):
-        """Serve one batch spec; returns ``(metas, observations)``.
+        """Serve one batch spec; returns ``(served, stages)``.
 
-        Outputs are written straight into the response ref — the reply
-        message carries accounting metadata only.  Each meta includes
-        the worker-side span stage timings (``shm_attach`` /
-        ``kernel`` / ``shm_write``), which the gateway merges into the
-        request's span under its original trace ID — one span covering
-        both sides of the process boundary.
+        Outputs are written straight into the response ref, and the
+        returned :class:`~repro.service.host.Served` carries accounting
+        only (its results' ``y`` is stripped).  ``stages`` holds the
+        worker-side span timings (``shm_attach`` / ``kernel`` /
+        ``shm_write``), which the gateway merges into each request's
+        span under its original trace ID — one span covering both sides
+        of the process boundary.
         """
         matrix = self.matrices[fp]
         x_ref: ShmRef = spec["x"]
         out_ref: ShmRef = spec["out"]
-        reps: List[int] = list(spec["reps"])
-        stacked: bool = bool(spec["stacked"])
+        stacked = bool(spec["stacked"])
         attach_start = time.perf_counter()
         X = self.segments.view(x_ref)
         out = self.segments.view(out_ref)
         attach_seconds = time.perf_counter() - attach_start
-        collect = bool(spec.get("telemetry", True))
-        with self.engines.lease(fp) as engine:
-            model_version = engine.model_version
-            epoch = engine.epoch_of(fp)
-            kernel_start = time.perf_counter()
-            if stacked:
-                n = X.shape[1]
-                block = engine.execute(matrix, X, key=fp)
-                write_start = time.perf_counter()
-                out[...] = block.y
-                write_done = time.perf_counter()
-                results = split_stacked(block, n)
-            else:
-                n = 1
-                result = engine.execute(
-                    matrix, X, key=fp, repetitions=reps[0]
-                )
-                write_start = time.perf_counter()
-                out[...] = result.y
-                write_done = time.perf_counter()
-                results = [result]
-            features = shadow = None
-            if collect:
-                features = engine.features_for(matrix, key=fp)
-            if self.config.shadow_every > 0:
-                count = self.shadow_counts.get(fp, 0)
-                self.shadow_counts[fp] = count + 1
-                if count % self.config.shadow_every == 0:
-                    shadow = engine.profile_formats(matrix, key=fp)
-                    self.shadow_probes += 1
+        served = self.host.serve(
+            fp,
+            matrix,
+            X if stacked else [(matrix, X, spec["reps"][0])],
+            telemetry=bool(spec.get("telemetry", True)),
+        )
+        write_start = time.perf_counter()
+        if stacked:
+            np.stack([r.y for r in served.results], axis=1, out=out)
+        else:
+            out[...] = served.results[0].y
+        write_seconds = time.perf_counter() - write_start
         del X, out  # release the shm views before forgetting segments
         for ref in (x_ref, out_ref):
             if ref.slot is None:
                 self.segments.forget(ref.segment)
+        n = len(served.results)
         self.requests_served += n
-        self.batches += 1
         # every member of the batch experienced the batch's worker-side
         # wall time, so each contributes one observation of it
-        batch_seconds = write_done - attach_start
+        batch_seconds = attach_seconds + served.kernel_seconds + write_seconds
         for _ in range(n):
             self.latency.observe(batch_seconds)
+        served.results = [
+            dataclasses.replace(result, y=None) for result in served.results
+        ]
         # one shared stage dict per batch: the whole batch rode one
         # kernel launch, so its members share the worker-side timings
         stages = {
             "shm_attach": attach_seconds,
-            "kernel": write_start - kernel_start,
-            "shm_write": write_done - write_start,
+            "kernel": served.kernel_seconds,
+            "shm_write": write_seconds,
         }
-        metas = [
-            {
-                "seconds": r.seconds,
-                "overhead_seconds": r.overhead_seconds,
-                "format": r.format,
-                "fingerprint": r.fingerprint,
-                "from_cache": r.from_cache,
-                "model_version": model_version,
-                "epoch": epoch,
-                "backend": r.backend,
-                "stages": stages,
-            }
-            for r in results
-        ]
-        observations = (
-            [
-                {
-                    "fingerprint": fp,
-                    "format": r.format,
-                    "backend": r.backend,
-                    "seconds": r.seconds,
-                    "batch_size": n,
-                    "model_version": model_version,
-                    "epoch": epoch,
-                    "features": features,
-                    "shadow_times": shadow if i == 0 else None,
-                }
-                for i, r in enumerate(results)
-            ]
-            if collect
-            else []
-        )
-        return metas, observations
+        return served, stages
 
-    def serve_update(self, fp: str, delta) -> Dict[str, object]:
-        """Apply one mutation under the shard lock; returns its meta."""
-        matrix = self.matrices[fp]
-        kernel_start = time.perf_counter()
-        with self.engines.lease(fp) as engine:
-            # recorded alongside the acked delta: a respawn replaying
-            # the log must re-derive the decision before this delta iff
-            # one existed now, or the rebuilt drift anchors diverge
-            had_decision = engine.has_decision(fp)
-            upd = engine.update(fp, delta, matrix=matrix)
-        kernel_seconds = time.perf_counter() - kernel_start
+    def serve_update(self, fp: str, delta):
+        """Apply one mutation; returns ``(update, had_decision, stages)``.
+
+        ``had_decision`` is recorded alongside the acked delta: a
+        respawn replaying the log must re-derive the decision before
+        this delta iff one existed now, or the rebuilt drift anchors
+        diverge.
+        """
+        upd, had_decision, _, kernel_seconds = self.host.update(
+            fp, delta, self.matrices[fp]
+        )
         self.requests_served += 1
-        self.updates_served += 1
-        self.batches += 1
         self.latency.observe(kernel_seconds)
-        return {
-            "epoch": upd.epoch,
-            "carried_forward": upd.carried_forward,
-            "retuned": upd.retuned,
-            "format": upd.format,
-            "drift": upd.drift,
-            "nnz": upd.nnz,
-            "had_decision": had_decision,
-            "stages": {"kernel": kernel_seconds},
-        }
+        return upd, had_decision, {"kernel": kernel_seconds}
 
     def install_matrix(self, fp: str, matrix, deltas, served=False) -> None:
         """Adopt one matrix, replaying its acked mutation log in order.
@@ -320,7 +246,7 @@ class _WorkerState:
         """
         self.matrices[fp] = matrix
         for delta, had_decision in deltas:
-            with self.engines.lease(fp) as engine:
+            with self.host.engines.lease(fp) as engine:
                 if had_decision:
                     engine.prime_decision(fp, matrix=matrix)
                 engine.update(fp, delta, matrix=matrix, replay=True)
@@ -329,40 +255,15 @@ class _WorkerState:
             # at the right point by the later delta's flag; priming here
             # covers an SpMV acked after the last logged delta (or with
             # an empty log), from the same stream content it saw live.
-            with self.engines.lease(fp) as engine:
+            with self.host.engines.lease(fp) as engine:
                 engine.prime_decision(fp, matrix=matrix)
-
-    def promote(self, tuner, info: Dict[str, object]) -> None:
-        """Adopt a promoted model for current and future engines."""
-        self.deployed = (tuner, dict(info))
-        version = str(info.get("version", "-"))
-        self.engines.apply(
-            lambda _key, engine: engine.set_tuner(tuner, version=version)
-        )
 
     def snapshot(self) -> Dict[str, object]:
         """Accounting snapshot shipped with heartbeats and stats replies."""
-        from repro.service.accounting import (
-            empty_engine_totals,
-            fold_engine_stats,
-        )
-
-        engines_total = empty_engine_totals()
-        fold_engine_stats(engines_total, self.retired)
-        profiled = set()
-        for engine in self.engines.values():
-            fold_engine_stats(engines_total, engine.stats())
-            profiled.update(engine.profile_snapshot())
         return {
-            "profiled_matrices": len(profiled),
+            **self.host.accounting(),
             "index": self.config.index,
             "requests_served": self.requests_served,
-            "updates_served": self.updates_served,
-            "batches": self.batches,
-            "shadow_probes": self.shadow_probes,
-            "matrices": len(self.matrices),
-            "engines": engines_total,
-            "engine_cache": self.engines.stats(),
             # raw log-bucket counts, not summary stats: the gateway
             # merges these across workers (and dead incarnations), so
             # fleet quantiles are bucket-exact
@@ -373,6 +274,22 @@ class _WorkerState:
             # a fresh stats reply
             "captured_monotonic": time.monotonic(),
         }
+
+
+def _error_reply(msg_id: int, kind: str, exc: Exception):
+    """The ``("error", ...)`` reply for a message that raised *exc*.
+
+    The exception itself rides the reply so the gateway can re-raise a
+    typed :mod:`repro.errors` failure; one that does not survive a
+    pickle round trip is replaced by ``None`` (the gateway then raises
+    a generic error carrying the traceback text).
+    """
+    text = f"{exc!r}\n{traceback.format_exc()}"
+    try:
+        shipped = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        shipped = None
+    return ("error", msg_id, kind, shipped, text)
 
 
 def _boot_warmup(config: WorkerConfig) -> Dict[str, float]:
@@ -477,28 +394,25 @@ def worker_main(config: WorkerConfig, conn) -> None:
             elif kind == "batch":
                 _, batch_id, fp, spec = message
                 try:
-                    metas, obs = state.serve_batch(fp, spec)
+                    served, stages = state.serve_batch(fp, spec)
                 except Exception as exc:
-                    sender.send(
-                        ("error", batch_id, "batch",
-                         f"{exc!r}\n{traceback.format_exc()}")
-                    )
+                    sender.send(_error_reply(batch_id, "batch", exc))
                 else:
-                    sender.send(("done", batch_id, fp, metas, obs))
+                    sender.send(("done", batch_id, fp, served, stages))
             elif kind == "update":
                 _, update_id, fp, delta = message
                 try:
-                    meta = state.serve_update(fp, delta)
+                    upd, had_decision, stages = state.serve_update(fp, delta)
                 except Exception as exc:
-                    sender.send(
-                        ("error", update_id, "update",
-                         f"{exc!r}\n{traceback.format_exc()}")
-                    )
+                    sender.send(_error_reply(update_id, "update", exc))
                 else:
-                    sender.send(("update_done", update_id, fp, meta))
+                    sender.send(
+                        ("update_done", update_id, fp, upd, had_decision,
+                         stages)
+                    )
             elif kind == "promote":
                 _, promote_id, tuner, info = message
-                state.promote(tuner, info)
+                state.host.install(tuner, dict(info))
                 sender.send(("promoted", promote_id))
             elif kind == "stats":
                 _, req_id = message

@@ -17,7 +17,7 @@ extension point the cross-tier parity suite allows.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["build_service_stats"]
 
@@ -32,7 +32,6 @@ def build_service_stats(
     engines_total: Dict[str, object],
     engine_cache: Dict[str, object],
     profiled_matrices: int,
-    shadow_probes: Optional[int] = None,
 ) -> Dict[str, object]:
     """Render the common ``stats()`` view from a tier's instruments.
 
@@ -41,9 +40,6 @@ def build_service_stats(
     histogram, so they can never disagree); the caller supplies the
     engine-accounting blocks it aggregates (live + retired engines,
     cache counters, profiled-matrix count) and its deployed-model info.
-    ``shadow_probes`` overrides the instrument value for tiers whose
-    probes run in other processes (the gateway aggregates them from
-    worker snapshots instead of counting locally).
     """
     latency = obs.latency.dump()
     served = obs.requests_served.value
@@ -57,11 +53,7 @@ def build_service_stats(
         "batches": obs.batches.value,
         "coalesced_batches": obs.coalesced_batches.value,
         "coalesced_requests": obs.coalesced_requests.value,
-        "shadow_probes": (
-            obs.shadow_probes.value
-            if shadow_probes is None
-            else shadow_probes
-        ),
+        "shadow_probes": obs.shadow_probes.value,
         "observer_errors": obs.observer_errors.value,
         "model": {**model_info, "promotions": obs.promotions.value},
         "latency": {

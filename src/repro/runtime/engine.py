@@ -1198,18 +1198,6 @@ class WorkloadEngine:
             "streams": len(self._streams),
         }
 
-    def summary(self) -> Dict[str, object]:
-        """Legacy serving report; prefer :meth:`stats` (superset keys)."""
-        stats = self.stats()
-        return {
-            "space": stats["space"],
-            "requests_served": stats["requests_served"],
-            "unique_matrices": stats["unique_matrices"],
-            "counters": stats["counters"],
-            "cache_hit_rate": stats["hit_rate"],
-            "seconds": stats["seconds"],
-        }
-
     def reset_accounting(self) -> None:
         """Zero the counters and time accounting; caches stay warm."""
         self.counters = CacheCounters()

@@ -4,12 +4,15 @@ The offline layers (``repro.core`` for tuning, ``repro.experiments`` for
 training suites) produce models; this package *serves* them under
 concurrent traffic, top-down:
 
-* :mod:`~repro.service.service` — :class:`TuningService`, the concurrent
-  request front end: a worker pool executes decide -> convert -> execute,
-  concurrent requests against the same matrix coalesce into batched
-  multi-vector kernel calls, and everything is accounted through one
-  :meth:`~TuningService.stats` dict.  :class:`Session` is the per-client
-  programmatic API.
+* :mod:`~repro.service.service` — :class:`TuningService`, the one
+  concurrent request front end: a worker pool executes decide ->
+  convert -> execute, concurrent requests against the same matrix
+  coalesce into batched multi-vector kernel calls, and everything is
+  accounted through one :meth:`~TuningService.stats` dict.
+  :class:`Session` is the per-client programmatic API.
+* :mod:`~repro.service.host` — :class:`~repro.service.host.EngineHost`,
+  one engine cache plus the serve step every tier runs against it (the
+  in-process pool here, each distributed worker process).
 * :mod:`~repro.service.cache` — :class:`ShardedEngineCache`, the sharded
   capacity-bounded LRU of per-matrix
   :class:`~repro.runtime.engine.WorkloadEngine` instances (per-shard

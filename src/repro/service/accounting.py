@@ -8,7 +8,9 @@ owned — live engines, engines evicted from a cache, and (in distributed
 mode) engines hosted by remote or since-dead worker processes.  The
 folding arithmetic lives here so the two tiers can never drift apart on
 the schema: the keys of :func:`empty_engine_totals` are the locked
-contract (``tests/distributed/test_stats_schema.py`` pins it).
+contract (``tests/obs/test_stats_parity.py`` pins it).  An aggregated
+block is shaped like one engine's stats dict for every key the fold
+touches, so blocks fold into each other the same way.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "ENGINE_TOTAL_KEYS",
     "empty_engine_totals",
     "fold_engine_stats",
-    "merge_engine_totals",
 ]
 
 #: The locked key set of an aggregated ``stats()["engines"]`` block.
@@ -73,17 +74,3 @@ def fold_engine_stats(totals: Dict[str, object], stats: Dict[str, object]) -> No
     streaming = totals["streaming"]
     for name, value in stats.get("streaming", {}).items():
         streaming[name] = streaming.get(name, 0) + value
-
-
-def merge_engine_totals(
-    totals: Dict[str, object], other: Dict[str, object]
-) -> None:
-    """Fold one aggregation block into another in place.
-
-    *other* must carry the :data:`ENGINE_TOTAL_KEYS` schema — this is how
-    the distributed gateway folds each worker's already-aggregated block
-    (and the last snapshot of a dead worker) into the fleet total.
-    """
-    # an aggregated block is shaped exactly like one engine's stats dict
-    # for every key the fold touches
-    fold_engine_stats(totals, other)

@@ -15,9 +15,9 @@ process boundary too.  This module holds that machinery once:
   queues with the scheduled-flag discipline (at most one drain loop in
   flight per fingerprint) and barrier-aware batch extraction;
 * :func:`split_stacked` — fan a batched ``(nrows, k)`` engine result out
-  into per-request results with fair-share accounting (the service's
-  stacked fast path and the worker process use the same arithmetic, so
-  the two tiers can never diverge on what a coalesced request reports).
+  into per-request results with fair-share accounting (used by the
+  stacked path of :class:`~repro.service.host.EngineHost`, the serve
+  step both tiers run).
 """
 
 from __future__ import annotations
@@ -205,10 +205,7 @@ def split_stacked(block, n: int) -> List:
     batched kernel call, so summed request costs match the engine's
     accounting; the tuning/conversion overhead is attributed to the
     batch's first request, and every member after the first reports
-    ``from_cache`` (its artefacts were resolved by the first).  Both the
-    in-process stacked fast path and the distributed worker fan batches
-    out through this helper, which is what keeps a coalesced request's
-    accounting bitwise-stable across tiers.
+    ``from_cache`` (its artefacts were resolved by the first).
     """
     from repro.runtime.engine import EngineResult
 

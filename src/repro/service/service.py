@@ -13,10 +13,19 @@ SpMM requests and turns them into as few kernel launches as possible:
   :mod:`repro.runtime.batch` (one kernel launch for *k* requests instead
   of *k* launches);
 * a ``ThreadPoolExecutor`` worker pool executes the decide -> convert ->
-  execute chain; every request is accounted (enqueue-to-completion wall
-  latency plus the engine's modelled seconds) and the service keeps
-  counters for cache hits, coalesced batches and evictions, all exposed
-  through one :meth:`TuningService.stats` dict.
+  execute chain through the shared serve step of
+  :class:`~repro.service.host.EngineHost`; every request is accounted
+  (enqueue-to-completion wall latency plus the engine's modelled
+  seconds) and the service keeps counters for cache hits, coalesced
+  batches and evictions, all exposed through one
+  :meth:`TuningService.stats` dict.
+
+:class:`TuningService` is the one serving front end, with two dispatch
+paths: in process (this module) and over worker processes
+(:class:`~repro.distributed.gateway.DistributedService`, a subclass
+that replaces only the dispatch step, the model-install step and the
+accounting source).  Submission, coalescing, completion, failure
+handling, telemetry and ``stats()`` are written here, once.
 
 Requests are validated *at submission* (shape, operand length), so a
 malformed request fails fast in the caller's thread and can never poison
@@ -62,23 +71,16 @@ from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
-from repro.machine.stats import MatrixStats
 from repro.obs import Observability
 from repro.obs.views import build_service_stats
 from repro.runtime.engine import (
     STREAM_THRESHOLD_BYTES,
-    WorkloadEngine,
     request_key,
     validate_operand,
 )
-from repro.service.accounting import empty_engine_totals, fold_engine_stats
 from repro.service.cache import ShardedEngineCache
-from repro.service.coalesce import (
-    FingerprintQueues,
-    PendingRequest,
-    split_stacked,
-)
-from repro.storage.stream import mmap_backed
+from repro.service.coalesce import FingerprintQueues, PendingRequest
+from repro.service.host import EngineHost, Served
 from repro.storage.tier import StorageTier
 from repro.utils.concurrency import default_thread_workers
 
@@ -147,6 +149,15 @@ class UpdateResult:
 class TuningService:
     """Concurrent SpMV/SpMM auto-tuning service over a worker pool.
 
+    This class is the one serving front end.  It owns validation,
+    trace-ID minting, the per-fingerprint queues and their drain loop,
+    the completion and failure paths that resolve futures, telemetry,
+    model deployment and the ``stats()`` view.  What runs a drained
+    batch is a per-tier dispatch step: here a thread pool serves it
+    through an in-process :class:`~repro.service.host.EngineHost`;
+    :class:`~repro.distributed.gateway.DistributedService` overrides
+    the dispatch step to ship it to a worker process instead.
+
     Parameters
     ----------
     space:
@@ -214,6 +225,10 @@ class TuningService:
     pool down; pending requests are drained first.
     """
 
+    #: Whether a drained batch may only coalesce plain single-vector
+    #: requests (see :meth:`FingerprintQueues.take_batch`).
+    _stackable_batches_only = False
+
     def __init__(
         self,
         space,
@@ -233,8 +248,67 @@ class TuningService:
         stream_threshold_bytes: Optional[int] = STREAM_THRESHOLD_BYTES,
         stream_block_bytes: Optional[int] = None,
     ) -> None:
-        if workers is None:
-            workers = default_thread_workers()
+        self._init_front_end(
+            space,
+            tuner,
+            tier="inproc",
+            workers=default_thread_workers() if workers is None else workers,
+            max_batch=max_batch,
+            accelerate=accelerate,
+            kernel_backend=kernel_backend,
+            shadow_every=shadow_every,
+            redecision=redecision,
+            observability=observability,
+        )
+        #: Out-of-core streaming policy handed to every engine.
+        self.stream_threshold_bytes = stream_threshold_bytes
+        self.stream_block_bytes = stream_block_bytes
+        #: Disk tier for demoted serving containers (None = drop on evict).
+        self.storage: Optional[StorageTier] = (
+            StorageTier(storage_dir, capacity_bytes=storage_capacity_bytes)
+            if storage_dir is not None
+            else None
+        )
+        self._host = EngineHost(
+            space,
+            tuner,
+            self.model_info,
+            capacity=capacity,
+            shards=shards,
+            accelerate=accelerate,
+            kernel_backend=kernel_backend,
+            shadow_every=self.shadow_every,
+            redecision=redecision,
+            stream_threshold_bytes=stream_threshold_bytes,
+            stream_block_bytes=stream_block_bytes,
+            storage=self.storage,
+            obs=self.obs,
+        )
+        self.engines: ShardedEngineCache = self._host.engines
+        self._executor = ThreadPoolExecutor(
+            max_workers=self.workers, thread_name_prefix="repro-service"
+        )
+
+    def _init_front_end(
+        self,
+        space,
+        tuner,
+        *,
+        tier: str,
+        workers: int,
+        max_batch: int,
+        accelerate: bool,
+        kernel_backend: Optional[str],
+        shadow_every: int,
+        redecision,
+        observability: bool,
+    ) -> None:
+        """Validate the shared knobs and build the front-end state.
+
+        Every tier's constructor calls this first; what follows it is
+        the tier's own executor (an engine host here, a worker fleet in
+        the distributed tier).
+        """
         if workers < 1:
             raise ValidationError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
@@ -254,40 +328,17 @@ class TuningService:
         #: Optional :class:`~repro.runtime.epoch.RedecisionPolicy` every
         #: engine is built with (None = the engine default).
         self.redecision = redecision
-        #: Out-of-core streaming policy handed to every engine.
-        self.stream_threshold_bytes = stream_threshold_bytes
-        self.stream_block_bytes = stream_block_bytes
-        #: Disk tier for demoted serving containers (None = drop on evict).
-        self.storage: Optional[StorageTier] = (
-            StorageTier(storage_dir, capacity_bytes=storage_capacity_bytes)
-            if storage_dir is not None
-            else None
-        )
-        self.engines = ShardedEngineCache(
-            self._make_engine,
-            capacity=capacity,
-            shards=shards,
-            on_evict=self._retire_engine,
-            # mutated stream content lives only in its engine; evicting
-            # one would silently lose acknowledged updates
-            pinned=lambda _key, engine: engine.has_mutated_streams(),
-        )
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-service"
-        )
+        self.storage = None
         self._pending = FingerprintQueues()
-        self._metrics_lock = threading.Lock()
         self._model_lock = threading.Lock()
         self._closed = False
+        self._observer = None
         # service-level instruments live in the observability registry
-        # (engine-level accounting stays in the engines and is folded at
-        # view time); ``observability=False`` keeps the instruments —
-        # they ARE the accounting — but turns span/event recording off
-        self.obs = Observability(tier="inproc", enabled=observability)
+        # (engine-level accounting is folded at view time);
+        # ``observability=False`` keeps the instruments — they ARE the
+        # accounting — but turns span/event recording off
+        self.obs = Observability(tier=tier, enabled=observability)
         self.obs.registry.register_collector(self._collect_gauges)
-        #: accounting folded in from engines evicted by the cache
-        self._retired = empty_engine_totals()
-        self._retired["profile_times"] = {}
         #: deployed-model provenance, replaced atomically by promote_model
         self.model_info: Dict[str, object] = {
             "version": "-",
@@ -295,73 +346,9 @@ class TuningService:
             "algorithm": type(tuner).__name__ if tuner is not None else "",
             "promoted_at": None,
         }
-        # the authoritative (tuner, info) pair: read in one attribute
-        # access by the engine factory so a freshly built engine can
-        # never pair a new tuner with an old version stamp (or vice
-        # versa) mid-promotion
+        # the authoritative (tuner, info) pair, published before every
+        # model install so executors built later boot onto it
         self._deployed = (tuner, self.model_info)
-        self._observer = None
-        self._shadow_counts: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------
-    # registry-backed counters (read-compat attribute surface)
-    # ------------------------------------------------------------------
-    @property
-    def requests_submitted(self) -> int:
-        return self.obs.requests_submitted.value
-
-    @property
-    def requests_served(self) -> int:
-        return self.obs.requests_served.value
-
-    @property
-    def updates_served(self) -> int:
-        return self.obs.updates_served.value
-
-    @property
-    def batches(self) -> int:
-        return self.obs.batches.value
-
-    @property
-    def coalesced_batches(self) -> int:
-        return self.obs.coalesced_batches.value
-
-    @property
-    def coalesced_requests(self) -> int:
-        return self.obs.coalesced_requests.value
-
-    @property
-    def shadow_probes(self) -> int:
-        return self.obs.shadow_probes.value
-
-    @property
-    def promotions(self) -> int:
-        return self.obs.promotions.value
-
-    @property
-    def latency_total(self) -> float:
-        return self.obs.latency.sum
-
-    @property
-    def latency_max(self) -> float:
-        return self.obs.latency.max_value
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _make_engine(self) -> WorkloadEngine:
-        tuner, info = self._deployed  # one read: tuner/version stay paired
-        engine = WorkloadEngine(
-            self.space,
-            tuner=tuner,
-            accelerate=self.accelerate,
-            redecision=self.redecision,
-            kernel_backend=self.kernel_backend,
-            stream_threshold_bytes=self.stream_threshold_bytes,
-            stream_block_bytes=self.stream_block_bytes,
-        )
-        engine.model_version = str(info.get("version", "-"))
-        return engine
 
     @classmethod
     def from_model_database(
@@ -419,18 +406,14 @@ class TuningService:
         models.
         """
         with self._model_lock:
-            info: Dict[str, object] = {
-                "version": str(version),
-                "source": source,
-                "algorithm": algorithm or type(self.tuner).__name__,
-                "promoted_at": None,
-            }
-            self._deployed = (self.tuner, info)
-            self.model_info = info
-            self.engines.apply(
-                lambda _key, engine: engine.set_tuner(
-                    self.tuner, version=str(version)
-                )
+            self._deploy(
+                self.tuner,
+                {
+                    "version": str(version),
+                    "source": source,
+                    "algorithm": algorithm or type(self.tuner).__name__,
+                    "promoted_at": None,
+                },
             )
 
     def set_observer(self, observer) -> None:
@@ -441,12 +424,11 @@ class TuningService:
         ``format``, ``seconds``, ``latency_seconds``, ``batch_size``,
         ``model_version``, the matrix's cached ``features`` vector, and
         ``shadow_times`` (per-format rival timings) on shadow-probed
-        batches.  It runs on the worker thread *after* the batch's
-        futures resolve and the engine lease is released, so a slow
-        observer (a synchronous retrain) delays only that fingerprint's
-        next drain, never a result.  Observer exceptions are counted
-        (``stats()["observer_errors"]``) and swallowed — telemetry must
-        not break serving.
+        batches.  It runs after the batch's futures resolve and after
+        the fingerprint's next drain is rescheduled, so a slow observer
+        (a synchronous retrain) never delays a result.  Observer
+        exceptions are counted (``stats()["observer_errors"]``) and
+        swallowed — telemetry must not break serving.
         """
         self._observer = observer
 
@@ -460,16 +442,14 @@ class TuningService:
     ) -> Dict[str, object]:
         """Hot-swap the serving model; returns the new model-info block.
 
-        Atomicity contract: the swap walks every live engine under its
-        cache shard lock (:meth:`ShardedEngineCache.apply`), updating
-        tuner and version stamp together, so a drain serving a batch
-        finishes under the old model before its engine is swapped, and
-        any request after the swap is decided by — and stamped with —
-        the new one.  Requests are never dropped and never see a torn
-        state.  Each engine keeps its model-independent artefacts
-        (stats, features, profile timings) and re-decides formats on
-        demand; rollback is just another promotion with an earlier
-        model's tuner.
+        Atomicity contract: every engine is re-stamped under its cache
+        shard lock, tuner and version stamp together, so a batch in
+        flight finishes under the old model, and any request after the
+        swap is decided by — and stamped with — the new one.  Requests
+        are never dropped and never see a torn state.  Each engine keeps
+        its model-independent artefacts (stats, features, profile
+        timings) and re-decides formats on demand; rollback is just
+        another promotion with an earlier model's tuner.
         """
         with self._model_lock:
             info: Dict[str, object] = {
@@ -478,17 +458,7 @@ class TuningService:
                 "algorithm": algorithm or type(tuner).__name__,
                 "promoted_at": time.time(),
             }
-            # publish the pair first: engines built during the walk below
-            # already get the new (tuner, version); the walk then fixes
-            # every engine that predates it
-            self._deployed = (tuner, info)
-            self.tuner = tuner
-            self.model_info = info
-            self.engines.apply(
-                lambda _key, engine: engine.set_tuner(
-                    tuner, version=str(version)
-                )
-            )
+            self._deploy(tuner, info)
             self.obs.promotions.inc()
             self.obs.event(
                 "model_promoted",
@@ -497,27 +467,20 @@ class TuningService:
             )
             return dict(info)
 
-    def profile_times(self) -> Dict[str, Dict[str, float]]:
-        """Per-matrix per-format shadow timings, live *and* evicted.
+    def _deploy(self, tuner, info: Dict[str, object]) -> None:
+        """Publish ``(tuner, info)``, then install it in the executor."""
+        self._deployed = (tuner, info)
+        self.tuner = tuner
+        self.model_info = info
+        self._install_model(tuner, info)
 
-        Merges every live engine's
-        :meth:`~repro.runtime.engine.WorkloadEngine.profile_snapshot`
-        with the snapshots folded in at eviction, so the telemetry
-        baseline for a matrix survives its engine's eviction.  Live
-        snapshots are taken under each engine's shard lock
-        (:meth:`ShardedEngineCache.apply`) — a concurrent drain's first
-        shadow probe inserts into the engine's timing table, and an
-        unlocked iteration could see the dict change size mid-walk.
-        """
-        with self._metrics_lock:
-            merged = {
-                fp: dict(times)
-                for fp, times in self._retired["profile_times"].items()
-            }
-        self.engines.apply(
-            lambda _key, engine: merged.update(engine.profile_snapshot())
-        )
-        return merged
+    def _install_model(self, tuner, info: Dict[str, object]) -> None:
+        """Tier hook: make every engine serve ``(tuner, info)``."""
+        self._host.install(tuner, info)
+
+    def profile_times(self) -> Dict[str, Dict[str, float]]:
+        """Per-matrix per-format shadow timings, live *and* evicted."""
+        return self._host.profile_times()
 
     # ------------------------------------------------------------------
     # request path
@@ -608,13 +571,6 @@ class TuningService:
         """Blocking convenience wrapper around :meth:`submit_update`."""
         return self.submit_update(matrix, delta, key=key).result()
 
-    def _enqueue(self, fp: str, request: PendingRequest) -> None:
-        """Append one request to its fingerprint queue; schedule a drain."""
-        schedule = self._pending.push(fp, request)
-        self.obs.requests_submitted.inc()
-        if schedule:
-            self._schedule(fp)
-
     def spmv(
         self,
         matrix: MatrixLike,
@@ -626,6 +582,16 @@ class TuningService:
         """Blocking convenience wrapper: submit and wait for the result."""
         return self.submit(matrix, x, key=key, repetitions=repetitions).result()
 
+    def _enqueue(self, fp: str, request: PendingRequest) -> None:
+        """Append one request to its fingerprint queue; schedule a drain."""
+        schedule = self._pending.push(fp, request)
+        self.obs.requests_submitted.inc()
+        if schedule:
+            self._schedule(fp)
+
+    # ------------------------------------------------------------------
+    # drain loop
+    # ------------------------------------------------------------------
     def _schedule(self, fp: str) -> None:
         """Hand a drain for *fp* to the worker pool (one in flight per fp).
 
@@ -639,107 +605,59 @@ class TuningService:
             self._drain_inline(fp)
 
     def _drain_inline(self, fp: str) -> None:
-        """Serve a fingerprint's whole queue in the calling thread."""
+        """Drain a fingerprint's whole queue in the calling thread."""
         while True:
-            more, observations, spans = self._drain_once(fp)
-            self._deliver_telemetry(observations, spans)
+            more, telemetry = self._drain_once(fp)
+            self._deliver_telemetry(*telemetry)
             if not more:
                 return
 
     def _drain(self, fp: str) -> None:
-        """Worker task: serve one batch, reschedule if more arrived.
+        """Worker task: dispatch one batch, reschedule if more arrived.
 
         The next drain is rescheduled *before* the telemetry observer
         runs, so a slow observer (or a synchronous retrain) overlaps
         with serving on the pool instead of stalling the fingerprint's
         queue.
         """
-        more, observations, spans = self._drain_once(fp)
+        more, telemetry = self._drain_once(fp)
         if more:
             self._schedule(fp)
-        self._deliver_telemetry(observations, spans)
+        self._deliver_telemetry(*telemetry)
 
     def _drain_once(self, fp: str):
-        """Serve up to ``max_batch`` queued requests for one fingerprint.
+        """Dispatch up to ``max_batch`` queued requests for one fingerprint.
 
-        Returns ``(more, observations, spans)``: *more* is ``True``
+        Returns ``(more, (observations, spans))``: *more* is ``True``
         when requests remain queued for *fp* (the caller must keep the
-        drain alive); *observations* is the served batch's telemetry and
-        *spans* its partially-timed span records — the caller hands both
-        to :meth:`_deliver_telemetry` once the drain is rescheduled, so
-        observer time lands in each span as its final stage.
+        drain alive), and the pair is the batch's telemetry when the
+        dispatch step completed it synchronously (empty otherwise).  A
+        dispatch that raises fails every future of the batch; the queue
+        is released either way.
         """
-        observations: List[dict] = []
-        spans: List[dict] = []
-        batch = self._pending.take_batch(fp, self.max_batch)
+        batch = self._pending.take_batch(
+            fp, self.max_batch, stackable_only=self._stackable_batches_only
+        )
+        telemetry = ([], [])
         if batch:
             try:
-                if batch[0].kind == "update":
-                    observations, spans = self._serve_update(fp, batch[0])
-                else:
-                    observations, spans = self._serve(fp, batch)
+                telemetry = self._dispatch(fp, batch)
             except BaseException as exc:  # propagate to every waiting caller
-                self.obs.event(
-                    "serve_error",
-                    error=type(exc).__name__,
-                    message=str(exc)[:200],
-                    fingerprint=fp,
-                    batch_size=len(batch),
-                    kind=batch[0].kind,
-                )
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_exception(exc)
-        return self._pending.finish(fp), observations, spans
+                self._fail(fp, batch, exc)
+        return self._pending.finish(fp), telemetry
 
-    def _deliver_telemetry(
-        self, observations: List[dict], spans: List[dict]
-    ) -> None:
-        """Run the observer, then record spans with observer time filled."""
-        observer_seconds = 0.0
-        if observations and self._observer is not None:
-            started = time.perf_counter()
-            self._notify(observations)
-            observer_seconds = time.perf_counter() - started
-        for span in spans:
-            span["stages"]["observer"] = observer_seconds
-            self.obs.span(span.pop("trace"), **span)
+    def _dispatch(self, fp: str, batch: List[PendingRequest]):
+        """Tier hook: run one drained batch.
 
-    def _notify(self, observations: List[dict]) -> None:
-        """Hand a served batch's observations to the observer, if any.
-
-        A raising observer is no longer reduced to a bare counter bump:
-        the counter still moves (``stats()["observer_errors"]``) but a
-        structured event with the exception type and the dropped batch's
-        identity goes through the event ring, so telemetry drops are
-        diagnosable after the fact.
+        In process the batch is served right here, through the engine
+        host, and its ``(observations, spans)`` are returned.
         """
-        if not observations:
-            return
-        observer = self._observer
-        if observer is None:
-            return
-        try:
-            observer(observations)
-        except Exception as exc:
-            self.obs.observer_errors.inc()
-            first = observations[0]
-            self.obs.event(
-                "observer_error",
-                error=type(exc).__name__,
-                message=str(exc)[:200],
-                fingerprint=str(first.get("fingerprint", "")),
-                batch_size=int(first.get("batch_size", len(observations))),
-                observations=len(observations),
-            )
+        if batch[0].kind == "update":
+            return self._serve_update(fp, batch[0])
+        return self._serve(fp, batch)
 
     def _serve(self, fp: str, batch: List[PendingRequest]):
-        """Run one coalesced batch through the fingerprint's engine.
-
-        Returns ``(observations, spans)`` — the batch's telemetry
-        observations (empty without an observer) and its span records
-        (empty with observability disabled); the caller delivers both
-        via :meth:`_deliver_telemetry` after rescheduling the drain.
+        """Serve one coalesced batch through the fingerprint's engine.
 
         A batch of plain single-vector requests (``repetitions == 1``)
         takes the fast path: the operands are stacked into one
@@ -747,55 +665,73 @@ class TuningService:
         — one kernel launch *and* one round of artefact lookups for the
         whole batch (engine counters tally lookups, the service tallies
         requests).  Batches containing 2-D operands or repeated
-        workloads fall back to the engine's queued ``submit``/``flush``
+        workloads go through the engine's queued ``submit``/``flush``
         path, which handles mixed shapes and per-request repetitions.
         """
-        observer = self._observer
-        features = shadow = None
-        promote_seconds = stream_seconds = 0.0
         serve_start = time.perf_counter()
-        with self.engines.lease(fp) as engine:
-            # the engine's stamp moves with its tuner (same shard lock),
-            # so the recorded version is exactly the model that decides
-            # this batch's format
-            model_version = engine.model_version
-            # likewise the epoch: updates advance it under this same
-            # shard lock, so the whole batch serves one matrix version
-            epoch = engine.epoch_of(fp)
-            # a fresh engine (cache miss) first tries the disk tier: a
-            # demoted container promotes back as mmap views instead of
-            # paying the stats + tune + convert chain again
-            if self.storage is not None and not engine.has_decision(fp):
-                promote_seconds = self._promote_into(fp, engine)
-            stream_before = engine.streaming["seconds"]
-            kernel_start = time.perf_counter()
-            if len(batch) > 1 and all(r.stackable for r in batch):
-                results = self._serve_stacked(fp, engine, batch)
-            else:
-                for request in batch:
-                    engine.submit(
-                        request.matrix,
-                        request.operand,
-                        key=fp,
-                        repetitions=request.repetitions,
-                    )
-                results = engine.flush()
-            kernel_seconds = time.perf_counter() - kernel_start
-            stream_seconds = engine.streaming["seconds"] - stream_before
-            # telemetry artefacts are resolved while the engine is leased:
-            # features come from the (warm) per-matrix cache, and every
-            # shadow_every-th batch per matrix also resolves the rival
-            # per-format timings (memoised, so repeat probes are free)
-            if observer is not None:
-                features = engine.features_for(batch[0].matrix, key=fp)
-            if self.shadow_every > 0:
-                # per-fp counters need no lock: same-fp drains are already
-                # serialised by the shard lock held through this lease
-                count = self._shadow_counts.get(fp, 0)
-                self._shadow_counts[fp] = count + 1
-                if count % self.shadow_every == 0:
-                    shadow = engine.profile_formats(batch[0].matrix, key=fp)
-                    self.obs.shadow_probes.inc()
+        if len(batch) > 1 and all(r.stackable for r in batch):
+            work = np.stack([r.operand for r in batch], axis=1)
+        else:
+            work = [(r.matrix, r.operand, r.repetitions) for r in batch]
+        served = self._host.serve(
+            fp, batch[0].matrix, work, telemetry=self._observer is not None
+        )
+        stages = {
+            # lease wait + batch assembly ahead of the kernel
+            "coalesce": served.kernel_start - serve_start,
+            "kernel": served.kernel_seconds,
+        }
+        # tier traffic rides the span timeline: a batch that promoted a
+        # demoted container or streamed row panels shows those stages
+        # (absent otherwise, so storage-free span schemas are unchanged)
+        if served.promote_seconds > 0.0:
+            stages["promote"] = served.promote_seconds
+        if served.stream_seconds > 0.0:
+            stages["stream"] = served.stream_seconds
+        return self._complete_batch(
+            fp, batch, served, queued_until=serve_start, stages=stages
+        )
+
+    def _serve_update(self, fp: str, request: PendingRequest):
+        """Apply one mutation request under the engine's shard lock."""
+        serve_start = time.perf_counter()
+        upd, _, kernel_start, kernel_seconds = self._host.update(
+            fp, request.delta, request.matrix
+        )
+        return self._complete_update(
+            fp,
+            request,
+            upd,
+            queued_until=serve_start,
+            stages={
+                "coalesce": kernel_start - serve_start,
+                "kernel": kernel_seconds,
+            },
+        )
+
+    # ------------------------------------------------------------------
+    # completion: one path per request kind, shared by every tier
+    # ------------------------------------------------------------------
+    def _complete_batch(
+        self,
+        fp: str,
+        batch: List[PendingRequest],
+        served: Served,
+        *,
+        queued_until: float,
+        stages: Dict[str, float],
+        **span_fields,
+    ):
+        """Resolve a served batch's futures; return its telemetry.
+
+        Counts the batch, observes each request's wall latency, and
+        returns ``(observations, spans)`` — observations only while an
+        observer is installed, spans only with recording enabled.  Each
+        span carries the request's own ``validate`` and ``queue`` (up
+        to *queued_until*) stages followed by the tier's batch-wide
+        *stages*; *span_fields* add tier-specific span attributes.
+        """
+        results = served.results
         done_at = time.perf_counter()
         latencies = [done_at - r.enqueued_at for r in batch]
         o = self.obs
@@ -804,34 +740,29 @@ class TuningService:
         if len(batch) > 1:
             o.coalesced_batches.inc()
             o.coalesced_requests.inc(len(batch))
+        if served.shadow is not None:
+            o.shadow_probes.inc()
         for latency in latencies:
             o.latency.observe(latency)
-        for request, engine_result, latency in zip(batch, results, latencies):
+        for request, result, latency in zip(batch, results, latencies):
+            if request.future.done():
+                continue  # cancelled by close(wait=False)
             request.future.set_result(
                 ServiceResult(
-                    y=engine_result.y,
-                    seconds=engine_result.seconds,
-                    overhead_seconds=engine_result.overhead_seconds,
-                    format=engine_result.format,
-                    fingerprint=engine_result.fingerprint,
-                    from_cache=engine_result.from_cache,
+                    y=result.y,
+                    seconds=result.seconds,
+                    overhead_seconds=result.overhead_seconds,
+                    format=result.format,
+                    fingerprint=result.fingerprint,
+                    from_cache=result.from_cache,
                     batch_size=len(batch),
                     latency_seconds=latency,
-                    model_version=model_version,
-                    epoch=epoch,
-                    backend=engine_result.backend,
+                    model_version=served.model_version,
+                    epoch=served.epoch,
+                    backend=result.backend,
                     trace_id=request.trace_id,
                 )
             )
-        # tier traffic rides the span timeline: a batch that promoted a
-        # demoted container or streamed row panels shows those stages in
-        # `repro top` next to validate/queue/kernel (absent otherwise,
-        # so storage-free span schemas are unchanged)
-        tier_stages: Dict[str, float] = {}
-        if promote_seconds > 0.0:
-            tier_stages["promote"] = promote_seconds
-        if stream_seconds > 0.0:
-            tier_stages["stream"] = stream_seconds
         spans = (
             [
                 {
@@ -839,75 +770,74 @@ class TuningService:
                     "kind": "spmv",
                     "fingerprint": fp,
                     "batch_size": len(batch),
-                    "backend": engine_result.backend,
+                    "backend": result.backend,
+                    **span_fields,
                     "stages": {
                         "validate": request.validate_seconds,
-                        "queue": serve_start - request.enqueued_at,
-                        # lease wait + batch assembly ahead of the kernel
-                        "coalesce": kernel_start - serve_start,
-                        "kernel": kernel_seconds,
-                        **tier_stages,
+                        "queue": queued_until - request.enqueued_at,
+                        **stages,
                     },
                 }
-                for request, engine_result in zip(batch, results)
+                for request, result in zip(batch, results)
             ]
             if o.enabled
             else []
         )
-        if observer is None:
+        if self._observer is None:
             return [], spans
         observations = [
             {
                 "fingerprint": fp,
-                "format": engine_result.format,
-                "backend": engine_result.backend,
-                "seconds": engine_result.seconds,
+                "format": result.format,
+                "backend": result.backend,
+                "seconds": result.seconds,
                 "latency_seconds": latency,
                 "batch_size": len(batch),
-                "model_version": model_version,
-                "epoch": epoch,
-                "features": features,
+                "model_version": served.model_version,
+                "epoch": served.epoch,
+                "features": served.features,
                 # rival timings ride the probed batch's first request
-                "shadow_times": shadow if i == 0 else None,
+                "shadow_times": served.shadow if i == 0 else None,
             }
-            for i, (engine_result, latency) in enumerate(
-                zip(results, latencies)
-            )
+            for i, (result, latency) in enumerate(zip(results, latencies))
         ]
         return observations, spans
 
-    def _serve_update(self, fp: str, request: PendingRequest):
-        """Apply one mutation request under the engine's shard lock.
+    def _complete_update(
+        self,
+        fp: str,
+        request: PendingRequest,
+        upd,
+        *,
+        queued_until: float,
+        stages: Dict[str, float],
+        **span_fields,
+    ):
+        """Resolve an applied mutation's future; return its telemetry.
 
-        Returns ``(observations, spans)`` — the update's telemetry
-        observation (``kind: "update"``, carrying the measured stat
-        drift — the adaptive layer's matrix-evolution velocity signal)
-        when an observer is installed, plus its span record.
+        The observation (``kind: "update"``) carries the measured stat
+        drift — the adaptive layer's matrix-evolution velocity signal.
         """
-        serve_start = time.perf_counter()
-        with self.engines.lease(fp) as engine:
-            kernel_start = time.perf_counter()
-            upd = engine.update(fp, request.delta, matrix=request.matrix)
-        done_at = time.perf_counter()
-        latency = done_at - request.enqueued_at
+        latency = time.perf_counter() - request.enqueued_at
         o = self.obs
         o.requests_served.inc()
         o.updates_served.inc()
         o.batches.inc()
         o.latency.observe(latency)
-        request.future.set_result(
-            UpdateResult(
-                fingerprint=fp,
-                epoch=upd.epoch,
-                carried_forward=upd.carried_forward,
-                retuned=upd.retuned,
-                format=upd.format,
-                drift=upd.drift,
-                nnz=upd.nnz,
-                latency_seconds=latency,
-                trace_id=request.trace_id,
+        if not request.future.done():
+            request.future.set_result(
+                UpdateResult(
+                    fingerprint=fp,
+                    epoch=upd.epoch,
+                    carried_forward=upd.carried_forward,
+                    retuned=upd.retuned,
+                    format=upd.format,
+                    drift=upd.drift,
+                    nnz=upd.nnz,
+                    latency_seconds=latency,
+                    trace_id=request.trace_id,
+                )
             )
-        )
         spans = (
             [
                 {
@@ -915,14 +845,14 @@ class TuningService:
                     "kind": "update",
                     "fingerprint": fp,
                     "batch_size": 1,
-                    "stages": {
-                        "validate": request.validate_seconds,
-                        "queue": serve_start - request.enqueued_at,
-                        "coalesce": kernel_start - serve_start,
-                        "kernel": done_at - kernel_start,
-                    },
                     "epoch": upd.epoch,
                     "retuned": upd.retuned,
+                    **span_fields,
+                    "stages": {
+                        "validate": request.validate_seconds,
+                        "queue": queued_until - request.enqueued_at,
+                        **stages,
+                    },
                 }
             ]
             if o.enabled
@@ -944,153 +874,125 @@ class TuningService:
         ]
         return observations, spans
 
-    def _serve_stacked(self, fp: str, engine, batch: List[PendingRequest]):
-        """Fast path: one stacked block, one ``execute``, one lookup round.
+    def _fail(
+        self,
+        fp: str,
+        batch: List[PendingRequest],
+        exc: BaseException,
+        **fields,
+    ) -> None:
+        """Fail every still-pending future of *batch* with *exc*.
 
-        Returns per-request :class:`~repro.runtime.engine.EngineResult`
-        views into the block result, fanned out through
-        :func:`~repro.service.coalesce.split_stacked` (shared with the
-        distributed worker so the two tiers' per-request accounting can
-        never diverge): each request's modelled ``seconds`` is its fair
-        share of the batched call and the tuning/conversion overhead is
-        attributed to the first request, as in
-        :meth:`WorkloadEngine.flush`.  Only called for batches whose
-        requests all have ``repetitions == 1`` (repeated workloads go
-        through ``flush``, which threads repetitions into the
-        per-request accounting).
-        """
-        X = np.stack([r.operand for r in batch], axis=1)
-        block = engine.execute(batch[0].matrix, X, key=fp)
-        return split_stacked(block, len(batch))
-
-    # ------------------------------------------------------------------
-    # storage tier: demote on evict, promote on return
-    # ------------------------------------------------------------------
-    def _promote_into(self, fp: str, engine: WorkloadEngine) -> float:
-        """Re-attach a demoted container into a fresh engine, if resident.
-
-        Runs under the fingerprint's shard lock (the caller holds the
-        engine lease), so a promote can never race a demotion of the
-        same key.  Restores the serving container (as read-only mmap
-        views), the decided format + backend, and the persisted matrix
-        statistics; returns the wall seconds spent (0.0 on a tier miss).
-        """
-        started = time.perf_counter()
-        promoted = self.storage.promote(fp)
-        if promoted is None:
-            return 0.0
-        meta = self.storage.decision(fp) or {}
-        stats_dict = meta.get("stats")
-        engine.adopt_prepared(
-            fp,
-            promoted,
-            backend=meta.get("backend"),
-            stats=(
-                MatrixStats.from_dict(stats_dict)
-                if isinstance(stats_dict, dict)
-                else None
-            ),
-        )
-        elapsed = time.perf_counter() - started
-        self.obs.event(
-            "tier_promote",
-            fingerprint=fp,
-            format=promoted.format,
-            seconds=elapsed,
-        )
-        return elapsed
-
-    def _demote_engine(self, key: str, engine: WorkloadEngine) -> None:
-        """Spill an evicted engine's serving container to the disk tier.
-
-        A container that is *already* an mmap view of a resident tier
-        entry (a promoted engine being re-evicted) is not rewritten —
-        the entry on disk is still its exact content.  Demotion failures
-        are reported through the event ring and never break eviction.
+        The ``serve_error`` event names the request kind as
+        ``request_kind`` (``kind`` is the event's own type); the futures
+        are resolved even if recording the event fails, so no caller
+        and no later request on the fingerprint is left waiting.
         """
         try:
-            payload = engine.demote_payload(key)
-            if payload is None:
-                return
-            prepared, meta = payload
-            if key in self.storage and mmap_backed(prepared):
-                return
-            entry = self.storage.demote(key, prepared, extra=meta)
             self.obs.event(
-                "tier_demote",
-                fingerprint=key,
-                format=prepared.format,
-                nbytes=entry.nbytes,
-            )
-        except Exception as exc:
-            self.obs.event(
-                "tier_demote_error",
-                fingerprint=key,
+                "serve_error",
                 error=type(exc).__name__,
                 message=str(exc)[:200],
+                fingerprint=fp,
+                batch_size=len(batch),
+                request_kind=batch[0].kind,
+                **fields,
+            )
+        finally:
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_exception(exc)
+
+    def _deliver_telemetry(
+        self, observations: List[dict], spans: List[dict]
+    ) -> None:
+        """Run the observer, then record spans with observer time filled."""
+        observer_seconds = 0.0
+        if observations and self._observer is not None:
+            started = time.perf_counter()
+            self._notify(observations)
+            observer_seconds = time.perf_counter() - started
+        for span in spans:
+            span["stages"]["observer"] = observer_seconds
+            self.obs.span(span.pop("trace"), **span)
+
+    def _notify(self, observations: List[dict]) -> None:
+        """Hand a served batch's observations to the observer, if any.
+
+        A raising observer bumps ``stats()["observer_errors"]`` and
+        leaves a structured ``observer_error`` event with the exception
+        type and the dropped batch's identity, so telemetry drops are
+        diagnosable after the fact.
+        """
+        observer = self._observer
+        if observer is None or not observations:
+            return
+        try:
+            observer(observations)
+        except Exception as exc:
+            self.obs.observer_errors.inc()
+            first = observations[0]
+            self.obs.event(
+                "observer_error",
+                error=type(exc).__name__,
+                message=str(exc)[:200],
+                fingerprint=str(first.get("fingerprint", "")),
+                batch_size=int(first.get("batch_size", len(observations))),
+                observations=len(observations),
             )
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _retire_engine(self, key: str, engine: WorkloadEngine) -> None:
-        """Fold an evicted engine's accounting into the service totals.
+    def _accounting(self, *, poll: bool) -> Dict[str, object]:
+        """Tier hook: engine totals, cache counters, profiled matrices.
 
-        With a disk tier configured, eviction is a *demotion*: the
-        engine's converted serving container spills to the tier first
-        (see :meth:`_demote_engine`), so a later request pays an mmap
-        reattach instead of a re-conversion.
-
-        Besides the hit/miss counters and modelled seconds, the engine's
-        per-format profile timings are kept (:meth:`profile_times`), so
-        a telemetry baseline built from shadow probes survives the
-        eviction of the engine that measured it.  The retired map and
-        the per-matrix shadow-cadence counters are bounded: an unbounded
-        stream of distinct matrices must not leak memory in exactly the
-        long-lived serving scenario the adaptive loop targets.
+        *poll* asks for the freshest numbers (``stats()``); the gauge
+        collector passes ``False`` and must not block on other
+        processes.
         """
-        if self.storage is not None:
-            self._demote_engine(key, engine)
-        stats = engine.stats()
-        profile = engine.profile_snapshot()
-        # oldest-first cap on retired timings; 4x the engine capacity
-        # keeps every plausibly-hot matrix while bounding the map
-        cap = max(256, 4 * self.engines.capacity)
-        with self._metrics_lock:
-            self._shadow_counts.pop(key, None)  # re-probed on return
-            fold_engine_stats(self._retired, stats)
-            retired_profiles = self._retired["profile_times"]
-            for fp, times in profile.items():
-                retired_profiles.setdefault(fp, dict(times))
-            while len(retired_profiles) > cap:
-                retired_profiles.pop(next(iter(retired_profiles)))
+        return self._host.accounting()
 
-    def _engines_total(self) -> Dict[str, object]:
-        """Aggregate every engine ever owned: retired folds + live walks."""
-        engines_total = empty_engine_totals()
-        with self._metrics_lock:
-            # extra retired-only keys (profile_times) are ignored by the fold
-            fold_engine_stats(engines_total, self._retired)
-        for engine in self.engines.values():
-            fold_engine_stats(engines_total, engine.stats())
-        return engines_total
+    def _tier_stats(self, totals: Dict[str, object]) -> Dict[str, object]:
+        """Tier hook: extra ``stats()`` blocks beyond the common view."""
+        # present only when a disk tier is configured, so storage-free
+        # deployments keep the cross-tier parity schema
+        if self.storage is None:
+            return {}
+        return {"storage": self.storage.stats()}
+
+    def _tier_gauges(self, registry, labels, totals) -> None:
+        """Tier hook: gauges beyond the common engine/cache set."""
+        if self.storage is None:
+            return
+        tier = self.storage.stats()
+        for name in (
+            "entries",
+            "resident_bytes",
+            "demotions",
+            "promotions",
+            "promote_misses",
+            "tier_evictions",
+            "bytes_written",
+        ):
+            registry.gauge(f"storage_{name}", labels=labels).set(tier[name])
 
     def _collect_gauges(self, registry) -> None:
         """Dump-time collector: publish engine/cache/backend gauges.
 
-        This is how the :class:`WorkloadEngine` fleet and the
-        :class:`ShardedEngineCache` register into the metrics registry
-        without paying anything on the request path — the fold runs
-        only when the registry is dumped (spiller tick, ``repro
-        metrics``), never per request.
+        This is how the engine fleet registers into the metrics registry
+        without paying anything on the request path — the fold runs only
+        when the registry is dumped (spiller tick, ``repro metrics``),
+        never per request.
         """
         labels = {"tier": self.obs.tier}
-        cache = self.engines.stats()
+        totals = self._accounting(poll=False)
+        cache = totals["engine_cache"]
         for name in ("hits", "misses", "evictions", "size", "capacity"):
             registry.gauge(f"engine_cache_{name}", labels=labels).set(
                 cache.get(name, 0)
             )
-        engines_total = self._engines_total()
+        engines_total = totals["engines"]
         registry.gauge("engine_requests", labels=labels).set(
             engines_total["requests_served"]
         )
@@ -1107,50 +1009,35 @@ class TuningService:
                 "invalidations", labels={**labels, "reason": name}
             ).set(engines_total["invalidations"].get(name, 0))
         registry.gauge("profiled_matrices", labels=labels).set(
-            len(self.profile_times())
+            totals["profiled_matrices"]
         )
-        if self.storage is not None:
-            tier = self.storage.stats()
-            for name in (
-                "entries",
-                "resident_bytes",
-                "demotions",
-                "promotions",
-                "promote_misses",
-                "tier_evictions",
-                "bytes_written",
-            ):
-                registry.gauge(f"storage_{name}", labels=labels).set(
-                    tier[name]
-                )
+        self._tier_gauges(registry, labels, totals)
 
     def stats(self) -> Dict[str, object]:
         """One dict with every service-level and engine-level counter.
 
         The common schema — request/batch/coalescing tallies,
-        wall-latency aggregates (now with log-bucket p50/p99), the
-        engine cache's hit/miss/eviction numbers (``engine_cache``) and
-        the summed :meth:`WorkloadEngine.stats` of every engine the
-        service has ever owned (``engines``) — is rendered by
-        :func:`repro.obs.views.build_service_stats`, the same generator
-        every serving tier uses, so the schema cannot drift between
-        tiers.  This is the service's metrics endpoint — callers should
-        consume it rather than poking individual attributes.
+        wall-latency aggregates (with log-bucket p50/p99), the engine
+        cache's hit/miss/eviction numbers (``engine_cache``) and the
+        summed :meth:`WorkloadEngine.stats` of every engine the tier has
+        ever owned (``engines``) — is rendered by
+        :func:`repro.obs.views.build_service_stats`, so the schema
+        cannot drift between tiers.  This is the service's metrics
+        endpoint — callers should consume it rather than poking
+        individual attributes.
         """
+        totals = self._accounting(poll=True)
         stats = build_service_stats(
             self.obs,
             space=self.space.name,
             workers=self.workers,
             max_batch=self.max_batch,
             model_info=self.model_info,
-            engines_total=self._engines_total(),
-            engine_cache=self.engines.stats(),
-            profiled_matrices=len(self.profile_times()),
+            engines_total=totals["engines"],
+            engine_cache=totals["engine_cache"],
+            profiled_matrices=totals["profiled_matrices"],
         )
-        if self.storage is not None:
-            # optional block: present only when a disk tier is configured,
-            # so storage-free deployments keep the cross-tier parity schema
-            stats["storage"] = self.storage.stats()
+        stats.update(self._tier_stats(totals))
         return stats
 
     # ------------------------------------------------------------------
@@ -1164,13 +1051,16 @@ class TuningService:
         """Stop accepting requests and shut the worker pool down.
 
         With ``wait=True`` (the default) every already-submitted request
-        is served before the method returns — in-flight drains finish on
-        the pool, and any drain whose reschedule raced the shutdown
-        falls back to serving inline (see :meth:`_schedule`); a final
-        sweep here catches queues whose drain task never started.  With
-        ``wait=False`` the pool is told to shut down without waiting and
-        still-queued requests have their futures **cancelled**.
+        is dispatched before the method returns — in-flight drains
+        finish on the pool, and any drain whose reschedule raced the
+        shutdown falls back to running inline (see :meth:`_schedule`); a
+        final sweep here catches queues whose drain task never started.
+        With ``wait=False`` the pool is told to shut down without
+        waiting and still-queued requests have their futures
+        **cancelled**.
         """
+        if self._closed:
+            return
         self._closed = True
         self._executor.shutdown(wait=wait)
         if wait:

@@ -114,7 +114,7 @@ class TestDistributedSpans:
     def test_promotion_emits_a_structured_event(self, gateway, matrix, rng):
         gateway.spmv(matrix, rng.random(matrix.ncols), key="S")
         gateway.promote_model(RunFirstTuner(), version="v2")
-        assert gateway.promotions == 1
+        assert gateway.obs.promotions.value == 1
         (event,) = [
             e for e in gateway.obs.events.tail(20)
             if e["kind"] == "model_promoted"

@@ -122,11 +122,11 @@ class TestAccounting:
 
     def test_summary_and_reset(self, engine, coo_small, rng):
         engine.execute(coo_small, rng.standard_normal(12))
-        report = engine.summary()
+        report = engine.stats()
         assert report["requests_served"] == 1
         assert report["unique_matrices"] == 1
         engine.reset_accounting()
-        assert engine.summary()["requests_served"] == 0
+        assert engine.stats()["requests_served"] == 0
         # caches stay warm after the reset
         assert engine.execute(coo_small, rng.standard_normal(12)).from_cache
 
