@@ -7,8 +7,9 @@ testbed (ARCHER2, Cirrus, Isambard — Table II).  Each
 :class:`~repro.machine.cost_model.CostModel` maps
 ``(matrix statistics, storage format, architecture, backend)`` to a
 simulated SpMV runtime via a roofline-style model with format-specific
-efficiency terms.  See DESIGN.md §3 for why this substitution preserves the
-paper's evaluation shape.
+efficiency terms.  See ``docs/architecture.md`` (``repro.machine`` +
+``repro.backends``) for why this substitution preserves the paper's
+evaluation shape.
 """
 
 from repro.machine.arch import ArchSpec, CPUSpec, GPUSpec

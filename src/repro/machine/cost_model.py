@@ -1,8 +1,9 @@
 """Roofline-style SpMV performance models for the six storage formats.
 
-This module is the analytical heart of the hardware substitution (DESIGN.md
-§3).  For a matrix summarised by :class:`~repro.machine.stats.MatrixStats`,
-a storage format, and a device :class:`~repro.machine.arch.ArchSpec`, it
+This module is the analytical heart of the hardware substitution
+(``docs/architecture.md``, ``repro.machine`` + ``repro.backends``).  For
+a matrix summarised by :class:`~repro.machine.stats.MatrixStats`, a
+storage format, and a device :class:`~repro.machine.arch.ArchSpec`, it
 predicts the runtime of one SpMV:
 
 ``T = max(T_memory, T_compute) + T_fixed``

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
@@ -123,6 +124,14 @@ def _defining_arrays(m: SparseMatrix) -> Tuple[np.ndarray, ...]:
     )
 
 
+#: Content digest per concrete container object.  Containers are
+#: immutable (their defining arrays are flagged read-only), so a digest
+#: never goes stale; entries die with their container.
+_DIGESTS: "weakref.WeakKeyDictionary[SparseMatrix, str]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def matrix_fingerprint(matrix: MatrixLike) -> str:
     """Stable content hash of a matrix in its active format.
 
@@ -131,13 +140,18 @@ def matrix_fingerprint(matrix: MatrixLike) -> str:
     numerical difference separates them.  The same logical matrix stored
     in two *different* formats hashes differently — callers that want
     cross-format identity pass their own ``key`` to the engine instead.
+    The ``O(nnz)`` hash runs once per container object; later calls
+    return the memoised digest.
     """
     m = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-    h = hashlib.blake2b(digest_size=16)
-    h.update(f"{m.format}:{m.nrows}x{m.ncols}:".encode())
-    for arr in _defining_arrays(m):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+    digest = _DIGESTS.get(m)
+    if digest is None:
+        h = hashlib.blake2b(digest_size=16)
+        h.update(f"{m.format}:{m.nrows}x{m.ncols}:".encode())
+        for arr in _defining_arrays(m):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        digest = _DIGESTS[m] = h.hexdigest()
+    return digest
 
 
 def request_key(matrix: MatrixLike) -> str:

@@ -12,10 +12,10 @@ The in-process :class:`~repro.service.service.TuningService` drains its
 queues into one host; every distributed worker process hosts its own
 slice.  Both tiers therefore run the same serve step — lease the
 engine, read its model version and epoch, promote from the storage
-tier on a miss, serve a stacked block through one ``execute`` or
-mixed requests through ``submit``/``flush``, then resolve features and
-the shadow probe — so results and accounting are bitwise-identical
-across tiers by construction.
+tier on a miss, serve a stacked block or a lone request through one
+``execute`` and mixed requests through ``submit``/``flush``, then
+resolve features and the shadow probe — so results and accounting are
+bitwise-identical across tiers by construction.
 """
 
 from __future__ import annotations
@@ -166,7 +166,8 @@ class EngineHost:
         single-vector requests — served by a single ``engine.execute``
         and fanned out through
         :func:`~repro.service.coalesce.split_stacked` — or a list of
-        ``(matrix, operand, repetitions)`` requests served through the
+        ``(matrix, operand, repetitions)`` requests.  A lone request is
+        served by one ``engine.execute`` as well; several go through the
         engine's ``submit``/``flush`` queue, which handles mixed shapes
         and per-request repetitions.  *matrix* is the batch's first
         matrix: the stacked block, the features and the shadow probe
@@ -191,6 +192,16 @@ class EngineHost:
             if isinstance(work, np.ndarray):
                 block = engine.execute(matrix, work, key=fp)
                 results = split_stacked(block, work.shape[1])
+            elif len(work) == 1:
+                # a lone request was validated at submission and keys to
+                # *fp*: ``flush`` would only re-validate it and copy it
+                # into a block, with the same results and counters
+                request_matrix, operand, repetitions = work[0]
+                results = [
+                    engine.execute(
+                        request_matrix, operand, key=fp, repetitions=repetitions
+                    )
+                ]
             else:
                 for request_matrix, operand, repetitions in work:
                     engine.submit(

@@ -11,6 +11,12 @@ from repro.machine.cost_model import CostModel
 ALL_FORMATS = ["COO", "CSR", "DIA", "ELL", "HYB", "HDC"]
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (deselect with -m 'not slow')"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

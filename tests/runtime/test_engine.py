@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.backends import make_space
 from repro.core import RunFirstTuner
-from repro.formats import COOMatrix, DynamicMatrix, convert
+from repro.formats import COOMatrix, DynamicMatrix, MatrixDelta, convert
 from repro.machine import CostModel
-from repro.runtime.engine import WorkloadEngine, matrix_fingerprint
+from repro.runtime import engine as engine_module
+from repro.runtime.engine import (
+    WorkloadEngine,
+    matrix_fingerprint,
+    request_key,
+)
 
 from tests.conftest import ALL_FORMATS
 
@@ -45,6 +56,114 @@ class TestFingerprint:
     def test_formats_hash_differently(self, dense_small):
         coo = COOMatrix.from_dense(dense_small)
         assert matrix_fingerprint(coo) != matrix_fingerprint(convert(coo, "CSR"))
+
+
+class TestFingerprintMemo:
+    """The content hash runs once per container object."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        calls = []
+        blake2b = hashlib.blake2b
+
+        def counting_blake2b(*args, **kwargs):
+            calls.append(1)
+            return blake2b(*args, **kwargs)
+
+        monkeypatch.setattr(
+            engine_module.hashlib, "blake2b", counting_blake2b
+        )
+        return calls
+
+    def test_one_container_is_hashed_once(self, dense_small, hashes):
+        m = COOMatrix.from_dense(dense_small)
+        assert matrix_fingerprint(m) == matrix_fingerprint(m)
+        assert request_key(m) == matrix_fingerprint(m)
+        assert len(hashes) == 1
+
+    def test_equal_arrays_in_distinct_containers_share_a_key(
+        self, dense_small, hashes
+    ):
+        a = COOMatrix.from_dense(dense_small)
+        b = COOMatrix(a.nrows, a.ncols, a.row.copy(), a.col.copy(), a.data.copy())
+        assert matrix_fingerprint(a) == matrix_fingerprint(b)
+        assert len(hashes) == 2
+
+    def test_dynamic_matrix_rekeys_after_a_switch(self, dense_small):
+        dyn = DynamicMatrix(COOMatrix.from_dense(dense_small))
+        before = matrix_fingerprint(dyn)
+        dyn.switch("CSR")
+        after = matrix_fingerprint(dyn)
+        assert after != before
+        assert after == matrix_fingerprint(dyn.concrete)
+
+    def test_epoch_stamped_containers_key_by_identity(
+        self, dense_small, hashes
+    ):
+        m = COOMatrix.from_dense(dense_small)
+        stable_id = m.stable_id
+        assert request_key(m) == f"{stable_id}@0"
+        successor = m.with_updates(MatrixDelta.sets([0], [1], [2.0]))
+        assert request_key(successor) == f"{stable_id}@1"
+        assert hashes == []
+
+    def test_memo_does_not_keep_containers_alive(self, dense_small):
+        m = COOMatrix.from_dense(dense_small)
+        matrix_fingerprint(m)
+        ref = weakref.ref(m)
+        assert m in engine_module._DIGESTS
+        entries = len(engine_module._DIGESTS)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert len(engine_module._DIGESTS) == entries - 1
+
+    def test_concurrent_hashing_agrees(self, rng):
+        """Threads racing on one memo all read the container's own digest."""
+        matrices = [
+            COOMatrix.from_dense(rng.standard_normal((8, 8)))
+            for _ in range(16)
+        ]
+        expected = [
+            matrix_fingerprint(
+                COOMatrix(8, 8, m.row.copy(), m.col.copy(), m.data.copy())
+            )
+            for m in matrices
+        ]
+        failures = []
+
+        def worker(offset):
+            for i in range(200):
+                j = (i + offset) % len(matrices)
+                if matrix_fingerprint(matrices[j]) != expected[j]:
+                    failures.append(j)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(k,)) for k in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert all(m in engine_module._DIGESTS for m in matrices)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_defining_arrays_reject_in_place_writes(self, fmt, dense_small):
+        """The memo's premise: a hashed container cannot change."""
+        m = convert(COOMatrix.from_dense(dense_small), fmt)
+        arrays = engine_module._defining_arrays(m)
+        assert arrays
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 class TestMemoisation:
