@@ -182,8 +182,8 @@ def test_backend_comparison_table(int_banded_matrix):
     """NumPy-vs-compiled table: per format, per operation, warm + cold.
 
     The cold column is the per-process first-touch warm-up
-    (:meth:`KernelRegistry.warmup` — JIT compilation for numba, shared-
-    library load for native, zero once warm); the warm columns are
+    (:meth:`KernelRegistry.warmup` — the shared-library load for native,
+    zero once warm); the warm columns are
     best-of-repeats kernel wall times.  Every compiled backend's output
     must be bitwise identical to the NumPy reference on the
     integer-valued fixture.
@@ -223,8 +223,8 @@ def test_backend_comparison_table(int_banded_matrix):
 def test_compiled_backend_speedup_single_thread(int_banded_matrix):
     """Perf acceptance: a compiled tier beats NumPy >= 5x on >= 2 formats.
 
-    Single-thread comparison (native is serial; numba parallel stays off
-    unless ``REPRO_NUMBA_PARALLEL`` is set), min-over-repeats wall time.
+    Single-thread comparison (native is serial), min-over-repeats wall
+    time.
     Skipped when no compiled backend is available on the host.
     """
     compiled = [

@@ -8,7 +8,7 @@ confused:
   simulated :class:`~repro.machine.systems.System` the roofline cost
   model prices.  It decides what the *clock* says, never which code runs;
   this is how the paper's hardware zoo is reproduced on any host.
-* The **kernel backend** (``numpy`` / ``numba`` / ``native``, see
+* The **kernel backend** (``numpy`` / ``native``, see
   :mod:`repro.kernels`) selects which real implementation generation
   produces the numbers on *this* host.  It decides which code runs, and
   on CPU archetypes it also feeds back into the modelled time through the
@@ -34,7 +34,7 @@ from repro.kernels import (
     default_backend,
 )
 from repro.machine.arch import ArchSpec, GPUSpec
-from repro.machine.cost_model import CostModel
+from repro.machine.cost_model import CostModel, spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.machine.systems import System
 
@@ -201,7 +201,6 @@ class ExecutionSpace:
         factor (matrix traffic paid once across the ``k`` vectors).
         """
         from repro.runtime.batch import batched_spmv
-        from repro.spmv.spmm import spmm_time_factor
 
         kb = self._resolve_kb(kernel_backend)
         concrete = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix

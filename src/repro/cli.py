@@ -6,7 +6,7 @@ Subcommands mirror the paper's pipeline:
     List the simulated systems and their backends (Table II).
 ``repro-oracle backends``
     List the real kernel backends (:mod:`repro.kernels`): probe results,
-    generation, compiled/JIT kind, and the resolution order requests
+    generation, compiled/reference kind, and the resolution order requests
     fall through.
 ``repro-oracle profile --system cirrus --backend cuda [-n 300]``
     Profiling runs on the synthetic corpus; prints the optimal-format
@@ -120,23 +120,16 @@ def cmd_backends(_args: argparse.Namespace) -> int:
         available_backends,
         backend_info,
         default_backend,
-        modelled_warmup_seconds,
     )
 
-    print(f"{'backend':<9}{'gen':<5}{'available':<11}{'kind':<11}"
-          f"{'warmup':<9}detail")
+    print(f"{'backend':<9}{'gen':<5}{'available':<11}{'kind':<11}detail")
     print("-" * 78)
     for name in PREFERENCE:
         info = backend_info(name)
-        kind = (
-            "jit" if info.jit
-            else "compiled" if info.compiled
-            else "reference"
-        )
-        warm = modelled_warmup_seconds(name)
+        kind = "compiled" if info.compiled else "reference"
         print(f"{name:<9}{info.generation:<5}"
               f"{'yes' if info.available else 'no':<11}{kind:<11}"
-              f"{warm:<9.1f}{info.detail}")
+              f"{info.detail}")
     avail = available_backends()
     print(f"resolution order     {' > '.join(avail)}")
     print(f"default backend      {default_backend()}")
@@ -1184,7 +1177,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel-backend", default=None,
-        choices=["numpy", "numba", "native", "auto"],
+        choices=["numpy", "native", "auto"],
         help="pin the real kernel backend for every request "
              "(default: follow each matrix's tuner decision; "
              "'auto' = best available tier)",

@@ -302,9 +302,7 @@ class ModelDatabase:
 
     The paper ships pre-trained models for its test systems; users point
     the online tuners at a database path and load by key.  Keys are encoded
-    in the file name with a ``__`` field separator; legacy single-``_``
-    files (which parse ambiguously when a field itself contains ``_``) are
-    still listed by :meth:`available` on a best-effort basis.
+    in the file name with a ``__`` field separator.
     """
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
@@ -336,23 +334,10 @@ class ModelDatabase:
         save_model(path, model)
         return path
 
-    def _legacy_path_for(self, system: str, backend: str, algorithm: str) -> str:
-        """Pre-separator-fix file location (single ``_`` between fields)."""
-        return os.path.join(
-            self.root, f"{system.lower()}_{backend.lower()}_{algorithm}.model"
-        )
-
     def load(self, system: str, backend: str, algorithm: str) -> OracleModel:
-        """Load the model for a key; raises if absent.
-
-        Falls back to the legacy single-``_`` file location so databases
-        written before the separator fix keep loading.
-        """
+        """Load the model for a key; raises if absent."""
         path = self.path_for(system, backend, algorithm)
         if not os.path.exists(path):
-            legacy = self._legacy_path_for(system, backend, algorithm)
-            if os.path.exists(legacy):
-                return load_model(legacy)
             raise TuningError(
                 f"no model for ({system}, {backend}, {algorithm}) in "
                 f"{self.root}"
@@ -363,8 +348,7 @@ class ModelDatabase:
         """All (system, backend, algorithm) keys present on disk.
 
         Files written by :meth:`path_for` split unambiguously on the
-        ``__`` separator; older single-``_`` files fall back to the legacy
-        parse (first two fields cannot contain ``_`` there).
+        ``__`` separator; other ``.model`` names are skipped.
         """
         out = []
         for fname in sorted(os.listdir(self.root)):
@@ -374,9 +358,4 @@ class ModelDatabase:
             parts = stem.split(_KEY_SEPARATOR)
             if len(parts) == 3 and all(parts):
                 out.append((parts[0], parts[1], parts[2]))
-                continue
-            # legacy layout: system_backend_algorithm with single "_"
-            legacy = stem.split("_")
-            if len(legacy) >= 3 and all(legacy):
-                out.append((legacy[0], legacy[1], "_".join(legacy[2:])))
         return out

@@ -91,15 +91,16 @@ def tune_multiply(
     n_vectors:
         Right-hand sides per operation; ``> 1`` prices the SpMM operation
         (matrix traffic amortised per
-        :func:`repro.spmv.spmm_time_factor`); the tuning decision itself
-        is operation-agnostic (Section VI-B).
+        :func:`repro.machine.cost_model.spmm_time_factor`); the tuning
+        decision itself is operation-agnostic (Section VI-B).
     stats, matrix_key:
         Optional precomputed statistics / deterministic-noise key.
     switch:
         When ``False`` the matrix is left in its current format (the
         timings still reflect the tuned format).
     """
-    from repro.spmv.spmm import spmm, spmm_time_factor
+    from repro.machine.cost_model import spmm_time_factor
+    from repro.runtime.batch import batched_spmv
 
     if stats is None:
         stats = MatrixStats.from_matrix(matrix.concrete)
@@ -116,7 +117,11 @@ def tune_multiply(
         matrix.switch(report.format_name)
     if x is not None:
         operand = np.asarray(x, dtype=np.float64)
-        y = spmm(matrix, operand) if operand.ndim == 2 else matrix.spmv(operand)
+        y = (
+            batched_spmv(matrix, operand, accelerate=False)
+            if operand.ndim == 2
+            else matrix.spmv(operand)
+        )
     return TunedSpMVResult(
         y=y,
         report=report,

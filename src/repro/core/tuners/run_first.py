@@ -39,9 +39,7 @@ class RunFirstTuner(Tuner):
         every candidate of
         :meth:`~repro.backends.base.ExecutionSpace.kernel_backend_candidates`.
         An explicit sequence trials exactly those backends, turning the
-        decision into an argmin over the full format × backend grid —
-        with each JIT backend's first-touch warm-up charged to the
-        trial cost.
+        decision into an argmin over the full format × backend grid.
     """
 
     def __init__(
@@ -100,10 +98,7 @@ class RunFirstTuner(Tuner):
                     stats, fmt, matrix_key=matrix_key, kernel_backend=kb
                 )
                 trial_grid[kb][fmt] = t_iter
-                total_cost += (
-                    self.repetitions * t_iter
-                    + space.cost_model.kernel_warmup_time(kb)
-                )
+                total_cost += self.repetitions * t_iter
         best_fmt, best_kb = min(
             ((fmt, kb) for fmt in self.formats for kb in backends),
             key=lambda pair: trial_grid[pair[1]][pair[0]],

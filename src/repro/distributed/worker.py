@@ -78,6 +78,7 @@ recounted on the respawn).
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 import threading
 import time
@@ -117,8 +118,8 @@ class WorkerConfig:
     shadow_every: int = 0
     redecision: object = None
     heartbeat_interval: float = 0.25
-    #: kernel triples to compile at boot, before "ready" is sent — a
-    #: respawned worker pays JIT warm-up here, not inside a request
+    #: kernel triples to warm at boot, before "ready" is sent — a
+    #: respawned worker pays first-touch cost here, not inside a request
     warm_ops: tuple = ("spmv",)
 
 
@@ -295,11 +296,11 @@ def _error_reply(msg_id: int, kind: str, exc: Exception):
 def _boot_warmup(config: WorkerConfig) -> Dict[str, float]:
     """Per-process backend probe + kernel warm-up; returns warm seconds.
 
-    Compiled backends (numba JIT, native loads) are per-process state:
-    a forked or respawned worker starts cold, so the full
-    format x backend surface of each configured operation is compiled
-    here, before the worker reports ready, keeping JIT pauses out of
-    served requests.
+    Compiled backends (native library loads) are per-process state: a
+    forked or respawned worker starts cold, so the full format x backend
+    surface of each configured operation is touched here, before the
+    worker reports ready, keeping first-touch pauses out of served
+    requests.
     """
     probe_backends()
     warm: Dict[str, float] = {}
@@ -355,7 +356,13 @@ def worker_main(config: WorkerConfig, conn) -> None:
     serves queued messages and refreshes the accounting snapshot the
     heartbeat thread ships (after every served message, and on every
     ``config.heartbeat_interval`` poll timeout while idle).
+
+    An idle poll timeout also checks that the gateway is still this
+    process's parent.  Forked siblings inherit each other's pipe ends,
+    so a gateway killed outright never shows up as EOF on *conn*; the
+    worker notices instead when it is re-parented, and exits.
     """
+    gateway_pid = os.getppid()
     state = _WorkerState(config)
     warm = _boot_warmup(config)
     sender = _PipeSender(conn)
@@ -382,6 +389,8 @@ def worker_main(config: WorkerConfig, conn) -> None:
         beat_thread.start()
         while True:
             if not conn.poll(config.heartbeat_interval):
+                if os.getppid() != gateway_pid:
+                    break  # orphaned: the gateway died without a word
                 snapshot_box["snapshot"] = state.snapshot()
                 continue
             message = conn.recv()

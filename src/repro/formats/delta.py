@@ -56,21 +56,6 @@ OP_SET, OP_ADD, OP_DEL = 0, 1, 2
 _OP_NAMES = {OP_SET: "set", OP_ADD: "add", OP_DEL: "del"}
 
 
-def _compiled_delta():
-    """The Numba delta kernels, or ``None`` on the NumPy-only path.
-
-    Resolved per call (cheap once warm) so masking the numba backend —
-    :func:`repro.kernels.set_enabled_backends` or the
-    ``REPRO_KERNEL_BACKENDS`` allowlist — immediately reroutes delta
-    folding to the reference implementation.  Both paths are bitwise
-    identical: the compiled twins replay the same arithmetic in the
-    same order (see :mod:`repro.kernels.numba.delta`).
-    """
-    from repro.kernels import delta_kernels
-
-    return delta_kernels()
-
-
 @dataclass(frozen=True)
 class MatrixDelta:
     """A frozen batch of coordinate updates against some base matrix.
@@ -165,23 +150,19 @@ class MatrixDelta:
         starts = np.flatnonzero(uniq)
         ends = np.append(starts[1:], key.shape[0])
         keep = uniq.copy()
-        compiled = _compiled_delta()
-        if compiled is not None:
-            compiled.fold_duplicate_runs(op, value, starts, ends)
-        else:
-            for s, e in zip(starts, ends):
-                if e - s == 1:
-                    continue
-                mode, val = int(op[s]), float(value[s])
-                for i in range(s + 1, e):
-                    o, v = int(op[i]), float(value[i])
-                    if o == OP_SET or o == OP_DEL:
-                        mode, val = o, v
-                    elif mode == OP_DEL:  # deleted then re-added
-                        mode, val = OP_SET, v
-                    else:  # ADD onto SET/ADD keeps the mode, accumulates
-                        val = val + v
-                op[s], value[s] = mode, val
+        for s, e in zip(starts, ends):
+            if e - s == 1:
+                continue
+            mode, val = int(op[s]), float(value[s])
+            for i in range(s + 1, e):
+                o, v = int(op[i]), float(value[i])
+                if o == OP_SET or o == OP_DEL:
+                    mode, val = o, v
+                elif mode == OP_DEL:  # deleted then re-added
+                    mode, val = OP_SET, v
+                else:  # ADD onto SET/ADD keeps the mode, accumulates
+                    val = val + v
+            op[s], value[s] = mode, val
         return MatrixDelta(
             row[keep], col[keep], value[keep], op[keep], is_canonical=True
         )
@@ -319,18 +300,6 @@ def merge_keyed(
     if n_del == 0 and n_ins == 0:
         # value-only delta: one value copy, structure arrays shared
         return key, col, out_data, effect
-    compiled = _compiled_delta()
-    if compiled is not None:
-        new_key, new_col, new_data = compiled.merge_rebuild(
-            key,
-            col,
-            out_data,
-            pos[m_del],
-            d_key[inserts],
-            d.col[inserts],
-            d.value[inserts],
-        )
-        return new_key, new_col, new_data, effect
     if n_del:
         keep = np.ones(key.shape[0], dtype=bool)
         keep[pos[m_del]] = False

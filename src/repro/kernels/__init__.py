@@ -9,7 +9,6 @@ backend   generation  implementation
 ========  ==========  =====================================================
 numpy     1           vectorised NumPy — the always-available reference
 native    2           ahead-of-time C via the system compiler + ctypes
-numba     2           Numba ``@njit`` row loops, JIT on first touch
 ========  ==========  =====================================================
 
 A *kernel backend* is a real implementation tier executing on this host.
@@ -22,20 +21,20 @@ numbers here.
 
 Capability probing
 ------------------
-:func:`probe_backends` discovers, once per process, which compiled tiers
-actually work — Numba importable, a C compiler present and the library
-building — and :func:`available_backends` lists the usable ones in
-preference order (``numba``, ``native``, ``numpy``).  Unavailable or
-masked backends are never registered as *default* choices; dispatch falls
-back down the preference order and always lands on ``numpy``.
+:func:`probe_backends` discovers, once per process, whether the compiled
+tier actually works — a C compiler present and the library building — and
+:func:`available_backends` lists the usable backends in preference order
+(``native``, ``numpy``).  Unavailable or masked backends are never
+default choices; dispatch falls back down the preference order and always
+lands on ``numpy``.
 
 Masking
 -------
-Two knobs restrict the compiled tiers without uninstalling anything, for
+Two knobs restrict the compiled tier without uninstalling anything, for
 tests and CI fallback drills:
 
 * ``REPRO_KERNEL_BACKENDS=numpy,native`` — environment allowlist, read at
-  every query;
+  every query (unknown names raise :class:`~repro.errors.BackendError`);
 * :func:`set_enabled_backends` / :func:`only_backends` — in-process
   override with the same semantics.
 
@@ -45,14 +44,14 @@ Adding a generation
 -------------------
 Drop a sub-package ``repro/kernels/<name>/`` exposing ``BACKEND``,
 ``GENERATION`` and ``register(registry)``, add its probe to
-:func:`probe_backends` and its name to :data:`PREFERENCE`; see
-``docs/backends.md`` for the walk-through.
+:func:`probe_backends`, its name to :data:`PREFERENCE` and its
+registration to :func:`register_default_backends`; see
+``docs/backends.md`` for the walk-through (``native`` is the example).
 """
 
 from __future__ import annotations
 
 import contextlib
-import importlib
 import importlib.util
 import os
 from dataclasses import dataclass
@@ -76,13 +75,11 @@ __all__ = [
     "only_backends",
     "gpu_backend_available",
     "modelled_speedup",
-    "modelled_warmup_seconds",
     "register_default_backends",
-    "delta_kernels",
 ]
 
 #: Resolution preference, best first.  ``numpy`` is the terminal fallback.
-PREFERENCE: Tuple[str, ...] = ("numba", "native", "numpy")
+PREFERENCE: Tuple[str, ...] = ("native", "numpy")
 
 #: Environment allowlist variable (comma-separated backend names).
 ENV_ALLOWLIST = "REPRO_KERNEL_BACKENDS"
@@ -96,30 +93,11 @@ class KernelBackendInfo:
     generation: int
     available: bool
     compiled: bool
-    jit: bool
     detail: str
 
 
 _probed: Optional[Dict[str, KernelBackendInfo]] = None
 _enabled_override: Optional[Tuple[str, ...]] = None
-
-
-def _probe_numba() -> KernelBackendInfo:
-    spec = importlib.util.find_spec("numba")
-    if spec is None:
-        return KernelBackendInfo(
-            "numba", 2, False, True, True, "numba is not installed"
-        )
-    try:
-        numba = importlib.import_module("numba")
-    except Exception as exc:  # pragma: no cover - broken install
-        return KernelBackendInfo(
-            "numba", 2, False, True, True, f"numba import failed: {exc}"
-        )
-    version = getattr(numba, "__version__", "unknown")
-    return KernelBackendInfo(
-        "numba", 2, True, True, True, f"numba {version}, JIT on first touch"
-    )
 
 
 def _probe_native() -> KernelBackendInfo:
@@ -128,10 +106,8 @@ def _probe_native() -> KernelBackendInfo:
     try:
         builder.load()
     except BackendError as exc:
-        return KernelBackendInfo("native", 2, False, True, False, str(exc))
-    return KernelBackendInfo(
-        "native", 2, True, True, False, builder.build_detail()
-    )
+        return KernelBackendInfo("native", 2, False, True, str(exc))
+    return KernelBackendInfo("native", 2, True, True, builder.build_detail())
 
 
 def probe_backends(*, refresh: bool = False) -> Dict[str, KernelBackendInfo]:
@@ -140,11 +116,10 @@ def probe_backends(*, refresh: bool = False) -> Dict[str, KernelBackendInfo]:
     if _probed is None or refresh:
         _probed = {
             "numpy": KernelBackendInfo(
-                "numpy", 1, True, False, False,
+                "numpy", 1, True, False,
                 "vectorised NumPy reference (always available)",
             ),
             "native": _probe_native(),
-            "numba": _probe_numba(),
         }
     return dict(_probed)
 
@@ -180,10 +155,9 @@ def _env_allowlist() -> Optional[Tuple[str, ...]]:
     raw = os.environ.get(ENV_ALLOWLIST)
     if raw is None or not raw.strip():
         return None
-    names = tuple(
-        part.strip().lower() for part in raw.split(",") if part.strip()
+    return tuple(
+        check_kernel_backend(part) for part in raw.split(",") if part.strip()
     )
-    return tuple(n for n in names if n in PREFERENCE)
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -269,18 +243,11 @@ def only_backends(*names: str):
 #: and temporaries (ELL/HYB), least where NumPy already calls into C
 #: (COO's bincount).
 _MODELLED_SPEEDUP: Dict[str, Dict[str, float]] = {
-    "numba": {
-        "COO": 3.0, "CSR": 6.0, "DIA": 4.0,
-        "ELL": 7.0, "HYB": 6.0, "HDC": 5.0,
-    },
     "native": {
         "COO": 2.5, "CSR": 5.0, "DIA": 3.0,
         "ELL": 6.0, "HYB": 5.0, "HDC": 4.0,
     },
 }
-
-#: Modelled first-touch warm-up per (operation, format), seconds.
-_MODELLED_WARMUP = {"numpy": 0.0, "native": 0.0, "numba": 1.2}
 
 
 def modelled_speedup(backend: str, fmt: str) -> float:
@@ -289,13 +256,8 @@ def modelled_speedup(backend: str, fmt: str) -> float:
     return _MODELLED_SPEEDUP.get(normalised, {}).get(str(fmt).upper(), 1.0)
 
 
-def modelled_warmup_seconds(backend: str) -> float:
-    """Modelled per-kernel warm-up cost of *backend* in seconds."""
-    return _MODELLED_WARMUP[check_kernel_backend(backend)]
-
-
 # ----------------------------------------------------------------------
-# registration and compiled helpers
+# registration
 # ----------------------------------------------------------------------
 
 
@@ -309,30 +271,15 @@ def register_default_backends(registry) -> None:
     from repro.kernels import numpy as numpy_backend
 
     numpy_backend.register(registry)
-    probed = probe_backends()
-    for name in ("native", "numba"):
-        if not probed[name].available:
-            continue
-        module = importlib.import_module(f"repro.kernels.{name}")
-        try:
-            module.register(registry)
-        except Exception as exc:  # pragma: no cover - late build breakage
-            global _probed
-            assert _probed is not None
-            _probed[name] = KernelBackendInfo(
-                name, 2, False, True, name == "numba",
-                f"registration failed: {exc}",
-            )
+    if not probe_backends()["native"].available:
+        return
+    from repro.kernels import native as native_backend
 
-
-def delta_kernels():
-    """The compiled delta-merge kernels, or ``None`` without Numba.
-
-    Consulted by :mod:`repro.formats.delta` on every merge, so masking
-    the numba backend also routes delta folding back to the NumPy path.
-    """
-    if "numba" not in available_backends():
-        return None
-    from repro.kernels import numba as numba_backend
-
-    return numba_backend.delta_kernels()
+    try:
+        native_backend.register(registry)
+    except Exception as exc:  # pragma: no cover - late build breakage
+        global _probed
+        assert _probed is not None
+        _probed["native"] = KernelBackendInfo(
+            "native", 2, False, True, f"registration failed: {exc}"
+        )

@@ -2,10 +2,10 @@
 
 A small C99 kernel library compiled on first probe with the system
 compiler and bound through :mod:`ctypes`
-(:mod:`repro.kernels.native.builder`).  Probed at runtime like the Numba
-backend, but with no per-kernel JIT warm-up: the shared object is built
-once per source digest and cached on disk, so first-touch cost is the
-build (seconds) and every later process pays only a ``dlopen``.
+(:mod:`repro.kernels.native.builder`).  Probed at runtime: the shared
+object is built once per source digest and cached on disk, so first-touch
+cost is the build (seconds) and every later process pays only a
+``dlopen``.
 
 Gate every use behind :func:`repro.kernels.probe_backends` /
 :func:`repro.kernels.available_backends` — :func:`register` triggers a

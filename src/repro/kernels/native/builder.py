@@ -5,8 +5,8 @@ on first probe it is written to a content-addressed cache directory
 (``$REPRO_NATIVE_CACHE`` or ``~/.cache/repro/native``), compiled with the
 first working system compiler (``cc``/``gcc``/``clang``) as
 ``-O3 -shared -fPIC``, and loaded through :mod:`ctypes`.  Subsequent
-processes reuse the cached shared object, so unlike the Numba backend
-there is no per-kernel warm-up — the whole library is ahead-of-time.
+processes reuse the cached shared object, so there is no per-kernel
+compile — the whole library is ahead-of-time.
 
 Every kernel takes int64 index arrays and float64 value arrays (the only
 dtypes the format containers store) and is single-threaded, matching the

@@ -3,7 +3,7 @@
 Same signatures as the NumPy reference kernels
 (:mod:`repro.kernels.numpy.kernels`): callers hand in the format's bare
 arrays, the wrapper allocates the output and invokes the ctypes-bound C
-function.  Row sums are sequential left-to-right, like the Numba tier —
+function.  Row sums are sequential left-to-right —
 bitwise-identical to the reference on integer-valued float64 data,
 ``allclose`` on general floats.
 """

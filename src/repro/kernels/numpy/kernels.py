@@ -2,9 +2,9 @@
 
 One vectorised kernel per (operation, simple format), operating on the
 format's bare arrays the way a C kernel library would.  These functions are
-the reference semantics every compiled kernel generation
-(:mod:`repro.kernels.numba`, :mod:`repro.kernels.native`) is checked
-against: the kernel registry (:mod:`repro.runtime.registry`) maps
+the reference semantics the compiled kernel generation
+(:mod:`repro.kernels.native`) is checked against: the kernel registry
+(:mod:`repro.runtime.registry`) maps
 ``(operation, format, backend)`` to thin container adapters, and the
 ``"numpy"`` backend's adapters wrap these functions.  Composite formats
 (HYB, HDC) have no dedicated kernels — the registry composes their block

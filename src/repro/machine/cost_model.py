@@ -37,19 +37,15 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.errors import BackendError
+from repro.errors import BackendError, ShapeError
 from repro.formats.base import FORMAT_IDS
 from repro.formats.convert import convert_cost_weight
-from repro.kernels import (
-    check_kernel_backend,
-    modelled_speedup,
-    modelled_warmup_seconds,
-)
+from repro.kernels import check_kernel_backend, modelled_speedup
 from repro.machine.arch import ArchSpec, CPUSpec, GPUSpec
 from repro.machine.stats import IDX_BYTES, VAL_BYTES, MatrixStats
 from repro.utils.rng import stable_hash
 
-__all__ = ["CostModel"]
+__all__ = ["CostModel", "MATRIX_TRAFFIC_FRACTION", "spmm_time_factor"]
 
 ENTRY_BYTES = IDX_BYTES + VAL_BYTES  # one (index, value) pair
 #: Threads cooperating per row in the vector-style CSR GPU kernel.
@@ -60,6 +56,22 @@ MAX_DIVERGENCE = 128.0
 MAX_OCC_PENALTY = 8.0
 
 _VALID_BACKENDS = ("serial", "openmp", "cuda", "hip")
+
+#: Fraction of SpMV time attributable to matrix (not vector) traffic; used
+#: by the SpMM scaling ``t_spmm ~= t_spmv * (a + (1-a) k)``.
+MATRIX_TRAFFIC_FRACTION = 0.35
+
+
+def spmm_time_factor(n_vectors: int) -> float:
+    """Modelled SpMM/SpMV time ratio for ``n_vectors`` right-hand sides.
+
+    Matrix traffic is paid once; vector traffic and flops scale with k:
+    ``factor = a + (1 - a) * k`` with ``a = MATRIX_TRAFFIC_FRACTION``.
+    """
+    if n_vectors < 1:
+        raise ShapeError(f"n_vectors must be >= 1, got {n_vectors}")
+    a = MATRIX_TRAFFIC_FRACTION
+    return a + (1.0 - a) * n_vectors
 
 
 @dataclass(frozen=True)
@@ -162,10 +174,6 @@ class CostModel:
             )
             for kb in kernel_backends
         }
-
-    def kernel_warmup_time(self, kernel_backend: str) -> float:
-        """Modelled per-(operation, format) first-touch warm-up seconds."""
-        return modelled_warmup_seconds(kernel_backend)
 
     def feature_extraction_time(
         self, stats: MatrixStats, arch: ArchSpec, backend: str

@@ -28,11 +28,7 @@ from repro.runtime.registry import (
     REGISTRY,
     KernelRegistry,
     dispatch,
-    get_kernel,
-    has_kernel,
     register_kernel,
-    registered_formats,
-    registered_operations,
 )
 from repro.runtime.batch import (
     BlockOperator,
@@ -62,11 +58,7 @@ __all__ = [
     "REGISTRY",
     "KernelRegistry",
     "dispatch",
-    "get_kernel",
-    "has_kernel",
     "register_kernel",
-    "registered_formats",
-    "registered_operations",
     "BlockOperator",
     "batched_spmv",
     "batched_spmv_many",

@@ -33,11 +33,11 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ShapeError, ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dynamic import DynamicMatrix
-from repro.spmv.spmm import check_block
+from repro.runtime.registry import REGISTRY
 from repro.utils.validation import check_vector_length
 
 try:  # gated optional accelerator: compiled sparse kernels
@@ -50,6 +50,7 @@ __all__ = [
     "batched_spmv",
     "batched_spmv_many",
     "block_operator",
+    "check_block",
     "have_accelerator",
     "matvec",
     "spmv_iterations",
@@ -60,6 +61,18 @@ MatrixLike = Union[SparseMatrix, DynamicMatrix]
 
 def _concrete(matrix: MatrixLike) -> SparseMatrix:
     return matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
+
+
+def check_block(matrix: SparseMatrix, X: np.ndarray) -> np.ndarray:
+    """Validate and coerce an ``(ncols, k)`` dense right-hand-side block."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"SpMM operand must be 2-D, got ndim={X.ndim}")
+    if X.shape[0] != matrix.ncols:
+        raise ShapeError(
+            f"operand has {X.shape[0]} rows, expected ncols={matrix.ncols}"
+        )
+    return X
 
 
 def have_accelerator() -> bool:
@@ -138,16 +151,12 @@ def batched_spmv(
     """
     m = _concrete(matrix)
     X = check_block(m, X)
-    if backend is not None and backend != "numpy":
-        from repro.runtime.registry import REGISTRY
-
-        kernel, _ = REGISTRY.resolve("spmm", m.format, backend)
-        return kernel(m, X)
-    if accelerate and _scipy_sparse is not None:
-        return block_operator(m).apply(X)
-    from repro.spmv.spmm import spmm
-
-    return spmm(m, X)
+    if backend is None or backend == "numpy":
+        if accelerate and _scipy_sparse is not None:
+            return block_operator(m).apply(X)
+        return REGISTRY.get("spmm", m.format)(m, X)
+    kernel, _ = REGISTRY.resolve("spmm", m.format, backend)
+    return kernel(m, X)
 
 
 def matvec(
@@ -171,8 +180,6 @@ def matvec(
         return batched_spmv(matrix, arr, accelerate=accelerate, backend=backend)
     m = _concrete(matrix)
     if backend is not None and backend != "numpy":
-        from repro.runtime.registry import REGISTRY
-
         if arr.ndim != 1:
             raise ValidationError(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
         check_vector_length(arr, m.ncols, name="x")

@@ -47,8 +47,14 @@ from repro.formats.ell import ELLMatrix
 from repro.formats.hdc import HDCMatrix
 from repro.formats.hyb import HYBMatrix
 from repro.kernels import check_kernel_backend, default_backend
+from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
-from repro.runtime.batch import batched_spmv, have_accelerator, matvec
+from repro.runtime.batch import (
+    batched_spmv,
+    check_block,
+    have_accelerator,
+    matvec,
+)
 from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
     RedecisionPolicy,
@@ -56,7 +62,6 @@ from repro.runtime.epoch import (
     StreamUpdate,
     matrix_epoch,
 )
-from repro.spmv.spmm import check_block, spmm_time_factor
 from repro.utils.validation import check_vector_length
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

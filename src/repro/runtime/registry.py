@@ -1,30 +1,28 @@
 """Kernel registry: the ``(operation, format, backend) → kernel`` table.
 
 Runtime layer 1.  Every sparse kernel the package executes is dispatched
-through :data:`REGISTRY`; the format containers' ``spmv`` methods, the
-format-agnostic :func:`repro.spmv.spmm.spmm` entry point and the batched
-executor (:mod:`repro.runtime.batch`) all resolve their kernel here.  The
-table is three-dimensional: each ``(operation, format)`` pair can carry
-one kernel per *kernel backend* — the implementation generations of
-:mod:`repro.kernels` (``numpy`` reference, ``numba`` JIT, ``native`` C).
+through :data:`REGISTRY`; the format containers' ``spmv`` methods and
+the batched executor (:mod:`repro.runtime.batch`) resolve their kernel
+here.  The table is three-dimensional: each ``(operation, format)`` pair
+can carry one kernel per *kernel backend* — the implementation
+generations of :mod:`repro.kernels` (``numpy`` reference, ``native`` C).
 
 Resolution and fallback
 -----------------------
-``get(op, fmt)`` with no backend resolves the *best available* backend in
-preference order, so existing two-argument callers transparently keep the
-reference tier semantics (``numpy`` is the terminal fallback and always
-registered).  ``resolve(op, fmt, backend)`` returns both the kernel and
-the backend it actually came from: a requested backend that is masked,
-unavailable, or missing that particular ``(op, fmt)`` entry falls down the
-preference chain instead of raising — compiled tiers degrade cleanly to
-NumPy rather than taking the serving path down.
+``backend`` defaults to ``"numpy"``, the always-registered reference
+tier.  ``get(op, fmt, backend)`` is an exact lookup.
+``resolve(op, fmt, backend)`` returns both the kernel and the backend it
+actually came from: a requested backend that is masked, unavailable, or
+missing that particular ``(op, fmt)`` entry falls down the preference
+chain instead of raising — compiled tiers degrade cleanly to NumPy rather
+than taking the serving path down.
 
 Warm-up
 -------
-JIT backends compile on first touch.  ``warmup(op, fmt, backend)`` runs
-the kernel once on a tiny container and reports the wall seconds the
-compile cost, tracked per-process so each key only ever pays once; the
-engine folds those seconds into its stats.
+``warmup(op, fmt, backend)`` runs the kernel once on a tiny container
+and reports the measured wall seconds of that first touch, tracked
+per-process so each key only ever pays once; the engine folds those
+seconds into its stats.
 
 Registered kernels take ``(matrix, operand)`` where *matrix* is a concrete
 format container and *operand* is a pre-validated dense vector (``spmv``)
@@ -38,7 +36,7 @@ Third-party formats can join the dispatch path with::
     def my_spmv(matrix, x):
         ...
 
-    @register_kernel("spmv", "MYFMT", "numba")   # compiled tier
+    @register_kernel("spmv", "MYFMT", "native")  # compiled tier
     def my_spmv_jit(matrix, x):
         ...
 """
@@ -46,7 +44,7 @@ Third-party formats can join the dispatch path with::
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Set, Tuple
 
 import numpy as np
 
@@ -63,20 +61,14 @@ __all__ = [
     "KernelRegistry",
     "REGISTRY",
     "register_kernel",
-    "get_kernel",
-    "has_kernel",
     "resolve_kernel",
-    "kernel_backends",
-    "registered_operations",
-    "registered_formats",
     "dispatch",
-    "warmup_kernel",
 ]
 
 #: A kernel takes (concrete container, pre-validated operand) -> ndarray.
 Kernel = Callable[[object, np.ndarray], np.ndarray]
 
-#: The backend two-argument callers get: the reference tier.
+#: The backend every lookup defaults to: the reference tier.
 DEFAULT_BACKEND = "numpy"
 
 
@@ -113,70 +105,45 @@ class KernelRegistry:
         return _decorator
 
     def get(
-        self, operation: str, fmt: str, backend: Optional[str] = None
+        self, operation: str, fmt: str, backend: str = DEFAULT_BACKEND
     ) -> Kernel:
         """The kernel for ``(operation, fmt)`` on *backend*.
 
-        ``backend=None`` keeps the historical two-argument semantics: the
-        ``numpy`` reference tier serves the pair (other available
-        backends are only consulted for pairs the reference tier does
-        not carry, e.g. third-party compiled-only registrations).
-        Raises :class:`FormatError` when no backend carries the pair,
-        and when an explicitly named backend does not carry it
-        (explicit lookups never fall back — use :meth:`resolve` for
-        fallback semantics).
+        Raises :class:`FormatError` when *backend* does not carry the
+        pair; explicit lookups never fall back — use :meth:`resolve` for
+        fallback semantics.
         """
-        op = operation.lower()
-        name = fmt.upper()
-        if backend is not None:
-            key = (op, name, check_kernel_backend(backend))
-            try:
-                return self._table[key]
-            except KeyError:
-                raise FormatError(
-                    f"no kernel registered for operation {op!r} on format "
-                    f"{name!r} under backend {key[2]!r}; registered "
-                    f"backends for the pair: {self.backends(op, name)}"
-                ) from None
-        candidates = (DEFAULT_BACKEND,) + tuple(
-            b for b in available_backends() if b != DEFAULT_BACKEND
-        )
-        for candidate in candidates:
-            kernel = self._table.get((op, name, candidate))
-            if kernel is not None:
-                return kernel
-        raise FormatError(
-            f"no kernel registered for operation {op!r} on format {name!r}; "
-            f"registered: {sorted(set(self._table))}"
-        )
+        key = self._key(operation, fmt, backend)
+        try:
+            return self._table[key]
+        except KeyError:
+            raise FormatError(
+                f"no kernel registered for operation {key[0]!r} on format "
+                f"{key[1]!r} under backend {key[2]!r}; registered "
+                f"backends for the pair: {self.backends(key[0], key[1])}"
+            ) from None
 
     def resolve(
-        self, operation: str, fmt: str, backend: Optional[str] = None
+        self, operation: str, fmt: str, backend: str = DEFAULT_BACKEND
     ) -> Tuple[Kernel, str]:
         """``(kernel, actual_backend)`` with clean fallback.
 
         The requested backend is tried first; if it is masked,
         unavailable, or has no entry for the pair, resolution falls down
         the preference order over the *available* backends (ending on
-        the reference tier).  ``backend=None`` behaves like :meth:`get`:
-        the reference tier first.  The second element reports which
-        backend actually serves the call — callers stamp it into
-        results so degradation is observable, not silent.
+        the reference tier).  The second element reports which backend
+        actually serves the call — callers stamp it into results so
+        degradation is observable, not silent.
         """
         op = operation.lower()
         name = fmt.upper()
-        if backend is None:
-            candidates = [DEFAULT_BACKEND] + [
-                b for b in available_backends() if b != DEFAULT_BACKEND
-            ]
-        else:
-            candidates = list(available_backends())
-            # promote the requested backend to the front when usable;
-            # masked/unavailable requests fall straight to the others
-            requested = check_kernel_backend(backend)
-            if requested in candidates:
-                candidates.remove(requested)
-                candidates.insert(0, requested)
+        candidates = list(available_backends())
+        # promote the requested backend to the front when usable;
+        # masked/unavailable requests fall straight to the others
+        requested = check_kernel_backend(backend)
+        if requested in candidates:
+            candidates.remove(requested)
+            candidates.insert(0, requested)
         for candidate in candidates:
             kernel = self._table.get((op, name, candidate))
             if kernel is not None:
@@ -187,14 +154,10 @@ class KernelRegistry:
         )
 
     def has(
-        self, operation: str, fmt: str, backend: Optional[str] = None
+        self, operation: str, fmt: str, backend: str = DEFAULT_BACKEND
     ) -> bool:
-        """Whether a kernel is registered for the pair (any/one backend)."""
-        op = operation.lower()
-        name = fmt.upper()
-        if backend is not None:
-            return (op, name, check_kernel_backend(backend)) in self._table
-        return any((op, name, b) in self._table for b in PREFERENCE)
+        """Whether *backend* carries a kernel for the pair."""
+        return self._key(operation, fmt, backend) in self._table
 
     def backends(self, operation: str, fmt: str) -> Tuple[str, ...]:
         """Backends registered for the pair, in preference order."""
@@ -221,8 +184,8 @@ class KernelRegistry:
     def warmup(self, operation: str, fmt: str, backend: str) -> float:
         """First-touch compile of one kernel; returns the wall seconds.
 
-        Runs the registered kernel once on a tiny container so a JIT
-        backend pays its compilation here rather than inside a timed
+        Runs the registered kernel once on a tiny container so any
+        first-touch cost is paid here rather than inside a timed
         request.  Idempotent per process: later calls return ``0.0``.
         Triples without a registered kernel also return ``0.0`` — the
         caller is about to fall back anyway.
@@ -270,64 +233,20 @@ def register_kernel(
     return REGISTRY.register(operation, fmt, backend)
 
 
-def get_kernel(
-    operation: str, fmt: str, backend: Optional[str] = None
-) -> Kernel:
-    """Look up a kernel on the global :data:`REGISTRY`."""
-    return REGISTRY.get(operation, fmt, backend)
-
-
-def has_kernel(
-    operation: str, fmt: str, backend: Optional[str] = None
-) -> bool:
-    """Whether the global :data:`REGISTRY` has the pair (any/one backend)."""
-    return REGISTRY.has(operation, fmt, backend)
-
-
 def resolve_kernel(
-    operation: str, fmt: str, backend: Optional[str] = None
+    operation: str, fmt: str, backend: str = DEFAULT_BACKEND
 ) -> Tuple[Kernel, str]:
     """Fallback-aware lookup on the global :data:`REGISTRY`."""
     return REGISTRY.resolve(operation, fmt, backend)
 
 
-def kernel_backends(operation: str, fmt: str) -> Tuple[str, ...]:
-    """Backends registered for the pair on the global :data:`REGISTRY`."""
-    return REGISTRY.backends(operation, fmt)
+def dispatch(operation: str, matrix: object, operand: np.ndarray) -> np.ndarray:
+    """Run *matrix*'s reference-tier kernel on a pre-validated *operand*.
 
-
-def registered_operations() -> Tuple[str, ...]:
-    """Operations with registered kernels on the global registry."""
-    return REGISTRY.operations()
-
-
-def registered_formats(operation: str) -> Tuple[str, ...]:
-    """Formats registered for *operation* on the global registry."""
-    return REGISTRY.formats(operation)
-
-
-def warmup_kernel(operation: str, fmt: str, backend: str) -> float:
-    """First-touch warm-up on the global :data:`REGISTRY`."""
-    return REGISTRY.warmup(operation, fmt, backend)
-
-
-def dispatch(
-    operation: str,
-    matrix: object,
-    operand: np.ndarray,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """Run the registered kernel for *matrix*'s format on *operand*.
-
-    *operand* must already be validated (dtype, shape) — the container
-    entry points and :mod:`repro.runtime.batch` do that before
-    dispatching.  With a *backend*, resolution falls back cleanly when
-    that backend cannot serve the format.
+    The container entry points (``SparseMatrix.spmv``) validate dtype
+    and shape before dispatching here.
     """
-    if backend is None:
-        return REGISTRY.get(operation, matrix.format)(matrix, operand)
-    kernel, _ = REGISTRY.resolve(operation, matrix.format, backend)
-    return kernel(matrix, operand)
+    return REGISTRY.get(operation, matrix.format)(matrix, operand)
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -628,7 +628,7 @@ class TuningService:
     def _drain_once(self, fp: str):
         """Dispatch up to ``max_batch`` queued requests for one fingerprint.
 
-        Returns ``(more, (observations, spans))``: *more* is ``True``
+        Returns ``(more, (observations, span_stages))``: *more* is ``True``
         when requests remain queued for *fp* (the caller must keep the
         drain alive), and the pair is the batch's telemetry when the
         dispatch step completed it synchronously (empty otherwise).  A
@@ -650,7 +650,7 @@ class TuningService:
         """Tier hook: run one drained batch.
 
         In process the batch is served right here, through the engine
-        host, and its ``(observations, spans)`` are returned.
+        host, and its ``(observations, span_stages)`` are returned.
         """
         if batch[0].kind == "update":
             return self._serve_update(fp, batch[0])
@@ -722,14 +722,18 @@ class TuningService:
         stages: Dict[str, float],
         **span_fields,
     ):
-        """Resolve a served batch's futures; return its telemetry.
+        """Record a served batch's spans, then resolve its futures.
 
-        Counts the batch, observes each request's wall latency, and
-        returns ``(observations, spans)`` — observations only while an
-        observer is installed, spans only with recording enabled.  Each
-        span carries the request's own ``validate`` and ``queue`` (up
-        to *queued_until*) stages followed by the tier's batch-wide
-        *stages*; *span_fields* add tier-specific span attributes.
+        Counts the batch, observes each request's wall latency, records
+        one span per request (with recording enabled) *before* any
+        future resolves — a caller holding its result always finds its
+        span — and returns ``(observations, span_stages)``:
+        observations only while an observer is installed, plus the
+        recorded spans' stage dicts for :meth:`_deliver_telemetry` to
+        fill in the ``observer`` stage.  Each span carries the request's
+        own ``validate`` and ``queue`` (up to *queued_until*) stages
+        followed by the tier's batch-wide *stages*; *span_fields* add
+        tier-specific span attributes.
         """
         results = served.results
         done_at = time.perf_counter()
@@ -744,6 +748,22 @@ class TuningService:
             o.shadow_probes.inc()
         for latency in latencies:
             o.latency.observe(latency)
+        span_stages = self._record_spans(
+            {
+                "trace": request.trace_id,
+                "kind": "spmv",
+                "fingerprint": fp,
+                "batch_size": len(batch),
+                "backend": result.backend,
+                **span_fields,
+                "stages": {
+                    "validate": request.validate_seconds,
+                    "queue": queued_until - request.enqueued_at,
+                    **stages,
+                },
+            }
+            for request, result in zip(batch, results)
+        )
         for request, result, latency in zip(batch, results, latencies):
             if request.future.done():
                 continue  # cancelled by close(wait=False)
@@ -763,28 +783,8 @@ class TuningService:
                     trace_id=request.trace_id,
                 )
             )
-        spans = (
-            [
-                {
-                    "trace": request.trace_id,
-                    "kind": "spmv",
-                    "fingerprint": fp,
-                    "batch_size": len(batch),
-                    "backend": result.backend,
-                    **span_fields,
-                    "stages": {
-                        "validate": request.validate_seconds,
-                        "queue": queued_until - request.enqueued_at,
-                        **stages,
-                    },
-                }
-                for request, result in zip(batch, results)
-            ]
-            if o.enabled
-            else []
-        )
         if self._observer is None:
-            return [], spans
+            return [], span_stages
         observations = [
             {
                 "fingerprint": fp,
@@ -801,7 +801,7 @@ class TuningService:
             }
             for i, (result, latency) in enumerate(zip(results, latencies))
         ]
-        return observations, spans
+        return observations, span_stages
 
     def _complete_update(
         self,
@@ -813,9 +813,10 @@ class TuningService:
         stages: Dict[str, float],
         **span_fields,
     ):
-        """Resolve an applied mutation's future; return its telemetry.
+        """Record an applied mutation's span, then resolve its future.
 
-        The observation (``kind: "update"``) carries the measured stat
+        Returns telemetry as :meth:`_complete_batch` does.  The
+        observation (``kind: "update"``) carries the measured stat
         drift — the adaptive layer's matrix-evolution velocity signal.
         """
         latency = time.perf_counter() - request.enqueued_at
@@ -824,21 +825,7 @@ class TuningService:
         o.updates_served.inc()
         o.batches.inc()
         o.latency.observe(latency)
-        if not request.future.done():
-            request.future.set_result(
-                UpdateResult(
-                    fingerprint=fp,
-                    epoch=upd.epoch,
-                    carried_forward=upd.carried_forward,
-                    retuned=upd.retuned,
-                    format=upd.format,
-                    drift=upd.drift,
-                    nnz=upd.nnz,
-                    latency_seconds=latency,
-                    trace_id=request.trace_id,
-                )
-            )
-        spans = (
+        span_stages = self._record_spans(
             [
                 {
                     "trace": request.trace_id,
@@ -855,11 +842,23 @@ class TuningService:
                     },
                 }
             ]
-            if o.enabled
-            else []
         )
+        if not request.future.done():
+            request.future.set_result(
+                UpdateResult(
+                    fingerprint=fp,
+                    epoch=upd.epoch,
+                    carried_forward=upd.carried_forward,
+                    retuned=upd.retuned,
+                    format=upd.format,
+                    drift=upd.drift,
+                    nnz=upd.nnz,
+                    latency_seconds=latency,
+                    trace_id=request.trace_id,
+                )
+            )
         if self._observer is None:
-            return [], spans
+            return [], span_stages
         observations = [
             {
                 "kind": "update",
@@ -872,7 +871,7 @@ class TuningService:
                 "latency_seconds": latency,
             }
         ]
-        return observations, spans
+        return observations, span_stages
 
     def _fail(
         self,
@@ -903,18 +902,37 @@ class TuningService:
                 if not request.future.done():
                     request.future.set_exception(exc)
 
-    def _deliver_telemetry(
-        self, observations: List[dict], spans: List[dict]
-    ) -> None:
-        """Run the observer, then record spans with observer time filled."""
-        observer_seconds = 0.0
-        if observations and self._observer is not None:
-            started = time.perf_counter()
-            self._notify(observations)
-            observer_seconds = time.perf_counter() - started
+    def _record_spans(self, spans: Iterable[dict]) -> List[Dict[str, float]]:
+        """Record *spans* now; return their (shared) stage dicts.
+
+        *spans* is consumed only with recording enabled.  Each span's
+        ``observer`` stage starts at ``0.0`` and is filled in place by
+        :meth:`_deliver_telemetry` once the observer has run, which
+        happens only after the futures resolve.  The key is present from
+        the start, so the in-place update never resizes a dict a
+        concurrent reader may be iterating.
+        """
+        if not self.obs.enabled:
+            return []
+        recorded = []
         for span in spans:
-            span["stages"]["observer"] = observer_seconds
+            stages = span["stages"]
+            stages["observer"] = 0.0
             self.obs.span(span.pop("trace"), **span)
+            recorded.append(stages)
+        return recorded
+
+    def _deliver_telemetry(
+        self, observations: List[dict], span_stages: List[Dict[str, float]]
+    ) -> None:
+        """Run the observer, then fill its time into the batch's spans."""
+        if not observations or self._observer is None:
+            return
+        started = time.perf_counter()
+        self._notify(observations)
+        observer_seconds = time.perf_counter() - started
+        for stages in span_stages:
+            stages["observer"] = observer_seconds
 
     def _notify(self, observations: List[dict]) -> None:
         """Hand a served batch's observations to the observer, if any.

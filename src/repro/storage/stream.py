@@ -11,8 +11,8 @@ drops it under pressure.
 
 Bitwise identity with the in-RAM path is a hard contract:
 
-* the ``native`` and ``numba`` CSR kernels accumulate strictly
-  row-locally, so per-panel dispatch reproduces them exactly;
+* the ``native`` CSR kernel accumulates strictly row-locally, so
+  per-panel dispatch reproduces it exactly;
 * the ``numpy`` reference kernel is a *global* prefix sum
   (``y[i] = prefix[row_ptr[i+1]] - prefix[row_ptr[i]]``), whose float
   values depend on everything summed before row ``i``.  The streaming
@@ -166,7 +166,7 @@ def _stream(
     operand: np.ndarray,
     *,
     operation: str,
-    backend: Optional[str],
+    backend: str,
     block_rows: Optional[int],
     block_bytes: Optional[int],
     out: Optional[np.ndarray],
@@ -204,7 +204,7 @@ def streaming_spmv(
     csr: CSRMatrix,
     x: np.ndarray,
     *,
-    backend: Optional[str] = None,
+    backend: str = "numpy",
     block_rows: Optional[int] = None,
     block_bytes: Optional[int] = None,
     out: Optional[np.ndarray] = None,
@@ -234,7 +234,7 @@ def streaming_spmm(
     csr: CSRMatrix,
     X: np.ndarray,
     *,
-    backend: Optional[str] = None,
+    backend: str = "numpy",
     block_rows: Optional[int] = None,
     block_bytes: Optional[int] = None,
     out: Optional[np.ndarray] = None,

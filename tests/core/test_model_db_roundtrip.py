@@ -66,37 +66,6 @@ def test_overwrite_replaces_model(tmp_path, fitted):
     assert db.load("p3", "hip", "random_forest").n_estimators == 7
 
 
-def test_available_mixes_new_and_legacy_layouts(tmp_path, fitted):
-    """A directory mixing ``__``-separated and legacy single-``_`` files
-    lists every key once — including a legacy name whose algorithm itself
-    contains ``_`` (``random_forest``)."""
-    import shutil
-
-    _, dt, rf = fitted
-    db = ModelDatabase(tmp_path)
-    new_style = db.save(
-        OracleModel.from_estimator(rf, system="xci", backend="serial")
-    )
-    assert new_style.endswith("xci__serial__random_forest.model")
-    # legacy layout: algorithm containing "_" after single-"_" fields
-    shutil.copy(new_style, tmp_path / "p3_cuda_random_forest.model")
-    # legacy layout with a single-token algorithm-ish tail
-    db.save(OracleModel.from_estimator(dt, system="p3", backend="hip"))
-    shutil.move(
-        str(tmp_path / "p3__hip__decision_tree.model"),
-        str(tmp_path / "p3_hip_decision_tree.model"),
-    )
-    keys = db.available()
-    assert sorted(keys) == [
-        ("p3", "cuda", "random_forest"),
-        ("p3", "hip", "decision_tree"),
-        ("xci", "serial", "random_forest"),
-    ]
-    # every listed key loads, whichever layout it came from
-    for system, backend, algorithm in keys:
-        assert db.load(system, backend, algorithm).kind == algorithm
-
-
 def test_non_model_files_ignored(tmp_path, fitted):
     _, _, rf = fitted
     db = ModelDatabase(tmp_path)

@@ -194,25 +194,11 @@ class TestModelDatabase:
         assert back.system == "my_sys"
         assert back.backend == "open_mp"
 
-    def test_legacy_separator_files_still_listed_and_loadable(
-        self, tmp_path, dataset_model
-    ):
-        db = ModelDatabase(tmp_path / "models")
-        path = db.save(dataset_model)
-        import os
-        import shutil
-
-        legacy = os.path.join(db.root, "p3_cuda_random_forest.model")
-        shutil.move(path, legacy)
-        keys = db.available()
-        assert ("p3", "cuda", "random_forest") in keys
-        # every listed key must load (regression: available/load agreement)
-        for system, backend, algorithm in keys:
-            assert db.load(system, backend, algorithm).kind == algorithm
-
     def test_malformed_file_names_skipped(self, tmp_path, dataset_model):
         db = ModelDatabase(tmp_path / "models")
         (tmp_path / "models" / "x__y.model").write_text("junk")
+        # single-"_" names are not a model-file layout
+        (tmp_path / "models" / "p3_cuda_random_forest.model").write_text("junk")
         assert db.available() == []
 
     def test_separator_rejected_inside_key_fields(self, tmp_path):

@@ -88,3 +88,81 @@ def test_no_shm_leaks_and_no_tracker_noise(mid_trace):
     assert not leaked, f"leaked /dev/shm segments: {sorted(leaked)}"
     for marker in ("resource_tracker", "KeyError", "Traceback", "leaked"):
         assert marker not in proc.stderr, proc.stderr
+
+
+_ORPHAN_SCENARIO = """
+import sys
+import time
+
+import numpy as np
+
+from repro.backends import make_space
+from repro.core import RunFirstTuner
+from repro.distributed import DistributedService
+from repro.formats import COOMatrix
+
+matrix = COOMatrix.from_dense(np.random.default_rng(3).random((16, 16)))
+service = DistributedService(
+    make_space("cirrus", "serial"), RunFirstTuner(), workers=2
+)
+service.spmv(matrix, np.ones(16), key="O")
+pids = [service.supervisor.handle(i).pid for i in range(service.workers)]
+print("PIDS", *pids, flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether *pid* exists and has not exited (zombies count as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_workers_exit_when_gateway_is_killed(tmp_path):
+    """A SIGKILLed gateway leaves no orphaned workers behind.
+
+    Forked siblings hold each other's pipe ends open, so a worker never
+    reads EOF from a dead gateway; it must notice being re-parented.
+    """
+    import signal
+    import time
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath("src")
+    with open(tmp_path / "stderr.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCENARIO],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            text=True,
+            env=env,
+        )
+    pids = []
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("PIDS"), (
+            line + (tmp_path / "stderr.txt").read_text()
+        )
+        pids = [int(p) for p in line.split()[1:]]
+        assert len(pids) == 2 and all(_running(p) for p in pids)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and any(map(_running, pids)):
+            time.sleep(0.05)
+        survivors = [p for p in pids if _running(p)]
+        assert not survivors, f"orphaned workers still running: {survivors}"
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

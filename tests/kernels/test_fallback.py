@@ -1,14 +1,14 @@
-"""Forced-fallback paths: the Numba-absent (and all-compiled-absent) host.
+"""Forced-fallback paths: the host without a compiled kernel tier.
 
-The container running CI may or may not carry numba or a C compiler, so
-these tests *force* the degraded configuration instead of hoping for it:
+The container running CI may or may not carry a C compiler, so these
+tests *force* the degraded configuration instead of hoping for it:
 masking via :func:`repro.kernels.only_backends` and via the
 ``REPRO_KERNEL_BACKENDS`` environment allowlist (read at every query, so
 a plain monkeypatch is enough).  Under either mask the whole stack —
-registry resolution, delta folding, the workload engine, the tuning
-service — must degrade to the numpy reference tier *observably* (the
-``backend`` stamp says so) and *silently correctly* (outputs bitwise
-match the unmasked numpy path).
+registry resolution, the workload engine, the tuning service — must
+degrade to the numpy reference tier *observably* (the ``backend`` stamp
+says so) and *silently correctly* (outputs bitwise match the unmasked
+numpy path).
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import pytest
 
 from repro.backends import make_space
 from repro.core.tuners import RunFirstTuner
+from repro.errors import BackendError
 from repro.formats import COOMatrix, convert
 from repro.kernels import (
     ENV_ALLOWLIST,
     available_backends,
     default_backend,
-    delta_kernels,
     enabled_backends,
     only_backends,
     set_enabled_backends,
@@ -45,9 +45,8 @@ def test_only_backends_masks_every_compiled_tier():
     with only_backends():
         assert available_backends() == ("numpy",)
         assert default_backend() == "numpy"
-        for kb in ("numba", "native"):
-            _, actual = REGISTRY.resolve("spmv", "CSR", kb)
-            assert actual == "numpy"
+        _, actual = REGISTRY.resolve("spmv", "CSR", "native")
+        assert actual == "numpy"
     # the mask is scoped: leaving the context restores the host's tiers
     assert "numpy" in available_backends()
 
@@ -62,10 +61,20 @@ def test_env_allowlist_masks_compiled_tiers(monkeypatch):
 
 def test_env_allowlist_cannot_mask_numpy(monkeypatch):
     # the reference tier is terminal: an allowlist without it still serves
-    monkeypatch.setenv(ENV_ALLOWLIST, "numba")
+    monkeypatch.setenv(ENV_ALLOWLIST, "native")
     assert "numpy" in available_backends()
-    _, actual = REGISTRY.resolve("spmv", "CSR", None)
+    _, actual = REGISTRY.resolve("spmv", "CSR")
     assert actual == "numpy"
+
+
+def test_env_allowlist_rejects_unknown_names(monkeypatch):
+    """A stale name must fail loudly, not silently mask every compiled tier."""
+    monkeypatch.setenv(ENV_ALLOWLIST, "native,numba")
+    with pytest.raises(BackendError, match="numba"):
+        available_backends()
+    # the same contract as the in-process override
+    with pytest.raises(BackendError):
+        set_enabled_backends(["numba"])
 
 
 def test_set_enabled_backends_roundtrip():
@@ -79,25 +88,16 @@ def test_set_enabled_backends_roundtrip():
     assert enabled_backends() == before
 
 
-def test_delta_kernels_absent_without_numba():
-    """Delta folding consults the probe on every merge."""
-    with only_backends():
-        assert delta_kernels() is None
-    with only_backends("native"):
-        # native carries no delta-merge kernels; only numba does
-        assert delta_kernels() is None
+def test_native_request_degrades_cleanly(int_matrix):
+    """An explicit native request serves correctly on any host.
 
-
-def test_numba_request_degrades_cleanly(int_matrix):
-    """An explicit numba request on a numba-less host serves correctly.
-
-    On hosts *with* numba this still passes — resolution then promotes
-    the requested backend — so the assertion is on correctness and on
-    the stamp being an actually-available backend, not on which one won.
+    Without a C compiler resolution falls back to numpy; with one it
+    promotes native — so the assertion is on correctness and on the
+    stamp being an actually-available backend, not on which one won.
     """
     m = convert(int_matrix, "CSR")
     x = np.arange(1.0, 41.0)
-    kernel, actual = REGISTRY.resolve("spmv", "CSR", "numba")
+    kernel, actual = REGISTRY.resolve("spmv", "CSR", "native")
     assert actual in available_backends()
     assert np.array_equal(kernel(m, x), REGISTRY.get("spmv", "CSR", "numpy")(m, x))
 

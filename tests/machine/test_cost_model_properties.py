@@ -86,7 +86,7 @@ def test_determinism_without_noise(stats, fmt):
 @given(stats=random_stats())
 def test_spmm_factor_consistency(stats):
     """SpMM scaling stays between 1 SpMV and k SpMVs."""
-    from repro.spmv import spmm_time_factor
+    from repro.machine.cost_model import spmm_time_factor
 
     for k in (1, 2, 8, 32):
         f = spmm_time_factor(k)

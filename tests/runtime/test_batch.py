@@ -144,26 +144,6 @@ class TestManyAndIterations:
             spmv_iterations(rect, np.ones(35), iterations=1)
 
 
-class TestSpmmFallback:
-    def test_container_without_block_kernel_falls_back_to_spmv(
-        self, dense_small, rng
-    ):
-        """spmm serves spmv-only containers via the per-column fallback."""
-        from repro.spmv.spmm import spmm
-
-        inner = COOMatrix.from_dense(dense_small)
-
-        class SpmvOnly:
-            format = "MYSTERY"
-            ncols = inner.ncols
-
-            def spmv(self, x):
-                return inner.spmv(x)
-
-        X = rng.standard_normal((inner.ncols, 3))
-        np.testing.assert_allclose(spmm(SpmvOnly(), X), dense_small @ X)
-
-
 class TestSolverRouting:
     """Solvers route their hot loops through the runtime executor."""
 

@@ -233,7 +233,7 @@ class TestAccounting:
         assert engine.seconds["spmv"] == pytest.approx(2 * t1)
 
     def test_block_request_scales_by_traffic_factor(self, engine, coo_small, rng):
-        from repro.spmv.spmm import spmm_time_factor
+        from repro.machine.cost_model import spmm_time_factor
 
         r1 = engine.execute(coo_small, rng.standard_normal(12))
         rk = engine.execute(coo_small, rng.standard_normal((12, 8)))

@@ -9,14 +9,7 @@ from repro.errors import FormatError
 from repro.formats import COOMatrix, convert
 from repro.formats.base import FORMAT_IDS
 from repro.runtime import registry
-from repro.runtime.registry import (
-    KernelRegistry,
-    dispatch,
-    get_kernel,
-    has_kernel,
-    registered_formats,
-    registered_operations,
-)
+from repro.runtime.registry import REGISTRY, KernelRegistry, dispatch
 
 from tests.conftest import ALL_FORMATS
 
@@ -24,18 +17,18 @@ from tests.conftest import ALL_FORMATS
 class TestCompleteness:
     @pytest.mark.parametrize("fmt", sorted(FORMAT_IDS))
     def test_every_format_has_spmv_kernel(self, fmt):
-        assert has_kernel("spmv", fmt)
+        assert REGISTRY.has("spmv", fmt)
 
     @pytest.mark.parametrize("fmt", sorted(FORMAT_IDS))
     def test_every_format_has_spmm_kernel(self, fmt):
-        assert has_kernel("spmm", fmt)
+        assert REGISTRY.has("spmm", fmt)
 
     def test_operations_listing(self):
-        assert set(registered_operations()) >= {"spmv", "spmm"}
+        assert set(REGISTRY.operations()) >= {"spmv", "spmm"}
 
     def test_formats_listing_covers_paper_enumeration(self):
-        assert set(registered_formats("spmv")) == set(FORMAT_IDS)
-        assert set(registered_formats("spmm")) == set(FORMAT_IDS)
+        assert set(REGISTRY.formats("spmv")) == set(FORMAT_IDS)
+        assert set(REGISTRY.formats("spmm")) == set(FORMAT_IDS)
 
 
 class TestDispatch:
@@ -50,16 +43,16 @@ class TestDispatch:
         """The containers and the registry must be the same implementation."""
         m = convert(COOMatrix.from_dense(dense_small), fmt)
         x = rng.standard_normal(m.ncols)
-        np.testing.assert_array_equal(m.spmv(x), get_kernel("spmv", fmt)(m, x))
+        np.testing.assert_array_equal(m.spmv(x), REGISTRY.get("spmv", fmt)(m, x))
 
     def test_unknown_pair_raises(self):
         with pytest.raises(FormatError):
-            get_kernel("spmv", "NOPE")
+            REGISTRY.get("spmv", "NOPE")
         with pytest.raises(FormatError):
-            get_kernel("transpose", "CSR")
+            REGISTRY.get("transpose", "CSR")
 
     def test_case_insensitive_lookup(self):
-        assert get_kernel("SPMV", "csr") is get_kernel("spmv", "CSR")
+        assert REGISTRY.get("SPMV", "csr") is REGISTRY.get("spmv", "CSR")
 
 
 class TestExtension:

@@ -1,4 +1,4 @@
-"""Tests for the format-agnostic SpMV dispatch."""
+"""Tests for format-agnostic SpMV: container dispatch and iteration."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.formats import COOMatrix, DynamicMatrix, convert
-from repro.spmv import spmv, spmv_iterations
+from repro.runtime.batch import spmv_iterations
 
 from tests.conftest import ALL_FORMATS
 
@@ -16,14 +16,14 @@ from tests.conftest import ALL_FORMATS
 def test_spmv_dispatch_all_formats(fmt, dense_small, rng):
     m = convert(COOMatrix.from_dense(dense_small), fmt)
     x = rng.standard_normal(12)
-    np.testing.assert_allclose(spmv(m, x), dense_small @ x)
+    np.testing.assert_allclose(m.spmv(x), dense_small @ x)
 
 
 def test_spmv_dynamic_matrix(dense_small, rng):
     dyn = DynamicMatrix(COOMatrix.from_dense(dense_small))
     dyn.switch("ELL")
     x = rng.standard_normal(12)
-    np.testing.assert_allclose(spmv(dyn, x), dense_small @ x)
+    np.testing.assert_allclose(dyn.spmv(x), dense_small @ x)
 
 
 def test_iterations_match_matrix_power(dense_small, rng):

@@ -13,7 +13,7 @@ from repro.formats import (
     HDCMatrix,
     HYBMatrix,
 )
-from repro.spmv import kernels
+from repro.kernels.numpy import kernels
 
 
 @pytest.fixture

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.formats import COOMatrix, DynamicMatrix, convert
-from repro.spmv import spmm, spmm_time_factor
+from repro.machine.cost_model import spmm_time_factor
+from repro.runtime.batch import batched_spmv
 
 from tests.conftest import ALL_FORMATS
+
+
+def spmm(matrix, X):
+    """The registry's NumPy block kernel (no scipy operator)."""
+    return batched_spmv(matrix, X, accelerate=False)
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)

@@ -3,9 +3,8 @@
 The streaming contract is not "close": every backend must reproduce the
 exact bits the full-matrix kernel produces, for every panel size.  The
 ``numpy`` reference kernel is the hard case — a *global* prefix sum —
-replayed by carry-seeding each panel's accumulation; ``native`` and
-``numba`` accumulate row-locally, so per-panel dispatch is exact by
-construction.  The engine-level tests additionally pin the dispatch
+replayed by carry-seeding each panel's accumulation; ``native``
+accumulates row-locally, so per-panel dispatch is exact by construction.  The engine-level tests additionally pin the dispatch
 rule: an engine streams only mmap-backed CSR containers at or above its
 threshold, and its streamed results match a plain engine bitwise in
 every configuration (accelerate on/off, vector and stacked operands,

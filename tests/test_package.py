@@ -23,10 +23,10 @@ def test_subpackage_exports_resolve():
     import repro.core
     import repro.datasets
     import repro.formats
+    import repro.kernels
     import repro.machine
     import repro.ml
     import repro.solvers
-    import repro.spmv
 
     for module in (
         repro.formats,
@@ -36,7 +36,7 @@ def test_subpackage_exports_resolve():
         repro.ml,
         repro.core,
         repro.solvers,
-        repro.spmv,
+        repro.kernels,
     ):
         for name in module.__all__:
             assert getattr(module, name) is not None, (module.__name__, name)
