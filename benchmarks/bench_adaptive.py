@@ -38,7 +38,8 @@ from repro.adaptive import (
 )
 from repro.backends import make_space
 from repro.core.tuners.ml import RandomForestTuner
-from repro.service import TuningService, replay
+from repro.service import TuningService
+from repro.trace import replay_trace, spmv_trace
 
 from benchmarks.conftest import write_result
 
@@ -83,10 +84,10 @@ def test_adaptive_loop_recovers_from_corpus_shift(tmp_path):
         source=boot.baseline.source,
     )
     with service, controller:
-        replay(service, scenario.phase_trace("before"), clients=CLIENTS)
-        post = scenario.phase_trace("after")
+        replay_trace(service, scenario.phase_trace("before", CLIENTS))
+        post = scenario.phase_trace("after", CLIENTS)
         for _ in range(3):  # sustained drifted traffic: let the loop converge
-            replay(service, post, clients=CLIENTS)
+            replay_trace(service, post)
 
     assert controller.drift_events >= 1, "drift was never detected"
     assert controller.promotions >= 1, "no retrained model was promoted"
@@ -118,19 +119,15 @@ def test_adaptive_loop_recovers_from_corpus_shift(tmp_path):
 def _steady_trace():
     """Kernel-dominated hot set: ~1.4-2.2M nnz per matrix, 160 requests."""
     from repro.datasets.generators import uniform_rows
-    from repro.formats.dynamic import DynamicMatrix
-    from repro.service import Trace
 
     matrices = {
-        f"hot-{i}": DynamicMatrix(
-            uniform_rows(60_000 + 10_000 * i, row_nnz=24, seed=i)
-        )
+        f"hot-{i}": uniform_rows(60_000 + 10_000 * i, row_nnz=24, seed=i)
         for i in range(4)
     }
     rng = np.random.default_rng(SEED)
     names = list(matrices)
-    sequence = [names[int(rng.integers(0, 4))] for _ in range(160)]
-    return Trace(matrices=matrices, sequence=sequence, seed=SEED).materialize()
+    keys = [names[int(rng.integers(0, 4))] for _ in range(160)]
+    return spmv_trace(matrices, keys, seed=SEED).materialize()
 
 
 def _serial_p50(service, trace) -> float:
@@ -138,11 +135,11 @@ def _serial_p50(service, trace) -> float:
     session = service.session()
     latencies = [
         session.spmv(
-            trace.matrices[trace.sequence[i]],
-            trace.operand(i),
-            key=trace.sequence[i],
+            trace.matrix(event["key"]),
+            trace.operand(event),
+            key=event["key"],
         ).latency_seconds
-        for i in range(len(trace))
+        for event in trace.events
     ]
     return float(np.median(latencies))
 

@@ -35,8 +35,8 @@ from repro.backends import make_space
 from repro.core import RunFirstTuner
 from repro.datasets.generators import uniform_rows
 from repro.distributed import DistributedService
-from repro.formats.dynamic import DynamicMatrix
-from repro.service import Trace, TuningService, replay
+from repro.service import TuningService
+from repro.trace import RecordedTrace, replay_trace, spmv_trace
 
 from benchmarks._emit import emit
 from benchmarks.conftest import write_result
@@ -50,19 +50,16 @@ SEED = 42
 WORKER_TABLE = (1, 2, 4, 8)
 
 
-def _trace() -> Trace:
+def _trace() -> RecordedTrace:
     matrices = {
-        f"hot-{i}": DynamicMatrix(
-            uniform_rows(NROWS + 500 * i, row_nnz=16, seed=SEED + i)
-        )
+        f"hot-{i}": uniform_rows(NROWS + 500 * i, row_nnz=16, seed=SEED + i)
         for i in range(HOT_MATRICES)
     }
     rng = np.random.default_rng(SEED)
     names = list(matrices)
-    sequence = [
-        names[int(rng.integers(0, len(names)))] for _ in range(REQUESTS)
-    ]
-    return Trace(matrices=matrices, sequence=sequence, seed=SEED).materialize()
+    keys = [names[int(rng.integers(0, len(names)))] for _ in range(REQUESTS)]
+    trace = spmv_trace(matrices, keys, seed=SEED, sessions=CLIENTS)
+    return trace.materialize()
 
 
 def _distributed(workers: int) -> DistributedService:
@@ -77,18 +74,21 @@ def _distributed(workers: int) -> DistributedService:
     )
 
 
-def _single_process_results(trace: Trace):
+def _single_process_report(trace: RecordedTrace):
     with TuningService(
         make_space("cirrus", "serial"), RunFirstTuner(), workers=CLIENTS
     ) as service:
-        return replay(service, trace, clients=CLIENTS).results
+        return replay_trace(service, trace)
 
 
-def _assert_identical(trace, results, reference):
+def _assert_identical(trace, report, reference):
+    assert report.ok and report.requests == len(trace), (
+        f"lost {report.lost} of {len(trace)} requests"
+    )
     mismatches = [
-        i
-        for i in range(len(trace))
-        if not np.array_equal(results[i].y, reference[i].y)
+        got["seq"]
+        for got, want in zip(report.records, reference.records)
+        if got["y_digest"] != want["y_digest"]
     ]
     assert not mismatches, (
         f"{len(mismatches)}/{len(trace)} distributed results differ "
@@ -99,20 +99,19 @@ def _assert_identical(trace, results, reference):
 def test_bitwise_identity_vs_single_process():
     """Every distributed result equals single-process serve, bit for bit."""
     trace = _trace()
-    reference = _single_process_results(trace)
+    reference = _single_process_report(trace)
     with _distributed(2) as service:
-        report = replay(service, trace, clients=CLIENTS)
-    assert len(report.results) == len(trace)
-    _assert_identical(trace, report.results, reference)
+        report = replay_trace(service, trace)
+    _assert_identical(trace, report, reference)
 
 
 def test_mid_trace_worker_kill_loses_zero_requests():
     """SIGKILL one worker mid-trace; every request must still be served."""
     trace = _trace()
-    reference = _single_process_results(trace)
+    reference = _single_process_report(trace)
     kill_after = max(2, REQUESTS // 8)
     with _distributed(2) as service:
-        victim = service.worker_of(trace.sequence[0])
+        victim = service.worker_of(trace.events[0]["key"])
 
         def killer():
             while service.obs.requests_served.value < kill_after:
@@ -121,16 +120,13 @@ def test_mid_trace_worker_kill_loses_zero_requests():
 
         thread = threading.Thread(target=killer, name="bench-killer")
         thread.start()
-        report = replay(service, trace, clients=CLIENTS)
+        report = replay_trace(service, trace)
         thread.join()
         stats = report.service_stats
     dist = stats["distributed"]
-    assert len(report.results) == len(trace), (
-        f"lost {len(trace) - len(report.results)} requests across the kill"
-    )
     assert dist["supervisor"]["respawns"] >= 1
     assert dist["dead_workers"] >= 1
-    _assert_identical(trace, report.results, reference)
+    _assert_identical(trace, report, reference)
 
 
 def test_worker_scaling_table():
@@ -144,13 +140,13 @@ def test_worker_scaling_table():
         if workers > max(2, 2 * cores) and not forced:
             continue  # oversubscribing a small host measures nothing
         with _distributed(workers) as service:
-            report = replay(service, trace, clients=CLIENTS)
-        assert len(report.results) == len(trace)
+            report = replay_trace(service, trace)
+        assert report.ok and report.requests == len(trace)
         throughput[workers] = report.throughput_rps
         rows.append(
             f"{workers:>3} workers {report.throughput_rps:10.0f} req/s  "
             f"{report.throughput_rps / throughput[1]:6.2f} x   mean latency "
-            f"{1e3 * report.mean_latency:7.2f} ms"
+            f"{1e3 * report.mean_latency_seconds:7.2f} ms"
         )
     lines = [
         f"distributed serve scaling, {REQUESTS} requests, {CLIENTS} clients,"

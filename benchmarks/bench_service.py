@@ -30,11 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backends import make_space
-from repro.datasets import MatrixCollection
-from repro.formats.dynamic import DynamicMatrix
 from repro.runtime.batch import block_operator
 from repro.runtime.engine import WorkloadEngine
-from repro.service import Trace, TuningService, replay
+from repro.service import TuningService
+from repro.trace import RecordedTrace, array_digest, replay_trace, spmv_trace
 
 from benchmarks._emit import emit
 from benchmarks.conftest import write_result
@@ -45,23 +44,27 @@ HOT_MATRICES = 2
 SEED = 42
 
 
-def _hot_trace() -> Trace:
+def _hot_trace(clients: int = CLIENTS) -> RecordedTrace:
     """A trace over a few hot matrices, operands materialised up front.
 
     The timed window must measure dispatch, not request generation.
+    The compiled-operator cache is warmed too (operators are cached per
+    container, and replays share the trace's containers), so no timed
+    window pays scipy set-up.
     """
     from repro.datasets.generators import uniform_rows
 
     matrices = {
-        f"hot-{i}": DynamicMatrix(
-            uniform_rows(3_000 + 1_000 * i, row_nnz=16, seed=SEED + i)
-        )
+        f"hot-{i}": uniform_rows(3_000 + 1_000 * i, row_nnz=16, seed=SEED + i)
         for i in range(HOT_MATRICES)
     }
+    for matrix in matrices.values():
+        block_operator(matrix)
     rng = np.random.default_rng(SEED)
     names = list(matrices)
-    sequence = [names[int(rng.integers(0, len(names)))] for _ in range(REQUESTS)]
-    return Trace(matrices=matrices, sequence=sequence, seed=SEED).materialize()
+    keys = [names[int(rng.integers(0, len(names)))] for _ in range(REQUESTS)]
+    trace = spmv_trace(matrices, keys, seed=SEED, sessions=clients)
+    return trace.materialize()
 
 
 def _service(
@@ -79,12 +82,12 @@ def _service(
     )
 
 
-def _best_replay(max_batch: int, trace: Trace, *, trials: int = 3):
+def _best_replay(max_batch: int, trace: RecordedTrace, *, trials: int = 3):
     """Best-of-N replay of *trace* (scheduler noise goes one way only)."""
     best = None
     for _ in range(trials):
         with _service(max_batch) as service:
-            report = replay(service, trace, clients=CLIENTS)
+            report = replay_trace(service, trace)
         if best is None or report.wall_seconds < best.wall_seconds:
             best = report
     return best
@@ -93,11 +96,6 @@ def _best_replay(max_batch: int, trace: Trace, *, trials: int = 3):
 def test_coalescing_beats_naive_dispatch_at_8_clients():
     """Acceptance: coalesced throughput >= 2x naive, results bit-exact."""
     trace = _hot_trace()
-    # warm the compiled-operator cache so neither path pays scipy setup
-    # inside its timed window (operators are cached per container)
-    for matrix in trace.matrices.values():
-        block_operator(matrix)
-
     naive = _best_replay(1, trace)
     assert naive.service_stats["coalesced_batches"] == 0
 
@@ -106,15 +104,15 @@ def test_coalescing_beats_naive_dispatch_at_8_clients():
     assert stats["coalesced_batches"] > 0
 
     # byte-identical to serial dispatch through a fresh engine
+    assert coalesced.ok and coalesced.requests == REQUESTS
     engine = WorkloadEngine(make_space("cirrus", "serial"))
-    for i, result in enumerate(coalesced.results):
+    for event, record in zip(trace.events, coalesced.records):
         serial = engine.execute(
-            trace.matrices[trace.sequence[i]],
-            trace.operand(i),
-            key=trace.sequence[i],
+            trace.matrix(event["key"]), trace.operand(event), key=event["key"]
         )
-        assert np.array_equal(result.y, serial.y), (
-            f"request {i}: coalesced result differs from serial dispatch"
+        assert record["y_digest"] == array_digest(serial.y), (
+            f"request {event['seq']}: coalesced result differs from serial "
+            "dispatch"
         )
 
     speedup = coalesced.throughput_rps / naive.throughput_rps
@@ -175,15 +173,13 @@ def test_observability_overhead_gate():
     scheduler noise moves both sides the same way.
     """
     trace = _hot_trace()
-    for matrix in trace.matrices.values():
-        block_operator(matrix)
 
     def best_p50(observability: bool, trials: int = 4):
         best, stats = None, None
         for _ in range(trials):
             with _service(64, observability=observability) as service:
-                report = replay(service, trace, clients=CLIENTS)
-            latencies = sorted(r.latency_seconds for r in report.results)
+                report = replay_trace(service, trace)
+            latencies = sorted(report.latencies)
             p50 = latencies[len(latencies) // 2]
             if best is None or p50 < best:
                 best, stats = p50, report.service_stats
@@ -225,21 +221,19 @@ def test_observability_overhead_gate():
 
 def test_multi_client_throughput_scaling():
     """Report throughput at 1/2/4/8 clients through the coalescing path."""
-    trace = _hot_trace()
-    for matrix in trace.matrices.values():
-        block_operator(matrix)
     rows = []
     baseline = None
     for clients in (1, 2, 4, 8):
+        trace = _hot_trace(clients)
         with _service(max_batch=64) as service:
-            report = replay(service, trace, clients=clients)
+            report = replay_trace(service, trace)
         assert report.service_stats["requests_served"] == REQUESTS
         if baseline is None:
             baseline = report.throughput_rps
         rows.append(
             f"{clients:>3} clients {report.throughput_rps:10.0f} req/s  "
             f"{report.throughput_rps / baseline:6.2f} x   mean latency "
-            f"{1e3 * report.mean_latency:7.2f} ms"
+            f"{1e3 * report.mean_latency_seconds:7.2f} ms"
         )
     lines = [
         f"multi-client scaling, {REQUESTS} requests, coalescing on",

@@ -37,7 +37,8 @@ from repro.adaptive import (
 )
 from repro.backends import make_space
 from repro.core.tuners.ml import RandomForestTuner
-from repro.service import TuningService, replay
+from repro.service import TuningService
+from repro.trace import replay_trace
 
 SYSTEM, BACKEND = "cirrus", "cuda"
 TRAIN_MATRICES = 20     # bootstrap corpus (banded family mix)
@@ -88,10 +89,10 @@ def main() -> None:
         source=boot.baseline.source,
     )
     with service, controller:
-        replay(service, scenario.phase_trace("before"), clients=4)
-        post = scenario.phase_trace("after")
+        replay_trace(service, scenario.phase_trace("before", 4))
+        post = scenario.phase_trace("after", 4)
         for wave in range(WAVES):
-            replay(service, post, clients=4)
+            replay_trace(service, post)
             print(f"wave {wave + 1}:    model {registry.current()}, "
                   f"{controller.promotions} promotions, "
                   f"{controller.telemetry.stats()['shadowed']} shadow probes")

@@ -10,7 +10,8 @@ End-to-end path from offline suite to online serving:
    ``core/model_io``), with a sharded engine cache and request
    coalescing;
 3. open client :class:`~repro.service.Session` handles and serve a
-   concurrent workload over the suite's own corpus — concurrent
+   concurrent workload over the suite's own corpus, then drive a
+   generated multi-session trace through ``replay_trace`` — concurrent
    requests against the same matrix coalesce into batched kernels;
 4. print the service counters: throughput, coalesced batches, engine
    cache hits and evictions.
@@ -27,7 +28,8 @@ import threading
 import numpy as np
 
 from repro.experiments import ArtifactStore, ExperimentOrchestrator, ExperimentSpec
-from repro.service import replay, service_for_suite, trace_from_suite
+from repro.service import service_for_suite
+from repro.trace import replay_trace, workload_trace
 
 #: Spec of the offline suite whose exported model the service loads.
 SPEC_PATH = os.path.join(
@@ -54,8 +56,10 @@ def train_suite(store: ArtifactStore) -> ExperimentSpec:
 
 def serve_sessions(store: ArtifactStore) -> None:
     """Online stage: serve the suite's corpus with its exported model."""
-    trace, spec = trace_from_suite(
-        store.root, n_matrices=HOT_MATRICES, requests=REQUESTS, seed=7
+    spec = store.load_spec()
+    trace = workload_trace(
+        HOT_MATRICES, REQUESTS, seed=7, sessions=CLIENTS,
+        collection=spec.corpus.build(), source=f"suite:{spec.name}",
     )
     service = service_for_suite(
         store.root,
@@ -70,10 +74,10 @@ def serve_sessions(store: ArtifactStore) -> None:
         def client(c: int) -> None:
             session = service.session(name=f"client-{c}")
             gen = np.random.default_rng(c)
-            names = list(trace.matrices)
+            names = trace.matrix_keys()
             for i in range(5):
                 name = names[(c + i) % len(names)]
-                matrix = trace.matrices[name]
+                matrix = trace.matrix(name)
                 result = session.spmv(
                     matrix, gen.standard_normal(matrix.ncols), key=name
                 )
@@ -89,11 +93,13 @@ def serve_sessions(store: ArtifactStore) -> None:
         for thread in threads:
             thread.join()
 
-        # b) the replay driver: the trace split across concurrent sessions
-        report = replay(service, trace, clients=CLIENTS)
+        # b) the driver: each of the generated trace's sessions submits
+        #    from its own thread, so same-matrix requests overlap and
+        #    coalesce
+        report = replay_trace(service, trace)
         stats = report.service_stats
 
-    print(f"\nreplayed {report.requests} requests from {report.clients} "
+    print(f"\nreplayed {report.requests} requests from {CLIENTS} "
           f"clients on {stats['space']}: {report.throughput_rps:.0f} req/s")
     print(f"  serving format decisions by {spec.algorithms[0]} model "
           f"(suite {spec.name})")
@@ -105,7 +111,7 @@ def serve_sessions(store: ArtifactStore) -> None:
           f"(capacity {cache['capacity']}, {cache['shards']} shards)")
     # the service counts the session demo too: 5 requests per client
     assert stats["requests_served"] == REQUESTS + 5 * CLIENTS
-    assert len(report.results) == REQUESTS
+    assert report.ok and report.requests == REQUESTS
     print("OK")
 
 

@@ -10,9 +10,11 @@ This module builds that scenario end to end:
   through the offline stages, returning everything the adaptive loop
   needs (the model, the stage dataset for augmentation, the
   :class:`~repro.adaptive.drift.BaselineFingerprint`);
-* :func:`drifting_trace` — a replayable
-  :class:`~repro.service.replay.Trace` whose request stream switches
-  from a *before* corpus to an *after* corpus at ``shift_fraction``;
+* :func:`drifting_trace` — a generated
+  :class:`~repro.trace.format.RecordedTrace` whose request stream
+  switches from a *before* corpus to an *after* corpus at
+  ``shift_fraction`` (the shared :func:`~repro.trace.workloads.hot_cold_keys`
+  draw within each phase);
 * :func:`mispredict_rate` — offline ground truth: how often a model's
   prediction loses to the measured-optimal format over a matrix set
   (the metric the drift benchmark compares frozen vs adapted models
@@ -31,10 +33,11 @@ from repro.backends import make_space
 from repro.core.model_io import OracleModel
 from repro.datasets.collection import MatrixCollection
 from repro.errors import ValidationError
-from repro.formats.base import FORMAT_IDS
+from repro.formats.base import FORMAT_IDS, SparseMatrix
 from repro.formats.dynamic import DynamicMatrix
 from repro.machine.stats import MatrixStats
-from repro.service.replay import Trace, _hot_cold_sequence
+from repro.trace.format import RecordedTrace
+from repro.trace.workloads import hot_cold_keys, spmv_trace
 
 __all__ = [
     "BANDED_FAMILIES",
@@ -151,40 +154,38 @@ def bootstrap(
 class DriftScenario:
     """A drifting trace plus the bookkeeping the benchmark needs."""
 
-    trace: Trace
+    trace: RecordedTrace
     shift_index: int
     before_names: List[str] = field(default_factory=list)
     after_names: List[str] = field(default_factory=list)
 
     @property
-    def after_matrices(self) -> Dict[str, DynamicMatrix]:
+    def after_matrices(self) -> Dict[str, SparseMatrix]:
         """The drifted population (name -> matrix), for offline scoring."""
-        return {
-            name: self.trace.matrices[name] for name in self.after_names
-        }
+        return {name: self.trace.matrix(name) for name in self.after_names}
 
-    def phase_trace(self, phase: str) -> Trace:
-        """The ``"before"`` or ``"after"`` slice as its own replayable trace.
+    def phase_trace(self, phase: str, sessions: int = 1) -> RecordedTrace:
+        """The ``"before"`` or ``"after"`` slice as its own generated trace.
 
         Adaptive drivers serve the pre-drift phase once and then replay
         the drifted phase in *waves* — sustained drifted traffic is what
         lets the loop converge (probe the whole population, retrain,
         confirm the fix) rather than adapting from one early snapshot.
+        Requests round-robin across *sessions*.
         """
         if phase not in ("before", "after"):
             raise ValidationError(
                 f"phase must be 'before' or 'after', got {phase!r}"
             )
-        names = set(
-            self.before_names if phase == "before" else self.after_names
-        )
-        trace = Trace(
-            matrices={n: self.trace.matrices[n] for n in names},
-            sequence=[n for n in self.trace.sequence if n in names],
+        names = self.before_names if phase == "before" else self.after_names
+        members = set(names)
+        return spmv_trace(
+            {n: self.trace.matrix(n) for n in names},
+            [e["key"] for e in self.trace.events if e["key"] in members],
             seed=self.trace.seed + (0 if phase == "before" else 1),
+            sessions=sessions,
+            source=f"drifting:{phase}",
         )
-        trace.source = f"drifting:{phase}"
-        return trace
 
 
 def drifting_trace(
@@ -218,23 +219,19 @@ def drifting_trace(
         seed=seed + 1,
         families=dict(families_after or SCALE_FREE_FAMILIES),
     )
-    matrices: Dict[str, DynamicMatrix] = {}
+    matrices: Dict[str, SparseMatrix] = {}
     for prefix, collection in (("pre", before), ("post", after)):
         for spec in collection.specs:
-            matrices[f"{prefix}:{spec.name}"] = DynamicMatrix(
-                collection.generate(spec)
-            )
+            matrices[f"{prefix}:{spec.name}"] = collection.generate(spec)
     before_names = [n for n in matrices if n.startswith("pre:")]
     after_names = [n for n in matrices if n.startswith("post:")]
     shift_index = int(round(shift_fraction * requests))
     shift_index = min(max(shift_index, 1), requests - 1)
     rng = np.random.default_rng(seed)
-    sequence = _hot_cold_sequence(before_names, shift_index, rng)
-    sequence += _hot_cold_sequence(after_names, requests - shift_index, rng)
-    trace = Trace(matrices=matrices, sequence=sequence, seed=seed)
-    trace.source = "drifting"
+    keys = hot_cold_keys(before_names, shift_index, rng)
+    keys += hot_cold_keys(after_names, requests - shift_index, rng)
     return DriftScenario(
-        trace=trace,
+        trace=spmv_trace(matrices, keys, seed=seed, source="drifting"),
         shift_index=shift_index,
         before_names=before_names,
         after_names=after_names,

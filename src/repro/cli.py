@@ -32,8 +32,8 @@ Subcommands mirror the paper's pipeline:
     its completed stage artifacts.
 ``repro-oracle serve --workers 4 --capacity 32 --clients 8``
     Drive the concurrent :class:`~repro.service.service.TuningService`
-    with a multi-client workload — synthetic by default, or a trace
-    replayed over a stored suite's corpus and exported model with
+    with a generated multi-session workload — over a synthetic corpus by
+    default, or over a stored suite's corpus and exported model with
     ``--store`` — and report throughput, latency, coalescing and
     engine-cache counters.  ``--adaptive`` attaches an
     :class:`~repro.adaptive.controller.AdaptiveController` (telemetry,
@@ -255,13 +255,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import tempfile
     import time
 
-    from repro.service import (
-        TuningService,
-        replay,
-        service_for_suite,
-        synthetic_trace,
-        trace_from_suite,
-    )
+    from repro.service import TuningService, service_for_suite
+    from repro.trace import replay_trace, workload_trace
 
     shadow_every = args.shadow_every
     if args.adaptive and shadow_every == 0:
@@ -309,12 +304,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             None if stream_threshold < 0 else stream_threshold
         )
     if args.store:
-        trace, spec = trace_from_suite(
-            args.store,
-            fingerprint=args.fingerprint,
-            n_matrices=args.n_matrices,
-            requests=args.requests,
+        from repro.experiments.store import ArtifactStore
+
+        spec = ArtifactStore(args.store).load_spec(args.fingerprint)
+        trace = workload_trace(
+            args.n_matrices,
+            args.requests,
             seed=args.seed,
+            sessions=args.clients,
+            collection=spec.corpus.build(),
+            source=f"suite:{spec.name}",
         )
         service = service_for_suite(
             args.store,
@@ -331,8 +330,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             return 2
         space = make_space(args.system, args.backend)
         tuner = RandomForestTuner(args.model) if args.model else RunFirstTuner()
-        trace = synthetic_trace(
-            args.n_matrices, args.requests, seed=args.seed
+        trace = workload_trace(
+            args.n_matrices, args.requests, seed=args.seed,
+            sessions=args.clients,
         )
         service = service_cls(space, tuner, **service_kwargs)
     controller = None
@@ -374,7 +374,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 if service.obs.requests_served.value >= args.requests:
                     return
                 time.sleep(0.005)
-            victim = service.worker_of(trace.sequence[0])
+            victim = service.worker_of(trace.events[0]["key"])
             pid = service.kill_worker(victim)
             if pid is not None:
                 print(f"kill drill           SIGKILLed worker {victim} "
@@ -387,7 +387,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     with service:
         if killer is not None:
             killer.start()
-        report = replay(service, trace, clients=args.clients)
+        report = replay_trace(service, trace)
         if killer is not None:
             killer.join()
         if controller is not None:
@@ -405,7 +405,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         else 1.0
     )
     print(f"served               {stats['requests_served']} requests from "
-          f"{report.clients} clients over {len(trace.matrices)} matrices "
+          f"{args.clients} clients over {len(trace.matrix_keys())} matrices "
           f"on {stats['space']}")
     print(f"workers / capacity   {stats['workers']} workers, "
           f"{cache['capacity']} engines across {cache['shards']} shards")
@@ -476,7 +476,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if distributed:
         dist = stats["distributed"]
         sup = dist["supervisor"]
-        lost = args.requests - len(report.results)
+        lost = report.lost
         print(f"distributed          {sup['workers']} worker processes, "
               f"{dist['fingerprints']} routed fingerprints, "
               f"shm pool {dist['shm']['slots']}x"
@@ -488,41 +488,42 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if kill_after and lost == 0:
             print("kill recovery        OK: every request on the killed "
                   "shard was replayed and served")
-        if verify_identity:
-            mismatches = _verify_reference_identity(
-                args, trace, report, reference_kwargs
-            )
-            if mismatches:
-                print(f"bitwise identity     FAILED: {mismatches} of "
-                      f"{len(report.results)} results differ from the "
-                      f"single-process service", file=sys.stderr)
-                return 1
-            print(f"bitwise identity     OK: {len(report.results)} "
-                  f"results identical to the single-process service")
-    elif verify_identity:
-        # without --distributed the reference is a storage-free in-RAM
-        # service: identical results prove tiering changes no math
+    if report.lost:
+        print(f"serve: {report.lost} requests failed or never completed",
+              file=sys.stderr)
+        return 1
+    if verify_identity:
+        # the reference is a storage-free single-process service:
+        # identical results prove sharding and tiering change no math
+        reference = (
+            "single-process service" if distributed
+            else "in-RAM reference service"
+        )
         mismatches = _verify_reference_identity(
             args, trace, report, reference_kwargs
         )
         if mismatches:
             print(f"bitwise identity     FAILED: {mismatches} of "
-                  f"{len(report.results)} results differ from the "
-                  f"in-RAM reference service", file=sys.stderr)
+                  f"{report.requests} results differ from the "
+                  f"{reference}", file=sys.stderr)
             return 1
-        print(f"bitwise identity     OK: {len(report.results)} "
-              f"results identical to the in-RAM reference service")
+        print(f"bitwise identity     OK: {report.requests} "
+              f"results identical to the {reference}")
     return 0
 
 
 def _verify_reference_identity(args, trace, report, service_kwargs):
     """Replay *trace* on a plain in-process service; count differing bits.
 
-    The reference kwargs deliberately exclude the storage tier and any
-    streaming override, so this doubles as the bitwise oracle for both
-    the distributed tier and a tiered (``--storage-dir``) serve.
+    Compares each request's ``y_digest`` by ``seq`` across the two
+    replay reports; a request missing from either side counts as a
+    difference.  The reference kwargs deliberately exclude the storage
+    tier and any streaming override, so this doubles as the bitwise
+    oracle for both the distributed tier and a tiered
+    (``--storage-dir``) serve.
     """
-    from repro.service import TuningService, replay, service_for_suite
+    from repro.service import TuningService, service_for_suite
+    from repro.trace import replay_trace
 
     if args.store:
         single = service_for_suite(
@@ -535,11 +536,12 @@ def _verify_reference_identity(args, trace, report, service_kwargs):
         )
         single = TuningService(space, tuner, **service_kwargs)
     with single:
-        reference = replay(single, trace, clients=args.clients)
+        reference = replay_trace(single, trace)
+    got = {r["seq"]: r.get("y_digest") for r in report.records}
+    want = {r["seq"]: r.get("y_digest") for r in reference.records}
     return sum(
-        1
-        for got, want in zip(report.results, reference.results)
-        if not np.array_equal(got.y, want.y)
+        got.get(seq) is None or got.get(seq) != want.get(seq)
+        for seq in got.keys() | want.keys()
     )
 
 
@@ -827,7 +829,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         mispredict_rate,
     )
     from repro.core.tuners.ml import RandomForestTuner
-    from repro.service import TuningService, replay
+    from repro.service import TuningService
+    from repro.trace import replay_trace
 
     space = make_space(args.system, args.backend)
     boot = bootstrap(
@@ -873,10 +876,10 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     # sustained drifted traffic lets the loop probe the whole population,
     # retrain, and confirm the fix instead of adapting from one snapshot
     with service, controller:
-        replay(service, scenario.phase_trace("before"), clients=args.clients)
-        post = scenario.phase_trace("after")
+        replay_trace(service, scenario.phase_trace("before", args.clients))
+        post = scenario.phase_trace("after", args.clients)
         for _ in range(args.waves):
-            replay(service, post, clients=args.clients)
+            replay_trace(service, post)
     stats = controller.stats()
 
     print(f"bootstrap            {initial} trained on "
@@ -1147,7 +1150,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=32,
         help="max requests coalesced into one kernel call (1 = naive)",
     )
-    p.add_argument("--clients", type=int, default=8, help="client threads")
+    p.add_argument(
+        "--clients", type=int, default=8,
+        help="client sessions (one submitter thread each) the generated "
+        "trace round-robins across",
+    )
     p.add_argument(
         "--requests", type=int, default=200,
         help="total requests across all clients",
@@ -1409,7 +1416,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="total requests; the population shifts halfway",
     )
     p.add_argument("--workers", type=int, default=4, help="service threads")
-    p.add_argument("--clients", type=int, default=4, help="client threads")
+    p.add_argument(
+        "--clients", type=int, default=4,
+        help="client sessions (one submitter thread each) each phase "
+        "trace round-robins across",
+    )
     p.add_argument(
         "--shadow-every", type=int, default=2,
         help="shadow-profile every Nth batch per matrix",

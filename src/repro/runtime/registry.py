@@ -61,7 +61,6 @@ __all__ = [
     "KernelRegistry",
     "REGISTRY",
     "register_kernel",
-    "resolve_kernel",
     "dispatch",
 ]
 
@@ -231,13 +230,6 @@ def register_kernel(
 ) -> Callable[[Kernel], Kernel]:
     """Register a kernel on the global :data:`REGISTRY` (decorator)."""
     return REGISTRY.register(operation, fmt, backend)
-
-
-def resolve_kernel(
-    operation: str, fmt: str, backend: str = DEFAULT_BACKEND
-) -> Tuple[Kernel, str]:
-    """Fallback-aware lookup on the global :data:`REGISTRY`."""
-    return REGISTRY.resolve(operation, fmt, backend)
 
 
 def dispatch(operation: str, matrix: object, operand: np.ndarray) -> np.ndarray:

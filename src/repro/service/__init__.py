@@ -17,24 +17,17 @@ concurrent traffic, top-down:
   capacity-bounded LRU of per-matrix
   :class:`~repro.runtime.engine.WorkloadEngine` instances (per-shard
   locks, eviction with accounting hand-off).
-* :mod:`~repro.service.replay` — synthetic and stored-suite request
-  traces plus the multi-client :func:`replay` driver behind
-  ``repro serve``.
+* :mod:`~repro.service.replay` — :func:`service_for_suite`, a service
+  serving a stored suite's exported model (``repro serve --store``).
+  Traffic comes from :mod:`repro.trace`: generated or recorded traces,
+  driven by :func:`~repro.trace.replay.replay_trace`.
 
 See ``docs/service.md`` for the sharding, coalescing and eviction
 semantics.
 """
 
 from repro.service.cache import ShardedEngineCache
-from repro.service.replay import (
-    ReplayReport,
-    Trace,
-    replay,
-    service_for_suite,
-    synthetic_trace,
-    trace_from_recorded,
-    trace_from_suite,
-)
+from repro.service.replay import service_for_suite
 from repro.service.service import (
     ServiceResult,
     Session,
@@ -43,16 +36,10 @@ from repro.service.service import (
 )
 
 __all__ = [
-    "ReplayReport",
     "ServiceResult",
     "Session",
     "ShardedEngineCache",
-    "Trace",
     "TuningService",
     "UpdateResult",
-    "replay",
     "service_for_suite",
-    "synthetic_trace",
-    "trace_from_recorded",
-    "trace_from_suite",
 ]

@@ -1,234 +1,20 @@
-"""Workload drivers for the tuning service: synthetic and suite replay.
+"""Serve a stored scenario suite's exported model.
 
-Service layer 3.  A service is only as good as the traffic you can throw
-at it, so this module builds request *traces* and replays them from many
-concurrent client threads:
-
-* :func:`synthetic_trace` — a deterministic request stream over a
-  :class:`~repro.datasets.collection.MatrixCollection` corpus (Zipf-ish
-  reuse: a handful of hot matrices dominate, the way real workloads do);
-* :func:`trace_from_suite` — replay the corpus of a **stored scenario
-  suite**: the spec is loaded from an
-  :class:`~repro.experiments.store.ArtifactStore`, its corpus rebuilt,
-  and the trace drawn from those exact matrices, so the service serves
-  the matrices the suite's exported models were trained on;
-* :func:`service_for_suite` — a :class:`~repro.service.service.TuningService`
-  whose tuner is a model the suite exported (loaded through
-  :mod:`repro.core.model_io` via the suite's ``models/<fingerprint>/``
-  model database);
-* :func:`trace_from_recorded` — adapt a **recorded** trace directory
-  (:mod:`repro.trace`) into this module's :class:`Trace`: the captured
-  matrices and operand contents become a throughput-driver workload, so
-  the multi-client :func:`replay` can hammer a service with real
-  recorded traffic (the *deterministic* re-execution of a recording —
-  order, barriers, bitwise verification — lives in
-  :func:`repro.trace.replay.replay_trace`);
-* :func:`replay` — drive a service with N concurrent client sessions and
-  report wall throughput, latency and the service's own counters.
-
-Replay results are deterministic in content (operands derive from the
-trace seed), so a replay can be checked bitwise against serial dispatch.
+:func:`service_for_suite` builds a
+:class:`~repro.service.service.TuningService` (or a distributed one)
+whose tuner is the model a stored suite exported, loaded through
+:mod:`repro.core.model_io` via the suite's ``models/<fingerprint>/``
+model database; :mod:`repro.trace` generates and drives its traffic.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.datasets.collection import MatrixCollection
 from repro.errors import TuningError, ValidationError
-from repro.formats.dynamic import DynamicMatrix
-from repro.service.service import ServiceResult, TuningService
+from repro.service.service import TuningService
 
-__all__ = [
-    "Trace",
-    "ReplayReport",
-    "synthetic_trace",
-    "trace_from_recorded",
-    "trace_from_suite",
-    "service_for_suite",
-    "replay",
-]
-
-
-@dataclass
-class Trace:
-    """A replayable request stream: named matrices + a request sequence.
-
-    ``sequence[i]`` names the matrix of request *i*; the operand of
-    request *i* is drawn deterministically from ``seed`` and *i*, so two
-    replays of the same trace (concurrent or serial) issue bitwise
-    identical requests.
-    """
-
-    matrices: Dict[str, DynamicMatrix]
-    sequence: List[str]
-    seed: int = 0
-    #: where the matrices came from (reporting only)
-    source: str = "synthetic"
-    _operands: Optional[Dict[int, np.ndarray]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def __len__(self) -> int:
-        return len(self.sequence)
-
-    def operand(self, index: int) -> np.ndarray:
-        """The request operand for position *index* (deterministic)."""
-        if self._operands is not None:
-            return self._operands[index]
-        name = self.sequence[index]
-        ncols = self.matrices[name].ncols
-        rng = np.random.default_rng((self.seed, index))
-        return rng.standard_normal(ncols)
-
-    def materialize(self) -> "Trace":
-        """Precompute every operand (same values as the lazy path).
-
-        Benchmarks call this before the timed window so operand
-        generation does not pollute the throughput measurement; returns
-        ``self`` for chaining.
-        """
-        if self._operands is None:
-            operands = {}
-            for i, name in enumerate(self.sequence):
-                rng = np.random.default_rng((self.seed, i))
-                operands[i] = rng.standard_normal(self.matrices[name].ncols)
-            self._operands = operands
-        return self
-
-
-@dataclass
-class ReplayReport:
-    """Outcome of one replay run."""
-
-    requests: int
-    clients: int
-    wall_seconds: float
-    results: List[ServiceResult] = field(repr=False, default_factory=list)
-    service_stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def throughput_rps(self) -> float:
-        """Requests served per wall-clock second."""
-        return self.requests / self.wall_seconds if self.wall_seconds else 0.0
-
-    @property
-    def mean_latency(self) -> float:
-        """Mean enqueue-to-completion latency across all requests."""
-        if not self.results:
-            return 0.0
-        return sum(r.latency_seconds for r in self.results) / len(self.results)
-
-
-def _hot_cold_sequence(
-    names: Sequence[str], requests: int, rng: np.random.Generator
-) -> List[str]:
-    """Zipf-ish sequence: ~80% of traffic hits the first half of *names*."""
-    names = list(names)
-    hot = names[: max(1, len(names) // 2)]
-    sequence = []
-    for _ in range(requests):
-        pool = hot if rng.random() < 0.8 else names
-        sequence.append(pool[int(rng.integers(0, len(pool)))])
-    return sequence
-
-
-def synthetic_trace(
-    n_matrices: int = 8,
-    requests: int = 64,
-    *,
-    seed: int = 42,
-    collection: Optional[MatrixCollection] = None,
-) -> Trace:
-    """A deterministic synthetic trace over a generated corpus.
-
-    Materialises ``n_matrices`` matrices from a
-    :class:`MatrixCollection` (or the given *collection*) and draws a
-    hot/cold request sequence over them.
-    """
-    if requests < 1:
-        raise ValidationError(f"requests must be >= 1, got {requests}")
-    if collection is None:
-        collection = MatrixCollection(n_matrices=n_matrices, seed=seed)
-    specs = collection.subset(n_matrices)
-    matrices = {s.name: DynamicMatrix(collection.generate(s)) for s in specs}
-    rng = np.random.default_rng(seed)
-    return Trace(
-        matrices=matrices,
-        sequence=_hot_cold_sequence([s.name for s in specs], requests, rng),
-        seed=seed,
-    )
-
-
-def trace_from_suite(
-    store_root,
-    *,
-    fingerprint: Optional[str] = None,
-    n_matrices: int = 8,
-    requests: int = 64,
-    seed: int = 42,
-) -> Tuple[Trace, "object"]:
-    """Replay trace over the corpus of a stored scenario suite.
-
-    Loads the suite spec from the :class:`~repro.experiments.store.ArtifactStore`
-    at *store_root* (latest suite unless *fingerprint* is given), rebuilds
-    its corpus and draws the trace from those matrices.  Returns
-    ``(trace, spec)`` so the caller can also locate the suite's exported
-    models (see :func:`service_for_suite`).
-    """
-    from repro.experiments.store import ArtifactStore
-
-    store = ArtifactStore(store_root)
-    spec = store.load_spec(fingerprint)
-    collection = spec.corpus.build()
-    trace = synthetic_trace(
-        min(n_matrices, len(collection)),
-        requests,
-        seed=seed,
-        collection=collection,
-    )
-    trace.source = f"suite:{spec.name}"
-    return trace, spec
-
-
-def trace_from_recorded(trace) -> Trace:
-    """Adapt a recorded trace (:mod:`repro.trace`) into a driver Trace.
-
-    *trace* is a :class:`~repro.trace.format.RecordedTrace` or a trace
-    directory path.  The captured matrices become the corpus and the
-    recorded ``spmv`` events (in submission order) become the request
-    sequence, with the *exact recorded operand contents* attached — so
-    two replays of the adapted trace issue bitwise-identical requests,
-    same as a synthetic trace.  Updates, kills and promotions are not
-    representable in this flat driver view; use
-    :func:`repro.trace.replay.replay_trace` to re-execute those
-    faithfully.
-    """
-    from repro.trace.format import RecordedTrace
-
-    if not isinstance(trace, RecordedTrace):
-        trace = RecordedTrace.load(trace)
-    matrices = {
-        key: DynamicMatrix(coo) for key, coo in trace.matrices().items()
-    }
-    spmv_events = sorted(
-        (e for e in trace.events if e["kind"] == "spmv"),
-        key=lambda e: e["seq"],
-    )
-    sequence = [str(e["key"]) for e in spmv_events]
-    operands = {i: trace.operand(e) for i, e in enumerate(spmv_events)}
-    return Trace(
-        matrices=matrices,
-        sequence=sequence,
-        seed=trace.seed,
-        source=f"recorded:{trace.name}",
-        _operands=operands,
-    )
+__all__ = ["service_for_suite"]
 
 
 def service_for_suite(
@@ -277,61 +63,4 @@ def service_for_suite(
         t.backend,
         algorithm=algorithm or spec.algorithms[0],
         **kwargs,
-    )
-
-
-def replay(
-    service: TuningService,
-    trace: Trace,
-    *,
-    clients: int = 4,
-) -> ReplayReport:
-    """Drive *service* with the trace split across *clients* threads.
-
-    Client *c* issues requests ``c, c + clients, c + 2*clients, ...``
-    through its own :class:`~repro.service.service.Session`, all
-    asynchronously, then waits for its futures — so requests from
-    different clients (and for the same matrix) genuinely overlap and
-    can coalesce.  Results come back in trace order regardless of
-    completion order.
-    """
-    if clients < 1:
-        raise ValidationError(f"clients must be >= 1, got {clients}")
-    results: List[Optional[ServiceResult]] = [None] * len(trace)
-    errors: List[BaseException] = []
-
-    def client(c: int) -> None:
-        session = service.session(name=f"client-{c}")
-        try:
-            futures = [
-                (i, session.submit(
-                    trace.matrices[trace.sequence[i]],
-                    trace.operand(i),
-                    key=trace.sequence[i],
-                ))
-                for i in range(c, len(trace), clients)
-            ]
-            for i, future in futures:
-                results[i] = future.result()
-        except BaseException as exc:  # surface in the caller's thread
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=client, args=(c,), name=f"replay-client-{c}")
-        for c in range(clients)
-    ]
-    t0 = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - t0
-    if errors:
-        raise errors[0]
-    return ReplayReport(
-        requests=len(trace),
-        clients=clients,
-        wall_seconds=wall,
-        results=[r for r in results if r is not None],
-        service_stats=service.stats(),
     )

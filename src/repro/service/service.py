@@ -1144,6 +1144,17 @@ class Session:
         self.latency_total += result.latency_seconds
         return result
 
+    def submit_update(
+        self,
+        matrix: MatrixLike,
+        delta: MatrixDelta,
+        *,
+        key: Optional[str] = None,
+    ) -> "Future[UpdateResult]":
+        """Asynchronous mutation; returns the service future."""
+        self.updates += 1
+        return self.service.submit_update(matrix, delta, key=key)
+
     def update(
         self,
         matrix: MatrixLike,
@@ -1159,8 +1170,7 @@ class Session:
         new one; the returned :class:`UpdateResult` reports the epoch
         reached and whether the format decision was carried forward.
         """
-        self.updates += 1
-        return self.service.update(matrix, delta, key=key)
+        return self.submit_update(matrix, delta, key=key).result()
 
     def spmm(
         self,

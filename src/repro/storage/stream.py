@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.errors import FormatError, ShapeError
 from repro.formats.csr import CSRMatrix
-from repro.runtime.registry import resolve_kernel
+from repro.runtime.registry import REGISTRY
 from repro.utils.validation import check_vector_length
 
 __all__ = [
@@ -189,7 +189,7 @@ def _stream(
         raise ShapeError(
             f"streaming output has shape {out.shape}, expected {shape}"
         )
-    kernel, actual = resolve_kernel(operation, "CSR", backend)
+    kernel, actual = REGISTRY.resolve(operation, "CSR", backend)
     if csr.nnz == 0:
         out[...] = 0.0
         return out, actual, step

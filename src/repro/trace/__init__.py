@@ -14,9 +14,11 @@ configuration, verifying every result bitwise against the recording:
   :class:`RecordingSession`, capture hooks over the live service
   (observer chain, promote wrap, distributed kill listener);
 * :mod:`~repro.trace.replay` — :func:`replay_trace` and
-  :class:`TraceReplayReport`, the virtual-clock replay engine with
-  bitwise verification;
-* :mod:`~repro.trace.drivers` — :func:`record_workload` (the canonical
+  :class:`TraceReplayReport`, the one workload driver: virtual-clock
+  pacing or full speed, with bitwise verification;
+* :mod:`~repro.trace.workloads` — the workload generators
+  (:func:`workload_trace`, :func:`spmv_trace`, the shared
+  :func:`hot_cold_keys` draw), :func:`record_workload` (the canonical
   seeded workload behind ``repro record`` and the golden corpus) and
   :func:`service_for_trace`.
 
@@ -24,7 +26,6 @@ See ``docs/replay.md`` for the format spec and CLI walkthrough;
 ``tests/trace/golden/`` holds the committed regression corpus.
 """
 
-from repro.trace.drivers import record_workload, service_for_trace
 from repro.trace.format import (
     TRACE_VERSION,
     RecordedTrace,
@@ -36,6 +37,13 @@ from repro.trace.format import (
 )
 from repro.trace.recorder import RecordingSession, TraceRecorder
 from repro.trace.replay import SPEEDS, TraceReplayReport, replay_trace
+from repro.trace.workloads import (
+    hot_cold_keys,
+    record_workload,
+    service_for_trace,
+    spmv_trace,
+    workload_trace,
+)
 
 __all__ = [
     "TRACE_VERSION",
@@ -46,10 +54,13 @@ __all__ = [
     "TraceReplayReport",
     "TraceWriter",
     "array_digest",
+    "hot_cold_keys",
     "load_trace",
     "record_workload",
     "replay_trace",
     "service_for_trace",
+    "spmv_trace",
     "trace_fingerprint",
     "validate_trace",
+    "workload_trace",
 ]

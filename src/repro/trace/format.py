@@ -37,6 +37,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.errors import TraceError
+from repro.formats.base import SparseMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.delta import MatrixDelta
 
@@ -180,6 +181,49 @@ class TraceWriter:
             self.sessions.append(name)
 
     # ------------------------------------------------------------------
+    def _header(
+        self, events: List[Dict[str, object]], matrices: List[str]
+    ) -> Dict[str, object]:
+        kinds = [e["kind"] for e in events]
+        return {
+            "version": TRACE_VERSION,
+            "name": self.name,
+            "source": self.source,
+            "space": self.space,
+            "tuner": self.tuner,
+            "service": self.service,
+            "seed": self.seed,
+            "sessions": list(self.sessions),
+            "matrices": matrices,
+            "counts": {
+                "events": len(events),
+                "requests": kinds.count("spmv"),
+                "updates": kinds.count("update"),
+                "kills": kinds.count("kill"),
+                "promotions": kinds.count("promote"),
+            },
+            "recorded": dict(self.recorded),
+        }
+
+    def trace(
+        self, matrices: Mapping[str, SparseMatrix]
+    ) -> "RecordedTrace":
+        """The accumulated events over *matrices* as an in-memory trace.
+
+        Workload generators build their traces this way: no path, no
+        fingerprint, the generator's own containers as the matrices, and
+        ``spmv`` events without an ``x`` ref draw their operand from
+        ``(seed, seq)`` on demand (see :meth:`RecordedTrace.operand`).
+        """
+        events = sorted(self.events, key=lambda e: e["seq"])
+        return RecordedTrace(
+            path=None,
+            header=self._header(events, list(matrices)),
+            events=events,
+            arrays=self.arrays,
+            containers=dict(matrices),
+        )
+
     def write(self, path) -> str:
         """Write ``trace.json`` / ``events.jsonl`` / ``arrays.npz``."""
         path = os.fspath(path)
@@ -192,27 +236,8 @@ class TraceWriter:
             fh.write(events_bytes)
         with open(os.path.join(path, ARRAYS_FILE), "wb") as fh:
             np.savez_compressed(fh, **self.arrays)
-        counts = {
-            "events": len(events),
-            "requests": sum(1 for e in events if e["kind"] == "spmv"),
-            "updates": sum(1 for e in events if e["kind"] == "update"),
-            "kills": sum(1 for e in events if e["kind"] == "kill"),
-            "promotions": sum(1 for e in events if e["kind"] == "promote"),
-        }
-        header = {
-            "version": TRACE_VERSION,
-            "name": self.name,
-            "source": self.source,
-            "space": self.space,
-            "tuner": self.tuner,
-            "service": self.service,
-            "seed": self.seed,
-            "sessions": list(self.sessions),
-            "matrices": self.matrix_keys(),
-            "counts": counts,
-            "recorded": dict(self.recorded),
-            "fingerprint": trace_fingerprint(events_bytes, self.arrays),
-        }
+        header = self._header(events, self.matrix_keys())
+        header["fingerprint"] = trace_fingerprint(events_bytes, self.arrays)
         with open(os.path.join(path, HEADER_FILE), "w") as fh:
             json.dump(header, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -221,12 +246,27 @@ class TraceWriter:
 
 @dataclass
 class RecordedTrace:
-    """A loaded trace directory: header + events + arrays."""
+    """One workload: header + seq-ordered events + arrays.
 
-    path: str
+    The single trace type, for two uses.  A trace loaded from a
+    directory (:meth:`load`) carries its ``path``, the recorded operands
+    and the recorded results that replay verifies against.  A trace
+    built by a workload generator (:mod:`repro.trace.workloads`) has no
+    path and no results: its matrices are the generator's immutable
+    ``containers``, and its operands are drawn on demand.
+    """
+
+    path: Optional[str]
     header: Dict[str, object]
     events: List[Dict[str, object]] = field(repr=False)
     arrays: Dict[str, np.ndarray] = field(repr=False)
+    containers: Dict[str, SparseMatrix] = field(
+        default_factory=dict, repr=False
+    )
+    #: operands :meth:`materialize` drew, by ``seq``
+    _drawn: Dict[int, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -277,8 +317,16 @@ class RecordedTrace:
     def matrix_keys(self) -> List[str]:
         return [str(k) for k in self.header.get("matrices", [])]
 
-    def matrix(self, key: str) -> COOMatrix:
-        """Rebuild one matrix's epoch-0 content as a fresh COOMatrix."""
+    def matrix(self, key: str) -> SparseMatrix:
+        """One matrix's epoch-0 content.
+
+        A loaded trace rebuilds a fresh :class:`COOMatrix` from its
+        arrays; a generated trace returns its own container, which is
+        immutable (an update advances it into epoch-stamped successors),
+        so every replay can share it.
+        """
+        if key in self.containers:
+            return self.containers[key]
         keys = self.matrix_keys()
         if key not in keys:
             raise TraceError(f"trace {self.name!r} has no matrix {key!r}")
@@ -292,12 +340,25 @@ class RecordedTrace:
             self.arrays[f"m{index}_data"].copy(),
         )
 
-    def matrices(self) -> Dict[str, COOMatrix]:
-        """All matrices, freshly rebuilt (safe to mutate per replay)."""
+    def matrices(self) -> Dict[str, SparseMatrix]:
+        """All matrices by key (see :meth:`matrix`)."""
         return {key: self.matrix(key) for key in self.matrix_keys()}
 
     def operand(self, event: Mapping[str, object]) -> np.ndarray:
-        """The recorded operand of one ``spmv`` event (a fresh copy)."""
+        """The operand of one ``spmv`` event.
+
+        A recorded event names its stored operand (``x``), returned as a
+        fresh copy.  A generated one is drawn from ``(seed, seq)`` here,
+        so a long generated trace never holds every operand in memory —
+        unless :meth:`materialize` drew it already, in which case that
+        array is returned as is (shared, so not to be modified).
+        """
+        if "x" not in event:
+            seq = int(event["seq"])
+            if seq in self._drawn:
+                return self._drawn[seq]
+            rng = np.random.default_rng((self.seed, seq))
+            return rng.standard_normal(tuple(event["shape"]))
         ref = str(event["x"])
         if ref not in self.arrays:
             raise TraceError(
@@ -305,6 +366,17 @@ class RecordedTrace:
                 f"references missing operand array {ref!r}"
             )
         return self.arrays[ref].copy()
+
+    def materialize(self) -> "RecordedTrace":
+        """Draw every on-demand operand now (same values); returns self.
+
+        Benchmarks call this before a timed replay so operand generation
+        (and copying) stays out of the measured window.
+        """
+        for event in self.events:
+            if event["kind"] == "spmv" and "x" not in event:
+                self._drawn[int(event["seq"])] = self.operand(event)
+        return self
 
     def delta(self, event: Mapping[str, object]) -> MatrixDelta:
         """The recorded :class:`MatrixDelta` of one ``update`` event."""

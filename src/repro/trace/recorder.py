@@ -24,6 +24,9 @@ request, update barrier, model promotion and injected worker kill into a
   key (a recorded matrix the killed worker owns) so replay can re-aim
   the kill at the same worker under any fleet size.
 
+A recorder also stands in for its service: any attribute it does not
+define passes through, so :func:`~repro.trace.replay.replay_trace` driving a recorder
+records a generated workload (:func:`~repro.trace.workloads.record_workload`).
 Call :meth:`TraceRecorder.finish` to wait for in-flight results, detach
 every hook and write the trace directory.
 """
@@ -120,6 +123,14 @@ class TraceRecorder:
             del self.service.promote_model
         if hasattr(self.service, "set_kill_listener"):
             self.service.set_kill_listener(None)
+
+    def __getattr__(self, name: str):
+        # the recorder stands in for its service (``replay_trace(recorder,
+        # trace)`` records a generated workload): what the recorder does
+        # not define passes through, and the hooks capture the rest
+        if name == "service":  # not set yet (copy, failed __init__)
+            raise AttributeError(name)
+        return getattr(self.service, name)
 
     # ------------------------------------------------------------------
     def session(self, name: str = "") -> "RecordingSession":

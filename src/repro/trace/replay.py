@@ -1,7 +1,9 @@
-"""Deterministic replay of recorded traces against any service tier.
+"""The one workload driver: replay a trace against any service tier.
 
-Trace layer 3.  :func:`replay_trace` re-drives a
-:class:`~repro.trace.format.RecordedTrace` against a live service:
+Trace layer 3.  :func:`replay_trace` drives a
+:class:`~repro.trace.format.RecordedTrace` — recorded from a live run,
+or built by a generator in :mod:`repro.trace.workloads` — against a
+live service:
 
 * **Deterministic scheduling** — one dispatcher thread submits every
   event asynchronously in recorded global order (``seq``).  The
@@ -11,17 +13,20 @@ Trace layer 3.  :func:`replay_trace` re-drives a
   across fingerprints exactly as live traffic would.
 * **Virtual-clock pacing** — at speed ``1x``/``10x``/``100x`` the
   dispatcher sleeps until each event's recorded arrival offset (scaled)
-  before submitting; ``max`` submits as fast as the services accept.
-  Pacing shifts wall time only: the submission *order* (and therefore
-  every result) is identical at every speed.
+  before submitting; ``max`` submits as fast as the services accept —
+  the throughput mode; a trace of ``spmv`` events only then has
+  nothing to order across sessions, so each session submits from its
+  own client thread instead.  Pacing and client threads shift wall time
+  only: every result is identical at every speed.
 * **Bitwise verification** — every replayed result is digested with the
   same :func:`~repro.trace.format.array_digest` the recorder used and
   compared against the recorded ``y_digest`` (plus epoch and format);
   mismatches are itemised in the report.
 * **Fault re-injection** — recorded ``kill`` events re-kill the worker
   owning the recorded *anchor* key (stable under any fleet size);
-  recorded promotions re-stamp the deployed model version.  Both are
-  skipped (and counted as skipped) on tiers without the hook.
+  promotions re-promote the serving tuner under the event's version,
+  after a barrier.  Both are skipped (and counted as skipped) on tiers
+  without the hook.
 
 The :class:`TraceReplayReport`'s :meth:`~TraceReplayReport.deterministic`
 block — per-request digests, epochs, formats — is the replay oracle: two
@@ -33,12 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
+from concurrent.futures import CancelledError, TimeoutError, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from repro.errors import TraceError, ValidationError
-from repro.formats.dynamic import DynamicMatrix
 from repro.trace.format import RecordedTrace, array_digest, load_trace
 
 __all__ = ["SPEEDS", "TraceReplayReport", "replay_trace"]
@@ -80,7 +86,8 @@ class TraceReplayReport:
     promotions_skipped: int = 0
     records: List[Dict[str, object]] = field(default_factory=list, repr=False)
     wall_seconds: float = 0.0
-    mean_latency_seconds: float = 0.0
+    #: per-request latencies of the served SpMVs, in seq order
+    latencies: List[float] = field(default_factory=list, repr=False)
     recorded_wall_seconds: float = 0.0
     recorded_mean_latency_seconds: float = 0.0
     service_stats: Dict[str, object] = field(default_factory=dict, repr=False)
@@ -110,6 +117,12 @@ class TraceReplayReport:
     @property
     def throughput_rps(self) -> float:
         return self.requests / self.wall_seconds if self.wall_seconds else 0.0
+
+    @property
+    def mean_latency_seconds(self) -> float:
+        if not self.latencies:
+            return 0.0
+        return sum(self.latencies) / len(self.latencies)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON view (the CLI's ``BENCH_replay.json`` payload)."""
@@ -152,6 +165,59 @@ def _resolve_speed(speed: Union[str, float, None]) -> Optional[float]:
     return factor
 
 
+def _submit_by_session(
+    service, trace, matrices, events, deadline
+) -> List[tuple]:
+    """Submit each session's ``spmv`` events from its own client thread.
+
+    Every thread submits its session's requests in ``seq`` order, all
+    asynchronously, then waits (until *deadline*) on its own futures,
+    as a live client does — so sessions overlap and same-matrix
+    requests coalesce across them.  Returns ``(event, future)`` pairs in
+    ``seq`` order.
+    """
+    by_session: Dict[str, List[tuple]] = {}
+    for event in events:
+        key = str(event["key"])
+        by_session.setdefault(str(event.get("session", "")), []).append(
+            (event, matrices[key], key, int(event.get("repetitions", 1)))
+        )
+    pending: List[tuple] = []
+    errors: List[BaseException] = []
+
+    def client(name: str, requests: List[tuple]) -> None:
+        try:
+            session = service.session(name)
+            futures = [
+                (event, session.submit(
+                    matrix, trace.operand(event), key=key, repetitions=reps
+                ))
+                for event, matrix, key, reps in requests
+            ]
+            pending.extend(futures)
+            for _, future in futures:
+                try:
+                    future.exception(
+                        timeout=max(0.0, deadline - time.monotonic())
+                    )
+                except (CancelledError, TimeoutError):
+                    pass  # counted as lost when results are collected
+        except BaseException as exc:  # re-raised in the caller's thread
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=client, args=item, name=f"replay-{item[0]}")
+        for item in by_session.items()
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return sorted(pending, key=lambda item: item[0]["seq"])
+
+
 def replay_trace(
     service,
     trace: Union[RecordedTrace, str],
@@ -162,30 +228,47 @@ def replay_trace(
     apply_promotions: bool = True,
     timeout: float = 300.0,
 ) -> TraceReplayReport:
-    """Re-drive *trace* against *service*; verify results bitwise.
+    """Drive *trace* against *service*; verify recorded results bitwise.
 
-    *service* may be any tier exposing the session/submit surface
-    (:class:`~repro.service.service.TuningService`,
-    :class:`~repro.distributed.gateway.DistributedService`, or an
-    adaptive-wrapped service).  Matrices are rebuilt fresh from the
-    trace, so the service starts from the recorded epoch-0 state.
+    The one workload driver.  *service* may be any tier exposing the
+    session/submit surface (:class:`~repro.service.service.TuningService`,
+    :class:`~repro.distributed.gateway.DistributedService`, an
+    adaptive-wrapped service) or a
+    :class:`~repro.trace.recorder.TraceRecorder`, which stands in for the
+    service it records.  *trace* is a recorded trace (or its directory)
+    or a generated one (:mod:`repro.trace.workloads`); recorded results,
+    where present, are verified.  Every wait — promotion barriers and
+    the final collection — shares one deadline *timeout* seconds after
+    the last event's scheduled arrival (the start, at ``max`` speed); a
+    request unresolved by then counts as lost.
     """
     if isinstance(trace, (str, bytes)) or hasattr(trace, "__fspath__"):
         trace = load_trace(trace)
     factor = _resolve_speed(speed)
-    speed_label = speed if isinstance(speed, str) else f"{factor}x"
+    if isinstance(speed, str):
+        speed_label = speed
+    else:
+        speed_label = "max" if factor is None else f"{factor}x"
 
-    matrices = {
-        key: DynamicMatrix(coo) for key, coo in trace.matrices().items()
-    }
+    matrices = trace.matrices()
     events = sorted(trace.events, key=lambda e: e["seq"])
     sessions: Dict[str, object] = {}
     pending: List[tuple] = []
 
+    def session_for(event):
+        name = str(event.get("session", ""))
+        if name not in sessions:
+            sessions[name] = service.session(name)
+        return sessions[name]
+
+    def quiesce() -> None:
+        remaining = max(0.0, deadline - time.monotonic())
+        wait([future for _, future in pending], timeout=remaining)
+
     report = TraceReplayReport(
         trace_name=trace.name,
         trace_fingerprint=trace.fingerprint,
-        speed=str(speed_label),
+        speed=speed_label,
     )
     recorded = trace.header.get("recorded", {})
     report.recorded_wall_seconds = float(recorded.get("wall_seconds", 0.0))
@@ -193,89 +276,95 @@ def replay_trace(
         recorded.get("mean_latency_seconds", 0.0)
     )
 
-    t_base = float(events[0]["t"]) if events else 0.0
+    t_base = float(events[0].get("t", 0.0)) if events else 0.0
+    # the clock for *timeout* starts at the last scheduled arrival, so
+    # pacing never eats into it
+    paced = 0.0
+    if factor is not None and events:
+        paced = (float(events[-1].get("t", 0.0)) - t_base) / factor
+    deadline = time.monotonic() + paced + timeout
     t0 = time.perf_counter()
-    for event in events:
-        if factor is not None:
-            target = (float(event["t"]) - t_base) / factor
-            delay = target - (time.perf_counter() - t0)
-            if delay > 1e-4:
-                time.sleep(delay)
-        kind = event["kind"]
-        if kind == "spmv":
-            name = str(event.get("session", ""))
-            session = sessions.get(name)
-            if session is None:
-                session = sessions[name] = service.session(name)
-            key = str(event["key"])
-            future = session.submit(
-                matrices[key],
-                trace.operand(event),
-                key=key,
-                repetitions=int(event.get("repetitions", 1)),
-            )
-            pending.append((event, future))
-        elif kind == "update":
-            key = str(event["key"])
-            future = service.submit_update(
-                matrices[key], trace.delta(event), key=key
-            )
-            pending.append((event, future))
-        elif kind == "kill":
-            anchor = event.get("anchor")
-            if (
-                inject_kills
-                and anchor
-                and hasattr(service, "kill_worker")
-                and hasattr(service, "worker_of")
-            ):
-                service.kill_worker(service.worker_of(str(anchor)))
-                report.kills_injected += 1
-            else:
-                report.kills_skipped += 1
-        elif kind == "promote":
-            if apply_promotions and hasattr(service, "set_model_info"):
-                # A promotion is a barrier, like an update: the live swap
-                # reset every engine's stream drift anchor after earlier
-                # events had drained (update barriers serialise the
-                # driver), so replay must quiesce before re-stamping —
-                # otherwise queued pre-promote events re-anchor streams
-                # after the reset and later updates see phantom drift.
-                for _evt, in_flight in pending:
-                    try:
-                        in_flight.result(timeout=timeout)
-                    except Exception:
-                        pass  # counted as lost when results are collected
-                service.set_model_info(
-                    version=str(event.get("version", "")),
-                    algorithm=str(event.get("algorithm", "")),
+    if factor is None and all(e["kind"] == "spmv" for e in events):
+        # nothing to order across sessions: each session is a client
+        # submitting from its own thread
+        pending = _submit_by_session(
+            service, trace, matrices, events, deadline
+        )
+    else:
+        for event in events:
+            if factor is not None:
+                target = (float(event.get("t", 0.0)) - t_base) / factor
+                delay = target - (time.perf_counter() - t0)
+                if delay > 1e-4:
+                    time.sleep(delay)
+            kind = event["kind"]
+            if kind == "spmv":
+                key = str(event["key"])
+                future = session_for(event).submit(
+                    matrices[key],
+                    trace.operand(event),
+                    key=key,
+                    repetitions=int(event.get("repetitions", 1)),
                 )
-                report.promotions_applied += 1
-            else:
-                report.promotions_skipped += 1
-        else:  # pragma: no cover - load_trace already rejects these
-            raise TraceError(f"unknown event kind {kind!r}")
+                pending.append((event, future))
+            elif kind == "update":
+                key = str(event["key"])
+                future = session_for(event).submit_update(
+                    matrices[key], trace.delta(event), key=key
+                )
+                pending.append((event, future))
+            elif kind == "kill":
+                anchor = event.get("anchor")
+                if (
+                    inject_kills
+                    and anchor
+                    and hasattr(service, "kill_worker")
+                    and hasattr(service, "worker_of")
+                ):
+                    service.kill_worker(service.worker_of(str(anchor)))
+                    report.kills_injected += 1
+                else:
+                    report.kills_skipped += 1
+            elif kind == "promote":
+                if apply_promotions and hasattr(service, "promote_model"):
+                    # A promotion is a barrier, like an update: the live swap
+                    # reset every engine's stream drift anchor after earlier
+                    # events had drained, so replay must quiesce before
+                    # re-promoting — otherwise queued pre-promote events
+                    # re-anchor streams after the reset and later updates
+                    # see phantom drift.  Unresolved futures count as lost
+                    # when results are collected.
+                    quiesce()
+                    service.promote_model(
+                        service.tuner,
+                        version=str(event.get("version", "")),
+                        algorithm=str(event.get("algorithm", "")),
+                    )
+                    report.promotions_applied += 1
+                else:
+                    report.promotions_skipped += 1
+            else:  # pragma: no cover - load_trace already rejects these
+                raise TraceError(f"unknown event kind {kind!r}")
 
-    deadline = time.monotonic() + timeout
-    latencies: List[float] = []
+    quiesce()
+    report.wall_seconds = time.perf_counter() - t0
     for event, future in pending:
         kind = event["kind"]
-        remaining = max(0.0, deadline - time.monotonic())
         record: Dict[str, object] = {
             "seq": int(event["seq"]),
             "kind": kind,
             "key": str(event["key"]),
         }
         try:
-            result = future.result(timeout=remaining)
-        except Exception as exc:
+            result = future.result(timeout=0)
+        except Exception as exc:  # failed, cancelled or past the deadline
             report.lost += 1
             record["error"] = f"{type(exc).__name__}: {exc}"
             report.records.append(record)
             continue
         if kind == "spmv":
             report.requests += 1
-            latencies.append(float(result.latency_seconds))
+            report.latencies.append(float(result.latency_seconds))
             record["y_digest"] = array_digest(result.y)
             record["epoch"] = int(result.epoch)
             record["format"] = result.format
@@ -304,9 +393,5 @@ def replay_trace(
                     })
             if compared:
                 report.verified += 1
-    report.wall_seconds = time.perf_counter() - t0
-    report.mean_latency_seconds = (
-        sum(latencies) / len(latencies) if latencies else 0.0
-    )
     report.service_stats = service.stats()
     return report

@@ -16,7 +16,8 @@ from repro.adaptive import (
 )
 from repro.backends import make_space
 from repro.core.tuners.ml import RandomForestTuner
-from repro.service import TuningService, replay
+from repro.service import TuningService
+from repro.trace import replay_trace
 
 SYSTEM, BACKEND = "cirrus", "cuda"
 SEED = 42
@@ -80,10 +81,10 @@ def drive(service, controller, scenario, waves=3):
     coverage instead of a partial window.
     """
     with service, controller:
-        replay(service, scenario.phase_trace("before"), clients=2)
-        post = scenario.phase_trace("after")
+        replay_trace(service, scenario.phase_trace("before", 2))
+        post = scenario.phase_trace("after", 2)
         for _ in range(waves):
-            replay(service, post, clients=2)
+            replay_trace(service, post)
 
 
 class TestAttach:

@@ -1,4 +1,4 @@
-"""Trace construction and the multi-client replay driver."""
+"""Generated workloads driven through the one driver, ``replay_trace``."""
 
 from __future__ import annotations
 
@@ -10,67 +10,72 @@ from repro.core import RunFirstTuner
 from repro.errors import TuningError, ValidationError
 from repro.experiments import ArtifactStore, CorpusSpec, ExperimentSpec
 from repro.runtime.engine import WorkloadEngine
-from repro.service import (
-    Trace,
-    TuningService,
-    replay,
-    service_for_suite,
-    synthetic_trace,
-    trace_from_recorded,
-    trace_from_suite,
+from repro.service import TuningService, service_for_suite
+from repro.trace import (
+    array_digest,
+    record_workload,
+    replay_trace,
+    spmv_trace,
+    workload_trace,
 )
+
+
+def spmv_events(trace):
+    return [e for e in trace.events if e["kind"] == "spmv"]
+
+
+def assert_matches_serial(report, trace, space):
+    """Every replayed result equals serial ``engine.execute``, bit for bit."""
+    engine = WorkloadEngine(space, RunFirstTuner())
+    digests = {r["seq"]: r["y_digest"] for r in report.records}
+    for event in spmv_events(trace):
+        key = event["key"]
+        serial = engine.execute(
+            trace.matrix(key), trace.operand(event), key=key
+        )
+        assert digests[event["seq"]] == array_digest(serial.y)
 
 
 class TestSyntheticTrace:
     def test_deterministic_for_a_seed(self):
-        t1 = synthetic_trace(4, 20, seed=9)
-        t2 = synthetic_trace(4, 20, seed=9)
-        assert t1.sequence == t2.sequence
-        assert set(t1.sequence) <= set(t1.matrices)
-        for i in range(len(t1)):
-            assert np.array_equal(t1.operand(i), t2.operand(i))
+        t1 = workload_trace(4, 20, seed=9)
+        t2 = workload_trace(4, 20, seed=9)
+        assert t1.events == t2.events
+        assert {e["key"] for e in t1.events} <= set(t1.matrix_keys())
+        for event in t1.events:
+            assert np.array_equal(t1.operand(event), t2.operand(event))
 
     def test_different_seeds_differ(self):
-        t1 = synthetic_trace(4, 30, seed=1)
-        t2 = synthetic_trace(4, 30, seed=2)
-        assert t1.sequence != t2.sequence or not np.array_equal(
-            t1.operand(0), t2.operand(0)
+        t1 = workload_trace(4, 30, seed=1)
+        t2 = workload_trace(4, 30, seed=2)
+        first = t1.events[0]
+        assert t1.events != t2.events or not np.array_equal(
+            t1.operand(first), t2.operand(first)
         )
 
     def test_requests_validated(self):
         with pytest.raises(ValidationError):
-            synthetic_trace(4, 0)
+            workload_trace(4, 0)
 
 
 class TestReplay:
     def test_replay_matches_serial_dispatch(self):
         space = make_space("cirrus", "serial")
-        trace = synthetic_trace(3, 24, seed=5)
+        trace = workload_trace(3, 24, seed=5, sessions=4)
         with TuningService(space, RunFirstTuner(), workers=3) as service:
-            report = replay(service, trace, clients=4)
+            report = replay_trace(service, trace)
 
+        assert report.ok
         assert report.requests == 24
-        assert len(report.results) == 24
-        assert report.clients == 4
+        assert len(report.records) == len(report.latencies) == 24
         assert report.throughput_rps > 0
-        assert report.mean_latency >= 0.0
+        assert report.mean_latency_seconds >= 0.0
         assert report.service_stats["requests_served"] == 24
-
-        engine = WorkloadEngine(space, RunFirstTuner())
-        for i, result in enumerate(report.results):
-            serial = engine.execute(
-                trace.matrices[trace.sequence[i]],
-                trace.operand(i),
-                key=trace.sequence[i],
-            )
-            assert np.array_equal(result.y, serial.y)
+        assert_matches_serial(report, trace, space)
 
     def test_clients_validated(self):
-        space = make_space("cirrus", "serial")
-        trace = synthetic_trace(2, 4, seed=0)
-        with TuningService(space, workers=1) as service:
-            with pytest.raises(ValidationError):
-                replay(service, trace, clients=0)
+        with pytest.raises(ValidationError):
+            workload_trace(2, 4, seed=0, sessions=0)
 
 
 class TestSuiteTrace:
@@ -81,19 +86,28 @@ class TestSuiteTrace:
         store = ArtifactStore(tmp_path)
         store.save_spec(spec)
 
-        trace, loaded = trace_from_suite(
-            tmp_path, n_matrices=4, requests=10, seed=11
+        loaded = ArtifactStore(tmp_path).load_spec()
+        trace = workload_trace(
+            4, 10, seed=11,
+            collection=loaded.corpus.build(),
+            source=f"suite:{loaded.name}",
         )
         assert loaded.fingerprint == spec.fingerprint
-        assert trace.source == "suite:replay-suite"
+        assert trace.header["source"] == "suite:replay-suite"
         assert len(trace) == 10
-        assert len(trace.matrices) == 4
+        assert len(trace.matrix_keys()) == 4
         corpus_names = {s.name for s in spec.corpus.build().specs}
-        assert set(trace.matrices) <= corpus_names
+        assert set(trace.matrix_keys()) <= corpus_names
+
+        space = make_space("cirrus", "serial")
+        with TuningService(space, RunFirstTuner(), workers=2) as service:
+            report = replay_trace(service, trace)
+        assert report.ok and report.requests == 10
+        assert_matches_serial(report, trace, space)
 
     def test_missing_suite_raises(self, tmp_path):
         with pytest.raises(ValidationError):
-            trace_from_suite(tmp_path)
+            service_for_suite(tmp_path)
 
     def test_unexported_suite_fails_before_service_construction(
         self, tmp_path
@@ -112,33 +126,32 @@ class TestSuiteTrace:
 class TestReplayEdgeCases:
     def test_empty_trace(self):
         space = make_space("cirrus", "serial")
-        trace = Trace(matrices={}, sequence=[])
+        trace = spmv_trace({}, [])
         assert len(trace) == 0
         with TuningService(space, RunFirstTuner(), workers=1) as service:
-            report = replay(service, trace, clients=2)
+            report = replay_trace(service, trace)
+        assert report.ok
         assert report.requests == 0
-        assert report.results == []
+        assert report.records == []
         assert report.throughput_rps == 0.0
-        assert report.mean_latency == 0.0
+        assert report.mean_latency_seconds == 0.0
         assert report.service_stats["requests_served"] == 0
 
     def test_single_client_matches_many(self):
         space = make_space("cirrus", "serial")
-        trace = synthetic_trace(3, 12, seed=8)
-        with TuningService(space, RunFirstTuner(), workers=2) as service:
-            solo = replay(service, trace, clients=1)
-        with TuningService(space, RunFirstTuner(), workers=2) as service:
-            many = replay(service, trace, clients=3)
-        assert solo.requests == many.requests == 12
-        for a, b in zip(solo.results, many.results):
-            assert np.array_equal(a.y, b.y)
+        solo = workload_trace(3, 12, seed=8, sessions=1)
+        many = workload_trace(3, 12, seed=8, sessions=3)
+        reports = []
+        for trace in (solo, many):
+            with TuningService(space, RunFirstTuner(), workers=2) as service:
+                reports.append(replay_trace(service, trace))
+        assert reports[0].requests == reports[1].requests == 12
+        assert reports[0].deterministic() == reports[1].deterministic()
 
 
-class TestRecordedTraceAdapter:
+class TestRecordedTrace:
     @pytest.fixture(scope="class")
     def recorded(self, tmp_path_factory):
-        from repro.trace import record_workload
-
         out = tmp_path_factory.mktemp("recorded") / "t"
         space = make_space("cirrus", "serial")
         with TuningService(space, RunFirstTuner(), workers=2) as service:
@@ -147,35 +160,40 @@ class TestRecordedTraceAdapter:
                 requests=8, sessions=2, n_matrices=3, seed=21, compact=True,
             )
 
-    def test_adapter_preserves_sequence_and_operands(self, recorded):
-        trace = trace_from_recorded(recorded)
-        spmv = sorted(
-            (e for e in recorded.events if e["kind"] == "spmv"),
-            key=lambda e: e["seq"],
+    def test_recording_preserves_generated_sequence_and_operands(
+        self, recorded
+    ):
+        # the sessions submit concurrently, so the recording keeps each
+        # session's own order, not the generated interleaving
+        generated = workload_trace(
+            3, 8, seed=21, sessions=2, compact=True
         )
-        assert trace.source == "recorded:adapted"
-        assert trace.sequence == [e["key"] for e in spmv]
-        assert set(trace.sequence) <= set(trace.matrices)
-        for i, event in enumerate(spmv):
-            assert np.array_equal(trace.operand(i), recorded.operand(event))
+        assert recorded.header["source"] == "test"
 
-    def test_adapter_accepts_a_path(self, recorded):
-        by_path = trace_from_recorded(recorded.path)
-        by_object = trace_from_recorded(recorded)
-        assert by_path.sequence == by_object.sequence
+        def by_session(trace):
+            events = sorted(spmv_events(trace), key=lambda e: e["seq"])
+            return {
+                name: [e for e in events if e["session"] == name]
+                for name in ("s0", "s1")
+            }
 
-    def test_adapted_trace_drives_replay(self, recorded):
-        trace = trace_from_recorded(recorded)
+        got, want = by_session(recorded), by_session(generated)
+        for name in ("s0", "s1"):
+            assert [e["key"] for e in got[name]] == [
+                e["key"] for e in want[name]
+            ]
+            for event, expected in zip(got[name], want[name]):
+                assert np.array_equal(
+                    recorded.operand(event), generated.operand(expected)
+                )
+        assert sum(map(len, got.values())) == len(spmv_events(generated))
+
+    def test_recorded_trace_drives_replay(self, recorded):
         space = make_space("cirrus", "serial")
         with TuningService(space, RunFirstTuner(), workers=2) as service:
-            report = replay(service, trace, clients=2)
-        assert report.requests == len(trace)
-        # operands come from the recording, so results are reproducible
-        engine = WorkloadEngine(space, RunFirstTuner())
-        for i, result in enumerate(report.results):
-            serial = engine.execute(
-                trace.matrices[trace.sequence[i]],
-                trace.operand(i),
-                key=trace.sequence[i],
-            )
-            assert np.array_equal(result.y, serial.y)
+            report = replay_trace(service, recorded.path)
+        assert report.ok
+        assert report.verified == report.requests == len(
+            spmv_events(recorded)
+        )
+        assert_matches_serial(report, recorded, space)

@@ -22,7 +22,7 @@ from repro.formats import convert
 from repro.formats.coo import COOMatrix
 from repro.kernels import available_backends
 from repro.runtime.engine import WorkloadEngine
-from repro.runtime.registry import REGISTRY, resolve_kernel
+from repro.runtime.registry import REGISTRY
 from repro.storage.persist import load_container, save_container
 from repro.storage.stream import (
     iter_row_blocks,
@@ -61,7 +61,7 @@ def X(csr):
 @pytest.mark.parametrize("backend", _streaming_backends())
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 16, 1000, None])
 def test_spmv_bitwise_per_backend(csr, x, backend, block_rows):
-    kernel, actual = resolve_kernel("spmv", "CSR", backend)
+    kernel, actual = REGISTRY.resolve("spmv", "CSR", backend)
     assert actual == backend
     want = kernel(csr, x)
     got = streaming_spmv(csr, x, backend=backend, block_rows=block_rows)
@@ -73,7 +73,7 @@ def test_spmv_bitwise_per_backend(csr, x, backend, block_rows):
 @pytest.mark.parametrize("backend", _streaming_backends())
 @pytest.mark.parametrize("block_rows", [1, 5, 13, None])
 def test_spmm_bitwise_per_backend(csr, X, backend, block_rows):
-    kernel, actual = resolve_kernel("spmm", "CSR", backend)
+    kernel, actual = REGISTRY.resolve("spmm", "CSR", backend)
     assert actual == backend
     want = kernel(csr, X)
     got = streaming_spmm(csr, X, backend=backend, block_rows=block_rows)

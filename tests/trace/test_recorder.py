@@ -146,6 +146,13 @@ class TestHookManagement:
         assert "promote_model" not in vars(service)
         assert service.model_info["version"] == "v9"
 
+    def test_passthrough_without_service_raises_attribute_error(self):
+        # attribute lookups pass through to ``service``; before it is set
+        # (copy/pickle, a failed __init__) they must fail, not recurse
+        recorder = TraceRecorder.__new__(TraceRecorder)
+        with pytest.raises(AttributeError):
+            recorder.stats
+
     def test_record_after_finish_raises(self, service, tmp_path):
         recorder = TraceRecorder(service, name="done")
         session = recorder.session("s")

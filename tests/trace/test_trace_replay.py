@@ -12,6 +12,7 @@ from repro.trace import (
     load_trace,
     replay_trace,
     service_for_trace,
+    workload_trace,
 )
 
 
@@ -48,6 +49,12 @@ class TestDeterminism:
         report = run_replay(small_trace, speed=50.0)
         assert report.ok
         assert report.speed == "50.0x"
+
+    def test_speed_none_is_labelled_max(self, small_trace):
+        report = run_replay(small_trace, speed=None)
+        assert report.ok
+        assert report.speed == "max"
+        assert report.to_dict()["speed"] == "max"
 
     def test_replay_accepts_a_path(self, small_trace):
         by_path = run_replay(str(small_trace.path))
@@ -177,6 +184,73 @@ class TestEdgeCases:
         assert report.ok
         assert report.kills_injected == 0
         assert report.kills_skipped == 1
+
+    def test_stuck_requests_share_one_deadline(self, small_trace):
+        """A promotion barrier and the final collection wait on one
+        deadline: k futures that never resolve cost ~timeout, not
+        k x timeout, and each counts as lost."""
+        import time
+        from concurrent.futures import Future
+
+        class StuckService:
+            tuner = None
+
+            def __init__(self):
+                self.futures = []
+
+            def session(self, name=""):
+                return self
+
+            def submit(self, matrix, x, *, key=None, repetitions=1):
+                self.futures.append(Future())
+                return self.futures[-1]
+
+            submit_update = submit
+
+            def promote_model(self, tuner, *, version, algorithm=""):
+                pass
+
+            def stats(self):
+                return {}
+
+        service = StuckService()
+        assert small_trace.counts["promotions"] == 1
+        t0 = time.monotonic()
+        report = replay_trace(service, small_trace, timeout=0.5)
+        elapsed = time.monotonic() - t0
+        assert len(service.futures) >= 6
+        assert elapsed < 1.5, f"replay blocked {elapsed:.2f}s"
+        assert report.lost == len(service.futures)
+        assert report.requests == report.updates == 0
+        assert report.promotions_applied == 1
+        assert not report.ok
+
+        # plain requests run one client thread per session; every
+        # thread waits on the same deadline
+        plain = workload_trace(3, 12, seed=3, sessions=3, compact=True)
+        t0 = time.monotonic()
+        report = replay_trace(StuckService(), plain, timeout=0.5)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.5, f"replay blocked {elapsed:.2f}s"
+        assert report.lost == 12
+
+    def test_timeout_counts_from_the_last_paced_arrival(self, small_trace):
+        """Pacing does not eat into *timeout*: a 1x replay that runs
+        longer than the timeout still collects every request."""
+        import dataclasses
+        import time
+
+        events = sorted(small_trace.events, key=lambda e: e["seq"])
+        paced = dataclasses.replace(
+            small_trace,
+            events=[dict(e, t=0.04 * i) for i, e in enumerate(events)],
+        )
+        t0 = time.monotonic()
+        report = run_replay(paced, speed="1x", timeout=0.25)
+        assert time.monotonic() - t0 > 0.25 + 0.04
+        assert report.ok, (report.mismatches, report.lost)
+        assert report.lost == 0
+        assert report.requests == small_trace.counts["requests"]
 
     def test_unknown_service_kind_rejected(self, small_trace):
         with pytest.raises(ValidationError, match="unknown service kind"):

@@ -3,7 +3,7 @@
 
 Three small recorded traces, each exercising a different slice of the
 serving stack, all captured through
-:func:`repro.trace.drivers.record_workload` with pinned seeds:
+:func:`repro.trace.workloads.record_workload` with pinned seeds:
 
 ``steady-state``
     Mixed-session hot/cold traffic over a static corpus on the
