@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix, register_format
 from repro.formats.coo import COOMatrix
 from repro.utils.validation import (
     as_index_array,
     as_value_array,
-    check_index_bounds,
+    check_csr_structure,
 )
 
 __all__ = ["CSRMatrix"]
@@ -47,24 +46,7 @@ class CSRMatrix(SparseMatrix):
         row_ptr = as_index_array(row_ptr, name="row_ptr")
         col_idx = as_index_array(col_idx, name="col_idx")
         data = as_value_array(data, name="data")
-        if row_ptr.shape[0] != nrows + 1:
-            raise ValidationError(
-                f"row_ptr must have length nrows+1={nrows + 1}, "
-                f"got {row_ptr.shape[0]}"
-            )
-        if col_idx.shape != data.shape:
-            raise ValidationError(
-                "col_idx and data must have equal length, got "
-                f"{col_idx.shape[0]} vs {data.shape[0]}"
-            )
-        if row_ptr[0] != 0 or row_ptr[-1] != data.shape[0]:
-            raise ValidationError(
-                "row_ptr must start at 0 and end at nnz="
-                f"{data.shape[0]}, got [{row_ptr[0]}, {row_ptr[-1]}]"
-            )
-        if np.any(np.diff(row_ptr) < 0):
-            raise ValidationError("row_ptr must be non-decreasing")
-        check_index_bounds(col_idx, ncols, name="col_idx")
+        check_csr_structure(nrows, ncols, row_ptr, col_idx, data)
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.data = data

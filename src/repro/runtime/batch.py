@@ -24,6 +24,8 @@ Containers are immutable, so caching operators per container object (a
 :class:`weakref.WeakKeyDictionary`, entries die with the container) is
 safe; a :class:`~repro.formats.dynamic.DynamicMatrix` that switches format
 simply maps to a new concrete container and therefore a new operator.
+An operator persisted by the disk tier is re-attached to its promoted
+container with :func:`attach_operator`, so a promote rebuilds nothing.
 """
 
 from __future__ import annotations
@@ -47,9 +49,11 @@ except ImportError:  # pragma: no cover - environment without scipy
 
 __all__ = [
     "BlockOperator",
+    "attach_operator",
     "batched_spmv",
     "batched_spmv_many",
     "block_operator",
+    "cached_operator",
     "check_block",
     "have_accelerator",
     "matvec",
@@ -85,13 +89,20 @@ class BlockOperator:
 
     Wraps a ``scipy.sparse.csr_matrix`` built once from the container:
     CSR containers share their arrays directly (no conversion); every
-    other format goes through its canonical COO view once.  ``apply``
+    other format goes through its canonical COO view once.  *arrays*,
+    an ``(indptr, indices, data)`` triple from an earlier build of the
+    same container, replaces that build; scipy does not bounds-check
+    them, so they must already be checked as a CSR triple.  ``apply``
     then serves 1-D vectors and 2-D blocks at compiled speed.
     """
 
     __slots__ = ("shape", "format", "_op")
 
-    def __init__(self, matrix: SparseMatrix) -> None:
+    def __init__(
+        self,
+        matrix: SparseMatrix,
+        arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    ) -> None:
         if _scipy_sparse is None:  # pragma: no cover - scipy always in CI
             raise ValidationError(
                 "BlockOperator needs scipy; use batched_spmv(..., "
@@ -99,7 +110,12 @@ class BlockOperator:
             )
         self.shape = matrix.shape
         self.format = matrix.format
-        if isinstance(matrix, CSRMatrix):
+        if arrays is not None:
+            indptr, indices, data = arrays
+            self._op = _scipy_sparse.csr_matrix(
+                (data, indices, indptr), shape=matrix.shape
+            )
+        elif isinstance(matrix, CSRMatrix):
             self._op = _scipy_sparse.csr_matrix(
                 (matrix.data, matrix.col_idx, matrix.row_ptr), shape=matrix.shape
             )
@@ -116,6 +132,10 @@ class BlockOperator:
         out = self._op @ operand
         return np.asarray(out, dtype=np.float64)
 
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator's ``(indptr, indices, data)``, as it multiplies."""
+        return self._op.indptr, self._op.indices, self._op.data
+
 
 _OPERATORS: "weakref.WeakKeyDictionary[SparseMatrix, BlockOperator]" = (
     weakref.WeakKeyDictionary()
@@ -130,6 +150,22 @@ def block_operator(matrix: MatrixLike) -> BlockOperator:
         op = BlockOperator(m)
         _OPERATORS[m] = op
     return op
+
+
+def cached_operator(matrix: MatrixLike) -> Optional[BlockOperator]:
+    """The operator already built for *matrix*'s container, if any."""
+    return _OPERATORS.get(_concrete(matrix))
+
+
+def attach_operator(
+    matrix: MatrixLike, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> None:
+    """Serve *matrix* through the checked ``(indptr, indices, data)``
+    of its own earlier operator instead of building one (no-op without
+    scipy)."""
+    if _scipy_sparse is not None:
+        m = _concrete(matrix)
+        _OPERATORS[m] = BlockOperator(m, arrays)
 
 
 def batched_spmv(

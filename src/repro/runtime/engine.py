@@ -51,6 +51,7 @@ from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
     batched_spmv,
+    cached_operator,
     check_block,
     have_accelerator,
     matvec,
@@ -615,21 +616,26 @@ class WorkloadEngine:
         self._prepared[fp] = concrete
         return concrete
 
-    def demote_payload(
-        self, key: str
-    ) -> Optional[Tuple[SparseMatrix, Dict[str, object]]]:
-        """The serving container + decision metadata a tier demotion needs.
+    def serving_container(self, key: str) -> Optional[SparseMatrix]:
+        """The memoised serving container for *key*, or ``None`` before
+        its first conversion."""
+        return self._prepared.get(key)
 
-        Returns ``(prepared, meta)`` for a key holding a converted
-        serving container, or ``None`` when there is nothing worth
-        spilling (no conversion paid yet).  ``meta`` carries the decided
-        format, the serving backend, and the matrix statistics — enough
-        for :meth:`adopt_prepared` on a fresh engine to restore the full
-        first-request artefact chain without recomputing anything.
+    def demote_payload(
+        self, key: str, prepared: SparseMatrix
+    ) -> Tuple[Dict[str, object], Optional[Tuple[np.ndarray, ...]]]:
+        """The decision metadata and operator a tier demotion of *key*'s
+        serving container *prepared* stores with it.
+
+        ``meta`` carries the decided format, the serving backend, and
+        the matrix statistics — enough for :meth:`adopt_prepared` on a
+        fresh engine to restore the full first-request artefact chain
+        without recomputing anything.  The operator is the
+        ``(indptr, indices, data)`` of the compiled operator the
+        ``numpy`` tier has built for *prepared*; it is ``None`` for a
+        compiled backend, before the first kernel call, and for a
+        container that will stream by row panels once mmap-backed.
         """
-        prepared = self._prepared.get(key)
-        if prepared is None:
-            return None
         report = self._reports.get(key)
         meta: Dict[str, object] = {
             "format": prepared.format,
@@ -640,7 +646,16 @@ class WorkloadEngine:
         stats = self._stats.get(key)
         if stats is not None:
             meta["stats"] = stats.to_dict()
-        return prepared, meta
+        operator = None
+        if (
+            self.accelerate
+            and meta["backend"] == "numpy"
+            and not self._streams_when_mapped(prepared)
+        ):
+            built = cached_operator(prepared)
+            if built is not None:
+                operator = built.arrays()
+        return meta, operator
 
     def adopt_prepared(
         self,
@@ -949,6 +964,15 @@ class WorkloadEngine:
         entry["requests"] += 1
         entry["seconds"] += seconds
 
+    def _streams_when_mapped(self, prepared: SparseMatrix) -> bool:
+        """Whether *prepared* is a CSR container at or above the
+        :attr:`stream_threshold_bytes` floor."""
+        return (
+            self.stream_threshold_bytes is not None
+            and isinstance(prepared, CSRMatrix)
+            and prepared.nbytes() >= self.stream_threshold_bytes
+        )
+
     def _should_stream(self, prepared: SparseMatrix) -> bool:
         """Whether *prepared* is served out-of-core by row-block streaming.
 
@@ -956,11 +980,7 @@ class WorkloadEngine:
         :attr:`stream_threshold_bytes` floor — in-RAM containers and
         other formats keep the whole-matrix call path.
         """
-        if self.stream_threshold_bytes is None:
-            return False
-        if not isinstance(prepared, CSRMatrix):
-            return False
-        if prepared.nbytes() < self.stream_threshold_bytes:
+        if not self._streams_when_mapped(prepared):
             return False
         from repro.storage.stream import mmap_backed
 

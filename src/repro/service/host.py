@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.machine.stats import MatrixStats
+from repro.runtime.batch import attach_operator
 from repro.runtime.engine import (
     STREAM_THRESHOLD_BYTES,
     EngineResult,
@@ -259,7 +260,8 @@ class EngineHost:
 
         Runs under the fingerprint's shard lock, so a promote can never
         race a demotion of the same key.  Restores the serving container
-        (as read-only mmap views), the decided format + backend, and the
+        (as read-only mmap views), the compiled operator that served it
+        (when one was persisted), the decided format + backend, and the
         persisted matrix statistics; returns the wall seconds spent (0.0
         on a tier miss).
         """
@@ -267,6 +269,9 @@ class EngineHost:
         promoted = self.storage.promote(fp)
         if promoted is None:
             return 0.0
+        operator = self.storage.promoted_operator(promoted)
+        if operator is not None:
+            attach_operator(promoted, operator)
         meta = self.storage.decision(fp) or {}
         stats_dict = meta.get("stats")
         engine.adopt_prepared(
@@ -293,17 +298,21 @@ class EngineHost:
 
         A container that is *already* an mmap view of a resident tier
         entry (a promoted engine being re-evicted) is not rewritten —
-        the entry on disk is still its exact content.  Demotion failures
+        the entry on disk is still its exact content — and is checked
+        for before any payload is built.  The compiled operator that
+        served the container is persisted with it.  Demotion failures
         are reported through the event ring and never break eviction.
         """
         try:
-            payload = engine.demote_payload(key)
-            if payload is None:
+            prepared = engine.serving_container(key)
+            if prepared is None or (
+                key in self.storage and mmap_backed(prepared)
+            ):
                 return
-            prepared, meta = payload
-            if key in self.storage and mmap_backed(prepared):
-                return
-            entry = self.storage.demote(key, prepared, extra=meta)
+            meta, operator = engine.demote_payload(key, prepared)
+            entry = self.storage.demote(
+                key, prepared, extra=meta, operator=operator
+            )
             self.obs.event(
                 "tier_demote",
                 fingerprint=key,

@@ -4,14 +4,16 @@ Everything above this package treats RAM as the only home a container
 can have; :mod:`repro.storage` turns the filesystem into a second tier
 of the memory hierarchy instead of a cliff:
 
-* :mod:`repro.storage.persist` — one-directory-per-container ``.npy``
-  persistence with a ``manifest.json``, blake2b content fingerprints,
-  atomic publication, and zero-copy re-attachment via
-  ``np.load(..., mmap_mode="r")`` (the D-MMVAE ``load_npz`` handoff
-  idiom, generalised to all six registered formats including the
-  nested HYB/HDC composites).
+* :mod:`repro.storage.persist` — one directory per container: a
+  ``manifest.json`` plus one data file holding every array at an
+  aligned offset (and, optionally, the compiled operator that served
+  the container), one blake2b content fingerprint, atomic publication,
+  and zero-copy re-attachment through a single ``np.memmap`` of the
+  data file, for all six registered formats including the nested
+  HYB/HDC composites.
 * :mod:`repro.storage.tier` — the :class:`StorageTier` demote/promote
-  store the engine cache spills cold converted containers into; round
+  store the engine cache spills cold converted containers into; a
+  promote hands back the container and its operator, round
   trips are bitwise-stable and the residency/traffic counters feed the
   ``repro.obs`` registry.
 * :mod:`repro.storage.stream` — row-block streaming SpMV/SpMM over

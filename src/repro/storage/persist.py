@@ -1,13 +1,15 @@
-"""Container persistence: ``.npy`` layouts, fingerprints, mmap reattach.
+"""Container persistence: one mapped data file per entry, mmap reattach.
 
 A persisted container is one *directory* holding ``manifest.json`` plus
-one ``.npy`` file per defining array.  Plain ``.npy`` members (rather
-than a zipped ``.npz``) are what make the disk tier a real memory tier:
-``np.load(path, mmap_mode="r")`` hands back page-cache-backed views
-with zero bytes copied, which a zip archive cannot do.  The layouts:
+one data file, ``arrays.bin``.  The data file holds every defining
+array back to back, each at a 64-byte-aligned offset the manifest
+records with its dtype and shape; nothing else is in it.  A re-attach
+maps the file once (``np.memmap(..., mode="r")``) and slices the arrays
+out of the map as page-cache-backed views with zero bytes copied, which
+is what makes the disk tier a real memory tier.  The arrays per format:
 
 ========  ==========================================================
-format    array files
+format    arrays
 ========  ==========================================================
 COO       ``row`` / ``col`` / ``data``
 CSR       ``row_ptr`` / ``col_idx`` / ``data``
@@ -15,16 +17,24 @@ DIA       ``offsets`` / ``data``
 ELL       ``col_idx`` / ``data``
 HYB       ``ell__col_idx`` / ``ell__data`` / ``coo__row`` / ...
 HDC       ``dia__offsets`` / ``dia__data`` / ``csr__row_ptr`` / ...
+(any)     optional ``operator__indptr`` / ``operator__indices`` /
+          ``operator__data``: the CSR operator that served the
+          container (no ``operator__data`` for CSR, whose operator
+          multiplies the container's own ``data``)
 ========  ==========================================================
 
-Publication is atomic: arrays and manifest are written into a hidden
-sibling temp directory which is then ``os.rename``d into place, so a
-reader can never observe a half-written entry.  The manifest carries a
-blake2b content fingerprint over the defining arrays; a round trip is
-bitwise-stable by construction (the arrays written are the exact
-read-only buffers the frozen container holds, and re-attachment feeds
-them back through the normal validating constructors, which never copy
-an already-contiguous ``int64``/``float64`` buffer).
+Publication is atomic: the data file and manifest are written into a
+hidden sibling temp directory, any previous entry is removed and the
+temp directory is ``os.rename``d into place, so a reader never observes
+a half-written entry.  The manifest carries one blake2b content
+fingerprint over every array in the file.  A round trip is
+bitwise-stable by construction: the bytes written are the exact
+read-only buffers the frozen container (and its operator) holds, and
+re-attachment feeds them back through the normal validating
+constructors, which never copy an already-contiguous
+``int64``/``float64`` buffer.  Persisted operator arrays are checked as
+a CSR triple before they are handed back, since the compiled kernel
+that runs them does not bounds-check.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ import json
 import os
 import shutil
 import tempfile
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -46,18 +56,26 @@ from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.hdc import HDCMatrix
 from repro.formats.hyb import HYBMatrix
+from repro.utils.validation import check_csr_structure
 
 __all__ = [
+    "DATA_NAME",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
     "container_arrays",
     "container_fingerprint",
     "load_container",
+    "load_entry",
+    "read_manifest",
     "save_container",
 ]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+DATA_NAME = "arrays.bin"
+MANIFEST_VERSION = 2
+
+#: Byte alignment of every array inside the data file.
+_ALIGN = 64
 
 #: Defining attribute arrays per leaf format, in fingerprint order.
 _LEAF_ARRAYS = {
@@ -75,6 +93,12 @@ _COMPOSITES = {
 
 #: Separator between a composite prefix and a nested array name.
 _SEP = "__"
+
+#: Prefix of the persisted serving operator's arrays.
+_OPERATOR = "operator" + _SEP
+
+#: A serving operator: the ``(indptr, indices, data)`` of a CSR product.
+Operator = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
@@ -97,18 +121,45 @@ def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
     raise FormatError(f"cannot persist unknown format {matrix.format!r}")
 
 
-def container_fingerprint(matrix: SparseMatrix) -> str:
-    """blake2b-128 content fingerprint of a container.
+def _entry_arrays(
+    matrix: SparseMatrix, operator: Optional[Operator]
+) -> Dict[str, np.ndarray]:
+    """Every array an entry's data file holds, in file order."""
+    arrays = container_arrays(matrix)
+    if operator is not None:
+        indptr, indices, data = operator
+        arrays[_OPERATOR + "indptr"] = indptr
+        arrays[_OPERATOR + "indices"] = indices
+        if not isinstance(matrix, CSRMatrix):
+            arrays[_OPERATOR + "data"] = data
+    return arrays
+
+
+def _expected_dtypes(name: str) -> Tuple[str, ...]:
+    """The dtypes array *name* may be persisted with."""
+    if name.endswith("data"):
+        return ("<f8",)
+    if name.startswith(_OPERATOR):
+        return ("<i4", "<i8")  # scipy picks the narrowest index type
+    return ("<i8",)
+
+
+def container_fingerprint(
+    matrix: SparseMatrix, operator: Optional[Operator] = None
+) -> str:
+    """blake2b-128 content fingerprint of a container (and its operator).
 
     Covers the format, the shape, and every defining array's dtype,
     shape and raw bytes — two containers share a fingerprint iff they
-    are bitwise-identical in layout and content.
+    are bitwise-identical in layout and content.  With *operator* the
+    persisted operator arrays are covered too, so one fingerprint
+    vouches for every byte of an entry's data file.
     """
     digest = hashlib.blake2b(digest_size=16)
     digest.update(
         f"{matrix.format}:{matrix.nrows}x{matrix.ncols}:".encode()
     )
-    for name, arr in container_arrays(matrix).items():
+    for name, arr in _entry_arrays(matrix, operator).items():
         digest.update(
             f"{name}:{arr.dtype.str}:{arr.shape}:".encode()
         )
@@ -116,8 +167,28 @@ def container_fingerprint(matrix: SparseMatrix) -> str:
     return digest.hexdigest()
 
 
+def _nbytes(dtype, shape) -> int:
+    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+
+
+def _layout(specs) -> Tuple[Dict[str, int], int]:
+    """Aligned offsets for ``(name, dtype, shape)`` specs packed in order,
+    and the data file's total length."""
+    offsets: Dict[str, int] = {}
+    end = 0
+    for name, dtype, shape in specs:
+        start = -(-end // _ALIGN) * _ALIGN
+        offsets[name] = start
+        end = start + _nbytes(dtype, shape)
+    return offsets, end
+
+
 def save_container(
-    matrix: SparseMatrix, directory: str, *, extra: Optional[dict] = None
+    matrix: SparseMatrix,
+    directory: str,
+    *,
+    extra: Optional[dict] = None,
+    operator: Optional[Operator] = None,
 ) -> dict:
     """Persist *matrix* into *directory* atomically; returns the manifest.
 
@@ -126,11 +197,25 @@ def save_container(
     either nothing or the complete entry.  If *directory* already
     exists it is replaced.  *extra* is stored verbatim in the manifest
     under ``"extra"`` — the tier uses it for decision metadata.
+    *operator* is the ``(indptr, indices, data)`` of the CSR operator
+    that served *matrix*; it is persisted beside the container so a
+    re-attach needs no rebuild.
     """
     fmt = matrix.format.upper()
     if fmt not in FORMAT_IDS:
         raise FormatError(f"cannot persist unknown format {matrix.format!r}")
-    arrays = container_arrays(matrix)
+    arrays = {
+        name: np.ascontiguousarray(arr)
+        for name, arr in _entry_arrays(matrix, operator).items()
+    }
+    for name, arr in arrays.items():
+        if arr.dtype.str not in _expected_dtypes(name):
+            raise ValidationError(
+                f"cannot persist array {name!r} of dtype {arr.dtype.str}"
+            )
+    offsets, data_bytes = _layout(
+        (name, arr.dtype, arr.shape) for name, arr in arrays.items()
+    )
     manifest = {
         "version": MANIFEST_VERSION,
         "format": fmt,
@@ -140,9 +225,14 @@ def save_container(
         "nbytes": int(matrix.nbytes()),
         "epoch": int(matrix.epoch),
         "stable_id": matrix.stable_id if matrix.has_identity else None,
-        "fingerprint": container_fingerprint(matrix),
+        "fingerprint": container_fingerprint(matrix, operator),
+        "data_bytes": data_bytes,
         "arrays": {
-            name: {"dtype": arr.dtype.str, "shape": list(arr.shape)}
+            name: {
+                "dtype": arr.dtype.str,
+                "shape": list(arr.shape),
+                "offset": offsets[name],
+            }
             for name, arr in arrays.items()
         },
         "extra": dict(extra or {}),
@@ -151,12 +241,11 @@ def save_container(
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".tier-", dir=parent)
     try:
-        for name, arr in arrays.items():
-            np.save(
-                os.path.join(tmp, f"{name}.npy"),
-                np.ascontiguousarray(arr),
-                allow_pickle=False,
-            )
+        with open(os.path.join(tmp, DATA_NAME), "wb") as fh:
+            for name, arr in arrays.items():
+                fh.seek(offsets[name])
+                fh.write(arr.data)
+            fh.truncate(data_bytes)
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
         if os.path.isdir(directory):
@@ -168,42 +257,125 @@ def save_container(
     return manifest
 
 
-def read_manifest(directory: str) -> dict:
-    """Load and sanity-check a persisted entry's manifest."""
-    path = os.path.join(directory, MANIFEST_NAME)
-    with open(path, "r") as fh:
-        manifest = json.load(fh)
+def _required_arrays(fmt: str) -> Tuple[str, ...]:
+    if fmt in _LEAF_ARRAYS:
+        return _LEAF_ARRAYS[fmt]
+    return tuple(
+        f"{attr}{_SEP}{name}"
+        for attr, sub_fmt in _COMPOSITES[fmt]
+        for name in _LEAF_ARRAYS[sub_fmt]
+    )
+
+
+def _check_manifest(manifest: dict, path: str) -> None:
+    """Raise unless *manifest* describes a complete, packed v2 entry."""
     if manifest.get("version") != MANIFEST_VERSION:
         raise ValidationError(
             f"unsupported tier manifest version {manifest.get('version')!r} "
             f"in {path} (expected {MANIFEST_VERSION})"
         )
-    if manifest.get("format") not in FORMAT_IDS:
+    fmt = manifest.get("format")
+    if fmt not in FORMAT_IDS:
         raise ValidationError(
-            f"tier manifest {path} names unknown format "
-            f"{manifest.get('format')!r}"
+            f"tier manifest {path} names unknown format {fmt!r}"
         )
+    arrays = manifest.get("arrays")
+    if not isinstance(arrays, dict):
+        raise ValidationError(f"tier manifest {path} has no array table")
+    names = set(_required_arrays(fmt))
+    if any(name.startswith(_OPERATOR) for name in arrays):
+        names |= {_OPERATOR + "indptr", _OPERATOR + "indices"}
+        if fmt != "CSR":
+            names.add(_OPERATOR + "data")
+    if set(arrays) != names:
+        raise ValidationError(
+            f"tier manifest {path} lists arrays {sorted(arrays)}, "
+            f"expected {sorted(names)}"
+        )
+    specs = []
+    for name, spec in arrays.items():
+        shape = spec.get("shape") if isinstance(spec, dict) else None
+        if (
+            shape is None
+            or spec.get("dtype") not in _expected_dtypes(name)
+            or not isinstance(shape, list)
+            or not all(isinstance(n, int) and n >= 0 for n in shape)
+            or not isinstance(spec.get("offset"), int)
+        ):
+            raise ValidationError(
+                f"tier manifest {path} array {name!r} has a bad spec {spec}"
+            )
+        specs.append((
+            spec["offset"],
+            _nbytes(spec["dtype"], shape),
+            name,
+            spec["dtype"],
+            shape,
+        ))
+    # empty arrays share their offset with the next array: order them first
+    specs.sort()
+    offsets, data_bytes = _layout(spec[2:] for spec in specs)
+    if data_bytes != manifest.get("data_bytes") or any(
+        offsets[name] != offset for offset, _, name, _, _ in specs
+    ):
+        raise ValidationError(
+            f"tier manifest {path} does not describe a packed data file"
+        )
+
+
+def read_manifest(directory: str) -> dict:
+    """Load a persisted entry's manifest and check its layout."""
+    path = os.path.join(directory, MANIFEST_NAME)
+    with open(path, "r") as fh:
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"tier manifest {path} is not an object")
+    _check_manifest(manifest, path)
     return manifest
 
 
 def _load_arrays(
     directory: str, manifest: dict, *, mmap: bool
 ) -> Dict[str, np.ndarray]:
-    mode = "r" if mmap else None
-    arrays: Dict[str, np.ndarray] = {}
-    for name, spec in manifest["arrays"].items():
-        arr = np.load(
-            os.path.join(directory, f"{name}.npy"),
-            mmap_mode=mode,
-            allow_pickle=False,
+    path = os.path.join(directory, DATA_NAME)
+    size = manifest["data_bytes"]
+    actual = os.path.getsize(path)
+    if actual != size:
+        raise ValidationError(
+            f"tier data file {path} holds {actual} bytes, its manifest "
+            f"describes {size}"
         )
-        if arr.dtype.str != spec["dtype"] or list(arr.shape) != spec["shape"]:
-            raise ValidationError(
-                f"tier entry {directory} array {name!r} does not match its "
-                f"manifest: {arr.dtype.str}{arr.shape} vs "
-                f"{spec['dtype']}{tuple(spec['shape'])}"
-            )
-        arrays[name] = arr
+    specs = [
+        (
+            name,
+            np.dtype(spec["dtype"]),
+            tuple(spec["shape"]),
+            spec["offset"],
+            _nbytes(spec["dtype"], spec["shape"]),
+        )
+        for name, spec in manifest["arrays"].items()
+    ]
+    if mmap and size:  # np.memmap cannot map an empty file
+        buf = np.memmap(path, dtype=np.uint8, mode="r")
+        # each array is a memmap of exactly its own elements, handed
+        # out as a plain ndarray view: mmap_backed() still finds the
+        # map through its base, and scipy (which copies a view of a
+        # much larger base) takes it as it is
+        return {
+            name: buf[offset:offset + nbytes]
+            .view(dtype)
+            .view(np.ndarray)
+            .reshape(shape)
+            for name, dtype, shape, offset, nbytes in specs
+        }
+    arrays: Dict[str, np.ndarray] = {}
+    with open(path, "rb") as fh:
+        for name, dtype, shape, offset, nbytes in specs:
+            arr = np.empty(shape, dtype=dtype)
+            fh.seek(offset)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise ValidationError(f"tier data file {path} is truncated")
+            arrays[name] = arr
     return arrays
 
 
@@ -244,22 +416,42 @@ def _sub(arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
     }
 
 
-def load_container(
-    directory: str, *, mmap: bool = True, verify: bool = False
-) -> SparseMatrix:
-    """Re-attach a persisted container from *directory*.
+def _operator(
+    matrix: SparseMatrix, arrays: Dict[str, np.ndarray]
+) -> Optional[Operator]:
+    """The persisted operator of an entry, checked as a CSR triple."""
+    if _OPERATOR + "indptr" not in arrays:
+        return None
+    indptr = arrays[_OPERATOR + "indptr"]
+    indices = arrays[_OPERATOR + "indices"]
+    data = arrays.get(_OPERATOR + "data")
+    if data is None:
+        data = matrix.data  # a CSR operator multiplies the container's data
+    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
+        raise ValidationError("persisted operator arrays must be 1-D")
+    check_csr_structure(matrix.nrows, matrix.ncols, indptr, indices, data)
+    return indptr, indices, data
 
-    With ``mmap=True`` (the default) every defining array is a
-    read-only ``np.load(..., mmap_mode="r")`` view — nothing is read
-    until a kernel touches it, so a promoted container costs pages, not
-    resident bytes.  The arrays pass through the normal validating
-    constructors, which never copy an already-contiguous buffer of the
-    right dtype; the round trip is bitwise-stable.
+
+def load_entry(
+    directory: str, manifest: dict, *, mmap: bool = True, verify: bool = False
+) -> Tuple[SparseMatrix, Optional[Operator]]:
+    """Re-attach the entry *manifest* describes: ``(container, operator)``.
+
+    *manifest* is the entry's checked manifest (:func:`read_manifest`);
+    a caller that keeps it parses no JSON here.  With ``mmap=True`` (the
+    default) the data file is mapped once and every array is a
+    read-only view of that map — nothing is read until a kernel touches
+    it, so a promoted container costs pages, not resident bytes.  The
+    container's arrays pass through the normal validating constructors,
+    which never copy an already-contiguous buffer of the right dtype;
+    the round trip is bitwise-stable.  *operator* is the persisted
+    ``(indptr, indices, data)`` of the serving CSR operator, checked as
+    a CSR triple, or ``None`` when the entry holds the container alone.
 
     ``verify=True`` recomputes the content fingerprint (reads every
     byte) and raises :class:`ValidationError` on mismatch.
     """
-    manifest = read_manifest(directory)
     arrays = _load_arrays(directory, manifest, mmap=mmap)
     matrix = _build(
         manifest["format"], manifest["nrows"], manifest["ncols"], arrays
@@ -269,11 +461,25 @@ def load_container(
     if manifest.get("stable_id"):
         matrix._stable_id = manifest["stable_id"]
     matrix._epoch = int(manifest.get("epoch", 0))
+    operator = _operator(matrix, arrays)
     if verify:
-        actual = container_fingerprint(matrix)
+        actual = container_fingerprint(matrix, operator)
         if actual != manifest["fingerprint"]:
             raise ValidationError(
                 f"tier entry {directory} failed fingerprint verification: "
                 f"{actual} != {manifest['fingerprint']}"
             )
-    return matrix
+    return matrix, operator
+
+
+def load_container(
+    directory: str, *, mmap: bool = True, verify: bool = False
+) -> SparseMatrix:
+    """Re-attach the container persisted in *directory*.
+
+    Reads and checks the manifest, then :func:`load_entry`; the
+    persisted operator, if any, is checked and dropped.
+    """
+    return load_entry(
+        directory, read_manifest(directory), mmap=mmap, verify=verify
+    )[0]

@@ -4,9 +4,12 @@
 into a hierarchy level.  The serving cache demotes a cold engine's
 converted containers here instead of dropping them; a later request for
 the same matrix promotes the entry back as read-only mmap views — the
-conversion cost (the expensive part of a cache miss) is replaced by an
-``np.load(..., mmap_mode="r")`` reattach whose round trip is
-bitwise-stable (:mod:`repro.storage.persist`).
+conversion cost (the expensive part of a cache miss) is replaced by one
+``np.memmap`` of the entry's data file, whose round trip is
+bitwise-stable (:mod:`repro.storage.persist`).  An entry demoted with
+its serving operator hands that operator back too
+(:meth:`StorageTier.promoted_operator`), so the promoted request
+rebuilds nothing.
 
 Entries are keyed by the serving-cache key (the matrix fingerprint) and
 live one-per-directory under ``<root>/entries/<blake2b(key)>/``; the
@@ -14,7 +17,8 @@ manifest records the original key, the epoch, and the decision metadata
 (chosen format/backend) so promotion restores both the container and
 the tuner decision it was serving under.  Writes are atomic
 (temp-dir + rename), the in-memory index is rebuilt from disk on
-construction (the tier survives restarts), and every mutation/lookup is
+construction (the tier survives restarts) and keeps every entry's
+parsed manifest, so a promote reads no JSON; every mutation/lookup is
 guarded by one lock — demote/promote latency is file IO, not lock
 contention, so a finer sharding is not worth its complexity here.
 """
@@ -26,14 +30,16 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.storage.persist import (
     MANIFEST_NAME,
-    load_container,
+    Operator,
+    load_entry,
     read_manifest,
     save_container,
 )
@@ -51,7 +57,12 @@ def _key_dir(key: str) -> str:
 
 @dataclass(frozen=True)
 class TierEntry:
-    """One resident entry of the disk tier (the ``repro storage`` row)."""
+    """One resident entry of the disk tier (the ``repro storage`` row).
+
+    ``nbytes`` is the size of the entry's data file (the container plus
+    any persisted operator); ``manifest`` is the parsed manifest a
+    promote re-attaches from.
+    """
 
     key: str
     path: str
@@ -64,6 +75,7 @@ class TierEntry:
     fingerprint: str
     stored_at: float
     extra: dict
+    manifest: dict = field(repr=False, compare=False)
 
 
 class StorageTier:
@@ -103,6 +115,8 @@ class StorageTier:
         os.makedirs(self._entries_root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Dict[str, TierEntry] = {}
+        #: operators re-attached by :meth:`promote`, until handed over
+        self._operators = weakref.WeakKeyDictionary()
         # traffic counters (mirrored into the obs registry by the
         # service's gauge collector; the tier itself stays obs-free)
         self.demotions = 0
@@ -126,14 +140,15 @@ class StorageTier:
             if not os.path.exists(os.path.join(path, MANIFEST_NAME)):
                 continue  # torn entry from a crashed writer: unreachable
             try:
-                entry = self._entry_from_manifest(path)
-            except (ValidationError, OSError, ValueError):
-                continue  # unreadable entry: leave it for inspection
+                entry = self._entry(path, read_manifest(path))
+            except (ValidationError, OSError, ValueError, KeyError, TypeError):
+                # unreadable or older-layout entry: leave it for inspection
+                continue
             if entry.key:
                 self._index[entry.key] = entry
 
-    def _entry_from_manifest(self, path: str) -> TierEntry:
-        manifest = read_manifest(path)
+    @staticmethod
+    def _entry(path: str, manifest: dict) -> TierEntry:
         extra = dict(manifest.get("extra") or {})
         return TierEntry(
             key=str(extra.pop("tier_key", "")),
@@ -142,11 +157,12 @@ class StorageTier:
             nrows=int(manifest["nrows"]),
             ncols=int(manifest["ncols"]),
             nnz=int(manifest["nnz"]),
-            nbytes=int(manifest["nbytes"]),
+            nbytes=int(manifest["data_bytes"]),
             epoch=int(manifest.get("epoch", 0)),
             fingerprint=manifest["fingerprint"],
             stored_at=float(extra.pop("tier_stored_at", 0.0)),
             extra=extra,
+            manifest=manifest,
         )
 
     # ------------------------------------------------------------------
@@ -158,19 +174,25 @@ class StorageTier:
         matrix: SparseMatrix,
         *,
         extra: Optional[dict] = None,
+        operator: Optional[Operator] = None,
     ) -> TierEntry:
         """Spill one converted container to disk under *key*.
 
-        Replaces any previous entry for the key (a newer epoch
-        supersedes the demoted one).  Returns the resident entry.
+        *operator* is the ``(indptr, indices, data)`` of the CSR
+        operator that served *matrix*, persisted with it so a promote
+        re-attaches it instead of rebuilding it.  Replaces any previous
+        entry for the key (a newer epoch supersedes the demoted one).
+        Returns the resident entry.
         """
         start = time.perf_counter()
         path = os.path.join(self._entries_root, _key_dir(key))
         stored_extra = dict(extra or {})
         stored_extra["tier_key"] = key
         stored_extra["tier_stored_at"] = time.time()
-        save_container(matrix, path, extra=stored_extra)
-        entry = self._entry_from_manifest(path)
+        manifest = save_container(
+            matrix, path, extra=stored_extra, operator=operator
+        )
+        entry = self._entry(path, manifest)
         with self._lock:
             self._index[key] = entry
             self.demotions += 1
@@ -206,8 +228,12 @@ class StorageTier:
 
         With *epoch*, an entry persisted for a different matrix version
         is treated as a miss (and dropped — it can never be served
-        again).  The returned container's arrays are read-only mmap
-        views when the tier was built with ``mmap=True``.
+        again).  The returned container's arrays are read-only views of
+        one map of the entry's data file when the tier was built with
+        ``mmap=True``.  An entry that fails any check (truncated file,
+        manifest out of step with the file, malformed operator) is
+        dropped and reads as a miss.  The persisted operator, if any,
+        waits in :meth:`promoted_operator`.
         """
         start = time.perf_counter()
         with self._lock:
@@ -221,8 +247,8 @@ class StorageTier:
                 self.promote_misses += 1
             return None
         try:
-            matrix = load_container(
-                entry.path, mmap=self.mmap, verify=verify
+            matrix, operator = load_entry(
+                entry.path, entry.manifest, mmap=self.mmap, verify=verify
             )
         except (OSError, ValidationError, ValueError):
             # torn or vanished entry: drop it and report a miss rather
@@ -233,9 +259,22 @@ class StorageTier:
             shutil.rmtree(entry.path, ignore_errors=True)
             return None
         with self._lock:
+            if operator is not None:
+                self._operators[matrix] = operator
             self.promotions += 1
             self.promote_seconds += time.perf_counter() - start
         return matrix
+
+    def promoted_operator(self, matrix: SparseMatrix) -> Optional[Operator]:
+        """Hand over the operator persisted with a promoted *matrix*.
+
+        Returns the checked ``(indptr, indices, data)`` that
+        :meth:`promote` re-attached with *matrix* (views of the same
+        map), or ``None`` when its entry held the container alone.
+        Each operator is handed over once.
+        """
+        with self._lock:
+            return self._operators.pop(matrix, None)
 
     def compact(
         self,

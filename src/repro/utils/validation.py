@@ -18,6 +18,7 @@ from repro.errors import ShapeError, ValidationError
 __all__ = [
     "check_array_1d",
     "check_array_2d",
+    "check_csr_structure",
     "check_dtype_float",
     "check_dtype_int",
     "check_index_bounds",
@@ -126,6 +127,40 @@ def check_index_bounds(
         raise ValidationError(
             f"{name!r} entries must lie in [0, {upper}), got range [{lo}, {hi}]"
         )
+
+
+def check_csr_structure(
+    nrows: int,
+    ncols: int,
+    row_ptr: np.ndarray,
+    col_idx: np.ndarray,
+    data: np.ndarray,
+) -> None:
+    """Raise unless ``(row_ptr, col_idx, data)`` is a well-formed CSR triple.
+
+    ``row_ptr`` has length ``nrows+1``, starts at 0, never decreases and
+    ends at ``len(col_idx) == len(data)``; every ``col_idx`` lies in
+    ``[0, ncols)``.  Compiled CSR kernels index with these arrays
+    unchecked, so they must pass here before one sees them.
+    """
+    if row_ptr.shape[0] != nrows + 1:
+        raise ValidationError(
+            f"row_ptr must have length nrows+1={nrows + 1}, "
+            f"got {row_ptr.shape[0]}"
+        )
+    if col_idx.shape != data.shape:
+        raise ValidationError(
+            "col_idx and data must have equal length, got "
+            f"{col_idx.shape[0]} vs {data.shape[0]}"
+        )
+    if row_ptr[0] != 0 or row_ptr[-1] != data.shape[0]:
+        raise ValidationError(
+            "row_ptr must start at 0 and end at nnz="
+            f"{data.shape[0]}, got [{row_ptr[0]}, {row_ptr[-1]}]"
+        )
+    if np.any(np.diff(row_ptr) < 0):
+        raise ValidationError("row_ptr must be non-decreasing")
+    check_index_bounds(col_idx, ncols, name="col_idx")
 
 
 def check_vector_length(

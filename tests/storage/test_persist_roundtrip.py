@@ -1,4 +1,4 @@
-"""Container persistence: directory-of-.npy round trips, bitwise.
+"""Container persistence: one-data-file entry round trips, bitwise.
 
 Every registered format must survive ``save_container`` →
 ``load_container`` on the same adversarial corpus the format
@@ -27,6 +27,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.formats import convert
 from repro.storage.persist import (
+    DATA_NAME,
     container_arrays,
     container_fingerprint,
     load_container,
@@ -111,10 +112,11 @@ def test_manifest_records_shape_and_extra(tmp_path):
 def test_verify_catches_corruption(tmp_path):
     container = convert(CASES["random_blob"], "CSR")
     path = str(tmp_path / "entry")
-    save_container(container, path)
-    data_file = os.path.join(path, "data.npy")
-    raw = bytearray(open(data_file, "rb").read())
-    raw[-1] ^= 0xFF  # flip one payload bit
+    manifest = save_container(container, path)
+    data_file = os.path.join(path, DATA_NAME)
+    with open(data_file, "rb") as fh:
+        raw = bytearray(fh.read())
+    raw[manifest["arrays"]["data"]["offset"]] ^= 0xFF  # one byte of `data`
     with open(data_file, "wb") as fh:
         fh.write(raw)
     with pytest.raises(ValidationError):

@@ -12,6 +12,7 @@ lowered).
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from repro.backends import make_space
 from repro.core import RunFirstTuner
 from repro.formats.coo import COOMatrix
 from repro.service import TuningService
+from repro.storage.persist import DATA_NAME, MANIFEST_NAME
 
 
 def _matrices(count=4, seed=17):
@@ -182,6 +184,139 @@ def test_tier_survives_service_restart(space, tmp_path):
         assert np.array_equal(g, w)
     # the reborn service found the previous process's entries on disk
     assert stats["storage"]["promotions"] > 0
+
+
+# ----------------------------------------------------------------------
+# failure paths of the one-data-file layout: each ends as a promote miss
+# ----------------------------------------------------------------------
+def _poke(entry, name, index, value):
+    """Overwrite one element of array *name* inside *entry*'s data file."""
+    spec = entry.manifest["arrays"][name]
+    arr = np.memmap(
+        os.path.join(entry.path, DATA_NAME),
+        dtype=spec["dtype"],
+        mode="r+",
+        offset=spec["offset"],
+        shape=tuple(spec["shape"]),
+    )
+    arr[index] = value(arr) if callable(value) else value
+    arr.flush()
+    del arr
+
+
+def _truncate(entry):
+    path = os.path.join(entry.path, DATA_NAME)
+    os.truncate(path, os.path.getsize(path) - 8)
+
+
+def _index_past_ncols(entry):
+    _poke(entry, "operator__indices", 0, entry.ncols)
+
+
+def _indptr_not_monotone(entry):
+    # row 1 claims to end where the last row does: row 2 then runs backwards
+    _poke(entry, "operator__indptr", 1, lambda ptr: ptr[-1])
+
+
+def _rewrite_manifest(entry, edit):
+    path = os.path.join(entry.path, MANIFEST_NAME)
+    with open(path) as fh:
+        manifest = json.load(fh)
+    edit(manifest["arrays"])
+    with open(path, "w") as fh:
+        json.dump(manifest, fh)
+
+
+def _manifest_dtype(entry):
+    _rewrite_manifest(
+        entry, lambda arrays: arrays["data"].update(dtype="<i8")
+    )
+
+
+def _manifest_shape(entry):
+    def edit(arrays):
+        arrays["data"]["shape"][-1] -= 1
+
+    _rewrite_manifest(entry, edit)
+
+
+@pytest.mark.parametrize("fmt", ["CSR", "DIA"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncate,
+        _index_past_ncols,
+        _indptr_not_monotone,
+        _manifest_dtype,
+        _manifest_shape,
+    ],
+    ids=["truncated", "index-past-ncols", "indptr-not-monotone",
+         "manifest-dtype", "manifest-shape"],
+)
+def test_damaged_entry_is_a_promote_miss(space, tmp_path, fmt, corrupt):
+    matrices = _matrices(count=2)
+    kwargs = dict(
+        workers=1, capacity=1, shards=1, storage_dir=str(tmp_path / "tier")
+    )
+    tuner = RunFirstTuner(formats=(fmt,))
+    with TuningService(space, tuner, **kwargs) as first:
+        for key, matrix in matrices.items():
+            first.spmv(matrix, np.ones(matrix.ncols), key=key)
+        (entry,) = first.storage.entries()  # mx0, demoted by mx1
+    assert entry.key == "mx0" and entry.format == fmt
+    assert "operator__indices" in entry.manifest["arrays"]
+    corrupt(entry)
+    matrix = matrices["mx0"]
+    x = np.random.default_rng(5).standard_normal(matrix.ncols)
+    with TuningService(space, tuner, **kwargs) as second:
+        y = second.spmv(matrix, x, key="mx0").y
+        storage = second.stats()["storage"]
+        resident = "mx0" in second.storage
+    np.testing.assert_allclose(y, matrix.to_scipy() @ x, rtol=1e-12, atol=0)
+    assert storage["promote_misses"] == 1
+    assert storage["promotions"] == 0
+    assert not resident
+
+
+@pytest.mark.parametrize("fmt", ["DIA", "HDC"])
+def test_promote_serves_without_any_rebuild(space, tmp_path, fmt, monkeypatch):
+    """A promoted entry runs its persisted operator: nothing is rebuilt."""
+    import repro.runtime.engine as engine_mod
+    from repro.formats.dia import DIAMatrix
+    from repro.formats.hdc import HDCMatrix
+
+    rng = np.random.default_rng(29)
+    n = 64
+    dense = np.diag(rng.standard_normal(n)) + np.diag(
+        rng.standard_normal(n - 1), 1
+    )
+    if fmt == "HDC":  # scattered entries give the CSR part work too
+        dense += (rng.random((n, n)) < 0.05) * rng.standard_normal((n, n))
+    target = COOMatrix.from_dense(dense)
+    filler = _matrices(count=1)["mx0"]
+    x = rng.standard_normal(n)
+    with TuningService(
+        space,
+        RunFirstTuner(formats=(fmt,)),
+        workers=1,
+        capacity=1,
+        shards=1,
+        storage_dir=str(tmp_path / "tier"),
+    ) as service:
+        want = service.spmv(target, x, key="target").y
+        service.spmv(filler, np.ones(filler.ncols), key="filler")
+        assert "target" in service.storage  # evicted: demoted
+
+        def rebuild(*_args, **_kwargs):
+            raise AssertionError("a promoted entry must not be rebuilt")
+
+        monkeypatch.setattr(DIAMatrix, "to_coo", rebuild)
+        monkeypatch.setattr(HDCMatrix, "to_coo", rebuild)
+        monkeypatch.setattr(engine_mod, "convert", rebuild)
+        got = service.spmv(target, x, key="target").y
+        storage = service.stats()["storage"]
+    assert storage["promotions"] == 1
+    assert np.array_equal(got, want)
 
 
 _OUT_OF_CORE_SCRIPT = textwrap.dedent(

@@ -10,6 +10,7 @@ promoted must keep serving through its live mmap views.
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.formats import DeltaOverlay, convert
 from repro.formats.coo import COOMatrix
+from repro.runtime.batch import BlockOperator
 from repro.storage.stream import mmap_backed
 from repro.storage.tier import StorageTier
 
@@ -184,3 +186,61 @@ def test_stats_schema(tier):
         "bytes_written",
         "formats",
     }
+
+
+def test_operator_round_trip_and_handover(tier):
+    csr = convert(_matrix(13), "CSR")
+    dia = convert(_matrix(14), "DIA")
+    for key, matrix in (("csr", csr), ("dia", dia)):
+        operator = BlockOperator(matrix).arrays()
+        tier.demote(key, matrix, operator=operator)
+        back = tier.promote(key, verify=True)
+        assert mmap_backed(back)
+        for got, want in zip(tier.promoted_operator(back), operator):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert tier.promoted_operator(back) is None  # handed over once
+    # a CSR operator multiplies the container's own data: not stored twice
+    arrays = tier.entries()[0].manifest["arrays"]
+    assert "operator__indptr" in arrays and "operator__data" not in arrays
+
+
+def test_promote_without_operator_hands_over_none(tier):
+    tier.demote("k", convert(_matrix(15), "CSR"))
+    back = tier.promote("k")
+    assert back is not None
+    assert tier.promoted_operator(back) is None
+
+
+def test_v1_entry_is_not_indexed(tmp_path):
+    """A leftover per-array ``.npy`` entry neither breaks nor joins a tier."""
+    root = tmp_path / "tier"
+    legacy = root / "entries" / "0123456789abcdef"
+    legacy.mkdir(parents=True)
+    csr = convert(_matrix(16), "CSR")
+    for name in ("row_ptr", "col_idx", "data"):
+        np.save(legacy / f"{name}.npy", getattr(csr, name))
+    (legacy / "manifest.json").write_text(json.dumps({
+        "version": 1,
+        "format": "CSR",
+        "nrows": csr.nrows,
+        "ncols": csr.ncols,
+        "nnz": csr.nnz,
+        "nbytes": csr.nbytes(),
+        "epoch": 0,
+        "fingerprint": "0" * 32,
+        "arrays": {
+            name: {"dtype": arr.dtype.str, "shape": list(arr.shape)}
+            for name, arr in (
+                ("row_ptr", csr.row_ptr),
+                ("col_idx", csr.col_idx),
+                ("data", csr.data),
+            )
+        },
+        "extra": {"tier_key": "old", "tier_stored_at": 1.0},
+    }))
+    tier = StorageTier(str(root))
+    assert len(tier) == 0
+    assert "old" not in tier
+    assert tier.promote("old") is None
+    assert tier.stats()["promote_misses"] == 1
