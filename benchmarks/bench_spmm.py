@@ -13,7 +13,7 @@ import pytest
 from repro.datasets.generators import banded, uniform_random
 from repro.formats import COOMatrix, convert
 from repro.machine.cost_model import spmm_time_factor
-from repro.runtime.batch import batched_spmv
+from repro.runtime.registry import REGISTRY
 from repro.utils.timing import Timer
 
 from tests.conftest import ALL_FORMATS
@@ -21,7 +21,7 @@ from tests.conftest import ALL_FORMATS
 
 def spmm(matrix, X):
     """The registry's NumPy block kernel (no scipy operator)."""
-    return batched_spmv(matrix, X, accelerate=False)
+    return REGISTRY.get("spmm", matrix.format)(matrix, X)
 
 
 @pytest.fixture(scope="module")

@@ -21,35 +21,19 @@ confused:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
-import numpy as np
-
-from repro.formats.base import SparseMatrix
-from repro.formats.dynamic import DynamicMatrix
 from repro.kernels import (
     available_backends,
     check_kernel_backend,
     default_backend,
 )
 from repro.machine.arch import ArchSpec, GPUSpec
-from repro.machine.cost_model import CostModel, spmm_time_factor
+from repro.machine.cost_model import CostModel
 from repro.machine.stats import MatrixStats
 from repro.machine.systems import System
 
-__all__ = ["ExecutionSpace", "SpMVResult"]
-
-MatrixLike = Union[SparseMatrix, DynamicMatrix]
-
-
-@dataclass(frozen=True)
-class SpMVResult:
-    """Outcome of one SpMV run: numerical result + modelled runtime."""
-
-    y: np.ndarray
-    seconds: float
-    format: str
+__all__ = ["ExecutionSpace"]
 
 
 class ExecutionSpace:
@@ -61,21 +45,18 @@ class ExecutionSpace:
     Spaces are cheap, stateless handles — build them with
     :func:`repro.backends.make_space` and share them freely.
 
-    Two kinds of methods:
-
-    * ``run_*`` (:meth:`run_spmv`, :meth:`run_spmm`) execute a kernel
-      and return the numerical result plus its modelled seconds;
-    * ``time_*`` (:meth:`time_spmv`, :meth:`time_all_formats`,
-      :meth:`time_format_backends`, :meth:`time_feature_extraction`,
-      :meth:`time_prediction`, :meth:`time_conversion`) price an
-      operation from :class:`~repro.machine.stats.MatrixStats` alone,
-      without touching a matrix — the tuners and the profiling stage
-      live on these.
-
-    Serving layers sit on top: :meth:`engine` binds a cached
-    :class:`~repro.runtime.engine.WorkloadEngine` to this space, and a
-    :class:`~repro.service.TuningService` serves concurrent traffic
-    against it.
+    A space runs no kernel itself.  Its ``time_*`` methods
+    (:meth:`time_spmv`, :meth:`time_all_formats`,
+    :meth:`time_format_backends`, :meth:`time_feature_extraction`,
+    :meth:`time_prediction`, :meth:`time_conversion`) price an operation
+    from :class:`~repro.machine.stats.MatrixStats` alone, without
+    touching a matrix — the tuners and the profiling stage live on
+    these.  Kernels run in the serving layers on top: :meth:`engine`
+    binds a cached :class:`~repro.runtime.engine.WorkloadEngine` to this
+    space (its requests reach a kernel through
+    :mod:`repro.runtime.batch`, and their modelled seconds come from
+    :meth:`time_spmv`), and a :class:`~repro.service.TuningService`
+    serves concurrent traffic against it.
 
     Parameters
     ----------
@@ -149,74 +130,6 @@ class ExecutionSpace:
         return available_backends()
 
     # ------------------------------------------------------------------
-    def run_spmv(
-        self,
-        matrix: MatrixLike,
-        x: np.ndarray,
-        *,
-        matrix_key: str = "",
-        repetitions: int = 1,
-        stats: MatrixStats | None = None,
-        kernel_backend: Optional[str] = None,
-    ) -> SpMVResult:
-        """Execute ``y = A @ x`` and report the modelled device time.
-
-        ``repetitions`` scales the reported time (the kernel is evaluated
-        once; SpMV is deterministic).  *kernel_backend* overrides the
-        space default for this call; the kernel resolves with clean
-        fallback, and the modelled seconds price the backend actually
-        requested.
-        """
-        kb = self._resolve_kb(kernel_backend)
-        concrete = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-        if kb == "numpy":
-            y = concrete.spmv(x)
-        else:
-            from repro.runtime.registry import REGISTRY
-
-            kernel, _ = REGISTRY.resolve("spmv", concrete.format, kb)
-            y = kernel(concrete, np.ascontiguousarray(x, dtype=np.float64))
-        if stats is None:
-            stats = MatrixStats.from_matrix(concrete)
-        seconds = repetitions * self.cost_model.spmv_time(
-            stats, concrete.format, self.device, self.backend,
-            matrix_key=matrix_key, kernel_backend=kb,
-        )
-        return SpMVResult(y=y, seconds=seconds, format=concrete.format)
-
-    def run_spmm(
-        self,
-        matrix: MatrixLike,
-        X: np.ndarray,
-        *,
-        matrix_key: str = "",
-        repetitions: int = 1,
-        stats: MatrixStats | None = None,
-        kernel_backend: Optional[str] = None,
-    ) -> SpMVResult:
-        """Execute ``Y = A @ X`` for an ``(ncols, k)`` block, batched.
-
-        The kernel runs once through the runtime's batched executor; the
-        modelled time scales the single-SpMV cost by the SpMM traffic
-        factor (matrix traffic paid once across the ``k`` vectors).
-        """
-        from repro.runtime.batch import batched_spmv
-
-        kb = self._resolve_kb(kernel_backend)
-        concrete = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-        Y = batched_spmv(concrete, X, backend=kb)
-        if stats is None:
-            stats = MatrixStats.from_matrix(concrete)
-        seconds = (
-            repetitions
-            * spmm_time_factor(max(1, Y.shape[1] if Y.ndim == 2 else 1))
-            * self.cost_model.spmv_time(
-                stats, concrete.format, self.device, self.backend,
-                matrix_key=matrix_key, kernel_backend=kb,
-            )
-        )
-        return SpMVResult(y=Y, seconds=seconds, format=concrete.format)
-
     def engine(self, tuner=None, **kwargs) -> "object":
         """A :class:`~repro.runtime.engine.WorkloadEngine` bound to this space."""
         from repro.runtime.engine import WorkloadEngine

@@ -100,7 +100,8 @@ def tune_multiply(
         timings still reflect the tuned format).
     """
     from repro.machine.cost_model import spmm_time_factor
-    from repro.runtime.batch import batched_spmv
+    from repro.runtime.batch import validate_operand
+    from repro.runtime.registry import REGISTRY
 
     if stats is None:
         stats = MatrixStats.from_matrix(matrix.concrete)
@@ -117,11 +118,11 @@ def tune_multiply(
         matrix.switch(report.format_name)
     if x is not None:
         operand = np.asarray(x, dtype=np.float64)
-        y = (
-            batched_spmv(matrix, operand, accelerate=False)
-            if operand.ndim == 2
-            else matrix.spmv(operand)
-        )
+        if operand.ndim == 2:
+            m = matrix.concrete
+            y = REGISTRY.get("spmm", m.format)(m, validate_operand(m, operand))
+        else:
+            y = matrix.spmv(operand)
     return TunedSpMVResult(
         y=y,
         report=report,

@@ -202,7 +202,6 @@ class DistributedService(TuningService):
         capacity: int = 64,
         shards: int = 8,
         max_batch: int = 32,
-        accelerate: bool = True,
         kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
@@ -220,7 +219,6 @@ class DistributedService(TuningService):
             tier="distributed",
             workers=default_process_workers() if workers is None else workers,
             max_batch=max_batch,
-            accelerate=accelerate,
             kernel_backend=kernel_backend,
             shadow_every=shadow_every,
             redecision=redecision,
@@ -294,7 +292,6 @@ class DistributedService(TuningService):
             model_info=dict(info),
             capacity=slice_capacity,
             shards=max(1, min(self.shards, slice_capacity)),
-            accelerate=self.accelerate,
             kernel_backend=self.kernel_backend,
             shadow_every=self.shadow_every,
             redecision=self.redecision,

@@ -113,7 +113,6 @@ class WorkerConfig:
     model_info: Dict[str, object] = field(default_factory=dict)
     capacity: int = 16
     shards: int = 4
-    accelerate: bool = True
     kernel_backend: Optional[str] = None
     shadow_every: int = 0
     redecision: object = None
@@ -140,7 +139,6 @@ class _WorkerState:
             dict(config.model_info),
             capacity=max(1, config.capacity),
             shards=max(1, config.shards),
-            accelerate=config.accelerate,
             kernel_backend=config.kernel_backend,
             shadow_every=config.shadow_every,
             redecision=config.redecision,

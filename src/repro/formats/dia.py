@@ -80,16 +80,26 @@ class DIAMatrix(SparseMatrix):
     def _mask_padding(self) -> None:
         # write only where a padding slot actually holds a non-zero, so
         # an already-masked read-only buffer (an mmap view re-attached
-        # from the disk tier) passes through without touching a page
-        for k, off in enumerate(self.offsets):
-            j_lo = max(0, int(off))
-            j_hi = min(self.ncols, self.nrows + int(off))
-            head = self.data[k, :j_lo]
-            if head.size and np.any(head):
-                self.data[k, :j_lo] = 0.0
-            tail = self.data[k, max(j_lo, j_hi):]
-            if tail.size and np.any(tail):
-                self.data[k, max(j_lo, j_hi):] = 0.0
+        # from the disk tier) passes through without a write.  Diagonal
+        # k holds columns [max(0, off), min(ncols, nrows + off)); its
+        # head and tail padding slots are gathered in one pass, which
+        # reads only padding, never the stored diagonals' pages
+        j_lo = np.maximum(self.offsets, 0)
+        j_hi = np.maximum(np.minimum(self.nrows + self.offsets, self.ncols), j_lo)
+        counts = np.concatenate([j_lo, self.ncols - j_hi])
+        total = int(counts.sum())
+        if not total:
+            return
+        # segments: every diagonal's head [0, j_lo), then its tail
+        # [j_hi, ncols); a slot's column is its segment's start plus its
+        # position within the segment
+        starts = np.concatenate([np.zeros_like(j_lo), j_hi])
+        rows = np.repeat(np.tile(np.arange(self.offsets.size), 2), counts)
+        first = np.repeat(np.cumsum(counts) - counts, counts)
+        cols = np.arange(total) - first + np.repeat(starts, counts)
+        junk = self.data[rows, cols] != 0.0
+        if junk.any():
+            self.data[rows[junk], cols[junk]] = 0.0
 
     # ------------------------------------------------------------------
     @property

@@ -7,9 +7,10 @@ system, bottom-up:
   kernel`` table every SpMV/SpMM dispatch resolves through; format
   containers delegate here, composite formats compose registered
   sub-kernels.
-* :mod:`~repro.runtime.batch` — batched multi-vector (``Y = A @ X``) and
-  multi-matrix execution with cached compiled operators (scipy-backed
-  when available, NumPy fallback); the solvers' hot loops route through
+* :mod:`~repro.runtime.batch` — the one SpMV/SpMM dispatch: a compiled
+  kernel backend, else a cached compiled operator (scipy-backed when
+  available, NumPy fallback); batched multi-vector ``Y = A @ X`` in one
+  pass, and the solvers' hot loops route through
   :func:`~repro.runtime.batch.matvec`.
 * :mod:`~repro.runtime.engine` — the request-queue
   :class:`~repro.runtime.engine.WorkloadEngine` that serves many
@@ -33,11 +34,9 @@ from repro.runtime.registry import (
 from repro.runtime.batch import (
     BlockOperator,
     batched_spmv,
-    batched_spmv_many,
     block_operator,
     have_accelerator,
     matvec,
-    spmv_iterations,
 )
 from repro.runtime.engine import (
     CacheCounters,
@@ -61,11 +60,9 @@ __all__ = [
     "register_kernel",
     "BlockOperator",
     "batched_spmv",
-    "batched_spmv_many",
     "block_operator",
     "have_accelerator",
     "matvec",
-    "spmv_iterations",
     "CacheCounters",
     "EngineResult",
     "IncrementalStats",

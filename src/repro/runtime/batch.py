@@ -1,24 +1,29 @@
-"""Batched multi-vector / multi-matrix SpMV execution.
+"""Batched SpMV execution: the one dispatch every SpMV and SpMM runs through.
 
 Runtime layer 2.  The paper's workloads apply the *same* matrix thousands
 of times (iterative solvers, Section VII-E); this module amortises the
-per-call cost the way a serving system would:
+per-call cost the way a serving system would.  Two entry points:
 
+* :func:`matvec` — ``y = A @ x`` for a 1-D vector or an ``(ncols, k)``
+  block, the hook the iterative solvers and the workload engine route
+  their hot loop through;
 * :func:`batched_spmv` — ``Y = A @ X`` for an ``(ncols, k)`` block in one
-  vectorised pass (no per-vector Python dispatch);
-* :func:`matvec` — single entry point for 1-D vectors and 2-D blocks, the
-  hook the iterative solvers route their hot loop through;
-* :func:`batched_spmv_many` — a multi-matrix batch API serving a sequence
-  of independent ``(matrix, operand)`` requests;
-* :func:`spmv_iterations` — repeated application ``Y = A^n X``.
+  vectorised pass (no per-vector Python dispatch).
 
-When scipy is importable (it is an existing dependency — the containers'
-``to_scipy`` uses it as a test oracle) the hot path runs through a cached
-compiled CSR operator per concrete container (:class:`BlockOperator`):
-the conversion cost is paid once per matrix and every subsequent call runs
-at compiled-kernel speed, which is the whole amortisation argument of the
-paper applied to the serving layer.  Without scipy everything falls back
-to the registry's vectorised NumPy block kernels — same results, slower.
+:func:`matvec` is the one dispatch (:func:`batched_spmv` adds only its
+2-D check): it checks the operand with :func:`validate_operand`, then
+picks the kernel in this order:
+
+1. a compiled kernel *backend* (:mod:`repro.kernels`), resolved through
+   ``REGISTRY.resolve`` with clean fallback down the preference order;
+2. on the ``numpy`` tier with scipy importable (it is an existing
+   dependency — the containers' ``to_scipy`` uses it as a test oracle),
+   the cached compiled CSR operator of the concrete container
+   (:class:`BlockOperator`): the conversion cost is paid once per matrix
+   and every subsequent call runs at compiled-kernel speed, which is the
+   whole amortisation argument of the paper applied to the serving layer;
+3. without scipy, the registry's vectorised NumPy kernel — same results,
+   slower.
 
 Containers are immutable, so caching operators per container object (a
 :class:`weakref.WeakKeyDictionary`, entries die with the container) is
@@ -31,7 +36,7 @@ container with :func:`attach_operator`, so a promote rebuilds nothing.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,13 +56,11 @@ __all__ = [
     "BlockOperator",
     "attach_operator",
     "batched_spmv",
-    "batched_spmv_many",
     "block_operator",
     "cached_operator",
-    "check_block",
     "have_accelerator",
     "matvec",
-    "spmv_iterations",
+    "validate_operand",
 ]
 
 MatrixLike = Union[SparseMatrix, DynamicMatrix]
@@ -67,16 +70,30 @@ def _concrete(matrix: MatrixLike) -> SparseMatrix:
     return matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
 
 
-def check_block(matrix: SparseMatrix, X: np.ndarray) -> np.ndarray:
-    """Validate and coerce an ``(ncols, k)`` dense right-hand-side block."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError(f"SpMM operand must be 2-D, got ndim={X.ndim}")
-    if X.shape[0] != matrix.ncols:
-        raise ShapeError(
-            f"operand has {X.shape[0]} rows, expected ncols={matrix.ncols}"
+def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
+    """Validate and coerce a request operand against *matrix*.
+
+    Accepts a length-``ncols`` vector or an ``(ncols, k)`` block and
+    returns it as a contiguous float64 array; a wrong length or row
+    count raises :class:`ShapeError`, any other rank
+    :class:`ValidationError`.  The dispatch below and every request
+    front end (the engine's queue, the tuning service) validate with
+    it, so the checks cannot diverge between them.
+    """
+    ncols = _concrete(matrix).ncols
+    operand = np.ascontiguousarray(x, dtype=np.float64)
+    if operand.ndim == 1:
+        check_vector_length(operand, ncols, name="x")
+    elif operand.ndim == 2:
+        if operand.shape[0] != ncols:
+            raise ShapeError(
+                f"operand has {operand.shape[0]} rows, expected ncols={ncols}"
+            )
+    else:
+        raise ValidationError(
+            f"operand must be 1-D or 2-D, got ndim={operand.ndim}"
         )
-    return X
+    return operand
 
 
 def have_accelerator() -> bool:
@@ -105,8 +122,8 @@ class BlockOperator:
     ) -> None:
         if _scipy_sparse is None:  # pragma: no cover - scipy always in CI
             raise ValidationError(
-                "BlockOperator needs scipy; use batched_spmv(..., "
-                "accelerate=False) for the pure-NumPy path"
+                "BlockOperator needs scipy; without it the batch dispatch "
+                "runs the registry's NumPy kernels"
             )
         self.shape = matrix.shape
         self.format = matrix.format
@@ -168,102 +185,43 @@ def attach_operator(
         _OPERATORS[m] = BlockOperator(m, arrays)
 
 
-def batched_spmv(
-    matrix: MatrixLike,
-    X: np.ndarray,
-    *,
-    accelerate: bool = True,
-    backend: Optional[str] = None,
-) -> np.ndarray:
-    """``Y = A @ X`` for a dense block ``X`` of shape ``(ncols, k)``.
-
-    One call serves all ``k`` right-hand sides.  On the default
-    (``numpy``) tier with ``accelerate`` and scipy present, it runs
-    through the cached compiled operator, otherwise through the
-    registry's vectorised NumPy block kernel.  A compiled *backend*
-    (:mod:`repro.kernels`) routes through that backend's registered
-    ``spmm`` kernel instead — with clean fallback down the preference
-    order when the backend cannot serve the format.
-    """
-    m = _concrete(matrix)
-    X = check_block(m, X)
-    if backend is None or backend == "numpy":
-        if accelerate and _scipy_sparse is not None:
-            return block_operator(m).apply(X)
-        return REGISTRY.get("spmm", m.format)(m, X)
-    kernel, _ = REGISTRY.resolve("spmm", m.format, backend)
-    return kernel(m, X)
-
-
 def matvec(
     matrix: MatrixLike,
     x: np.ndarray,
     *,
-    accelerate: bool = True,
     backend: Optional[str] = None,
 ) -> np.ndarray:
     """``y = A @ x`` for a 1-D vector or ``(ncols, k)`` block operand.
 
-    The single entry point the iterative solvers route their hot loop
-    through: repeated calls on the same container reuse its cached
-    compiled operator, so a thousand-iteration solve pays the setup once.
-    A compiled *backend* routes through the kernel registry's ``spmv``
-    entry for that backend (fallback semantics as in
-    :func:`batched_spmv`).
+    The one dispatch (module docstring) and the entry point the
+    iterative solvers route their hot loop through: repeated calls on
+    the same container reuse its cached compiled operator, so a
+    thousand-iteration solve pays the setup once.  *backend* names a
+    :mod:`repro.kernels` tier; ``None`` and ``"numpy"`` run the cached
+    compiled operator (the registry's NumPy kernel without scipy).
     """
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim == 2:
-        return batched_spmv(matrix, arr, accelerate=accelerate, backend=backend)
     m = _concrete(matrix)
+    operand = validate_operand(m, x)
+    op = "spmm" if operand.ndim == 2 else "spmv"
     if backend is not None and backend != "numpy":
-        if arr.ndim != 1:
-            raise ValidationError(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
-        check_vector_length(arr, m.ncols, name="x")
-        kernel, _ = REGISTRY.resolve("spmv", m.format, backend)
-        return kernel(m, arr)
-    if accelerate and _scipy_sparse is not None:
-        if arr.ndim != 1:
-            raise ValidationError(f"operand must be 1-D or 2-D, got ndim={arr.ndim}")
-        check_vector_length(arr, m.ncols, name="x")
-        return block_operator(m).apply(arr)
-    return m.spmv(arr)
+        kernel, _ = REGISTRY.resolve(op, m.format, backend)
+        return kernel(m, operand)
+    if _scipy_sparse is not None:
+        return block_operator(m).apply(operand)
+    return REGISTRY.get(op, m.format)(m, operand)
 
 
-def batched_spmv_many(
-    items: Iterable[Tuple[MatrixLike, np.ndarray]], *, accelerate: bool = True
-) -> List[np.ndarray]:
-    """Serve a batch of independent ``(matrix, operand)`` requests.
-
-    Each operand may be a 1-D vector or an ``(ncols, k)`` block; results
-    come back in request order.  Requests that reuse a matrix hit its
-    cached operator, so grouping a workload by matrix before calling is
-    unnecessary.
-    """
-    return [matvec(m, x, accelerate=accelerate) for m, x in items]
-
-
-def spmv_iterations(
+def batched_spmv(
     matrix: MatrixLike,
-    x: np.ndarray,
+    X: np.ndarray,
     *,
-    iterations: int,
-    accelerate: bool = True,
+    backend: Optional[str] = None,
 ) -> np.ndarray:
-    """Repeated application ``y = A^iterations x`` (power-iteration style).
+    """``Y = A @ X`` for a dense block ``X`` of shape ``(ncols, k)``.
 
-    Requires a square matrix; this is the access pattern of the iterative
-    solvers that motivate amortising the tuner cost over thousands of
-    SpMV calls (Section VII-E).  ``x`` may also be an ``(ncols, k)`` block,
-    in which case all ``k`` vectors are iterated together.
+    One call serves all ``k`` right-hand sides; it is :func:`matvec`
+    restricted to 2-D operands.
     """
-    if iterations < 1:
-        raise ValidationError(f"iterations must be >= 1, got {iterations}")
-    nrows, ncols = matrix.shape
-    if nrows != ncols:
-        raise ValidationError(
-            f"spmv_iterations needs a square matrix, got {nrows}x{ncols}"
-        )
-    y = np.ascontiguousarray(x, dtype=np.float64)
-    for _ in range(iterations):
-        y = matvec(matrix, y, accelerate=accelerate)
-    return y
+    if np.ndim(X) != 2:
+        raise ShapeError(f"SpMM operand must be 2-D, got ndim={np.ndim(X)}")
+    return matvec(matrix, X, backend=backend)

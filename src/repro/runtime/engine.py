@@ -31,7 +31,7 @@ import hashlib
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,9 +52,9 @@ from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
     batched_spmv,
     cached_operator,
-    check_block,
     have_accelerator,
     matvec,
+    validate_operand,
 )
 from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
@@ -63,7 +63,6 @@ from repro.runtime.epoch import (
     StreamUpdate,
     matrix_epoch,
 )
-from repro.utils.validation import check_vector_length
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import ExecutionSpace
@@ -77,7 +76,6 @@ __all__ = [
     "WorkloadEngine",
     "matrix_fingerprint",
     "request_key",
-    "validate_operand",
 ]
 
 MatrixLike = Union[SparseMatrix, DynamicMatrix]
@@ -87,28 +85,6 @@ MatrixLike = Union[SparseMatrix, DynamicMatrix]
 #: below it a promoted container fits comfortably in page cache and the
 #: single-call path is cheaper).
 STREAM_THRESHOLD_BYTES = 64 << 20
-
-
-def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
-    """Validate and coerce a request operand against *matrix*.
-
-    Accepts a length-``ncols`` vector or an ``(ncols, k)`` block and
-    returns it as a contiguous float64 array; anything else raises
-    :class:`ValidationError`.  Shared by every request front end (the
-    engine's queue, the tuning service) so submission-time validation
-    cannot diverge between them.
-    """
-    concrete = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-    operand = np.ascontiguousarray(x, dtype=np.float64)
-    if operand.ndim == 1:
-        check_vector_length(operand, concrete.ncols, name="x")
-    elif operand.ndim == 2:
-        operand = check_block(concrete, operand)
-    else:
-        raise ValidationError(
-            f"operand must be 1-D or 2-D, got ndim={operand.ndim}"
-        )
-    return operand
 
 
 def _defining_arrays(m: SparseMatrix) -> Tuple[np.ndarray, ...]:
@@ -291,8 +267,26 @@ class _Pending:
     repetitions: int
 
 
+class _Chain(NamedTuple):
+    """One request's resolved artefacts (:meth:`WorkloadEngine._chain`)."""
+
+    fp: str
+    stats: MatrixStats
+    prepared: SparseMatrix
+    backend: str
+    overhead: float
+    cached: bool
+
+
 class WorkloadEngine:
     """Serve ``(matrix, x)`` SpMV requests with full artefact reuse.
+
+    :meth:`execute` and :meth:`flush` run one request chain
+    (fingerprint → stats → decision → serving container → kernel
+    backend, each a counted cache lookup), reach the kernel through
+    :func:`repro.runtime.batch.matvec` or
+    :func:`~repro.runtime.batch.batched_spmv`, and account each request
+    in one step.
 
     Parameters
     ----------
@@ -301,8 +295,6 @@ class WorkloadEngine:
     tuner:
         Optional format tuner; when absent every matrix is served in its
         active format (decision overhead zero).
-    accelerate:
-        Route kernels through the compiled batch path when available.
     kernel_backend:
         Kernel-backend policy for serving.  ``None`` (default) follows
         the decision chain — the tuner's per-matrix ``report.backend``
@@ -327,7 +319,6 @@ class WorkloadEngine:
         space: "ExecutionSpace",
         tuner: Optional["Tuner"] = None,
         *,
-        accelerate: bool = True,
         redecision: Optional[RedecisionPolicy] = None,
         kernel_backend: Optional[str] = None,
         stream_threshold_bytes: Optional[int] = STREAM_THRESHOLD_BYTES,
@@ -335,7 +326,6 @@ class WorkloadEngine:
     ) -> None:
         self.space = space
         self.tuner = tuner
-        self.accelerate = accelerate
         if kernel_backend is not None:
             kernel_backend = str(kernel_backend).strip().lower()
             if kernel_backend != "auto":
@@ -647,11 +637,7 @@ class WorkloadEngine:
         if stats is not None:
             meta["stats"] = stats.to_dict()
         operator = None
-        if (
-            self.accelerate
-            and meta["backend"] == "numpy"
-            and not self._streams_when_mapped(prepared)
-        ):
+        if meta["backend"] == "numpy" and not self._streams_when_mapped(prepared):
             built = cached_operator(prepared)
             if built is not None:
                 operator = built.arrays()
@@ -987,35 +973,27 @@ class WorkloadEngine:
         return mmap_backed(prepared)
 
     def _run_kernel(
-        self,
-        prepared: SparseMatrix,
-        operand: np.ndarray,
-        kb: Optional[str],
+        self, prepared: SparseMatrix, operand: np.ndarray, backend: str
     ) -> np.ndarray:
         """One kernel call; mmap-backed CSR above threshold streams."""
         if self._should_stream(prepared):
-            return self._stream_kernel(prepared, operand, kb)
+            return self._stream_kernel(prepared, operand, backend)
         if operand.ndim == 2:
-            return batched_spmv(
-                prepared, operand, accelerate=self.accelerate, backend=kb
-            )
-        return matvec(prepared, operand, accelerate=self.accelerate, backend=kb)
+            return batched_spmv(prepared, operand, backend=backend)
+        return matvec(prepared, operand, backend=backend)
 
     def _stream_kernel(
-        self,
-        prepared: CSRMatrix,
-        operand: np.ndarray,
-        kb: Optional[str],
+        self, prepared: CSRMatrix, operand: np.ndarray, backend: str
     ) -> np.ndarray:
         """Serve one request by row panels, bitwise-identical per path.
 
         Each configuration streams through the *same arithmetic* its
         whole-matrix counterpart uses, so results match bit for bit:
 
-        * compiled (scipy) path — per-panel operators; the compiled CSR
-          kernel accumulates each row locally, so panel rows are exactly
-          the rows of the full-matrix call;
-        * registry backends — per-panel dispatch (row-local kernels) or
+        * ``numpy`` with scipy present — per-panel compiled operators;
+          the compiled CSR kernel accumulates each row locally, so panel
+          rows are exactly the rows of the full-matrix call;
+        * otherwise — per-panel registry dispatch (row-local kernels) or
           the carry-seeded prefix-sum replay for the ``numpy`` reference
           kernel (see :mod:`repro.storage.stream`).
         """
@@ -1028,7 +1006,7 @@ class WorkloadEngine:
 
         started = time.perf_counter()
         step = plan_block_rows(prepared, self.stream_block_bytes)
-        if kb is None and self.accelerate and have_accelerator():
+        if backend == "numpy" and have_accelerator():
             shape = (
                 (prepared.nrows,)
                 if operand.ndim == 1
@@ -1036,19 +1014,72 @@ class WorkloadEngine:
             )
             y = np.empty(shape, dtype=np.float64)
             for i0, i1, panel in iter_row_blocks(prepared, step):
-                y[i0:i1] = matvec(panel, operand, accelerate=True)
+                y[i0:i1] = matvec(panel, operand)
         elif operand.ndim == 2:
-            y = streaming_spmm(
-                prepared, operand, backend=kb or "numpy", block_rows=step
-            )
+            y = streaming_spmm(prepared, operand, backend=backend, block_rows=step)
         else:
-            y = streaming_spmv(
-                prepared, operand, backend=kb or "numpy", block_rows=step
-            )
+            y = streaming_spmv(prepared, operand, backend=backend, block_rows=step)
         self.streaming["requests"] += 1
         self.streaming["blocks"] += -(-prepared.nrows // step)
         self.streaming["seconds"] += time.perf_counter() - started
         return y
+
+    def _chain(self, matrix: MatrixLike, fp: str) -> _Chain:
+        """Resolve one request's artefacts up to the kernel call.
+
+        Stats, decision and serving container are one cache lookup each
+        (a miss pays and memoises it), then the kernel backend is
+        resolved.  ``overhead`` is the tuning + conversion cost this
+        request paid (zero on warm caches); ``cached`` whether the
+        decision already existed.
+        """
+        matrix = self._resolve(matrix, fp)
+        cached = fp in self._reports
+        before = self.seconds["tuning"] + self.seconds["conversion"]
+        stats = self.stats_for(matrix, key=fp)
+        report = self._decide(matrix, fp, stats)
+        prepared = self._prepared_for(matrix, fp, report, stats)
+        overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
+        backend = self._serving_backend(report, prepared.format)
+        return _Chain(fp, stats, prepared, backend, overhead, cached)
+
+    def _served(
+        self,
+        chain: _Chain,
+        y: np.ndarray,
+        operand: np.ndarray,
+        repetitions: int,
+    ) -> EngineResult:
+        """Account one served request and wrap its result.
+
+        The modelled SpMV seconds are the single-SpMV price scaled by
+        ``repetitions`` and by the SpMM traffic factor of the operand's
+        column count.
+        """
+        n_vectors = operand.shape[1] if operand.ndim == 2 else 1
+        seconds = (
+            repetitions
+            * spmm_time_factor(max(1, n_vectors))
+            * self.space.time_spmv(
+                chain.stats,
+                chain.prepared.format,
+                matrix_key=chain.fp,
+                kernel_backend=chain.backend,
+            )
+        )
+        self.seconds["spmv"] += seconds
+        self.requests_served += 1
+        self._account_backend(chain.backend, seconds)
+        return EngineResult(
+            y=y,
+            seconds=seconds,
+            overhead_seconds=chain.overhead,
+            format=chain.prepared.format,
+            fingerprint=chain.fp,
+            from_cache=chain.cached,
+            epoch=self.epoch_of(chain.fp),
+            backend=chain.backend,
+        )
 
     def execute(
         self,
@@ -1064,39 +1095,10 @@ class WorkloadEngine:
         ``repetitions`` scales the modelled SpMV seconds (iterative
         workloads run the same product many times).
         """
-        fp = self.fingerprint(matrix, key=key)
-        matrix = self._resolve(matrix, fp)
-        cached = fp in self._reports
-        overhead_before = self.seconds["tuning"] + self.seconds["conversion"]
-        stats = self.stats_for(matrix, key=fp)
-        report = self._decide(matrix, fp, stats)
-        prepared = self._prepared_for(matrix, fp, report, stats)
-        overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - overhead_before
-        backend = self._serving_backend(report, prepared.format)
-        kb = None if backend == "numpy" else backend
+        chain = self._chain(matrix, self.fingerprint(matrix, key=key))
         operand = np.ascontiguousarray(x, dtype=np.float64)
-        y = self._run_kernel(prepared, operand, kb)
-        n_vectors = operand.shape[1] if operand.ndim == 2 else 1
-        seconds = (
-            repetitions
-            * spmm_time_factor(max(1, n_vectors))
-            * self.space.time_spmv(
-                stats, prepared.format, matrix_key=fp, kernel_backend=backend
-            )
-        )
-        self.seconds["spmv"] += seconds
-        self.requests_served += 1
-        self._account_backend(backend, seconds)
-        return EngineResult(
-            y=y,
-            seconds=seconds,
-            overhead_seconds=overhead,
-            format=prepared.format,
-            fingerprint=fp,
-            from_cache=cached,
-            epoch=self.epoch_of(fp),
-            backend=backend,
-        )
+        y = self._run_kernel(chain.prepared, operand, chain.backend)
+        return self._served(chain, y, operand, repetitions)
 
     # ------------------------------------------------------------------
     # queued serving
@@ -1130,7 +1132,9 @@ class WorkloadEngine:
 
         Queued 1-D requests sharing a fingerprint are stacked into a
         single ``(ncols, k)`` block and served by one batched kernel call;
-        results come back in submission order.
+        results come back in submission order.  Accounting stays per
+        request: every group member resolves its own artefact chain
+        (later members from the warm caches).
         """
         queue, self._queue = self._queue, []
         results: List[Optional[EngineResult]] = [None] * len(queue)
@@ -1138,58 +1142,26 @@ class WorkloadEngine:
         for idx, pending in enumerate(queue):
             groups.setdefault(pending.fingerprint, []).append(idx)
         for fp, indices in groups.items():
-            first = queue[indices[0]]
-            first_matrix = self._resolve(first.matrix, fp)
-            was_cached = fp in self._reports
-            before = self.seconds["tuning"] + self.seconds["conversion"]
-            stats = self.stats_for(first_matrix, key=fp)
-            report = self._decide(first_matrix, fp, stats)
-            prepared = self._prepared_for(first_matrix, fp, report, stats)
-            first_overhead = (
-                self.seconds["tuning"] + self.seconds["conversion"]
-            ) - before
-            backend = self._serving_backend(report, prepared.format)
-            kb = None if backend == "numpy" else backend
-            t_single = self.space.time_spmv(
-                stats, prepared.format, matrix_key=fp, kernel_backend=backend
-            )
+            first = self._chain(queue[indices[0]].matrix, fp)
             # one batched kernel call for all stacked single-vector requests
             singles = [i for i in indices if queue[i].operand.ndim == 1]
             col_of = {i: c for c, i in enumerate(singles)}
             if singles:
                 X = np.stack([queue[i].operand for i in singles], axis=1)
-                Y = self._run_kernel(prepared, X, kb)
-            for pos, i in enumerate(indices):
+                Y = self._run_kernel(first.prepared, X, first.backend)
+            for i in indices:
                 pending = queue[i]
-                if pos > 0:
-                    # request-level accounting: later group members resolve
-                    # every artefact from the warm caches
-                    member_stats = self.stats_for(pending.matrix, key=fp)
-                    self._decide(pending.matrix, fp, member_stats)
-                    self._prepared_for(pending.matrix, fp, report, member_stats)
+                chain = (
+                    first if i == indices[0] else self._chain(pending.matrix, fp)
+                )
                 if pending.operand.ndim == 1:
                     y = Y[:, col_of[i]]
-                    n_vectors = 1
                 else:
-                    y = self._run_kernel(prepared, pending.operand, kb)
-                    n_vectors = pending.operand.shape[1]
-                seconds = (
-                    pending.repetitions
-                    * spmm_time_factor(max(1, n_vectors))
-                    * t_single
-                )
-                self.seconds["spmv"] += seconds
-                self.requests_served += 1
-                self._account_backend(backend, seconds)
-                results[i] = EngineResult(
-                    y=y,
-                    seconds=seconds,
-                    overhead_seconds=first_overhead if pos == 0 else 0.0,
-                    format=prepared.format,
-                    fingerprint=fp,
-                    from_cache=was_cached or pos > 0,
-                    epoch=self.epoch_of(fp),
-                    backend=backend,
+                    y = self._run_kernel(
+                        chain.prepared, pending.operand, chain.backend
+                    )
+                results[i] = self._served(
+                    chain, y, pending.operand, pending.repetitions
                 )
         return [r for r in results if r is not None]
 

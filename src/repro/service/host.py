@@ -69,7 +69,8 @@ class EngineHost:
     """One engine cache plus the serve step every tier runs against it.
 
     Parameters mirror the serving knobs of
-    :class:`~repro.service.service.TuningService`; ``storage`` is an
+    :class:`~repro.service.service.TuningService` (``kernel_backend``
+    is the only kernel knob); ``storage`` is an
     optional :class:`~repro.storage.tier.StorageTier` (eviction demotes
     to it, a miss promotes from it) and ``obs`` the
     :class:`~repro.obs.Observability` that receives its tier events
@@ -84,7 +85,6 @@ class EngineHost:
         *,
         capacity: int,
         shards: int,
-        accelerate: bool = True,
         kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
@@ -94,7 +94,6 @@ class EngineHost:
         obs=None,
     ) -> None:
         self.space = space
-        self.accelerate = accelerate
         self.kernel_backend = kernel_backend
         self.shadow_every = int(shadow_every)
         self.redecision = redecision
@@ -127,7 +126,6 @@ class EngineHost:
         engine = WorkloadEngine(
             self.space,
             tuner=tuner,
-            accelerate=self.accelerate,
             redecision=self.redecision,
             kernel_backend=self.kernel_backend,
             stream_threshold_bytes=self.stream_threshold_bytes,

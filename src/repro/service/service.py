@@ -73,11 +73,8 @@ from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
 from repro.obs import Observability
 from repro.obs.views import build_service_stats
-from repro.runtime.engine import (
-    STREAM_THRESHOLD_BYTES,
-    request_key,
-    validate_operand,
-)
+from repro.runtime.batch import validate_operand
+from repro.runtime.engine import STREAM_THRESHOLD_BYTES, request_key
 from repro.service.cache import ShardedEngineCache
 from repro.service.coalesce import FingerprintQueues, PendingRequest
 from repro.service.host import EngineHost, Served
@@ -183,14 +180,14 @@ class TuningService:
         Upper bound on how many queued requests one drain coalesces into
         a single batched kernel call; ``1`` disables coalescing (the
         "naive dispatch" baseline the benchmark compares against).
-    accelerate:
-        Route kernels through the compiled batch path when available.
     kernel_backend:
         Kernel-backend policy handed to every engine the cache builds
         (see :class:`~repro.runtime.engine.WorkloadEngine`): ``None``
         (default) follows each matrix's tuner decision, an explicit
         :mod:`repro.kernels` name pins every request, ``"auto"``
-        re-resolves the best available tier.
+        re-resolves the best available tier.  It is the only kernel
+        knob: every request reaches its kernel through the one dispatch
+        of :mod:`repro.runtime.batch`.
     shadow_every:
         Shadow-profiling cadence for the telemetry feed: every
         ``shadow_every``-th batch per matrix (starting with the first)
@@ -238,7 +235,6 @@ class TuningService:
         capacity: int = 64,
         shards: int = 8,
         max_batch: int = 32,
-        accelerate: bool = True,
         kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
@@ -254,7 +250,6 @@ class TuningService:
             tier="inproc",
             workers=default_thread_workers() if workers is None else workers,
             max_batch=max_batch,
-            accelerate=accelerate,
             kernel_backend=kernel_backend,
             shadow_every=shadow_every,
             redecision=redecision,
@@ -275,7 +270,6 @@ class TuningService:
             self.model_info,
             capacity=capacity,
             shards=shards,
-            accelerate=accelerate,
             kernel_backend=kernel_backend,
             shadow_every=self.shadow_every,
             redecision=redecision,
@@ -297,7 +291,6 @@ class TuningService:
         tier: str,
         workers: int,
         max_batch: int,
-        accelerate: bool,
         kernel_backend: Optional[str],
         shadow_every: int,
         redecision,
@@ -321,7 +314,6 @@ class TuningService:
         self.tuner = tuner
         self.workers = int(workers)
         self.max_batch = int(max_batch)
-        self.accelerate = accelerate
         #: Kernel-backend policy for the engines (None follows tuners).
         self.kernel_backend = kernel_backend
         self.shadow_every = int(shadow_every)

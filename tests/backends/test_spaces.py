@@ -43,10 +43,12 @@ class TestConstruction:
 
 
 class TestRunSpMV:
+    """A space runs SpMV through the engine it binds (``space.engine()``)."""
+
     def test_numerical_result_is_exact(self, space, dense_small, rng):
         m = COOMatrix.from_dense(dense_small)
         x = rng.standard_normal(12)
-        res = space.run_spmv(m, x)
+        res = space.engine().execute(m, x)
         np.testing.assert_allclose(res.y, dense_small @ x)
         assert res.format == "COO"
         assert res.seconds > 0
@@ -54,20 +56,22 @@ class TestRunSpMV:
     def test_accepts_dynamic_matrix(self, space, dense_small, rng):
         dyn = DynamicMatrix(COOMatrix.from_dense(dense_small)).switch("ELL")
         x = rng.standard_normal(12)
-        res = space.run_spmv(dyn, x)
+        res = space.engine().execute(dyn, x)
         np.testing.assert_allclose(res.y, dense_small @ x)
         assert res.format == "ELL"
 
     def test_repetitions_scale_time(self, space, coo_small):
         x = np.ones(12)
-        t1 = space.run_spmv(coo_small, x, repetitions=1).seconds
-        t100 = space.run_spmv(coo_small, x, repetitions=100).seconds
+        t1 = space.engine().execute(coo_small, x, repetitions=1).seconds
+        t100 = space.engine().execute(coo_small, x, repetitions=100).seconds
         assert t100 == pytest.approx(100 * t1)
 
     def test_precomputed_stats_shortcut(self, space, coo_small):
-        stats = MatrixStats.from_matrix(coo_small)
-        res1 = space.run_spmv(coo_small, np.ones(12), stats=stats)
-        res2 = space.run_spmv(coo_small, np.ones(12))
+        primed = space.engine()
+        primed.prime_stats("k", MatrixStats.from_matrix(coo_small))
+        res1 = primed.execute(coo_small, np.ones(12), key="k")
+        res2 = space.engine().execute(coo_small, np.ones(12), key="k")
+        assert primed.counters.stats_misses == 0
         assert res1.seconds == res2.seconds
 
 
@@ -81,8 +85,8 @@ class TestTiming:
     def test_time_spmv_matches_run(self, space, coo_small):
         stats = MatrixStats.from_matrix(coo_small)
         t = space.time_spmv(stats, "CSR")
-        res = space.run_spmv(
-            DynamicMatrix(coo_small).switch("CSR"), np.ones(12), stats=stats
+        res = space.engine().execute(
+            DynamicMatrix(coo_small).switch("CSR"), np.ones(12)
         )
         assert res.seconds == pytest.approx(t)
 

@@ -67,6 +67,35 @@ class TestConstruction:
         assert dia.data[0, 0] == 0.0  # column 0 cannot host offset +1
         assert dia.nnz == 2
 
+    @pytest.mark.parametrize("shape", [(4, 7), (7, 4)], ids=["wide", "tall"])
+    def test_padding_mask_matches_per_diagonal_loop(self, shape, rng):
+        nrows, ncols = shape
+        # extreme in-range offsets hold a single slot each
+        offsets = np.array([-(nrows - 1), -2, 0, 1, ncols - 1])
+        junk = rng.standard_normal((offsets.size, ncols))  # padding too
+        want = junk.copy()
+        dense = np.zeros(shape)
+        for k, off in enumerate(offsets):
+            j_lo, j_hi = max(0, off), min(ncols, nrows + off)
+            want[k, :j_lo] = 0.0
+            want[k, max(j_lo, j_hi):] = 0.0
+            for j in range(j_lo, j_hi):
+                dense[j - off, j] = want[k, j]
+        dia = DIAMatrix(nrows, ncols, offsets, junk)
+        np.testing.assert_array_equal(dia.data, want)
+        assert dia.nnz == np.count_nonzero(want) == np.count_nonzero(dense)
+        coo = dia.to_coo()
+        assert coo.nnz == dia.nnz
+        np.testing.assert_array_equal(coo.to_dense(), dense)
+        # a clean read-only buffer (an mmap view) needs no write
+        want.setflags(write=False)
+        clean = DIAMatrix(nrows, ncols, offsets, want)
+        np.testing.assert_array_equal(clean.data, want)
+        # out-of-range offsets never reach the mask
+        for bad in (-nrows, ncols):
+            with pytest.raises(ValidationError):
+                DIAMatrix(nrows, ncols, [bad], np.ones((1, ncols)))
+
     def test_rectangular_wide(self):
         d = np.zeros((3, 6))
         d[0, 3] = 1.0

@@ -9,70 +9,78 @@ from repro.errors import ShapeError, ValidationError
 from repro.formats import COOMatrix, DynamicMatrix, convert
 from repro.runtime.batch import (
     batched_spmv,
-    batched_spmv_many,
     block_operator,
     have_accelerator,
     matvec,
-    spmv_iterations,
 )
+from repro.runtime.registry import REGISTRY
 
 from tests.conftest import ALL_FORMATS, random_sparse_dense
 
-ACCELERATION_MODES = [True, False]
+#: ``True`` runs the batch dispatch (the cached compiled operator when
+#: scipy is present); ``False`` the registry's NumPy block kernel that
+#: the dispatch falls back to without scipy.
+DISPATCHED = [True, False]
+
+
+def spmm(matrix, X, dispatched):
+    if dispatched:
+        return batched_spmv(matrix, X)
+    return REGISTRY.get("spmm", matrix.format)(matrix, X)
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
-@pytest.mark.parametrize("accelerate", ACCELERATION_MODES)
+@pytest.mark.parametrize("dispatched", DISPATCHED)
 class TestAgreement:
-    def test_matches_scipy(self, fmt, accelerate, dense_medium, rng):
+    def test_matches_scipy(self, fmt, dispatched, dense_medium, rng):
         m = convert(COOMatrix.from_dense(dense_medium), fmt)
         X = rng.standard_normal((m.ncols, 7))
         ref = m.to_scipy() @ X
         np.testing.assert_allclose(
-            batched_spmv(m, X, accelerate=accelerate), ref, atol=1e-12
+            spmm(m, X, dispatched), ref, atol=1e-12
         )
 
-    def test_matches_per_vector_spmv(self, fmt, accelerate, dense_medium, rng):
+    def test_matches_per_vector_spmv(self, fmt, dispatched, dense_medium, rng):
         m = convert(COOMatrix.from_dense(dense_medium), fmt)
         X = rng.standard_normal((m.ncols, 5))
         ref = np.column_stack([m.spmv(X[:, j]) for j in range(5)])
         np.testing.assert_allclose(
-            batched_spmv(m, X, accelerate=accelerate), ref, atol=1e-12
+            spmm(m, X, dispatched), ref, atol=1e-12
         )
 
-    def test_rectangular(self, fmt, accelerate, dense_rect, rng):
+    def test_rectangular(self, fmt, dispatched, dense_rect, rng):
         m = convert(COOMatrix.from_dense(dense_rect), fmt)
         X = rng.standard_normal((m.ncols, 3))
         np.testing.assert_allclose(
-            batched_spmv(m, X, accelerate=accelerate),
+            spmm(m, X, dispatched),
             dense_rect @ X,
             atol=1e-12,
         )
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
-@pytest.mark.parametrize("accelerate", ACCELERATION_MODES)
+@pytest.mark.parametrize("dispatched", DISPATCHED)
 class TestEdgeShapes:
-    def test_empty_rows(self, fmt, accelerate, rng):
+    def test_empty_rows(self, fmt, dispatched, rng):
         dense = random_sparse_dense(rng, 16, 16, 0.15)
         dense[3] = 0.0
         dense[9] = 0.0
         m = convert(COOMatrix.from_dense(dense), fmt)
         X = rng.standard_normal((16, 4))
         np.testing.assert_allclose(
-            batched_spmv(m, X, accelerate=accelerate), dense @ X, atol=1e-12
+            spmm(m, X, dispatched), dense @ X, atol=1e-12
         )
 
-    def test_empty_matrix(self, fmt, accelerate):
+    def test_empty_matrix(self, fmt, dispatched):
         m = convert(COOMatrix.from_dense(np.zeros((5, 4))), fmt)
         X = np.ones((4, 3))
-        Y = batched_spmv(m, X, accelerate=accelerate)
+        Y = spmm(m, X, dispatched)
         np.testing.assert_array_equal(Y, np.zeros((5, 3)))
 
-    def test_single_column_block(self, fmt, accelerate, dense_small, rng):
+    def test_single_column_block(self, fmt, dispatched, dense_small, rng):
         m = convert(COOMatrix.from_dense(dense_small), fmt)
         x = rng.standard_normal(m.ncols)
-        Y = batched_spmv(m, x[:, None], accelerate=accelerate)
+        Y = spmm(m, x[:, None], dispatched)
         np.testing.assert_allclose(Y[:, 0], m.spmv(x), atol=1e-12)
 
 
@@ -111,37 +119,6 @@ class TestOperatorCache:
         op_coo = block_operator(dyn)
         dyn.switch("CSR")
         assert block_operator(dyn) is not op_coo
-
-
-class TestManyAndIterations:
-    def test_many_mixed_operands(self, dense_small, dense_medium, rng):
-        a = COOMatrix.from_dense(dense_small)
-        b = convert(COOMatrix.from_dense(dense_medium), "CSR")
-        xs = [
-            rng.standard_normal(a.ncols),
-            rng.standard_normal((b.ncols, 4)),
-            rng.standard_normal(b.ncols),
-        ]
-        out = batched_spmv_many([(a, xs[0]), (b, xs[1]), (b, xs[2])])
-        np.testing.assert_allclose(out[0], dense_small @ xs[0])
-        np.testing.assert_allclose(out[1], dense_medium @ xs[1], atol=1e-12)
-        np.testing.assert_allclose(out[2], dense_medium @ xs[2], atol=1e-12)
-
-    def test_iterations_block_matches_repeated(self, dense_small, rng):
-        m = COOMatrix.from_dense(dense_small * 0.1)
-        X = rng.standard_normal((12, 3))
-        got = spmv_iterations(m, X, iterations=3)
-        dense = dense_small * 0.1
-        np.testing.assert_allclose(
-            got, dense @ (dense @ (dense @ X)), atol=1e-12
-        )
-
-    def test_iterations_validation(self, coo_small, dense_rect):
-        with pytest.raises(ValidationError):
-            spmv_iterations(coo_small, np.ones(12), iterations=0)
-        rect = COOMatrix.from_dense(dense_rect)
-        with pytest.raises(ValidationError):
-            spmv_iterations(rect, np.ones(35), iterations=1)
 
 
 class TestSolverRouting:

@@ -168,7 +168,7 @@ class TestConcurrentHotSwap:
                 ck = (key, result.format)
                 if ck not in serial_cache:
                     serial_cache[ck] = convert(matrices[key], result.format)
-                serial = matvec(serial_cache[ck], x, accelerate=True)
+                serial = matvec(serial_cache[ck], x)
                 assert np.array_equal(result.y, serial)
 
         # the final promotion is what stats reports

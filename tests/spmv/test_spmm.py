@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 from repro.errors import ShapeError
 from repro.formats import COOMatrix, DynamicMatrix, convert
 from repro.machine.cost_model import spmm_time_factor
-from repro.runtime.batch import batched_spmv
+from repro.runtime.batch import batched_spmv, validate_operand
+from repro.runtime.registry import REGISTRY
 
 from tests.conftest import ALL_FORMATS
 
 
 def spmm(matrix, X):
     """The registry's NumPy block kernel (no scipy operator)."""
-    return batched_spmv(matrix, X, accelerate=False)
+    m = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
+    return REGISTRY.get("spmm", m.format)(m, validate_operand(m, X))
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
@@ -57,7 +59,7 @@ def test_spmm_empty_matrix():
 
 def test_spmm_rejects_1d(coo_small):
     with pytest.raises(ShapeError):
-        spmm(coo_small, np.ones(12))
+        batched_spmv(coo_small, np.ones(12))
 
 
 def test_spmm_rejects_wrong_rows(coo_small):

@@ -7,8 +7,8 @@ replayed by carry-seeding each panel's accumulation; ``native``
 accumulates row-locally, so per-panel dispatch is exact by construction.  The engine-level tests additionally pin the dispatch
 rule: an engine streams only mmap-backed CSR containers at or above its
 threshold, and its streamed results match a plain engine bitwise in
-every configuration (accelerate on/off, vector and stacked operands,
-pinned backends).
+every configuration (scipy present or masked, vector and stacked
+operands, pinned backends).
 """
 
 from __future__ import annotations
@@ -134,14 +134,19 @@ def _mmap_csr(tmp_path, csr):
     return loaded
 
 
-@pytest.mark.parametrize("accelerate", [True, False])
+@pytest.mark.parametrize("scipy", [True, False])
 @pytest.mark.parametrize("stacked", [False, True], ids=["vec", "block"])
-def test_engine_streams_bitwise(tmp_path, csr, x, X, accelerate, stacked):
+def test_engine_streams_bitwise(
+    tmp_path, monkeypatch, csr, x, X, scipy, stacked
+):
+    if not scipy:
+        # the only platform where the engine's numpy tier streams
+        # through the registry kernels instead of compiled operators
+        monkeypatch.setattr("repro.runtime.batch._scipy_sparse", None)
     space = make_space("cirrus", "serial")
-    plain = WorkloadEngine(space, accelerate=accelerate)
+    plain = WorkloadEngine(space)
     streaming = WorkloadEngine(
         space,
-        accelerate=accelerate,
         stream_threshold_bytes=0,
         stream_block_bytes=1 << 10,
     )

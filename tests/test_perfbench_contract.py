@@ -2,13 +2,15 @@
 
 ``perfbench/`` is the repository's benchmark gate and is never edited
 alongside the code it measures, so a deletion in ``src/`` must not
-silently break it.  Two checks, both read-only over ``perfbench/``:
+silently break it.  Three checks, all read-only over ``perfbench/``:
 
 * every ``repro`` import in ``perfbench/*.py`` resolves (parsed with
   :mod:`ast`, so nothing in the harness runs);
 * ``perfbench/tracer.py``'s ``Tracer().install()`` followed by
   ``uninstall()`` round-trips, which proves every attribute it patches
-  still exists and is restored.
+  still exists and is restored;
+* with the tracer installed, the engine's kernel calls go through the
+  names it wraps, so ``kernel.spmv``/``kernel.spmm`` spans get recorded.
 """
 
 from __future__ import annotations
@@ -88,3 +90,30 @@ def test_tracer_install_uninstall_round_trips(monkeypatch):
     for owner, attr, original in patched:
         current = owner.__dict__.get(attr, getattr(owner, attr))
         assert current is original, f"{owner!r}.{attr} not restored"
+
+
+def test_engine_kernel_calls_are_traced(monkeypatch):
+    import numpy as np
+
+    from repro.backends import make_space
+    from repro.datasets.generators import banded
+    from repro.runtime.engine import WorkloadEngine
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(PERFBENCH, "tracer.py")
+    )
+    tracer_mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer_mod)
+    spec.loader.exec_module(tracer_mod)
+
+    matrix = banded(64, half_bandwidth=2, seed=0)
+    engine = WorkloadEngine(make_space("cirrus", "serial"))
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer.install()
+        engine.execute(matrix, np.ones(matrix.ncols))
+        engine.execute(matrix, np.ones((matrix.ncols, 3)))
+    finally:
+        tracer.uninstall()
+    kernel_ops = [s.op for s in tracer.spans if s.layer == "kernel"]
+    assert kernel_ops == ["spmv", "spmm"]
