@@ -192,6 +192,10 @@ class DistributedService(TuningService):
     # a batch ships as one contiguous shared-memory block, so every
     # coalesced member must be one column of it
     _stackable_batches_only = True
+    # a drain returns once its batch is sent, so a submitting thread
+    # would find nearly every fingerprint idle and run every drain
+    # itself, and same-matrix requests would stop coalescing
+    _caller_runs = False
 
     def __init__(
         self,

@@ -379,6 +379,9 @@ class WorkloadEngine:
         self._prepared: Dict[str, SparseMatrix] = {}
         self._format_times: Dict[str, Dict[str, float]] = {}
         self._backend_times: Dict[str, Dict[str, Dict[str, float]]] = {}
+        #: Memoised single-SpMV price per key, as ``(format, backend,
+        #: seconds)``; dropped wherever the key's stats or decision change.
+        self._prices: Dict[str, Tuple[str, str, float]] = {}
         self._queue: List[_Pending] = []
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
@@ -450,6 +453,7 @@ class WorkloadEngine:
             self.model_version = str(version)
         self._reports.clear()
         self._prepared.clear()
+        self._prices.clear()
         # stream drift anchors pointed at old-model decisions; clearing
         # them re-anchors each stream at the new model's first decision
         # (the next update adopts the then-current stats snapshot)
@@ -667,6 +671,7 @@ class WorkloadEngine:
         if stats is not None:
             self.prime_stats(key, stats)
         self._prepared[key] = container
+        self._prices.pop(key, None)
         if key not in self._reports:
             self._reports[key] = TuningReport(
                 format_id=container.format_id,
@@ -839,6 +844,7 @@ class WorkloadEngine:
         self.invalidations.epoch_advances += 1
         new_stats = state.inc.to_stats()
         self._stats[key] = new_stats
+        self._prices.pop(key, None)  # priced against the old stats
         # features derive from stats in O(1): drop the stale vector and
         # let the next request rebuild it from the maintained stats
         self._features.pop(key, None)
@@ -1054,19 +1060,26 @@ class WorkloadEngine:
 
         The modelled SpMV seconds are the single-SpMV price scaled by
         ``repetitions`` and by the SpMM traffic factor of the operand's
-        column count.
+        column count.  The price is asked of the space once per
+        ``(key, format, backend)`` and memoised until the key's stats or
+        decision change.
         """
-        n_vectors = operand.shape[1] if operand.ndim == 2 else 1
-        seconds = (
-            repetitions
-            * spmm_time_factor(max(1, n_vectors))
-            * self.space.time_spmv(
-                chain.stats,
-                chain.prepared.format,
-                matrix_key=chain.fp,
-                kernel_backend=chain.backend,
+        fmt = chain.prepared.format
+        price = self._prices.get(chain.fp)
+        if price is None or price[0] != fmt or price[1] != chain.backend:
+            price = (
+                fmt,
+                chain.backend,
+                self.space.time_spmv(
+                    chain.stats,
+                    fmt,
+                    matrix_key=chain.fp,
+                    kernel_backend=chain.backend,
+                ),
             )
-        )
+            self._prices[chain.fp] = price
+        n_vectors = operand.shape[1] if operand.ndim == 2 else 1
+        seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * price[2]
         self.seconds["spmv"] += seconds
         self.requests_served += 1
         self._account_backend(chain.backend, seconds)
@@ -1074,7 +1087,7 @@ class WorkloadEngine:
             y=y,
             seconds=seconds,
             overhead_seconds=chain.overhead,
-            format=chain.prepared.format,
+            format=fmt,
             fingerprint=chain.fp,
             from_cache=chain.cached,
             epoch=self.epoch_of(chain.fp),

@@ -6,7 +6,8 @@ concurrent traffic, top-down:
 
 * :mod:`~repro.service.service` — :class:`TuningService`, the one
   concurrent request front end: a worker pool executes decide ->
-  convert -> execute, concurrent requests against the same matrix
+  convert -> execute (a blocking call on an idle service runs it on
+  its own thread), concurrent requests against the same matrix
   coalesce into batched multi-vector kernel calls, and everything is
   accounted through one :meth:`~TuningService.stats` dict.
   :class:`Session` is the per-client programmatic API.

@@ -14,7 +14,9 @@ SpMM requests and turns them into as few kernel launches as possible:
   of *k* launches);
 * a ``ThreadPoolExecutor`` worker pool executes the decide -> convert ->
   execute chain through the shared serve step of
-  :class:`~repro.service.host.EngineHost`; every request is accounted
+  :class:`~repro.service.host.EngineHost` — except that a blocking call
+  on an idle service runs that chain on its own thread (see
+  :meth:`TuningService._schedule`); every request is accounted
   (enqueue-to-completion wall latency plus the engine's modelled
   seconds) and the service keeps counters for cache hits, coalesced
   batches and evictions, all exposed through one
@@ -167,8 +169,12 @@ class TuningService:
         active format.
     workers:
         Thread-pool size executing the decide -> convert -> execute chain.
-        ``None`` (default) derives the size from the host's core count
-        (see :func:`repro.utils.concurrency.default_thread_workers`).
+        It bounds the pool's drains; one more drain may run on the
+        thread of a blocking call while no other drain runs (see
+        :meth:`_schedule`), so at most ``workers + 1`` batches are
+        served at once.  ``None`` (default) derives the size from the
+        host's core count (see
+        :func:`repro.utils.concurrency.default_thread_workers`).
     capacity:
         Maximum live :class:`~repro.runtime.engine.WorkloadEngine`
         instances (one per matrix fingerprint); least-recently-used
@@ -225,6 +231,9 @@ class TuningService:
     #: Whether a drained batch may only coalesce plain single-vector
     #: requests (see :meth:`FingerprintQueues.take_batch`).
     _stackable_batches_only = False
+    #: Whether a blocking call that finds the service idle runs its
+    #: drain on the calling thread (see :meth:`_schedule`).
+    _caller_runs = True
 
     def __init__(
         self,
@@ -322,6 +331,13 @@ class TuningService:
         self.redecision = redecision
         self.storage = None
         self._pending = FingerprintQueues()
+        # drains running right now, on the pool or on a calling thread;
+        # guarded by (and notified through) this condition
+        self._drains_running = 0
+        self._drains_idle = threading.Condition()
+        # marks a thread inside a blocking call (spmv, update), which
+        # waits for its result anyway and so may serve it (_schedule)
+        self._waiting = threading.local()
         self._model_lock = threading.Lock()
         self._closed = False
         self._observer = None
@@ -418,7 +434,9 @@ class TuningService:
         ``shadow_times`` (per-format rival timings) on shadow-probed
         batches.  It runs after the batch's futures resolve and after
         the fingerprint's next drain is rescheduled, so a slow observer
-        (a synchronous retrain) never delays a result.  Observer
+        (a synchronous retrain) never delays a result.  A drain that
+        starts while an observer is installed runs on the worker pool,
+        so the observer does not run on a caller's thread either.  Observer
         exceptions are counted (``stats()["observer_errors"]``) and
         swallowed — telemetry must not break serving.
         """
@@ -560,8 +578,12 @@ class TuningService:
         *,
         key: Optional[str] = None,
     ) -> UpdateResult:
-        """Blocking convenience wrapper around :meth:`submit_update`."""
-        return self.submit_update(matrix, delta, key=key).result()
+        """Blocking convenience wrapper around :meth:`submit_update`.
+
+        On an idle service the mutation is applied on the calling
+        thread, as :meth:`spmv` serves its request.
+        """
+        return self._wait_for(self.submit_update, matrix, delta, key=key)
 
     def spmv(
         self,
@@ -571,8 +593,24 @@ class TuningService:
         key: Optional[str] = None,
         repetitions: int = 1,
     ) -> ServiceResult:
-        """Blocking convenience wrapper: submit and wait for the result."""
-        return self.submit(matrix, x, key=key, repetitions=repetitions).result()
+        """Blocking convenience wrapper: submit and wait for the result.
+
+        The caller waits anyway, so when the service is idle its
+        request is served right here, on the calling thread, instead of
+        on the pool (see :meth:`_schedule`).
+        """
+        return self._wait_for(
+            self.submit, matrix, x, key=key, repetitions=repetitions
+        )
+
+    def _wait_for(self, submit, *args, **kwargs):
+        """Call *submit* as a blocking call, then wait for its result."""
+        self._waiting.active = True
+        try:
+            future = submit(*args, **kwargs)
+        finally:
+            self._waiting.active = False
+        return future.result()
 
     def _enqueue(self, fp: str, request: PendingRequest) -> None:
         """Append one request to its fingerprint queue; schedule a drain."""
@@ -585,12 +623,36 @@ class TuningService:
     # drain loop
     # ------------------------------------------------------------------
     def _schedule(self, fp: str) -> None:
-        """Hand a drain for *fp* to the worker pool (one in flight per fp).
+        """Start a drain for *fp* (one in flight per fp).
 
-        If the pool has been shut down (a reschedule racing
-        :meth:`close`), the queue is drained inline in the calling
-        thread instead — a submitted request is never silently dropped.
+        Caller-runs rule: a blocking call (:meth:`spmv`, :meth:`update`)
+        runs the drain right here, on its own thread, when the tier
+        allows it (``_caller_runs``), no drain of any fingerprint is
+        running and no observer is installed.  Its lone request then
+        costs its serve step, not a pool round trip, and its future is
+        done before the call waits on it.  Everything else goes to the
+        worker pool: an asynchronous :meth:`submit` (so a client that
+        fires many requests before waiting still has them coalesce), a
+        reschedule from :meth:`_drain` (its own drain still counts as
+        running), a blocking call that arrives while any drain runs, and
+        every drain while an observer is installed, so a slow observer
+        never runs on a caller's thread.  If the pool has been shut down
+        (a reschedule racing :meth:`close`), the queue is drained inline
+        in the calling thread instead — a submitted request is never
+        silently dropped.
         """
+        if (
+            self._caller_runs
+            and self._observer is None
+            and getattr(self._waiting, "active", False)
+        ):
+            with self._drains_idle:
+                idle = self._drains_running == 0
+                if idle:
+                    self._drains_running += 1
+            if idle:
+                self._run_drain(fp)
+                return
         try:
             self._executor.submit(self._drain, fp)
         except RuntimeError:  # executor shut down mid-close
@@ -607,14 +669,27 @@ class TuningService:
     def _drain(self, fp: str) -> None:
         """Worker task: dispatch one batch, reschedule if more arrived.
 
-        The next drain is rescheduled *before* the telemetry observer
-        runs, so a slow observer (or a synchronous retrain) overlaps
-        with serving on the pool instead of stalling the fingerprint's
-        queue.
+        The drain counts as running (see :meth:`_schedule`) until its
+        reschedule is handed off.  The next drain is rescheduled
+        *before* the telemetry observer runs, so a slow observer (or a
+        synchronous retrain) overlaps with serving on the pool instead
+        of stalling the fingerprint's queue.
         """
-        more, telemetry = self._drain_once(fp)
-        if more:
-            self._schedule(fp)
+        with self._drains_idle:
+            self._drains_running += 1
+        self._run_drain(fp)
+
+    def _run_drain(self, fp: str) -> None:
+        """Body of :meth:`_drain`, already counted as running."""
+        try:
+            more, telemetry = self._drain_once(fp)
+            if more:
+                self._schedule(fp)
+        finally:
+            with self._drains_idle:
+                self._drains_running -= 1
+                if self._drains_running == 0:
+                    self._drains_idle.notify_all()
         self._deliver_telemetry(*telemetry)
 
     def _drain_once(self, fp: str):
@@ -1074,6 +1149,9 @@ class TuningService:
         self._closed = True
         self._executor.shutdown(wait=wait)
         if wait:
+            # a drain on a calling thread outlives the pool shutdown
+            with self._drains_idle:
+                self._drains_idle.wait_for(lambda: self._drains_running == 0)
             for fp in self._pending.keys():
                 self._drain_inline(fp)
         else:
@@ -1128,10 +1206,13 @@ class Session:
         key: Optional[str] = None,
         repetitions: int = 1,
     ) -> ServiceResult:
-        """Blocking SpMV: ``y = A @ x`` through the service."""
-        result = self.submit(
-            matrix, x, key=key, repetitions=repetitions
-        ).result()
+        """Blocking SpMV: ``y = A @ x`` through the service.
+
+        Served like :meth:`TuningService.spmv`: on the calling thread
+        when the service is idle.
+        """
+        self.requests += 1
+        result = self.service.spmv(matrix, x, key=key, repetitions=repetitions)
         self.completed += 1
         self.latency_total += result.latency_seconds
         return result
@@ -1162,7 +1243,8 @@ class Session:
         new one; the returned :class:`UpdateResult` reports the epoch
         reached and whether the format decision was carried forward.
         """
-        return self.submit_update(matrix, delta, key=key).result()
+        self.updates += 1
+        return self.service.update(matrix, delta, key=key)
 
     def spmm(
         self,

@@ -13,14 +13,19 @@ import pytest
 
 from repro.backends import make_space
 from repro.core import RunFirstTuner
+from repro.core.tuners.base import Tuner, TuningReport
 from repro.formats import COOMatrix, DynamicMatrix, MatrixDelta, convert
+from repro.formats.base import FORMAT_IDS
+from repro.kernels import available_backends
 from repro.machine import CostModel
+from repro.machine.cost_model import spmm_time_factor
 from repro.runtime import engine as engine_module
 from repro.runtime.engine import (
     WorkloadEngine,
     matrix_fingerprint,
     request_key,
 )
+from repro.runtime.epoch import RedecisionPolicy
 
 from tests.conftest import ALL_FORMATS
 
@@ -393,3 +398,107 @@ class TestHotSwap:
         assert snapshot == {"m": times}
         snapshot["m"]["CSR"] = -1.0
         assert engine.profile_formats(dyn, key="m")["CSR"] == times["CSR"]
+
+
+class _SettableTuner(Tuner):
+    """Serves whatever ``format_name`` says at decision time."""
+
+    def __init__(self, format_name: str) -> None:
+        self.format_name = format_name
+
+    def tune(self, matrix, space, *, stats=None, matrix_key=""):
+        return TuningReport(
+            format_id=FORMAT_IDS[self.format_name],
+            backend=space.kernel_backend,
+        )
+
+
+class TestPriceMemo:
+    """The single-SpMV price is memoised per key, format and backend;
+    every request must still read exactly a fresh ``time_spmv``."""
+
+    @pytest.fixture
+    def noisy_space(self):
+        # the default cost model's noise is keyed by matrix key and format
+        return make_space("cirrus", "serial")
+
+    @pytest.fixture
+    def banded(self):
+        n = 40
+        dense = np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), 1)
+        dense += np.diag(np.full(n - 1, -1.0), -1)
+        return COOMatrix.from_dense(dense)
+
+    @staticmethod
+    def _serve(engine, matrix, operand, *, key="m", repetitions=1):
+        """Serve one request; check it against a fresh price, bit for bit."""
+        before = engine.seconds["spmv"]
+        result = engine.execute(
+            matrix, operand, key=key, repetitions=repetitions
+        )
+        n_vectors = operand.shape[1] if operand.ndim == 2 else 1
+        fresh = engine.space.time_spmv(
+            engine.stats_for(matrix, key=key),
+            result.format,
+            matrix_key=key,
+            kernel_backend=result.backend,
+        )
+        expected = repetitions * spmm_time_factor(n_vectors) * fresh
+        assert result.seconds == expected
+        assert engine.seconds["spmv"] == before + expected
+        return result
+
+    def test_warm_repeats(self, noisy_space, banded, rng):
+        engine = WorkloadEngine(noisy_space, _SettableTuner("ELL"))
+        x = rng.standard_normal(banded.ncols)
+        first = self._serve(engine, banded, x)
+        for _ in range(3):
+            assert self._serve(engine, banded, x).seconds == first.seconds
+
+    @pytest.mark.parametrize("retune", [False, True])
+    def test_after_update(self, noisy_space, banded, rng, retune):
+        tuner = _SettableTuner("CSR")
+        engine = WorkloadEngine(
+            noisy_space,
+            tuner,
+            redecision=RedecisionPolicy(threshold=1e-9 if retune else 1e9),
+        )
+        x = rng.standard_normal(banded.ncols)
+        before = self._serve(engine, banded, x)
+        tuner.format_name = "COO"  # only a re-decision picks it up
+        upd = engine.update(
+            "m", MatrixDelta.sets([0], [banded.ncols - 1], [0.5]), matrix=banded
+        )
+        assert upd.retuned is retune
+        after = self._serve(engine, banded, x)
+        assert after.format == ("COO" if retune else "CSR")
+        # the new stats price differently: a stale price would show
+        assert after.seconds != before.seconds
+        self._serve(engine, banded, x)
+
+    def test_after_set_tuner_changes_format(self, noisy_space, banded, rng):
+        engine = WorkloadEngine(noisy_space, _SettableTuner("CSR"))
+        x = rng.standard_normal(banded.ncols)
+        self._serve(engine, banded, x)
+        engine.set_tuner(_SettableTuner("DIA"), version="v2")
+        assert self._serve(engine, banded, x).format == "DIA"
+        self._serve(engine, banded, x)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_pinned_kernel_backend(self, noisy_space, banded, rng, backend):
+        engine = WorkloadEngine(
+            noisy_space, _SettableTuner("CSR"), kernel_backend=backend
+        )
+        x = rng.standard_normal(banded.ncols)
+        for _ in range(2):
+            assert self._serve(engine, banded, x).backend == backend
+
+    def test_repetitions_and_blocks(self, noisy_space, banded, rng):
+        engine = WorkloadEngine(noisy_space, _SettableTuner("HYB"))
+        x = rng.standard_normal(banded.ncols)
+        X = rng.standard_normal((banded.ncols, 5))
+        self._serve(engine, banded, x)
+        self._serve(engine, banded, x, repetitions=7)
+        self._serve(engine, banded, X)
+        self._serve(engine, banded, X, repetitions=3)
+        self._serve(engine, banded, x)

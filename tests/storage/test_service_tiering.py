@@ -23,9 +23,13 @@ import pytest
 
 from repro.backends import make_space
 from repro.core import RunFirstTuner
+from repro.core.tuners.base import Tuner, TuningReport
+from repro.formats import convert
+from repro.formats.base import FORMAT_IDS
 from repro.formats.coo import COOMatrix
 from repro.service import TuningService
 from repro.storage.persist import DATA_NAME, MANIFEST_NAME
+from repro.storage.stream import plan_block_rows
 
 
 def _matrices(count=4, seed=17):
@@ -146,6 +150,62 @@ def test_streaming_stats_fold_through_service_totals(space, tmp_path):
     assert streaming["requests"] > 0
     assert streaming["blocks"] >= streaming["requests"]
     assert streaming["seconds"] > 0.0
+
+
+class _CSRTuner(Tuner):
+    """Serves every matrix in CSR, the format that streams."""
+
+    def tune(self, matrix, space, *, stats=None, matrix_key=""):
+        return TuningReport(format_id=FORMAT_IDS["CSR"])
+
+
+def test_forced_streaming_serves_several_panels_per_request(space, tmp_path):
+    """With a panel budget of a few KiB, every promoted request streams
+    over several row panels and still matches the in-RAM path bit for
+    bit.  (At the default 8 MiB budget these matrices fit one panel, so
+    a forced-streaming serve never leaves the single-panel case.)"""
+    block_bytes = 2 << 10
+    rng = np.random.default_rng(5)
+    matrices = {}
+    for i in range(4):
+        shape = (120 + 40 * i, 100 + 30 * i)
+        dense = (rng.random(shape) < 0.08) * rng.standard_normal(shape)
+        matrices[f"panelled{i}"] = COOMatrix.from_dense(dense)
+    panels = {
+        key: -(-m.nrows // plan_block_rows(convert(m, "CSR"), block_bytes))
+        for key, m in matrices.items()
+    }
+    assert min(panels.values()) > 1
+    with TuningService(
+        space,
+        _CSRTuner(),
+        workers=1,
+        capacity=1,
+        shards=1,
+        storage_dir=str(tmp_path / "tier"),
+        stream_threshold_bytes=0,
+        stream_block_bytes=block_bytes,
+    ) as service:
+        got = _serve_rounds(service, matrices, rounds=3)
+        spans = service.obs.spans.drain_since(0)
+        stats = service.stats()
+    with TuningService(
+        space, _CSRTuner(), workers=1, capacity=1, shards=1
+    ) as plain:
+        want = _serve_rounds(plain, matrices, rounds=3)
+    assert len(got) == len(want) == 3 * len(matrices)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    streaming = stats["engines"]["streaming"]
+    assert streaming["blocks"] > streaming["requests"]
+    # rounds two and three promote every matrix, and each promoted
+    # request streams over its matrix's planned panels
+    promoted = [s for s in spans if "promote" in s["stages"]]
+    streamed = [s for s in spans if "stream" in s["stages"]]
+    assert len(promoted) == 2 * len(matrices)
+    assert streamed == promoted
+    assert streaming["requests"] == len(streamed)
+    assert streaming["blocks"] == sum(panels[s["fingerprint"]] for s in streamed)
 
 
 def test_storage_gauges_reach_metrics_registry(space, tmp_path):
