@@ -276,6 +276,18 @@ class _Chain(NamedTuple):
     backend: str
     overhead: float
     cached: bool
+    report: "TuningReport"
+
+
+class _Warm(NamedTuple):
+    """A key's memoised warm chain (:attr:`WorkloadEngine._warm`)."""
+
+    report: "TuningReport"
+    prepared: SparseMatrix
+    stats: MatrixStats
+    #: ``(backend, seconds)``: the single-SpMV price of ``prepared`` on
+    #: the backend it was last served by.
+    price: Tuple[str, float]
 
 
 class WorkloadEngine:
@@ -379,9 +391,10 @@ class WorkloadEngine:
         self._prepared: Dict[str, SparseMatrix] = {}
         self._format_times: Dict[str, Dict[str, float]] = {}
         self._backend_times: Dict[str, Dict[str, Dict[str, float]]] = {}
-        #: Memoised single-SpMV price per key, as ``(format, backend,
-        #: seconds)``; dropped wherever the key's stats or decision change.
-        self._prices: Dict[str, Tuple[str, str, float]] = {}
+        #: Memoised warm chain per key (decision, serving container,
+        #: stats and single-SpMV price), so a warm request resolves its
+        #: artefacts with one lookup; dropped wherever any of them change.
+        self._warm: Dict[str, _Warm] = {}
         self._queue: List[_Pending] = []
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
@@ -453,7 +466,7 @@ class WorkloadEngine:
             self.model_version = str(version)
         self._reports.clear()
         self._prepared.clear()
-        self._prices.clear()
+        self._warm.clear()
         # stream drift anchors pointed at old-model decisions; clearing
         # them re-anchors each stream at the new model's first decision
         # (the next update adopts the then-current stats snapshot)
@@ -671,7 +684,7 @@ class WorkloadEngine:
         if stats is not None:
             self.prime_stats(key, stats)
         self._prepared[key] = container
-        self._prices.pop(key, None)
+        self._warm.pop(key, None)
         if key not in self._reports:
             self._reports[key] = TuningReport(
                 format_id=container.format_id,
@@ -844,7 +857,7 @@ class WorkloadEngine:
         self.invalidations.epoch_advances += 1
         new_stats = state.inc.to_stats()
         self._stats[key] = new_stats
-        self._prices.pop(key, None)  # priced against the old stats
+        self._warm.pop(key, None)  # resolved against the old stats
         # features derive from stats in O(1): drop the stale vector and
         # let the next request rebuild it from the maintained stats
         self._features.pop(key, None)
@@ -1033,12 +1046,25 @@ class WorkloadEngine:
     def _chain(self, matrix: MatrixLike, fp: str) -> _Chain:
         """Resolve one request's artefacts up to the kernel call.
 
-        Stats, decision and serving container are one cache lookup each
-        (a miss pays and memoises it), then the kernel backend is
-        resolved.  ``overhead`` is the tuning + conversion cost this
-        request paid (zero on warm caches); ``cached`` whether the
-        decision already existed.
+        A key with a warm chain (:attr:`_warm`) resolves stats, decision
+        and serving container with that one lookup, counted as the three
+        hits the separate lookups would count.  Otherwise each is one
+        cache lookup (a miss pays and memoises it).  The kernel backend
+        is resolved on every call, so backend masking applies at once.
+        ``overhead`` is the tuning + conversion cost this request paid
+        (zero on warm caches); ``cached`` whether the decision already
+        existed.
         """
+        warm = self._warm.get(fp)
+        if warm is not None:
+            counters = self.counters
+            counters.stats_hits += 1
+            counters.decision_hits += 1
+            counters.conversion_hits += 1
+            backend = self._serving_backend(warm.report, warm.prepared.format)
+            return _Chain(
+                fp, warm.stats, warm.prepared, backend, 0.0, True, warm.report
+            )
         matrix = self._resolve(matrix, fp)
         cached = fp in self._reports
         before = self.seconds["tuning"] + self.seconds["conversion"]
@@ -1047,7 +1073,12 @@ class WorkloadEngine:
         prepared = self._prepared_for(matrix, fp, report, stats)
         overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
         backend = self._serving_backend(report, prepared.format)
-        return _Chain(fp, stats, prepared, backend, overhead, cached)
+        return _Chain(fp, stats, prepared, backend, overhead, cached, report)
+
+    def has_chain(self, key: str) -> bool:
+        """True when *key* has a warm chain: its next request resolves
+        every artefact with one lookup and pays no tuning or conversion."""
+        return key in self._warm
 
     def _served(
         self,
@@ -1061,25 +1092,29 @@ class WorkloadEngine:
         The modelled SpMV seconds are the single-SpMV price scaled by
         ``repetitions`` and by the SpMM traffic factor of the operand's
         column count.  The price is asked of the space once per
-        ``(key, format, backend)`` and memoised until the key's stats or
-        decision change.
+        ``(key, serving container, backend)``; it is memoised with the
+        chain in :attr:`_warm`, which this also (re)fills.
         """
-        fmt = chain.prepared.format
-        price = self._prices.get(chain.fp)
-        if price is None or price[0] != fmt or price[1] != chain.backend:
-            price = (
-                fmt,
-                chain.backend,
-                self.space.time_spmv(
-                    chain.stats,
-                    fmt,
-                    matrix_key=chain.fp,
-                    kernel_backend=chain.backend,
+        fp = chain.fp
+        warm = self._warm.get(fp)
+        if warm is None or warm.price[0] != chain.backend:
+            warm = _Warm(
+                chain.report,
+                chain.prepared,
+                chain.stats,
+                (
+                    chain.backend,
+                    self.space.time_spmv(
+                        chain.stats,
+                        chain.prepared.format,
+                        matrix_key=fp,
+                        kernel_backend=chain.backend,
+                    ),
                 ),
             )
-            self._prices[chain.fp] = price
+            self._warm[fp] = warm
         n_vectors = operand.shape[1] if operand.ndim == 2 else 1
-        seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * price[2]
+        seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price[1]
         self.seconds["spmv"] += seconds
         self.requests_served += 1
         self._account_backend(chain.backend, seconds)
@@ -1087,10 +1122,10 @@ class WorkloadEngine:
             y=y,
             seconds=seconds,
             overhead_seconds=chain.overhead,
-            format=fmt,
-            fingerprint=chain.fp,
+            format=chain.prepared.format,
+            fingerprint=fp,
             from_cache=chain.cached,
-            epoch=self.epoch_of(chain.fp),
+            epoch=self.epoch_of(fp),
             backend=chain.backend,
         )
 

@@ -116,7 +116,9 @@ class FingerprintQueues:
       requests — the distributed tier ships a batch as one contiguous
       shared-memory block, so every member must be one column of it;
     * :meth:`finish` re-checks the queue after a drain: ``True`` means
-      more requests arrived and the caller must keep the drain alive.
+      more requests arrived and the caller must keep the drain alive;
+    * :meth:`reserve` starts a drain with nothing queued, for a request
+      served outside the queue.
     """
 
     def __init__(self) -> None:
@@ -176,6 +178,21 @@ class FingerprintQueues:
             queue.scheduled = False
             del self._queues[fp]
             return False
+
+    def reserve(self, fp: str) -> bool:
+        """Mark an idle *fp* as draining, with nothing queued.
+
+        For a request served outside the queue: requests pushed under
+        *fp* meanwhile wait behind it, and :meth:`finish` reports them.
+        ``False`` (nothing changed) when *fp* already has queued
+        requests or a drain scheduled.
+        """
+        with self._lock:
+            if fp in self._queues:
+                return False
+            queue = self._queues[fp] = _Queue()
+            queue.scheduled = True
+            return True
 
     def keys(self) -> List[str]:
         """Snapshot of fingerprints with queued requests."""

@@ -15,7 +15,10 @@ engine, read its model version and epoch, promote from the storage
 tier on a miss, serve a stacked block or a lone request through one
 ``execute`` and mixed requests through ``submit``/``flush``, then
 resolve features and the shadow probe — so results and accounting are
-bitwise-identical across tiers by construction.
+bitwise-identical across tiers by construction.  A blocking request on
+an idle in-process service runs :meth:`EngineHost.serve_one`: the same
+step under one lease, cut to one ``engine.execute`` when the key's
+chain is warm.
 """
 
 from __future__ import annotations
@@ -174,53 +177,105 @@ class EngineHost:
         cached features; every ``shadow_every``-th batch per matrix
         (starting with the first) resolves the rival per-format timings.
         """
+        with self.engines.lease(fp) as engine:
+            return self._serve_leased(engine, fp, matrix, work, telemetry)
+
+    def serve_one(self, fp: str, matrix, operand, repetitions: int):
+        """Serve one blocking request under one engine lease.
+
+        The warm step: when the engine holds *fp*'s warm chain
+        (:meth:`~repro.runtime.engine.WorkloadEngine.has_chain`) and no
+        shadow cadence is set, the request is one ``engine.execute``
+        whose artefacts resolve with one lookup — no promote check, no
+        :class:`Served`.  A cold key (which includes a key the storage
+        tier must promote) or a shadow cadence runs the full
+        :meth:`serve` step instead, under the same lease, so the engine
+        cache counts one hit or miss either way.
+
+        Returns ``(result, model_version, kernel_start, kernel_seconds,
+        promote_seconds, stream_seconds, shadow)`` with the meanings of
+        the :class:`Served` fields.
+        """
+        with self.engines.lease(fp) as engine:
+            if self.shadow_every or not engine.has_chain(fp):
+                served = self._serve_leased(
+                    engine, fp, matrix, [(matrix, operand, repetitions)], False
+                )
+                return (
+                    served.results[0],
+                    served.model_version,
+                    served.kernel_start,
+                    served.kernel_seconds,
+                    served.promote_seconds,
+                    served.stream_seconds,
+                    served.shadow,
+                )
+            streamed = engine.streaming["seconds"]
+            kernel_start = time.perf_counter()
+            result = engine.execute(
+                matrix, operand, key=fp, repetitions=repetitions
+            )
+            kernel_seconds = time.perf_counter() - kernel_start
+            return (
+                result,
+                engine.model_version,
+                kernel_start,
+                kernel_seconds,
+                0.0,
+                engine.streaming["seconds"] - streamed,
+                None,
+            )
+
+    def _serve_leased(
+        self, engine: WorkloadEngine, fp: str, matrix, work, telemetry: bool
+    ) -> Served:
+        """Body of :meth:`serve`, with *engine* already leased for *fp*."""
         features = shadow = None
         promote_seconds = 0.0
-        with self.engines.lease(fp) as engine:
-            # version and epoch move only under this shard lock, so the
-            # whole batch serves one model and one matrix version
-            model_version = engine.model_version
-            epoch = engine.epoch_of(fp)
-            # a fresh engine (cache miss) first tries the disk tier: a
-            # demoted container promotes back as mmap views instead of
-            # paying the stats + tune + convert chain again
-            if self.storage is not None and not engine.has_decision(fp):
-                promote_seconds = self._promote_into(fp, engine)
-            stream_before = engine.streaming["seconds"]
-            kernel_start = time.perf_counter()
-            if isinstance(work, np.ndarray):
-                block = engine.execute(matrix, work, key=fp)
-                results = split_stacked(block, work.shape[1])
-            elif len(work) == 1:
-                # a lone request was validated at submission and keys to
-                # *fp*: ``flush`` would only re-validate it and copy it
-                # into a block, with the same results and counters
-                request_matrix, operand, repetitions = work[0]
-                results = [
-                    engine.execute(
-                        request_matrix, operand, key=fp, repetitions=repetitions
-                    )
-                ]
-            else:
-                for request_matrix, operand, repetitions in work:
-                    engine.submit(
-                        request_matrix,
-                        operand,
-                        key=fp,
-                        repetitions=repetitions,
-                    )
-                results = engine.flush()
-            kernel_seconds = time.perf_counter() - kernel_start
-            stream_seconds = engine.streaming["seconds"] - stream_before
-            if telemetry:
-                features = engine.features_for(matrix, key=fp)
-            if self.shadow_every > 0:
-                # per-fp counters need no lock: same-fp serves are
-                # already serialised by the shard lock held here
-                count = self._shadow_counts.get(fp, 0)
-                self._shadow_counts[fp] = count + 1
-                if count % self.shadow_every == 0:
-                    shadow = engine.profile_formats(matrix, key=fp)
+        # version and epoch move only under the shard lock the lease
+        # holds, so the whole batch serves one model and one matrix version
+        model_version = engine.model_version
+        epoch = engine.epoch_of(fp)
+        # a fresh engine (cache miss) first tries the disk tier: a
+        # demoted container promotes back as mmap views instead of
+        # paying the stats + tune + convert chain again
+        if self.storage is not None and not engine.has_decision(fp):
+            promote_seconds = self._promote_into(fp, engine)
+        stream_before = engine.streaming["seconds"]
+        kernel_start = time.perf_counter()
+        if isinstance(work, np.ndarray):
+            block = engine.execute(matrix, work, key=fp)
+            results = split_stacked(block, work.shape[1])
+        elif len(work) == 1:
+            # a lone request was validated at submission and keys to
+            # *fp*: ``flush`` would only re-validate it and copy it
+            # into a block, with the same results and counters
+            request_matrix, operand, repetitions = work[0]
+            results = [
+                engine.execute(
+                    request_matrix, operand, key=fp, repetitions=repetitions
+                )
+            ]
+        else:
+            for request_matrix, operand, repetitions in work:
+                engine.submit(
+                    request_matrix,
+                    operand,
+                    key=fp,
+                    repetitions=repetitions,
+                )
+            results = engine.flush()
+        kernel_seconds = time.perf_counter() - kernel_start
+        stream_seconds = engine.streaming["seconds"] - stream_before
+        if telemetry:
+            features = engine.features_for(matrix, key=fp)
+        if self.shadow_every > 0:
+            # per-fp counters need no lock: same-fp serves are
+            # already serialised by the shard lock held here
+            count = self._shadow_counts.get(fp, 0)
+            self._shadow_counts[fp] = count + 1
+            if count % self.shadow_every == 0:
+                shadow = engine.profile_formats(matrix, key=fp)
         return Served(
             results=results,
             model_version=model_version,

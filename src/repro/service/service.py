@@ -15,8 +15,8 @@ SpMM requests and turns them into as few kernel launches as possible:
 * a ``ThreadPoolExecutor`` worker pool executes the decide -> convert ->
   execute chain through the shared serve step of
   :class:`~repro.service.host.EngineHost` — except that a blocking call
-  on an idle service runs that chain on its own thread (see
-  :meth:`TuningService._schedule`); every request is accounted
+  on an idle service is served on its own thread, with no queue and no
+  future (see :meth:`TuningService.spmv`); every request is accounted
   (enqueue-to-completion wall latency plus the engine's modelled
   seconds) and the service keeps counters for cache hits, coalesced
   batches and evictions, all exposed through one
@@ -65,7 +65,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -145,6 +145,50 @@ class UpdateResult:
     trace_id: str = ""
 
 
+def _service_result(
+    result, batch_size: int, latency: float, model_version: str, epoch: int,
+    trace_id: str,
+) -> ServiceResult:
+    """The :class:`ServiceResult` of one served engine *result*."""
+    return ServiceResult(
+        y=result.y,
+        seconds=result.seconds,
+        overhead_seconds=result.overhead_seconds,
+        format=result.format,
+        fingerprint=result.fingerprint,
+        from_cache=result.from_cache,
+        batch_size=batch_size,
+        latency_seconds=latency,
+        model_version=model_version,
+        epoch=epoch,
+        backend=result.backend,
+        trace_id=trace_id,
+    )
+
+
+def _serve_stages(
+    serve_start: float,
+    kernel_start: float,
+    kernel_seconds: float,
+    promote_seconds: float,
+    stream_seconds: float,
+) -> Dict[str, float]:
+    """The span stages of one in-process serve step."""
+    stages = {
+        # lease wait + batch assembly ahead of the kernel
+        "coalesce": kernel_start - serve_start,
+        "kernel": kernel_seconds,
+    }
+    # tier traffic rides the span timeline: a batch that promoted a
+    # demoted container or streamed row panels shows those stages
+    # (absent otherwise, so storage-free span schemas are unchanged)
+    if promote_seconds > 0.0:
+        stages["promote"] = promote_seconds
+    if stream_seconds > 0.0:
+        stages["stream"] = stream_seconds
+    return stages
+
+
 class TuningService:
     """Concurrent SpMV/SpMM auto-tuning service over a worker pool.
 
@@ -169,9 +213,9 @@ class TuningService:
         active format.
     workers:
         Thread-pool size executing the decide -> convert -> execute chain.
-        It bounds the pool's drains; one more drain may run on the
-        thread of a blocking call while no other drain runs (see
-        :meth:`_schedule`), so at most ``workers + 1`` batches are
+        It bounds the pool's drains; one more request may be served on
+        the thread of a blocking call while no other drain runs (see
+        :meth:`_claim_caller`), so at most ``workers + 1`` batches are
         served at once.  ``None`` (default) derives the size from the
         host's core count (see
         :func:`repro.utils.concurrency.default_thread_workers`).
@@ -231,8 +275,8 @@ class TuningService:
     #: Whether a drained batch may only coalesce plain single-vector
     #: requests (see :meth:`FingerprintQueues.take_batch`).
     _stackable_batches_only = False
-    #: Whether a blocking call that finds the service idle runs its
-    #: drain on the calling thread (see :meth:`_schedule`).
+    #: Whether a blocking call that finds the service idle is served
+    #: on the calling thread (see :meth:`_claim_caller`).
     _caller_runs = True
 
     def __init__(
@@ -331,13 +375,11 @@ class TuningService:
         self.redecision = redecision
         self.storage = None
         self._pending = FingerprintQueues()
-        # drains running right now, on the pool or on a calling thread;
-        # guarded by (and notified through) this condition
+        # drains running right now, on the pool or as a blocking call
+        # on its own thread; guarded by (and notified through) this
+        # condition
         self._drains_running = 0
         self._drains_idle = threading.Condition()
-        # marks a thread inside a blocking call (spmv, update), which
-        # waits for its result anyway and so may serve it (_schedule)
-        self._waiting = threading.local()
         self._model_lock = threading.Lock()
         self._closed = False
         self._observer = None
@@ -434,9 +476,9 @@ class TuningService:
         ``shadow_times`` (per-format rival timings) on shadow-probed
         batches.  It runs after the batch's futures resolve and after
         the fingerprint's next drain is rescheduled, so a slow observer
-        (a synchronous retrain) never delays a result.  A drain that
-        starts while an observer is installed runs on the worker pool,
-        so the observer does not run on a caller's thread either.  Observer
+        (a synchronous retrain) never delays a result.  While an
+        observer is installed every request is served on the worker
+        pool, so the observer does not run on a caller's thread either.  Observer
         exceptions are counted (``stats()["observer_errors"]``) and
         swallowed — telemetry must not break serving.
         """
@@ -495,6 +537,19 @@ class TuningService:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
+    def _admit(self, matrix: MatrixLike, x: np.ndarray, key: Optional[str]):
+        """Validate one SpMV request in the caller's thread.
+
+        Returns ``(fp, operand, trace_id, validate_seconds)``.
+        """
+        if self._closed:
+            raise ValidationError("service is closed")
+        submitted_at = time.perf_counter()
+        operand = validate_operand(matrix, x)
+        fp = key if key is not None else request_key(matrix)
+        trace_id = self.obs.mint()
+        return fp, operand, trace_id, time.perf_counter() - submitted_at
+
     def submit(
         self,
         matrix: MatrixLike,
@@ -512,22 +567,53 @@ class TuningService:
         while a worker is busy are coalesced into one batched kernel
         call when that worker drains the queue.
         """
+        fp, operand, trace_id, validate_seconds = self._admit(matrix, x, key)
+        return self._enqueue_spmv(
+            fp, matrix, operand, int(repetitions), trace_id, validate_seconds
+        )
+
+    def _enqueue_spmv(
+        self, fp, matrix, operand, repetitions, trace_id, validate_seconds
+    ) -> Future:
+        """Queue one admitted SpMV request (see :meth:`_admit`)."""
+        return self._enqueue(
+            fp,
+            PendingRequest(
+                matrix,
+                operand,
+                repetitions,
+                Future(),
+                trace_id=trace_id,
+                validate_seconds=validate_seconds,
+            ),
+        )
+
+    def _admit_update(
+        self, matrix: MatrixLike, delta: MatrixDelta, key: Optional[str]
+    ) -> Tuple[str, PendingRequest]:
+        """Validate one mutation request in the caller's thread."""
         if self._closed:
             raise ValidationError("service is closed")
         submitted_at = time.perf_counter()
-        operand = validate_operand(matrix, x)
+        if not isinstance(delta, MatrixDelta):
+            raise ValidationError(
+                f"update needs a MatrixDelta, got {type(delta).__name__}"
+            )
+        concrete = (
+            matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
+        )
+        delta.check_bounds(concrete.nrows, concrete.ncols)
         fp = key if key is not None else request_key(matrix)
-        future: "Future[ServiceResult]" = Future()
-        request = PendingRequest(
+        return fp, PendingRequest(
             matrix,
-            operand,
-            int(repetitions),
-            future,
+            None,
+            1,
+            Future(),
+            kind="update",
+            delta=delta,
             trace_id=self.obs.mint(),
             validate_seconds=time.perf_counter() - submitted_at,
         )
-        self._enqueue(fp, request)
-        return future
 
     def submit_update(
         self,
@@ -545,31 +631,7 @@ class TuningService:
         new one — and is applied under the engine-cache shard lock, so
         it can never interleave with a batch in flight.
         """
-        if self._closed:
-            raise ValidationError("service is closed")
-        submitted_at = time.perf_counter()
-        if not isinstance(delta, MatrixDelta):
-            raise ValidationError(
-                f"update needs a MatrixDelta, got {type(delta).__name__}"
-            )
-        concrete = (
-            matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
-        )
-        delta.check_bounds(concrete.nrows, concrete.ncols)
-        fp = key if key is not None else request_key(matrix)
-        future: "Future[UpdateResult]" = Future()
-        request = PendingRequest(
-            matrix,
-            None,
-            1,
-            future,
-            kind="update",
-            delta=delta,
-            trace_id=self.obs.mint(),
-            validate_seconds=time.perf_counter() - submitted_at,
-        )
-        self._enqueue(fp, request)
-        return future
+        return self._enqueue(*self._admit_update(matrix, delta, key))
 
     def update(
         self,
@@ -578,12 +640,22 @@ class TuningService:
         *,
         key: Optional[str] = None,
     ) -> UpdateResult:
-        """Blocking convenience wrapper around :meth:`submit_update`.
+        """Blocking mutation: :meth:`submit_update`, then wait.
 
-        On an idle service the mutation is applied on the calling
-        thread, as :meth:`spmv` serves its request.
+        On an idle service (see :meth:`_claim_caller`) the mutation is
+        applied right here, on the calling thread, without a queue.
         """
-        return self._wait_for(self.submit_update, matrix, delta, key=key)
+        fp, request = self._admit_update(matrix, delta, key)
+        if not self._claim_caller(fp):
+            return self._enqueue(fp, request).result()
+        self.obs.requests_submitted.inc()
+        try:
+            self._serve_update(fp, request)
+        except BaseException as exc:
+            self._fail(fp, [request], exc)
+        finally:
+            self._caller_done(fp)
+        return request.future.result()
 
     def spmv(
         self,
@@ -593,66 +665,150 @@ class TuningService:
         key: Optional[str] = None,
         repetitions: int = 1,
     ) -> ServiceResult:
-        """Blocking convenience wrapper: submit and wait for the result.
+        """Blocking request: ``y = A @ x``, served and returned.
 
-        The caller waits anyway, so when the service is idle its
-        request is served right here, on the calling thread, instead of
-        on the pool (see :meth:`_schedule`).
+        The caller waits anyway, so on an idle service (see
+        :meth:`_claim_caller`) the request is served right here, on the
+        calling thread, with no future and no queue: one lease, and on
+        a warm key one lookup of its chain and one kernel call
+        (:meth:`~repro.service.host.EngineHost.serve_one`).  Otherwise
+        it is submitted to the pool like :meth:`submit` and waited for.
         """
-        return self._wait_for(
-            self.submit, matrix, x, key=key, repetitions=repetitions
+        fp, operand, trace_id, validate_seconds = self._admit(matrix, x, key)
+        repetitions = int(repetitions)
+        enqueued_at = time.perf_counter()
+        if not self._claim_caller(fp):
+            return self._enqueue_spmv(
+                fp, matrix, operand, repetitions, trace_id, validate_seconds
+            ).result()
+        self.obs.requests_submitted.inc()
+        try:
+            serve_start = time.perf_counter()
+            return self._complete_one(
+                fp,
+                self._host.serve_one(fp, matrix, operand, repetitions),
+                trace_id=trace_id,
+                validate_seconds=validate_seconds,
+                enqueued_at=enqueued_at,
+                serve_start=serve_start,
+            )
+        except Exception as exc:
+            self._serve_error(fp, "spmv", 1, exc)
+            raise
+        finally:
+            self._caller_done(fp)
+
+    def _complete_one(
+        self,
+        fp: str,
+        served,
+        *,
+        trace_id: str,
+        validate_seconds: float,
+        enqueued_at: float,
+        serve_start: float,
+    ) -> ServiceResult:
+        """Account a blocking request served by ``EngineHost.serve_one``.
+
+        The same counters, latency sample and span (keys and stage
+        names) as :meth:`_complete_batch` records for a batch of one;
+        the result is returned instead of resolving a future.
+        """
+        (
+            result,
+            model_version,
+            kernel_start,
+            kernel_seconds,
+            promote_seconds,
+            stream_seconds,
+            shadow,
+        ) = served
+        latency = time.perf_counter() - enqueued_at
+        o = self.obs
+        o.requests_served.inc()
+        o.batches.inc()
+        if shadow is not None:
+            o.shadow_probes.inc()
+        o.latency.observe(latency)
+        if o.enabled:
+            stages = {
+                "validate": validate_seconds,
+                "queue": serve_start - enqueued_at,
+            }
+            stages.update(
+                _serve_stages(
+                    serve_start,
+                    kernel_start,
+                    kernel_seconds,
+                    promote_seconds,
+                    stream_seconds,
+                )
+            )
+            stages["observer"] = 0.0
+            o.span(
+                trace_id,
+                kind="spmv",
+                fingerprint=fp,
+                batch_size=1,
+                backend=result.backend,
+                stages=stages,
+            )
+        return _service_result(
+            result, 1, latency, model_version, result.epoch, trace_id
         )
 
-    def _wait_for(self, submit, *args, **kwargs):
-        """Call *submit* as a blocking call, then wait for its result."""
-        self._waiting.active = True
-        try:
-            future = submit(*args, **kwargs)
-        finally:
-            self._waiting.active = False
-        return future.result()
+    def _claim_caller(self, fp: str) -> bool:
+        """Whether a blocking call for *fp* may be served on its own thread.
 
-    def _enqueue(self, fp: str, request: PendingRequest) -> None:
+        True when the tier allows it (``_caller_runs``), no observer is
+        installed, no drain of any fingerprint is running and nothing is
+        queued under *fp*: the call then overtakes nothing submitted
+        before it.  It counts as a running drain of *fp* until
+        :meth:`_caller_done`, so requests submitted for *fp* meanwhile
+        queue behind it.  With an observer every drain runs on the
+        pool, so a slow observer never runs on a caller's thread.
+        """
+        if not self._caller_runs or self._observer is not None:
+            return False
+        with self._drains_idle:
+            if self._drains_running or not self._pending.reserve(fp):
+                return False
+            self._drains_running += 1
+            return True
+
+    def _caller_done(self, fp: str) -> None:
+        """End a claimed call: hand what queued behind it to the pool."""
+        try:
+            if self._pending.finish(fp):
+                self._schedule(fp)
+        finally:
+            self._drain_done()
+
+    def _drain_done(self) -> None:
+        """Stop counting one drain as running."""
+        with self._drains_idle:
+            self._drains_running -= 1
+            if self._drains_running == 0:
+                self._drains_idle.notify_all()
+
+    def _enqueue(self, fp: str, request: PendingRequest) -> Future:
         """Append one request to its fingerprint queue; schedule a drain."""
         schedule = self._pending.push(fp, request)
         self.obs.requests_submitted.inc()
         if schedule:
             self._schedule(fp)
+        return request.future
 
     # ------------------------------------------------------------------
     # drain loop
     # ------------------------------------------------------------------
     def _schedule(self, fp: str) -> None:
-        """Start a drain for *fp* (one in flight per fp).
+        """Start a drain for *fp* (one in flight per fp) on the worker pool.
 
-        Caller-runs rule: a blocking call (:meth:`spmv`, :meth:`update`)
-        runs the drain right here, on its own thread, when the tier
-        allows it (``_caller_runs``), no drain of any fingerprint is
-        running and no observer is installed.  Its lone request then
-        costs its serve step, not a pool round trip, and its future is
-        done before the call waits on it.  Everything else goes to the
-        worker pool: an asynchronous :meth:`submit` (so a client that
-        fires many requests before waiting still has them coalesce), a
-        reschedule from :meth:`_drain` (its own drain still counts as
-        running), a blocking call that arrives while any drain runs, and
-        every drain while an observer is installed, so a slow observer
-        never runs on a caller's thread.  If the pool has been shut down
-        (a reschedule racing :meth:`close`), the queue is drained inline
-        in the calling thread instead — a submitted request is never
-        silently dropped.
+        If the pool has been shut down (a reschedule racing
+        :meth:`close`), the queue is drained inline in the calling
+        thread instead — a submitted request is never silently dropped.
         """
-        if (
-            self._caller_runs
-            and self._observer is None
-            and getattr(self._waiting, "active", False)
-        ):
-            with self._drains_idle:
-                idle = self._drains_running == 0
-                if idle:
-                    self._drains_running += 1
-            if idle:
-                self._run_drain(fp)
-                return
         try:
             self._executor.submit(self._drain, fp)
         except RuntimeError:  # executor shut down mid-close
@@ -669,27 +825,20 @@ class TuningService:
     def _drain(self, fp: str) -> None:
         """Worker task: dispatch one batch, reschedule if more arrived.
 
-        The drain counts as running (see :meth:`_schedule`) until its
-        reschedule is handed off.  The next drain is rescheduled
+        The drain counts as running (see :meth:`_claim_caller`) until
+        its reschedule is handed off.  The next drain is rescheduled
         *before* the telemetry observer runs, so a slow observer (or a
         synchronous retrain) overlaps with serving on the pool instead
         of stalling the fingerprint's queue.
         """
         with self._drains_idle:
             self._drains_running += 1
-        self._run_drain(fp)
-
-    def _run_drain(self, fp: str) -> None:
-        """Body of :meth:`_drain`, already counted as running."""
         try:
             more, telemetry = self._drain_once(fp)
             if more:
                 self._schedule(fp)
         finally:
-            with self._drains_idle:
-                self._drains_running -= 1
-                if self._drains_running == 0:
-                    self._drains_idle.notify_all()
+            self._drain_done()
         self._deliver_telemetry(*telemetry)
 
     def _drain_once(self, fp: str):
@@ -743,18 +892,13 @@ class TuningService:
         served = self._host.serve(
             fp, batch[0].matrix, work, telemetry=self._observer is not None
         )
-        stages = {
-            # lease wait + batch assembly ahead of the kernel
-            "coalesce": served.kernel_start - serve_start,
-            "kernel": served.kernel_seconds,
-        }
-        # tier traffic rides the span timeline: a batch that promoted a
-        # demoted container or streamed row panels shows those stages
-        # (absent otherwise, so storage-free span schemas are unchanged)
-        if served.promote_seconds > 0.0:
-            stages["promote"] = served.promote_seconds
-        if served.stream_seconds > 0.0:
-            stages["stream"] = served.stream_seconds
+        stages = _serve_stages(
+            serve_start,
+            served.kernel_start,
+            served.kernel_seconds,
+            served.promote_seconds,
+            served.stream_seconds,
+        )
         return self._complete_batch(
             fp, batch, served, queued_until=serve_start, stages=stages
         )
@@ -835,19 +979,13 @@ class TuningService:
             if request.future.done():
                 continue  # cancelled by close(wait=False)
             request.future.set_result(
-                ServiceResult(
-                    y=result.y,
-                    seconds=result.seconds,
-                    overhead_seconds=result.overhead_seconds,
-                    format=result.format,
-                    fingerprint=result.fingerprint,
-                    from_cache=result.from_cache,
-                    batch_size=len(batch),
-                    latency_seconds=latency,
-                    model_version=served.model_version,
-                    epoch=served.epoch,
-                    backend=result.backend,
-                    trace_id=request.trace_id,
+                _service_result(
+                    result,
+                    len(batch),
+                    latency,
+                    served.model_version,
+                    served.epoch,
+                    request.trace_id,
                 )
             )
         if self._observer is None:
@@ -955,19 +1093,25 @@ class TuningService:
         and no later request on the fingerprint is left waiting.
         """
         try:
-            self.obs.event(
-                "serve_error",
-                error=type(exc).__name__,
-                message=str(exc)[:200],
-                fingerprint=fp,
-                batch_size=len(batch),
-                request_kind=batch[0].kind,
-                **fields,
-            )
+            self._serve_error(fp, batch[0].kind, len(batch), exc, **fields)
         finally:
             for request in batch:
                 if not request.future.done():
                     request.future.set_exception(exc)
+
+    def _serve_error(
+        self, fp: str, kind: str, batch_size: int, exc: BaseException, **fields
+    ) -> None:
+        """Record the ``serve_error`` event of one failed dispatch."""
+        self.obs.event(
+            "serve_error",
+            error=type(exc).__name__,
+            message=str(exc)[:200],
+            fingerprint=fp,
+            batch_size=batch_size,
+            request_kind=kind,
+            **fields,
+        )
 
     def _record_spans(self, spans: Iterable[dict]) -> List[Dict[str, float]]:
         """Record *spans* now; return their (shared) stage dicts.
@@ -1137,7 +1281,8 @@ class TuningService:
 
         With ``wait=True`` (the default) every already-submitted request
         is dispatched before the method returns — in-flight drains
-        finish on the pool, and any drain whose reschedule raced the
+        finish on the pool, a blocking call served on its own thread
+        finishes there, and any drain whose reschedule raced the
         shutdown falls back to running inline (see :meth:`_schedule`); a
         final sweep here catches queues whose drain task never started.
         With ``wait=False`` the pool is told to shut down without
@@ -1149,7 +1294,8 @@ class TuningService:
         self._closed = True
         self._executor.shutdown(wait=wait)
         if wait:
-            # a drain on a calling thread outlives the pool shutdown
+            # a blocking call served on its own thread outlives the
+            # pool shutdown
             with self._drains_idle:
                 self._drains_idle.wait_for(lambda: self._drains_running == 0)
             for fp in self._pending.keys():
@@ -1208,8 +1354,8 @@ class Session:
     ) -> ServiceResult:
         """Blocking SpMV: ``y = A @ x`` through the service.
 
-        Served like :meth:`TuningService.spmv`: on the calling thread
-        when the service is idle.
+        Served like :meth:`TuningService.spmv`: on the calling thread,
+        with no queue and no future, when the service is idle.
         """
         self.requests += 1
         result = self.service.spmv(matrix, x, key=key, repetitions=repetitions)

@@ -6,7 +6,7 @@ installed, the drain runs on the calling thread instead of on the
 worker pool.  These tests pin the rule and its edges:
 
 * on an idle service a blocking request is served on the caller's
-  thread, and the future behind it is done before the call waits;
+  thread, through the blocking serve step (``EngineHost.serve_one``);
 * an asynchronous ``submit`` still goes to the pool;
 * while a drain is in flight, a blocking call for another matrix goes
   to the pool and same-matrix requests coalesce behind the drain;
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -56,35 +57,49 @@ def service(space):
 def _spy_serve(service, *, hold=None):
     """Record the serving thread of every batch on ``service``.
 
-    With *hold* = ``(key, entered, release)`` the first batch for *key*
-    sets *entered* and then blocks until *release* is set, keeping its
-    drain in flight.
+    Both serve entry points are spied: the pool's ``serve`` and the
+    blocking ``serve_one``.  With *hold* = ``(key, entered, release)``
+    the first batch for *key* sets *entered* and then blocks until
+    *release* is set, keeping its drain in flight.
     """
-    serve = service._host.serve
     calls = []
 
-    def spy(fp, matrix, work, **kwargs):
-        calls.append((fp, threading.get_ident()))
-        if hold is not None and fp == hold[0] and not hold[1].is_set():
-            hold[1].set()
-            assert hold[2].wait(TIMEOUT)
-        return serve(fp, matrix, work, **kwargs)
+    def spied(serve):
+        def spy(fp, matrix, work, *args, **kwargs):
+            calls.append((fp, threading.get_ident()))
+            if hold is not None and fp == hold[0] and not hold[1].is_set():
+                hold[1].set()
+                assert hold[2].wait(TIMEOUT)
+            return serve(fp, matrix, work, *args, **kwargs)
 
-    service._host.serve = spy
+        return spy
+
+    service._host.serve = spied(service._host.serve)
+    service._host.serve_one = spied(service._host.serve_one)
     return calls
 
 
 def _spy_submit(service):
-    """Record every future ``submit`` returns and whether it was done."""
-    submit = service.submit
+    """Record every blocking serve step's outcome as a resolved future,
+    and whether it ran on the thread that installed the spy."""
+    serve_one = service._host.serve_one
+    caller = threading.get_ident()
     returned = []
 
     def spy(*args, **kwargs):
-        future = submit(*args, **kwargs)
-        returned.append((future, future.done()))
-        return future
+        future = Future()
+        try:
+            served = serve_one(*args, **kwargs)
+        except Exception as exc:
+            future.set_exception(exc)
+            raise
+        else:
+            future.set_result(served[0])
+        finally:
+            returned.append((future, threading.get_ident() == caller))
+        return served
 
-    service.submit = spy
+    service._host.serve_one = spy
     return returned
 
 
@@ -191,19 +206,19 @@ def test_observer_keeps_every_drain_on_the_pool(service, matrix, rng):
 
 def test_failing_dispatch_fails_the_future_not_submit(service, matrix, rng):
     returned = _spy_submit(service)
-    serve = service._host.serve
+    serve = service._host._serve_leased
 
     def broken(*args, **kwargs):
         raise RuntimeError("kernel exploded")
 
-    service._host.serve = broken
+    service._host._serve_leased = broken
     x = rng.standard_normal(matrix.ncols)
     with pytest.raises(RuntimeError, match="kernel exploded"):
         service.spmv(matrix, x, key="m")
     ((future, done),) = returned
     assert done and isinstance(future.exception(), RuntimeError)
     # the service is idle again: the next call is served on this thread
-    service._host.serve = serve
+    service._host._serve_leased = serve
     calls = _spy_serve(service)
     assert service.spmv(matrix, x, key="m").batch_size == 1
     assert calls == [("m", threading.get_ident())]
@@ -255,26 +270,31 @@ def test_stress_keeps_the_drain_count_exact(space, dense_small):
         for jobs in work
     ]
     service = TuningService(space, workers=workers)
-    serve = service._host.serve
     lock = threading.Lock()
     running = {"caller": 0, "all": 0}
     peak = dict(running)
 
-    def spy(*args, **kwargs):
-        on_pool = threading.current_thread().name.startswith("repro-service")
-        kinds = ("all",) if on_pool else ("all", "caller")
-        with lock:
-            for kind in kinds:
-                running[kind] += 1
-                peak[kind] = max(peak[kind], running[kind])
-        try:
-            return serve(*args, **kwargs)
-        finally:
+    def spied(serve):
+        def spy(*args, **kwargs):
+            on_pool = threading.current_thread().name.startswith(
+                "repro-service"
+            )
+            kinds = ("all",) if on_pool else ("all", "caller")
             with lock:
                 for kind in kinds:
-                    running[kind] -= 1
+                    running[kind] += 1
+                    peak[kind] = max(peak[kind], running[kind])
+            try:
+                return serve(*args, **kwargs)
+            finally:
+                with lock:
+                    for kind in kinds:
+                        running[kind] -= 1
 
-    service._host.serve = spy
+        return spy
+
+    service._host.serve = spied(service._host.serve)
+    service._host.serve_one = spied(service._host.serve_one)
     mismatches = []
 
     def client(c):
