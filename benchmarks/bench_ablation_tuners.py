@@ -17,8 +17,8 @@ from repro.core import (
     RandomForestTuner,
     RunFirstTuner,
     build_dataset,
-    train_tuned_model,
 )
+from repro.experiments.stages import train_model
 from repro.formats import DynamicMatrix
 from repro.ml import accuracy_score
 
@@ -35,12 +35,12 @@ def tuner_trio(collection, spaces, profiling, split):
             continue
         Xtr, ytr = build_dataset(collection, train, profiling, sp.name)
         Xte_specs = test
-        dt_model = train_tuned_model(
+        dt_model = train_model(
             Xtr, ytr, Xtr[:2], ytr[:2],
             algorithm="decision_tree", grid={"max_depth": [12, 18]},
             system=sp.system.name, backend=sp.backend,
         ).oracle_model
-        rf_model = train_tuned_model(
+        rf_model = train_model(
             Xtr, ytr, Xtr[:2], ytr[:2],
             grid={"n_estimators": [30], "max_depth": [14]},
             system=sp.system.name, backend=sp.backend,

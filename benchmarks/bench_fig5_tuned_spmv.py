@@ -15,12 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    RandomForestTuner,
-    build_dataset,
-    train_tuned_model,
-    tune_multiply,
-)
+from repro.core import RandomForestTuner, build_dataset, tune_multiply
+from repro.experiments.stages import train_model
 from repro.formats import DynamicMatrix
 
 from benchmarks.conftest import write_result
@@ -35,7 +31,7 @@ def tuned_runs(collection, spaces, profiling, split):
     out = {}
     for sp in spaces:
         Xtr, ytr = build_dataset(collection, train, profiling, sp.name)
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xtr[:2], ytr[:2],
             grid={"n_estimators": [20, 40], "max_depth": [12, 18]},
             system=sp.system.name, backend=sp.backend,

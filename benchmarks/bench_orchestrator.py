@@ -3,7 +3,7 @@
 Two acceptance properties of the experiments layer:
 
 * profiling the benchmark corpus through the orchestrator with ``jobs=4``
-  is measurably faster than the serial ``profile_collection`` path
+  is measurably faster than the serial ``run_profile_stage`` call
   (matrix generation fans out across a process pool) — asserted when the
   machine actually has multiple CPUs, reported either way;
 * a repeated identical ``repro run`` completes with **zero** matrix
@@ -20,7 +20,6 @@ import os
 import time
 
 from repro.backends import make_space
-from repro.core import profile_collection
 from repro.datasets import MatrixCollection
 from repro.experiments import (
     ArtifactStore,
@@ -50,7 +49,7 @@ def test_parallel_profile_speedup():
 
     serial_coll = MatrixCollection(n_matrices=n, seed=bench_seed())
     t0 = time.perf_counter()
-    serial = profile_collection(serial_coll, spaces)
+    serial = run_profile_stage(serial_coll, spaces)
     t_serial = time.perf_counter() - t0
 
     parallel_coll = MatrixCollection(n_matrices=n, seed=bench_seed())
@@ -68,7 +67,7 @@ def test_parallel_profile_speedup():
         f"parallel profiling, {n} matrices x {len(spaces)} spaces "
         f"({cpus} CPUs visible)",
         "-" * 66,
-        f"{'serial profile_collection':<38} {t_serial:8.2f} s",
+        f"{'serial run_profile_stage':<38} {t_serial:8.2f} s",
         f"{'orchestrator, jobs=' + str(JOBS):<38} {t_parallel:8.2f} s",
         f"{'speedup':<38} {speedup:8.2f} x",
         "",

@@ -17,8 +17,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import build_dataset, train_tuned_model
+from repro.core import build_dataset
 from repro.core.pipeline import SMALL_RF_GRID
+from repro.experiments.stages import train_model
 
 from benchmarks.conftest import write_result
 
@@ -30,7 +31,7 @@ def table3(collection, spaces, profiling, split):
     for sp in spaces:
         Xtr, ytr = build_dataset(collection, train, profiling, sp.name)
         Xte, yte = build_dataset(collection, test, profiling, sp.name)
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             algorithm="random_forest",
             grid=SMALL_RF_GRID,
@@ -121,7 +122,7 @@ def test_table3_decision_tree_close_behind(
     Xte, yte = build_dataset(collection, test, profiling, sp.name)
 
     def train_dt():
-        return train_tuned_model(
+        return train_model(
             Xtr, ytr, Xte, yte,
             algorithm="decision_tree",
             grid={"max_depth": [8, 14, 20], "criterion": ["gini", "entropy"]},

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import RandomForestTuner, build_dataset, train_tuned_model
+from repro.core import RandomForestTuner, build_dataset
+from repro.experiments.stages import train_model
 from repro.formats import DynamicMatrix
 
 from benchmarks.conftest import write_result
@@ -26,7 +27,7 @@ def tuner_costs(collection, spaces, profiling, split):
     costs = {}
     for sp in spaces:
         Xtr, ytr = build_dataset(collection, train, profiling, sp.name)
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xtr[:2], ytr[:2],
             grid={"n_estimators": [20, 40], "max_depth": [12, 18]},
             system=sp.system.name, backend=sp.backend,

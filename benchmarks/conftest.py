@@ -20,8 +20,8 @@ import os
 import pytest
 
 from repro.backends import available_spaces
-from repro.core import profile_collection
 from repro.datasets import MatrixCollection
+from repro.experiments.stages import run_profile_stage
 from repro.machine import CostModel
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
@@ -48,7 +48,7 @@ def spaces():
 @pytest.fixture(scope="session")
 def profiling(collection, spaces):
     """The paper's profiling runs: optimal format per (matrix, space)."""
-    return profile_collection(collection, spaces)
+    return run_profile_stage(collection, spaces)
 
 
 @pytest.fixture(scope="session")

@@ -21,8 +21,8 @@ from repro.core import (
     OverheadConsciousTuner,
     RandomForestTuner,
     build_dataset,
-    profile_collection,
 )
+from repro.experiments.stages import run_profile_stage
 from repro.formats import DynamicMatrix
 from repro.ml import (
     GradientBoostingClassifier,
@@ -36,7 +36,7 @@ def main() -> None:
     space = make_space("p3", "hip")
     collection = MatrixCollection(n_matrices=300, seed=42)
     print(f"profiling {len(collection)} matrices on {space.name} ...")
-    profiling = profile_collection(collection, [space])
+    profiling = run_profile_stage(collection, [space])
     train, test = collection.train_test_split()
     Xtr, ytr = build_dataset(collection, train, profiling, space.name)
     Xte, yte = build_dataset(collection, test, profiling, space.name)

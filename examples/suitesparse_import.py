@@ -20,13 +20,12 @@ from repro import DynamicMatrix, MatrixCollection, RandomForestTuner, make_space
 from repro.core import (
     build_dataset,
     extract_features,
-    profile_collection,
     save_model,
-    train_tuned_model,
     tune_multiply,
 )
 from repro.core.features import FEATURE_NAMES
 from repro.datasets import banded, read_matrix_market, write_matrix_market
+from repro.experiments.stages import run_profile_stage, train_model
 
 
 def main() -> None:
@@ -51,11 +50,11 @@ def main() -> None:
     # --- offline stage: train a model for cirrus/cuda ----------------
     space = make_space("cirrus", "cuda")
     collection = MatrixCollection(n_matrices=200, seed=42)
-    profiling = profile_collection(collection, [space])
+    profiling = run_profile_stage(collection, [space])
     train, test = collection.train_test_split()
     Xtr, ytr = build_dataset(collection, train, profiling, space.name)
     Xte, yte = build_dataset(collection, test, profiling, space.name)
-    tm = train_tuned_model(
+    tm = train_model(
         Xtr, ytr, Xte, yte,
         grid={"n_estimators": [20], "max_depth": [14]},
         system="cirrus", backend="cuda",

@@ -17,13 +17,9 @@ import sys
 import tempfile
 
 from repro import MatrixCollection, available_spaces
-from repro.core import (
-    ModelDatabase,
-    build_dataset,
-    profile_collection,
-    train_tuned_model,
-)
+from repro.core import ModelDatabase, build_dataset
 from repro.core.pipeline import SMALL_RF_GRID
+from repro.experiments.stages import run_profile_stage, train_model
 
 
 def main(n_matrices: int = 250) -> None:
@@ -33,7 +29,7 @@ def main(n_matrices: int = 250) -> None:
     spaces = available_spaces()
 
     print("profiling runs over the 11 (system, backend) pairs ...")
-    profiling = profile_collection(collection, spaces)
+    profiling = run_profile_stage(collection, spaces)
     train, test = collection.train_test_split()
     print(f"split: {len(train)} train / {len(test)} test\n")
 
@@ -47,7 +43,7 @@ def main(n_matrices: int = 250) -> None:
     for sp in spaces:
         Xtr, ytr = build_dataset(collection, train, profiling, sp.name)
         Xte, yte = build_dataset(collection, test, profiling, sp.name)
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             grid=SMALL_RF_GRID,
             system=sp.system.name,

@@ -65,14 +65,13 @@ from repro.core import (
     RunFirstTuner,
     build_dataset,
     extract_features,
-    profile_collection,
     save_model,
-    train_tuned_model,
     tune_multiply,
 )
 from repro.core.features import FEATURE_NAMES
 from repro.core.pipeline import SMALL_RF_GRID
 from repro.datasets import MatrixCollection, read_matrix_market
+from repro.experiments.stages import run_profile_stage, train_model
 from repro.formats import DynamicMatrix
 from repro.formats.base import FORMAT_IDS
 from repro.machine.systems import SYSTEMS
@@ -139,7 +138,7 @@ def cmd_backends(_args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     space = make_space(args.system, args.backend)
     collection = MatrixCollection(n_matrices=args.n_matrices, seed=args.seed)
-    profiling = profile_collection(collection, [space], jobs=args.jobs)
+    profiling = run_profile_stage(collection, [space], jobs=args.jobs)
     dist = profiling.format_distribution(space.name)
     print(f"optimal-format distribution on {space.name} "
           f"({args.n_matrices} matrices):")
@@ -155,11 +154,11 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     space = make_space(args.system, args.backend)
     collection = MatrixCollection(n_matrices=args.n_matrices, seed=args.seed)
-    profiling = profile_collection(collection, [space], jobs=args.jobs)
+    profiling = run_profile_stage(collection, [space], jobs=args.jobs)
     train, test = collection.train_test_split()
     Xtr, ytr = build_dataset(collection, train, profiling, space.name)
     Xte, yte = build_dataset(collection, test, profiling, space.name)
-    tm = train_tuned_model(
+    tm = train_model(
         Xtr, ytr, Xte, yte,
         algorithm=args.algorithm,
         grid=SMALL_RF_GRID if args.algorithm == "random_forest" else None,
@@ -228,8 +227,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if spec.name not in matrices:
             matrices[spec.name] = DynamicMatrix(collection.generate(spec))
         dyn = matrices[spec.name]
-        engine.submit(dyn, rng.standard_normal(dyn.ncols), key=spec.name)
-    results = engine.flush()
+        engine.execute(dyn, rng.standard_normal(dyn.ncols), key=spec.name)
     wall = time.perf_counter() - t0
     report = engine.stats()
     counters = report["counters"]
@@ -238,7 +236,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     naive_tuning = (
         seconds["tuning"] * (args.requests / decisions) if decisions else 0.0
     )
-    print(f"served               {len(results)} requests over "
+    print(f"served               {report['requests_served']} requests over "
           f"{report['unique_matrices']} matrices on {space.name}")
     print(f"decision cache       {counters['decision_hits']} hits / "
           f"{decisions} misses "

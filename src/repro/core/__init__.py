@@ -36,8 +36,6 @@ from repro.core.pipeline import (
     ProfilingResult,
     TrainedModel,
     build_dataset,
-    profile_collection,
-    train_tuned_model,
 )
 
 __all__ = [
@@ -61,6 +59,4 @@ __all__ = [
     "ProfilingResult",
     "TrainedModel",
     "build_dataset",
-    "profile_collection",
-    "train_tuned_model",
 ]

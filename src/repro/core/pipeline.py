@@ -7,35 +7,30 @@ optimal format → **feature extraction** turns matrices into Table-I vectors
 :class:`ModelDatabase` for the online stage to load.
 
 The stage implementations live in :mod:`repro.experiments.stages`
-(config-driven, parallel, store-resumable); :func:`profile_collection` and
-:func:`train_tuned_model` are kept as thin compatibility wrappers over
-them.
+(config-driven, parallel, store-resumable):
+:func:`~repro.experiments.stages.run_profile_stage` and
+:func:`~repro.experiments.stages.train_model`.  This module keeps the
+types they produce and consume.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.backends.base import ExecutionSpace
 from repro.core.features import extract_features_from_stats
 from repro.core.model_io import OracleModel, load_model, save_model
 from repro.datasets.collection import MatrixCollection, MatrixSpec
 from repro.errors import TuningError, ValidationError
 from repro.formats.base import FORMAT_IDS, FORMAT_NAMES
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.store import ArtifactStore
-
 __all__ = [
     "ProfilingResult",
-    "profile_collection",
     "build_dataset",
     "TrainedModel",
-    "train_tuned_model",
     "ModelDatabase",
     "DEFAULT_RF_GRID",
     "SMALL_RF_GRID",
@@ -129,39 +124,6 @@ class ProfilingResult:
         return np.asarray(out)
 
 
-def profile_collection(
-    collection: MatrixCollection,
-    spaces: Sequence[ExecutionSpace],
-    *,
-    specs: Sequence[MatrixSpec] | None = None,
-    jobs: int = 1,
-    store: "ArtifactStore | None" = None,
-    store_key: str | None = None,
-) -> ProfilingResult:
-    """Run the profiling stage: label the optimal format everywhere.
-
-    Compatibility wrapper over
-    :func:`repro.experiments.stages.run_profile_stage`: for every matrix
-    and space the modelled runtime of one SpMV per format is recorded
-    (dispatched through each space's cached
-    :class:`~repro.runtime.engine.WorkloadEngine`) and the minimum
-    designates the optimum.
-
-    Each matrix's :class:`~repro.machine.stats.MatrixStats` is resolved
-    once through the collection's stats cache and shared across all
-    *spaces* (and later by :func:`build_dataset`), so a profiling run
-    generates every matrix exactly once regardless of how many spaces or
-    pipeline stages consume it.  ``jobs`` fans matrix generation across a
-    worker pool; ``store``/``store_key`` make the stage resumable from an
-    :class:`~repro.experiments.store.ArtifactStore`.
-    """
-    from repro.experiments.stages import run_profile_stage
-
-    return run_profile_stage(
-        collection, spaces, specs=specs, jobs=jobs, store=store, key=store_key
-    )
-
-
 def build_dataset(
     collection: MatrixCollection,
     specs: Sequence[MatrixSpec],
@@ -171,7 +133,8 @@ def build_dataset(
     """Assemble ``(X, y)``: Table-I features and optimal-format labels.
 
     Features come from the collection's cached stats, so a dataset built
-    after :func:`profile_collection` performs zero matrix regeneration.
+    after :func:`~repro.experiments.stages.run_profile_stage` performs
+    zero matrix regeneration.
     """
     X = np.stack(
         [extract_features_from_stats(collection.stats(s)) for s in specs]
@@ -244,45 +207,6 @@ class TrainedModel:
         return OracleModel.from_estimator(
             self.baseline, system=self.system, backend=self.backend
         )
-
-
-def train_tuned_model(
-    X_train: np.ndarray,
-    y_train: np.ndarray,
-    X_test: np.ndarray,
-    y_test: np.ndarray,
-    *,
-    algorithm: str = "random_forest",
-    grid: Mapping[str, Sequence[object]] | None = None,
-    cv: int = 5,
-    scoring: str = "accuracy",
-    seed: int = 0,
-    system: str = "",
-    backend: str = "",
-) -> TrainedModel:
-    """Train the baseline, grid-search the tuned model, score both.
-
-    Compatibility wrapper over
-    :func:`repro.experiments.stages.train_model`.  Follows Section VII-D:
-    5-fold CV grid search on the training split, refit on the full
-    training set, report accuracy and balanced accuracy on the untouched
-    test split.
-    """
-    from repro.experiments.stages import train_model
-
-    return train_model(
-        X_train,
-        y_train,
-        X_test,
-        y_test,
-        algorithm=algorithm,
-        grid=grid,
-        cv=cv,
-        scoring=scoring,
-        seed=seed,
-        system=system,
-        backend=backend,
-    )
 
 
 # ----------------------------------------------------------------------

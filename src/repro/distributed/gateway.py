@@ -189,9 +189,6 @@ class DistributedService(TuningService):
         silent worker is declared hung and killed.
     """
 
-    # a batch ships as one contiguous shared-memory block, so every
-    # coalesced member must be one column of it
-    _stackable_batches_only = True
     # a drain returns once its batch is sent, so a submitting thread
     # would find nearly every fingerprint idle and run every drain
     # itself, and same-matrix requests would stop coalescing
@@ -334,16 +331,14 @@ class DistributedService(TuningService):
             matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
         )
         nrows, ncols = concrete.nrows, concrete.ncols
-        stacked = len(batch) > 1  # take_batch(stackable_only) guarantees
         shm_start = time.perf_counter()
-        if stacked:  # every member is a plain 1-D rep-1 request
+        if len(batch) > 1:  # a stacked run of plain 1-D rep-1 requests
             x_ref = self.pool.reserve((ncols, len(batch)), np.float64)
             view = self.pool.view(x_ref)
             for j, request in enumerate(batch):
                 view[:, j] = request.operand
             del view
             out_ref = self.pool.reserve((nrows, len(batch)), np.float64)
-            reps = [1] * len(batch)
         else:
             operand = batch[0].operand
             x_ref = self.pool.place(operand)
@@ -351,12 +346,11 @@ class DistributedService(TuningService):
                 (nrows,) if operand.ndim == 1 else (nrows, operand.shape[1])
             )
             out_ref = self.pool.reserve(out_shape, np.float64)
-            reps = [batch[0].repetitions]
         spec = {
             "x": x_ref,
             "out": out_ref,
-            "reps": reps,
-            "stacked": stacked,
+            "repetitions": batch[0].repetitions,
+            "requests": len(batch),
             "telemetry": self._observer is not None,
         }
         msg_id = next(self._msg_ids)
@@ -497,15 +491,13 @@ class DistributedService(TuningService):
             # next update anchors drift differently than the dead
             # worker's would have
             self._served.add(fp)
-        # results arrive without y: column j of the shared-memory
-        # response block is request j's output
-        base = self.pool.view(entry.out_ref, release_with_view=True)
+        # the result arrives without y: it is the shared-memory response
+        # block, whose column j is request j's output in a stacked batch
+        served.result = dataclasses.replace(
+            served.result,
+            y=self.pool.view(entry.out_ref, release_with_view=True),
+        )
         self.pool.release(entry.x_ref)
-        stacked = len(entry.batch) > 1
-        served.results = [
-            dataclasses.replace(result, y=base[:, j] if stacked else base)
-            for j, result in enumerate(served.results)
-        ]
         stages = {
             "shm_put": entry.shm_put_seconds,
             "rpc": time.perf_counter() - entry.dispatched_at,

@@ -149,20 +149,22 @@ class Supervisor:
         incarnation = handle.incarnation
         process.start()
         child_conn.close()  # the worker's end lives in the worker only
-        # publish the handle only once the process is joinable — a
-        # concurrent shutdown() must never see a constructed-but-not-
-        # started Process
+        # publish the process and the reader only once each is joinable
+        # — a concurrent shutdown() must never see a constructed-but-not-
+        # started Process or Thread; the reader owns its pipe end from
+        # the start, so a shutdown nulling handle.conn cannot take it
         handle.conn = parent_conn
         handle.process = process
         handle.last_heartbeat = time.monotonic()
         handle.dead = False
-        handle.reader = threading.Thread(
+        reader = threading.Thread(
             target=self._read_loop,
-            args=(handle, incarnation),
+            args=(handle, incarnation, parent_conn),
             name=f"repro-dist-reader-{handle.index}",
             daemon=True,
         )
-        handle.reader.start()
+        reader.start()
+        handle.reader = reader
 
     def handles(self) -> List[WorkerHandle]:
         return list(self._handles)
@@ -243,18 +245,17 @@ class Supervisor:
     # ------------------------------------------------------------------
     # watching
     # ------------------------------------------------------------------
-    def _read_loop(self, handle: WorkerHandle, incarnation: int) -> None:
+    def _read_loop(self, handle: WorkerHandle, incarnation: int, conn) -> None:
         """Deliver one incarnation's messages until it dies or is replaced.
 
         The reader is the only thread that reads this incarnation's pipe
-        end, and the only one that closes it.  A close from another
+        end *conn*, and the only one that closes it.  A close from another
         thread can land while the reader sits in ``recv`` with the file
         descriptor already fetched; the respawn's new pipe then reuses
         that descriptor number, and the stale read steals bytes from the
         replacement's stream, which desynchronises its framing and
         silently stops its reader.
         """
-        conn = handle.conn
         try:
             # death handling and shutdown mark the handle dead; a dying
             # incarnation's buffered replies are dropped, because its

@@ -11,8 +11,8 @@ Serving runs through :class:`~repro.service.host.EngineHost`, the same
 engine host and serve step the in-process
 :class:`~repro.service.service.TuningService` drains into: a batch of
 plain single-vector requests arrives as one stacked shared-memory block
-and is served by one ``engine.execute``; anything else is served solo
-through ``submit``/``flush``.  Distributed results are therefore
+and a lone request as its own operand; either is served by one
+``engine.execute``.  Distributed results are therefore
 bitwise-identical to single-process serve (and to serial dispatch) by
 construction, not by tolerance.
 
@@ -86,8 +86,6 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.formats.base import FORMAT_IDS
 from repro.kernels import available_backends, probe_backends
 from repro.obs.metrics import Histogram
@@ -157,7 +155,7 @@ class _WorkerState:
 
         Outputs are written straight into the response ref, and the
         returned :class:`~repro.service.host.Served` carries accounting
-        only (its results' ``y`` is stripped).  ``stages`` holds the
+        only (its result's ``y`` is stripped).  ``stages`` holds the
         worker-side span timings (``shm_attach`` / ``kernel`` /
         ``shm_write``), which the gateway merges into each request's
         span under its original trace ID — one span covering both sides
@@ -166,7 +164,6 @@ class _WorkerState:
         matrix = self.matrices[fp]
         x_ref: ShmRef = spec["x"]
         out_ref: ShmRef = spec["out"]
-        stacked = bool(spec["stacked"])
         attach_start = time.perf_counter()
         X = self.segments.view(x_ref)
         out = self.segments.view(out_ref)
@@ -174,29 +171,25 @@ class _WorkerState:
         served = self.host.serve(
             fp,
             matrix,
-            X if stacked else [(matrix, X, spec["reps"][0])],
+            X,
+            spec["repetitions"],
             telemetry=bool(spec.get("telemetry", True)),
         )
         write_start = time.perf_counter()
-        if stacked:
-            np.stack([r.y for r in served.results], axis=1, out=out)
-        else:
-            out[...] = served.results[0].y
+        out[...] = served.result.y
         write_seconds = time.perf_counter() - write_start
         del X, out  # release the shm views before forgetting segments
         for ref in (x_ref, out_ref):
             if ref.slot is None:
                 self.segments.forget(ref.segment)
-        n = len(served.results)
+        n = spec["requests"]
         self.requests_served += n
         # every member of the batch experienced the batch's worker-side
         # wall time, so each contributes one observation of it
         batch_seconds = attach_seconds + served.kernel_seconds + write_seconds
         for _ in range(n):
             self.latency.observe(batch_seconds)
-        served.results = [
-            dataclasses.replace(result, y=None) for result in served.results
-        ]
+        served.result = dataclasses.replace(served.result, y=None)
         # one shared stage dict per batch: the whole batch rode one
         # kernel launch, so its members share the worker-side timings
         stages = {

@@ -224,7 +224,7 @@ class ExperimentSpec:
         """The hyperparameter grid to search for *algorithm*.
 
         ``None`` means "use the algorithm's default grid" (what
-        :func:`repro.core.pipeline.train_tuned_model` does with
+        :func:`repro.experiments.stages.train_model` does with
         ``grid=None``).
         """
         if isinstance(self.grid, str):

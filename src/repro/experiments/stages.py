@@ -8,10 +8,6 @@ persists its output after.  The profiling stage dispatches timings through
 stats / features / timings) and fans matrix generation out across a
 ``concurrent.futures`` process pool — generation is the CPU-bound part of
 the offline pipeline and the matrices are independent.
-
-:func:`repro.core.pipeline.profile_collection` and
-:func:`repro.core.pipeline.train_tuned_model` are thin compatibility
-wrappers over :func:`run_profile_stage` and :func:`train_model`.
 """
 
 from __future__ import annotations

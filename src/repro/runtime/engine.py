@@ -17,11 +17,11 @@ fingerprint:
 Every cache records hits and misses (:class:`CacheCounters`) and every
 modelled second is accounted per category (tuning / conversion / spmv), so
 experiments can assert "the second request for a fingerprint recomputes
-nothing" rather than hope for it.  Requests can be served one at a time
-(:meth:`WorkloadEngine.execute`) or queued with
-:meth:`~WorkloadEngine.submit` and served by :meth:`~WorkloadEngine.flush`,
-which groups queued vectors by fingerprint and runs each group as one
-batched multi-vector SpMV through :mod:`repro.runtime.batch`.
+nothing" rather than hope for it.  Each request is served by
+:meth:`WorkloadEngine.execute`, whose operand may be one vector or an
+``(ncols, k)`` block run as one batched multi-vector SpMV through
+:mod:`repro.runtime.batch`; coalescing concurrent requests into such a
+block is the serving tier's job (:mod:`repro.service.coalesce`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import hashlib
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from repro.runtime.batch import (
     cached_operator,
     have_accelerator,
     matvec,
-    validate_operand,
 )
 from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
@@ -257,16 +256,6 @@ class EngineResult:
     backend: str = "numpy"
 
 
-@dataclass
-class _Pending:
-    """One queued request awaiting :meth:`WorkloadEngine.flush`."""
-
-    matrix: MatrixLike
-    operand: np.ndarray
-    fingerprint: str
-    repetitions: int
-
-
 class _Chain(NamedTuple):
     """One request's resolved artefacts (:meth:`WorkloadEngine._chain`)."""
 
@@ -293,7 +282,7 @@ class _Warm(NamedTuple):
 class WorkloadEngine:
     """Serve ``(matrix, x)`` SpMV requests with full artefact reuse.
 
-    :meth:`execute` and :meth:`flush` run one request chain
+    :meth:`execute` runs one request chain
     (fingerprint → stats → decision → serving container → kernel
     backend, each a counted cache lookup), reach the kernel through
     :func:`repro.runtime.batch.matvec` or
@@ -395,7 +384,6 @@ class WorkloadEngine:
         #: stats and single-SpMV price), so a warm request resolves its
         #: artefacts with one lookup; dropped wherever any of them change.
         self._warm: Dict[str, _Warm] = {}
-        self._queue: List[_Pending] = []
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
 
@@ -1149,71 +1137,6 @@ class WorkloadEngine:
         return self._served(chain, y, operand, repetitions)
 
     # ------------------------------------------------------------------
-    # queued serving
-    # ------------------------------------------------------------------
-    def submit(
-        self,
-        matrix: MatrixLike,
-        x: np.ndarray,
-        *,
-        key: Optional[str] = None,
-        repetitions: int = 1,
-    ) -> int:
-        """Queue a request; returns its position in the flush results.
-
-        Operands are fully validated here (shape and length against the
-        matrix), so a malformed request is rejected at submission and can
-        never abort a later :meth:`flush` with valid requests queued.
-        """
-        operand = validate_operand(matrix, x)
-        fp = self.fingerprint(matrix, key=key)
-        self._queue.append(_Pending(matrix, operand, fp, int(repetitions)))
-        return len(self._queue) - 1
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, un-flushed requests."""
-        return len(self._queue)
-
-    def flush(self) -> List[EngineResult]:
-        """Serve the queue; same-matrix vectors run as one batched SpMV.
-
-        Queued 1-D requests sharing a fingerprint are stacked into a
-        single ``(ncols, k)`` block and served by one batched kernel call;
-        results come back in submission order.  Accounting stays per
-        request: every group member resolves its own artefact chain
-        (later members from the warm caches).
-        """
-        queue, self._queue = self._queue, []
-        results: List[Optional[EngineResult]] = [None] * len(queue)
-        groups: Dict[str, List[int]] = {}
-        for idx, pending in enumerate(queue):
-            groups.setdefault(pending.fingerprint, []).append(idx)
-        for fp, indices in groups.items():
-            first = self._chain(queue[indices[0]].matrix, fp)
-            # one batched kernel call for all stacked single-vector requests
-            singles = [i for i in indices if queue[i].operand.ndim == 1]
-            col_of = {i: c for c, i in enumerate(singles)}
-            if singles:
-                X = np.stack([queue[i].operand for i in singles], axis=1)
-                Y = self._run_kernel(first.prepared, X, first.backend)
-            for i in indices:
-                pending = queue[i]
-                chain = (
-                    first if i == indices[0] else self._chain(pending.matrix, fp)
-                )
-                if pending.operand.ndim == 1:
-                    y = Y[:, col_of[i]]
-                else:
-                    y = self._run_kernel(
-                        chain.prepared, pending.operand, chain.backend
-                    )
-                results[i] = self._served(
-                    chain, y, pending.operand, pending.repetitions
-                )
-        return [r for r in results if r is not None]
-
-    # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -1222,8 +1145,8 @@ class WorkloadEngine:
         Callers (the service's metrics endpoint, the CLI, dashboards)
         should consume this rather than poking ``counters`` attributes:
 
-        * ``requests_served`` / ``unique_matrices`` / ``pending`` —
-          request-stream tallies;
+        * ``requests_served`` / ``unique_matrices`` — request-stream
+          tallies;
         * ``counters`` — the per-cache hit/miss breakdown
           (:meth:`CacheCounters.as_dict`);
         * ``hits`` / ``misses`` / ``hit_rate`` — the cross-cache totals;
@@ -1244,7 +1167,6 @@ class WorkloadEngine:
             "space": self.space.name,
             "requests_served": self.requests_served,
             "unique_matrices": len(self._reports),
-            "pending": len(self._queue),
             "counters": self.counters.as_dict(),
             "hits": self.counters.hits,
             "misses": self.counters.misses,

@@ -3,9 +3,10 @@
 The coalescing discipline of the in-process
 :class:`~repro.service.service.TuningService` — pile concurrent requests
 for the same matrix into a per-fingerprint queue, drain up to
-``max_batch`` of them as one batched kernel call, treat mutation
-requests as barriers that are never coalesced and never reordered — is
-exactly what the multi-process gateway
+``max_batch`` plain single-vector requests as one batched kernel call,
+serve everything else alone, treat mutation requests as barriers that
+are never coalesced and never reordered — is exactly what the
+multi-process gateway
 (:class:`~repro.distributed.gateway.DistributedService`) needs at the
 process boundary too.  This module holds that machinery once:
 
@@ -16,8 +17,7 @@ process boundary too.  This module holds that machinery once:
   flight per fingerprint) and barrier-aware batch extraction;
 * :func:`split_stacked` — fan a batched ``(nrows, k)`` engine result out
   into per-request results with fair-share accounting (used by the
-  stacked path of :class:`~repro.service.host.EngineHost`, the serve
-  step both tiers run).
+  completion path both tiers share).
 """
 
 from __future__ import annotations
@@ -108,13 +108,12 @@ class FingerprintQueues:
       schedule a drain (at most one drain is in flight per fingerprint —
       the ``scheduled`` flag stays set until :meth:`finish` observes an
       empty queue);
-    * :meth:`take_batch` extracts the next batch under barrier rules: a
-      leading mutation request is returned alone, otherwise up to
-      ``max_batch`` compute requests up to (never across) the next
-      mutation.  With ``stackable_only=True`` a batch additionally never
-      mixes plain single-vector requests with block or repeated
-      requests — the distributed tier ships a batch as one contiguous
-      shared-memory block, so every member must be one column of it;
+    * :meth:`take_batch` extracts the next batch under the one batching
+      rule: a batch is either up to ``max_batch`` plain single-vector
+      requests (stacked into one block, one kernel call), stopping at
+      the first request that is not, or one lone request — a block
+      operand, a repeated request or a mutation (a barrier: applied
+      alone, in queue order);
     * :meth:`finish` re-checks the queue after a drain: ``True`` means
       more requests arrived and the caller must keep the drain alive;
     * :meth:`reserve` starts a drain with nothing queued, for a request
@@ -137,27 +136,20 @@ class FingerprintQueues:
             queue.scheduled = True
             return True
 
-    def take_batch(
-        self, fp: str, max_batch: int, *, stackable_only: bool = False
-    ) -> List[PendingRequest]:
-        """Extract the next barrier-respecting batch for *fp* (may be [])."""
+    def take_batch(self, fp: str, max_batch: int) -> List[PendingRequest]:
+        """Extract *fp*'s next batch (may be []): a stacked run of plain
+        single-vector requests, or one lone request."""
         with self._lock:
             queue = self._queues.get(fp)
             if queue is None or not queue.items:
                 return []
             items = queue.items
-            if items[0].kind == "update":
-                # a mutation is a barrier: applied alone, in queue order
+            if not items[0].stackable:
+                # a mutation, block or repeated request is served alone
                 return [items.pop(0)]
-            if stackable_only and not items[0].stackable:
-                # block / repeated requests ship alone: their operand is
-                # its own shared-memory payload, not a stacked column
-                return [items.pop(0)]
-            end = 0
+            end = 1
             limit = min(len(items), int(max_batch))
-            while end < limit and items[end].kind == "spmv":
-                if stackable_only and not items[end].stackable:
-                    break
+            while end < limit and items[end].stackable:
                 end += 1
             batch = items[:end]
             del items[:end]

@@ -12,10 +12,10 @@ The in-process :class:`~repro.service.service.TuningService` drains its
 queues into one host; every distributed worker process hosts its own
 slice.  Both tiers therefore run the same serve step — lease the
 engine, read its model version and epoch, promote from the storage
-tier on a miss, serve a stacked block or a lone request through one
-``execute`` and mixed requests through ``submit``/``flush``, then
-resolve features and the shadow probe — so results and accounting are
-bitwise-identical across tiers by construction.  A blocking request on
+tier on a miss, serve the batch's one operand (a stacked block or a
+lone request's operand) through one ``execute``, then resolve features
+and the shadow probe — so results and accounting are bitwise-identical
+across tiers by construction.  A blocking request on
 an idle in-process service runs :meth:`EngineHost.serve_one`: the same
 step under one lease, cut to one ``engine.execute`` when the key's
 chain is warm.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from repro.runtime.engine import (
 )
 from repro.service.accounting import empty_engine_totals, fold_engine_stats
 from repro.service.cache import ShardedEngineCache
-from repro.service.coalesce import split_stacked
 from repro.storage.stream import mmap_backed
 
 __all__ = ["EngineHost", "Served"]
@@ -49,8 +48,10 @@ __all__ = ["EngineHost", "Served"]
 class Served:
     """What one serve step hands back to its tier."""
 
-    #: Per-request engine results, in batch order.
-    results: List[EngineResult]
+    #: The engine result for the batch's one operand (a stacked block
+    #: is fanned out per request by
+    #: :func:`~repro.service.coalesce.split_stacked`).
+    result: EngineResult
     #: Model version stamped on the engine that served the batch.
     model_version: str
     #: Matrix epoch the whole batch was served at.
@@ -158,27 +159,26 @@ class EngineHost:
         self,
         fp: str,
         matrix,
-        work,
+        operand: np.ndarray,
+        repetitions: int = 1,
         *,
         telemetry: bool = False,
     ) -> Served:
-        """Serve one coalesced batch under the fingerprint's engine lease.
+        """Serve one drained batch under the fingerprint's engine lease.
 
-        *work* is either one ``(ncols, k)`` block of stacked
-        single-vector requests — served by a single ``engine.execute``
-        and fanned out through
-        :func:`~repro.service.coalesce.split_stacked` — or a list of
-        ``(matrix, operand, repetitions)`` requests.  A lone request is
-        served by one ``engine.execute`` as well; several go through the
-        engine's ``submit``/``flush`` queue, which handles mixed shapes
-        and per-request repetitions.  *matrix* is the batch's first
-        matrix: the stacked block, the features and the shadow probe
-        resolve against it.  ``telemetry`` also resolves the matrix's
-        cached features; every ``shadow_every``-th batch per matrix
-        (starting with the first) resolves the rival per-format timings.
+        *operand* is the batch's one operand: the ``(ncols, k)`` block of
+        its stacked single-vector requests, or a lone request's operand
+        (with its *repetitions*).  Either way it is one
+        ``engine.execute``.  *matrix* is the batch's first matrix: the
+        operand, the features and the shadow probe resolve against it.
+        ``telemetry`` also resolves the matrix's cached features; every
+        ``shadow_every``-th batch per matrix (starting with the first)
+        resolves the rival per-format timings.
         """
         with self.engines.lease(fp) as engine:
-            return self._serve_leased(engine, fp, matrix, work, telemetry)
+            return self._serve_leased(
+                engine, fp, matrix, operand, repetitions, telemetry
+            )
 
     def serve_one(self, fp: str, matrix, operand, repetitions: int):
         """Serve one blocking request under one engine lease.
@@ -199,10 +199,10 @@ class EngineHost:
         with self.engines.lease(fp) as engine:
             if self.shadow_every or not engine.has_chain(fp):
                 served = self._serve_leased(
-                    engine, fp, matrix, [(matrix, operand, repetitions)], False
+                    engine, fp, matrix, operand, repetitions, False
                 )
                 return (
-                    served.results[0],
+                    served.result,
                     served.model_version,
                     served.kernel_start,
                     served.kernel_seconds,
@@ -227,7 +227,13 @@ class EngineHost:
             )
 
     def _serve_leased(
-        self, engine: WorkloadEngine, fp: str, matrix, work, telemetry: bool
+        self,
+        engine: WorkloadEngine,
+        fp: str,
+        matrix,
+        operand: np.ndarray,
+        repetitions: int,
+        telemetry: bool,
     ) -> Served:
         """Body of :meth:`serve`, with *engine* already leased for *fp*."""
         features = shadow = None
@@ -243,28 +249,7 @@ class EngineHost:
             promote_seconds = self._promote_into(fp, engine)
         stream_before = engine.streaming["seconds"]
         kernel_start = time.perf_counter()
-        if isinstance(work, np.ndarray):
-            block = engine.execute(matrix, work, key=fp)
-            results = split_stacked(block, work.shape[1])
-        elif len(work) == 1:
-            # a lone request was validated at submission and keys to
-            # *fp*: ``flush`` would only re-validate it and copy it
-            # into a block, with the same results and counters
-            request_matrix, operand, repetitions = work[0]
-            results = [
-                engine.execute(
-                    request_matrix, operand, key=fp, repetitions=repetitions
-                )
-            ]
-        else:
-            for request_matrix, operand, repetitions in work:
-                engine.submit(
-                    request_matrix,
-                    operand,
-                    key=fp,
-                    repetitions=repetitions,
-                )
-            results = engine.flush()
+        result = engine.execute(matrix, operand, key=fp, repetitions=repetitions)
         kernel_seconds = time.perf_counter() - kernel_start
         stream_seconds = engine.streaming["seconds"] - stream_before
         if telemetry:
@@ -277,7 +262,7 @@ class EngineHost:
             if count % self.shadow_every == 0:
                 shadow = engine.profile_formats(matrix, key=fp)
         return Served(
-            results=results,
+            result=result,
             model_version=model_version,
             epoch=epoch,
             kernel_start=kernel_start,

@@ -9,9 +9,10 @@ SpMM requests and turns them into as few kernel launches as possible:
   evicted engine's accounting is folded into the service totals first);
 * concurrent requests against the *same* matrix are **coalesced**: they
   pile up in a per-fingerprint queue and a single worker drains up to
-  ``max_batch`` of them as one batched multi-vector call through
-  :mod:`repro.runtime.batch` (one kernel launch for *k* requests instead
-  of *k* launches);
+  ``max_batch`` plain single-vector requests as one batched multi-vector
+  call through :mod:`repro.runtime.batch` (one kernel launch for *k*
+  requests instead of *k* launches); a block operand, a repeated
+  request or an update is served alone;
 * a ``ThreadPoolExecutor`` worker pool executes the decide -> convert ->
   execute chain through the shared serve step of
   :class:`~repro.service.host.EngineHost` — except that a blocking call
@@ -78,7 +79,11 @@ from repro.obs.views import build_service_stats
 from repro.runtime.batch import validate_operand
 from repro.runtime.engine import STREAM_THRESHOLD_BYTES, request_key
 from repro.service.cache import ShardedEngineCache
-from repro.service.coalesce import FingerprintQueues, PendingRequest
+from repro.service.coalesce import (
+    FingerprintQueues,
+    PendingRequest,
+    split_stacked,
+)
 from repro.service.host import EngineHost, Served
 from repro.storage.tier import StorageTier
 from repro.utils.concurrency import default_thread_workers
@@ -272,9 +277,6 @@ class TuningService:
     pool down; pending requests are drained first.
     """
 
-    #: Whether a drained batch may only coalesce plain single-vector
-    #: requests (see :meth:`FingerprintQueues.take_batch`).
-    _stackable_batches_only = False
     #: Whether a blocking call that finds the service idle is served
     #: on the calling thread (see :meth:`_claim_caller`).
     _caller_runs = True
@@ -563,9 +565,9 @@ class TuningService:
         ``x`` may be a length-``ncols`` vector or an ``(ncols, k)``
         block; validation happens here, in the caller's thread, so a
         malformed request raises immediately instead of failing a
-        coalesced batch later.  Requests for the same matrix submitted
-        while a worker is busy are coalesced into one batched kernel
-        call when that worker drains the queue.
+        coalesced batch later.  Plain single-vector requests for the
+        same matrix submitted while a worker is busy are coalesced into
+        one batched kernel call when that worker drains the queue.
         """
         fp, operand, trace_id, validate_seconds = self._admit(matrix, x, key)
         return self._enqueue_spmv(
@@ -851,9 +853,7 @@ class TuningService:
         dispatch that raises fails every future of the batch; the queue
         is released either way.
         """
-        batch = self._pending.take_batch(
-            fp, self.max_batch, stackable_only=self._stackable_batches_only
-        )
+        batch = self._pending.take_batch(fp, self.max_batch)
         telemetry = ([], [])
         if batch:
             try:
@@ -873,24 +873,29 @@ class TuningService:
         return self._serve(fp, batch)
 
     def _serve(self, fp: str, batch: List[PendingRequest]):
-        """Serve one coalesced batch through the fingerprint's engine.
+        """Serve one drained batch through the fingerprint's engine.
 
-        A batch of plain single-vector requests (``repetitions == 1``)
-        takes the fast path: the operands are stacked into one
-        ``(ncols, k)`` block served by a single ``engine.execute`` call
-        — one kernel launch *and* one round of artefact lookups for the
-        whole batch (engine counters tally lookups, the service tallies
-        requests).  Batches containing 2-D operands or repeated
-        workloads go through the engine's queued ``submit``/``flush``
-        path, which handles mixed shapes and per-request repetitions.
+        A coalesced batch holds only plain single-vector requests
+        (:meth:`FingerprintQueues.take_batch`): their operands are
+        stacked into one ``(ncols, k)`` block served by a single
+        ``engine.execute`` call — one kernel launch *and* one round of
+        artefact lookups for the whole batch (engine counters tally
+        lookups, the service tallies requests).  A lone request is
+        served with its own operand and repetitions.
         """
         serve_start = time.perf_counter()
-        if len(batch) > 1 and all(r.stackable for r in batch):
-            work = np.stack([r.operand for r in batch], axis=1)
-        else:
-            work = [(r.matrix, r.operand, r.repetitions) for r in batch]
+        first = batch[0]
+        operand = (
+            np.stack([r.operand for r in batch], axis=1)
+            if len(batch) > 1
+            else first.operand
+        )
         served = self._host.serve(
-            fp, batch[0].matrix, work, telemetry=self._observer is not None
+            fp,
+            first.matrix,
+            operand,
+            first.repetitions,
+            telemetry=self._observer is not None,
         )
         stages = _serve_stages(
             serve_start,
@@ -946,7 +951,11 @@ class TuningService:
         followed by the tier's batch-wide *stages*; *span_fields* add
         tier-specific span attributes.
         """
-        results = served.results
+        results = (
+            split_stacked(served.result, len(batch))
+            if len(batch) > 1
+            else [served.result]
+        )
         done_at = time.perf_counter()
         latencies = [done_at - r.enqueued_at for r in batch]
         o = self.obs

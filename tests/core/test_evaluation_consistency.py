@@ -11,17 +11,14 @@ import numpy as np
 import pytest
 
 from repro.backends import make_space
-from repro.core import (
-    RunFirstTuner,
-    profile_collection,
-    tune_multiply,
-)
+from repro.core import RunFirstTuner, tune_multiply
 from repro.datasets import MatrixCollection
 from repro.evaluation import (
     speedup_summary,
     tuned_speedup_series,
     tuner_cost_statistics,
 )
+from repro.experiments.stages import run_profile_stage
 from repro.formats import DynamicMatrix
 from repro.machine import CostModel
 
@@ -30,7 +27,7 @@ from repro.machine import CostModel
 def world():
     coll = MatrixCollection(n_matrices=25, seed=13)
     space = make_space("p3", "cuda", cost_model=CostModel())
-    profiling = profile_collection(coll, [space])
+    profiling = run_profile_stage(coll, [space])
     return coll, space, profiling
 
 

@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from repro.backends import make_space
-from repro.core import (
-    ModelDatabase,
-    build_dataset,
-    profile_collection,
-    train_tuned_model,
-)
+from repro.core import ModelDatabase, build_dataset
 from repro.core.pipeline import ProfilingResult
 from repro.datasets import MatrixCollection
 from repro.errors import TuningError, ValidationError
+from repro.experiments.stages import run_profile_stage, train_model
 from repro.machine import CostModel
 
 
@@ -32,7 +28,7 @@ def spaces():
 
 @pytest.fixture(scope="module")
 def profiling(coll, spaces):
-    return profile_collection(coll, spaces)
+    return run_profile_stage(coll, spaces)
 
 
 class TestProfiling:
@@ -97,7 +93,7 @@ class TestTraining:
 
     def test_train_tuned_model_beats_chance(self, dataset):
         Xtr, ytr, Xte, yte = dataset
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             grid={"n_estimators": [10], "max_depth": [10]},
             system="p3", backend="cuda",
@@ -108,7 +104,7 @@ class TestTraining:
 
     def test_decision_tree_algorithm(self, dataset):
         Xtr, ytr, Xte, yte = dataset
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             algorithm="decision_tree",
             grid={"max_depth": [8, 12]},
@@ -119,18 +115,18 @@ class TestTraining:
     def test_unknown_algorithm_raises(self, dataset):
         Xtr, ytr, Xte, yte = dataset
         with pytest.raises(ValidationError):
-            train_tuned_model(Xtr, ytr, Xte, yte, algorithm="svm")
+            train_model(Xtr, ytr, Xte, yte, algorithm="svm")
 
     def test_single_class_labels_raise(self, dataset):
         Xtr, _, Xte, yte = dataset
         with pytest.raises(TuningError):
-            train_tuned_model(
+            train_model(
                 Xtr, np.ones(Xtr.shape[0], dtype=int), Xte, yte
             )
 
     def test_oracle_model_carries_provenance(self, dataset):
         Xtr, ytr, Xte, yte = dataset
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             grid={"n_estimators": [5], "max_depth": [8]},
             system="p3", backend="cuda",
@@ -215,7 +211,7 @@ class TestModelDatabase:
 
         coll = MatrixCollection(n_matrices=8, seed=3)
         spaces = [make_space("cirrus", "serial"), make_space("p3", "cuda")]
-        profiling = profile_collection(coll, spaces)
+        profiling = run_profile_stage(coll, spaces)
         train, test = coll.train_test_split()
         build_dataset(coll, train, profiling, spaces[0].name)
         build_dataset(coll, test, profiling, spaces[0].name)
@@ -230,7 +226,7 @@ def dataset_model(coll, profiling, spaces):
     train, test = coll.train_test_split()
     Xtr, ytr = build_dataset(coll, train, profiling, sp.name)
     Xte, yte = build_dataset(coll, test, profiling, sp.name)
-    tm = train_tuned_model(
+    tm = train_model(
         Xtr, ytr, Xte, yte,
         grid={"n_estimators": [5], "max_depth": [8]},
         system="p3", backend="cuda",

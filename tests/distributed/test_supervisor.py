@@ -309,3 +309,58 @@ class TestBusyWorkerLiveness:
             assert stats["supervisor"]["respawns"] == 0
         finally:
             service.close()
+
+
+def _idle_worker(config, conn):
+    """Stands in for ``worker_main``: waits for the shutdown message."""
+    try:
+        conn.recv()
+    except EOFError:
+        pass
+
+
+class TestSpawnRace:
+    def test_shutdown_before_reader_starts(self, monkeypatch):
+        """A shutdown that lands between building a worker's reader thread
+        and starting it neither joins the unstarted thread nor leaves the
+        reader without its pipe end.
+
+        ``Thread.start`` is patched so that ``shutdown()`` runs first,
+        which makes the interleaving deterministic.
+        """
+        import threading
+
+        from repro.distributed import supervisor as supervisor_mod
+
+        monkeypatch.setattr(supervisor_mod, "worker_main", _idle_worker)
+        sup = supervisor_mod.Supervisor(
+            lambda index: None,
+            on_message=lambda *args: None,
+            on_death=lambda *args: None,
+            on_respawn=lambda *args: None,
+        )
+        handle = supervisor_mod.WorkerHandle(0)
+        sup._handles = [handle]
+        errors = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: errors.append(args.exc_value)
+        )
+        start = threading.Thread.start
+        readers = []
+
+        def shutdown_first(thread):
+            if thread.name.startswith("repro-dist-reader"):
+                readers.append(thread)
+                sup.shutdown(timeout=10.0)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", shutdown_first)
+        sup._spawn(handle)
+        monkeypatch.setattr(threading.Thread, "start", start)
+        (reader,) = readers
+        reader.join(5.0)
+        assert not reader.is_alive()
+        assert errors == []
+        assert handle.reader is reader
+        assert handle.conn is None and handle.dead
+        assert not handle.process.is_alive()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.backends import make_space
-from repro.core import RunFirstTuner, profile_collection
+from repro.core import RunFirstTuner
 from repro.datasets import MatrixCollection
 from repro.evaluation import (
     SpeedupSummary,
@@ -18,6 +18,7 @@ from repro.evaluation import (
     tuner_cost_statistics,
 )
 from repro.evaluation.analysis import confusion_by_format
+from repro.experiments.stages import run_profile_stage
 from repro.machine import CostModel
 
 
@@ -25,7 +26,7 @@ from repro.machine import CostModel
 def world():
     coll = MatrixCollection(n_matrices=40, seed=9)
     space = make_space("cirrus", "cuda", cost_model=CostModel())
-    profiling = profile_collection(coll, [space])
+    profiling = run_profile_stage(coll, [space])
     return coll, space, profiling
 
 
@@ -135,7 +136,7 @@ class TestBackendFlips:
         cm = CostModel()
         serial = make_space("archer2", "serial", cost_model=cm)
         openmp = make_space("archer2", "openmp", cost_model=cm)
-        profiling = profile_collection(coll, [serial, openmp])
+        profiling = run_profile_stage(coll, [serial, openmp])
         return backend_flip_analysis(
             profiling, serial.name, openmp.name
         )

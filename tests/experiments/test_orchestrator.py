@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import make_space
-from repro.core import profile_collection
 from repro.datasets import MatrixCollection
 from repro.errors import ValidationError
 from repro.experiments import (
@@ -93,11 +92,11 @@ class TestFullRun:
 
     def test_profiling_matches_legacy_serial_path(self, reference):
         """The orchestrator's engine-dispatched profiling must produce the
-        exact timings/labels of the historical profile_collection path."""
+        exact timings/labels of a direct serial run_profile_stage call."""
         _, _, result, _ = reference
         coll = fresh_collection()
         spaces = [make_space("cirrus", "serial"), make_space("p3", "cuda")]
-        legacy = profile_collection(coll, spaces)
+        legacy = run_profile_stage(coll, spaces)
         assert legacy.times == result.profiling.times
         assert legacy.optimal == result.profiling.optimal
 

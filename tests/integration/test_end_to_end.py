@@ -15,11 +15,10 @@ from repro.core import (
     RandomForestTuner,
     RunFirstTuner,
     build_dataset,
-    profile_collection,
-    train_tuned_model,
     tune_multiply,
 )
 from repro.datasets import MatrixCollection
+from repro.experiments.stages import run_profile_stage, train_model
 from repro.formats import DynamicMatrix
 from repro.machine import CostModel
 from repro.ml import accuracy_score
@@ -34,14 +33,14 @@ def world(tmp_path_factory):
         make_space("cirrus", "openmp", cost_model=cm),
         make_space("p3", "hip", cost_model=cm),
     ]
-    profiling = profile_collection(coll, spaces)
+    profiling = run_profile_stage(coll, spaces)
     train, test = coll.train_test_split()
     db = ModelDatabase(tmp_path_factory.mktemp("models"))
     models = {}
     for sp in spaces:
         Xtr, ytr = build_dataset(coll, train, profiling, sp.name)
         Xte, yte = build_dataset(coll, test, profiling, sp.name)
-        tm = train_tuned_model(
+        tm = train_model(
             Xtr, ytr, Xte, yte,
             grid={"n_estimators": [15], "max_depth": [12]},
             system=sp.system.name, backend=sp.backend,
@@ -138,5 +137,5 @@ def test_spmv_values_survive_tuning_pipeline(world, rng):
 
 def test_all_eleven_spaces_profile_without_error():
     coll = MatrixCollection(n_matrices=12, seed=3)
-    profiling = profile_collection(coll, available_spaces())
+    profiling = run_profile_stage(coll, available_spaces())
     assert len(profiling.optimal) == 11

@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from repro.backends import make_space
-from repro.core import (
-    RandomForestTuner,
-    build_dataset,
-    profile_collection,
-    train_tuned_model,
-)
+from repro.core import RandomForestTuner, build_dataset
 from repro.datasets import MatrixCollection
+from repro.experiments.stages import run_profile_stage, train_model
 from repro.formats import DynamicMatrix
 from repro.evaluation import (
     format_distribution_table,
@@ -38,13 +34,13 @@ def mini():
         make_space("archer2", "openmp", cost_model=cm),
         make_space("p3", "hip", cost_model=cm),
     ]
-    profiling = profile_collection(coll, spaces)
+    profiling = run_profile_stage(coll, spaces)
     train, test = coll.train_test_split()
     models = {}
     for sp in spaces:
         Xtr, ytr = build_dataset(coll, train, profiling, sp.name)
         Xte, yte = build_dataset(coll, test, profiling, sp.name)
-        models[sp.name] = train_tuned_model(
+        models[sp.name] = train_model(
             Xtr, ytr, Xte, yte,
             grid={"n_estimators": [10], "max_depth": [10]},
             system=sp.system.name, backend=sp.backend,

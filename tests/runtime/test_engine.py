@@ -256,61 +256,6 @@ class TestAccounting:
 
 
 class TestQueuedServing:
-    def test_flush_preserves_order_and_values(self, engine, dense_small, rng):
-        m = COOMatrix.from_dense(dense_small)
-        xs = [rng.standard_normal(12) for _ in range(4)]
-        for x in xs:
-            engine.submit(m, x)
-        assert engine.pending == 4
-        results = engine.flush()
-        assert engine.pending == 0
-        assert len(results) == 4
-        for x, res in zip(xs, results):
-            np.testing.assert_allclose(res.y, dense_small @ x, atol=1e-12)
-
-    def test_flush_tunes_once_per_matrix(self, engine, dense_small, dense_medium, rng):
-        a = DynamicMatrix(COOMatrix.from_dense(dense_small))
-        b = DynamicMatrix(COOMatrix.from_dense(dense_medium))
-        for _ in range(3):
-            engine.submit(a, rng.standard_normal(a.ncols), key="a")
-            engine.submit(b, rng.standard_normal(b.ncols), key="b")
-        results = engine.flush()
-        assert engine.counters.decision_misses == 2
-        assert engine.counters.decision_hits == 4
-        assert sum(not r.from_cache for r in results) == 2
-
-    def test_flush_handles_mixed_block_requests(self, engine, dense_small, rng):
-        m = COOMatrix.from_dense(dense_small)
-        x = rng.standard_normal(12)
-        X = rng.standard_normal((12, 3))
-        engine.submit(m, x)
-        engine.submit(m, X)
-        single, block = engine.flush()
-        np.testing.assert_allclose(single.y, dense_small @ x, atol=1e-12)
-        np.testing.assert_allclose(block.y, dense_small @ X, atol=1e-12)
-
-    def test_flush_empty_queue(self, engine):
-        assert engine.flush() == []
-
-    def test_submit_rejects_bad_operand_without_losing_queue(
-        self, engine, dense_small, rng
-    ):
-        """Regression: a malformed request must fail at submit, not flush."""
-        from repro.errors import ValidationError
-
-        m = COOMatrix.from_dense(dense_small)
-        good = rng.standard_normal(12)
-        engine.submit(m, good)
-        with pytest.raises(ValidationError):
-            engine.submit(m, np.ones(13))
-        with pytest.raises(ValidationError):
-            engine.submit(m, np.ones((13, 2)))
-        with pytest.raises(ValidationError):
-            engine.submit(m, np.ones((12, 2, 2)))
-        results = engine.flush()
-        assert len(results) == 1
-        np.testing.assert_allclose(results[0].y, dense_small @ good, atol=1e-12)
-
     def test_cold_workload_reports_no_false_hits(self, space, dense_small, dense_medium):
         """Regression: all-miss workloads must show a zero hit rate."""
         eng = WorkloadEngine(space, tuner=RunFirstTuner())

@@ -91,29 +91,30 @@ class TestBatchExtraction:
         assert len(queues.take_batch("A", 8)) == 1
 
     def test_stackable_only_stops_at_block_request(self):
+        """A batch stacks plain vectors only: a block operand ends it
+        and is served alone."""
         queues = FingerprintQueues()
+        queues.push("A", spmv_request())
         queues.push("A", spmv_request())
         queues.push("A", spmv_request(operand=np.ones((4, 2))))  # block
         queues.push("A", spmv_request())
-        first = queues.take_batch("A", 8, stackable_only=True)
-        assert len(first) == 1 and first[0].stackable
-        second = queues.take_batch("A", 8, stackable_only=True)
+        first = queues.take_batch("A", 8)
+        assert len(first) == 2 and all(r.stackable for r in first)
+        second = queues.take_batch("A", 8)
         assert len(second) == 1 and not second[0].stackable
-        third = queues.take_batch("A", 8, stackable_only=True)
+        third = queues.take_batch("A", 8)
         assert len(third) == 1 and third[0].stackable
 
     def test_stackable_only_sends_repeated_request_solo(self):
+        """A repeated request is served alone, and ends a run of
+        vectors queued before it."""
         queues = FingerprintQueues()
+        queues.push("A", spmv_request())
         queues.push("A", spmv_request(repetitions=3))
         queues.push("A", spmv_request())
-        first = queues.take_batch("A", 8, stackable_only=True)
-        assert len(first) == 1 and first[0].repetitions == 3
-
-    def test_without_stackable_only_blocks_coalesce(self):
-        queues = FingerprintQueues()
-        queues.push("A", spmv_request())
-        queues.push("A", spmv_request(operand=np.ones((4, 2))))
-        assert len(queues.take_batch("A", 8)) == 2
+        assert [r.repetitions for r in queues.take_batch("A", 8)] == [1]
+        assert [r.repetitions for r in queues.take_batch("A", 8)] == [3]
+        assert [r.repetitions for r in queues.take_batch("A", 8)] == [1]
 
 
 class TestLifecycle:

@@ -1,17 +1,19 @@
-"""A lone request skips the engine queue: same answer, same books.
+"""One batching rule, one engine call per batch: same answer, same books.
 
-The serve step hands a batch of exactly one request straight to
-``engine.execute`` instead of queueing it through ``submit``/``flush``.
-These tests pin that the shortcut is invisible: on every available
-kernel backend, for every serving format, in process and on a
-one-worker distributed tier, a lone request matches bit for bit
+A drained batch is either a stacked run of plain single-vector requests
+or one lone request (a block operand, a repeated request or an update),
+on both tiers, and the serve step hands its one operand to
+``engine.execute``.  These tests pin that: on every available kernel
+backend, for every serving format, in process and on a one-worker
+distributed tier, a lone request matches bit for bit
 
-* ``engine.execute`` on the same operand as an ``(ncols, 1)`` block,
-* the queued ``submit``/``flush`` path, and
+* ``engine.execute`` on the same operand as an ``(ncols, 1)`` block, and
 * the same operand served inside a coalesced batch,
 
 on ``y``, ``seconds``, ``overhead_seconds``, ``from_cache``, ``format``,
-``backend`` and the engine's cache counters.
+``backend`` and the engine's cache counters; and a queue mixing plain,
+block and repeated requests drains into the same batches, with the same
+bits, on both tiers.
 """
 
 from __future__ import annotations
@@ -116,9 +118,6 @@ def test_lone_request_matches_block_queue_and_batch(
             block_ref = WorkloadEngine(
                 space, _KeyedFormatTuner(), kernel_backend=backend
             )
-            queue_ref = WorkloadEngine(
-                space, _KeyedFormatTuner(), kernel_backend=backend
-            )
             references.append(block_ref)
             xs = [gen.standard_normal(matrix.ncols) for _ in range(3)]
             lone_ys = []
@@ -131,9 +130,6 @@ def test_lone_request_matches_block_queue_and_batch(
                 _assert_same(
                     lone, block_ref.execute(matrix, x[:, None], key=key)
                 )
-                queue_ref.submit(matrix, x, key=key)
-                _assert_same(lone, queue_ref.flush()[0])
-            assert queue_ref.counters.as_dict() == block_ref.counters.as_dict()
             # the first lone operand again, as one column of a batch
             batch = _serve(service, matrix, [xs[2], xs[0], xs[1]], key)
             assert [r.batch_size for r in batch] == [3, 3, 3]
@@ -171,3 +167,35 @@ def test_lone_repeated_and_block_requests_keep_their_accounting(
     )
     _assert_same(block, reference.execute(matrix, X, key="rep-CSR"))
     assert served["counters"] == reference.counters.as_dict()
+
+
+@pytest.mark.parametrize("tier", ["inproc", "distributed"])
+def test_mixed_queue_drains_by_one_rule(tier, space, matrix):
+    """``[vec, vec, block, vec, vec x3]`` drains as ``[2], [1], [1], [1]``.
+
+    The plain vectors ahead of the block stack into one batch; the
+    block, the vector between it and the repeated request, and the
+    repeated request are each served alone.  Both tiers cut the same
+    batches and return the same bits and books.
+    """
+    gen = np.random.default_rng(17)
+    xs = [gen.standard_normal(matrix.ncols) for _ in range(4)]
+    X = gen.standard_normal((matrix.ncols, 3))
+    requests = [(xs[0], 1), (xs[1], 1), (X, 1), (xs[2], 1), (xs[3], 3)]
+    key = "mixed-CSR"
+    reference = WorkloadEngine(space, _KeyedFormatTuner())
+    with _build(tier, space, None) as service:
+        futures = [
+            service.submit(matrix, x, key=key, repetitions=reps)
+            for x, reps in requests
+        ]
+        service.drain_all()
+        served = [f.result(timeout=10) for f in futures]
+    assert [r.batch_size for r in served] == [2, 2, 1, 1, 1]
+    stacked = reference.execute(matrix, np.stack(xs[:2], axis=1), key=key)
+    assert np.array_equal(served[0].y, stacked.y[:, 0])
+    assert np.array_equal(served[1].y, stacked.y[:, 1])
+    for result, (x, reps) in zip(served[2:], requests[2:]):
+        _assert_same(
+            result, reference.execute(matrix, x, key=key, repetitions=reps)
+        )

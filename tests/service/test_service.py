@@ -284,8 +284,8 @@ class TestCoalescing:
         assert service.stats()["batches"] == 3
 
     def test_repetitions_survive_coalescing(self, space, matrix_a):
-        """Regression: repeated workloads must not lose their modelled
-        repetitions when they coalesce (they take the flush path)."""
+        """Regression: repeated workloads keep their modelled
+        repetitions; each is served alone, never stacked."""
         service = _DeferredService(space, RunFirstTuner(), workers=1)
         gen = np.random.default_rng(5)
         x = gen.standard_normal(matrix_a.ncols)
@@ -300,7 +300,7 @@ class TestCoalescing:
         service.close()
         for future in repeated:
             result = future.result(timeout=0)
-            assert result.batch_size == 4  # coalesced, via the flush path
+            assert result.batch_size == 1  # a repeated request is never stacked
             assert result.seconds == pytest.approx(10 * t_single)
 
     def test_max_batch_one_is_naive_dispatch(self, space, matrix_a):
