@@ -1,9 +1,13 @@
 """Random-forest classifier: bagged CART trees with majority voting.
 
-The paper's Oracle deploys its forest with a hard majority vote over the
-per-tree predictions (Section VI-A); ``voting="soft"`` (probability
-averaging, scikit-learn's default) is also provided for comparison and as
-an ablation axis.
+All trees of a forest grow together in lock-step
+(:func:`~repro.ml.tree.classifier.grow_trees`): each step searches the
+next node of every tree with one batched split search, while each tree
+keeps its own bootstrap sample, depth-first order and RNG, so every tree
+is exactly the tree it would be grown alone.  The paper's Oracle deploys
+its forest with a hard majority vote over the per-tree predictions
+(Section VI-A); ``voting="soft"`` (probability averaging, scikit-learn's
+default) is also provided for comparison and as an ablation axis.
 """
 
 from __future__ import annotations
@@ -14,7 +18,11 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.ml.base import BaseEstimator, check_is_fitted
-from repro.ml.tree.classifier import DecisionTreeClassifier
+from repro.ml.tree.classifier import (
+    DecisionTreeClassifier,
+    encode_labels,
+    grow_trees,
+)
 from repro.utils.rng import derive_seed, ensure_generator
 
 __all__ = ["RandomForestClassifier"]
@@ -74,7 +82,11 @@ class RandomForestClassifier(BaseEstimator):
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: Sequence[int]) -> "RandomForestClassifier":
-        """Fit ``n_estimators`` trees on bootstrap resamples of ``(X, y)``."""
+        """Fit ``n_estimators`` trees on bootstrap resamples of ``(X, y)``.
+
+        The labels are encoded once for the whole forest, and the trees
+        grow together (module docstring).
+        """
         if self.n_estimators < 1:
             raise ValidationError("n_estimators must be >= 1")
         if self.voting not in ("hard", "soft"):
@@ -92,6 +104,7 @@ class RandomForestClassifier(BaseEstimator):
         n = X.shape[0]
         base_seed = self.seed if self.seed is not None else 0
         self.estimators_: List[DecisionTreeClassifier] = []
+        samples = []
         for t in range(self.n_estimators):
             tree_seed = derive_seed(base_seed, "tree", t)
             if self.bootstrap:
@@ -109,8 +122,10 @@ class RandomForestClassifier(BaseEstimator):
                 class_weight=self.class_weight,
                 seed=tree_seed,
             )
-            tree.fit(X[sample], y[sample], class_labels=self.classes_)
             self.estimators_.append(tree)
+            samples.append(sample)
+        y_enc = encode_labels(y, self.classes_)
+        grow_trees(self.estimators_, X, y_enc, self.classes_, samples)
         self.feature_importances_ = np.mean(
             [t.feature_importances_ for t in self.estimators_], axis=0
         )

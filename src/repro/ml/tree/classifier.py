@@ -1,33 +1,37 @@
-"""CART decision-tree classifier.
+"""CART decision-tree classifier and the lock-step grower.
 
-Grows a binary tree depth-first with the usual regularisation controls
-(``max_depth``, ``min_samples_split``, ``min_samples_leaf``,
-``max_features``, ``min_impurity_decrease``) — the hyperparameters the
-paper's grid search tunes (Table III).
+:func:`grow_trees` grows any number of binary trees together, step by
+step, with the usual regularisation controls (``max_depth``,
+``min_samples_split``, ``min_samples_leaf``, ``max_features``,
+``min_impurity_decrease``) — the hyperparameters the paper's grid search
+tunes (Table III).  Each tree grows depth-first from its own stack and
+its own RNG; each step searches the next node of every tree with one
+batched split search.  A single tree is the one-tree case; a random
+forest grows all of its trees at once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ModelError, ValidationError
 from repro.ml.base import BaseEstimator, check_is_fitted
 from repro.ml.tree.criteria import get_criterion
-from repro.ml.tree.splitter import find_best_split
+from repro.ml.tree.splitter import find_best_splits
 from repro.ml.tree.structure import Tree, TreeBuffer
 from repro.utils.rng import ensure_generator
 
-__all__ = ["DecisionTreeClassifier", "compute_sample_weight"]
+__all__ = ["DecisionTreeClassifier", "encode_labels", "grow_trees"]
 
 
-def compute_sample_weight(
+def _class_weights(
     class_weight: str | dict | None,
     y_enc: np.ndarray,
     n_classes: int,
 ) -> np.ndarray | None:
-    """Per-sample weights from a class-weight spec.
+    """Per-class weights from a class-weight spec, indexed by encoded class.
 
     ``"balanced"`` gives class ``c`` weight ``n / (k * count_c)`` — the
     paper's Section IX names dataset balancing as the route to better
@@ -36,12 +40,11 @@ def compute_sample_weight(
     """
     if class_weight is None:
         return None
-    counts = np.bincount(y_enc, minlength=n_classes).astype(np.float64)
     if class_weight == "balanced":
+        counts = np.bincount(y_enc, minlength=n_classes).astype(np.float64)
         n = y_enc.shape[0]
         with np.errstate(divide="ignore"):
-            per_class = np.where(counts > 0, n / (n_classes * counts), 0.0)
-        return per_class[y_enc]
+            return np.where(counts > 0, n / (n_classes * counts), 0.0)
     if isinstance(class_weight, dict):
         per_class = np.ones(n_classes, dtype=np.float64)
         for cls, w in class_weight.items():
@@ -50,22 +53,21 @@ def compute_sample_weight(
                     f"class_weight key {cls!r} outside encoded class range"
                 )
             per_class[int(cls)] = float(w)
-        return per_class[y_enc]
+        return per_class
     raise ValidationError(
         f"class_weight must be None, 'balanced' or a dict, got {class_weight!r}"
     )
 
 
-def _weighted_counts(
-    y_enc: np.ndarray, weight: np.ndarray | None, n_classes: int
-) -> np.ndarray:
-    if weight is None:
-        return np.bincount(y_enc, minlength=n_classes).astype(np.float64)
-    return np.bincount(y_enc, weights=weight, minlength=n_classes)
-
-
-def _sub(weight: np.ndarray | None, idx: np.ndarray) -> np.ndarray | None:
-    return None if weight is None else weight[idx]
+def encode_labels(y: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Index of each label of *y* in *classes* (compared as integers)."""
+    keys = np.asarray(classes).astype(np.int64)
+    values = np.asarray(y).astype(np.int64)
+    missing = ~np.isin(values, keys)
+    if missing.any():
+        raise ValidationError(f"label {values[missing][0]} not in class_labels")
+    sorter = np.argsort(keys, kind="stable")
+    return sorter[np.searchsorted(keys, values, side="right", sorter=sorter) - 1]
 
 
 def resolve_max_features(max_features: object, n_features: int) -> int:
@@ -87,6 +89,126 @@ def resolve_max_features(max_features: object, n_features: int) -> int:
             raise ValidationError("int max_features must be >= 1")
         return min(int(max_features), n_features)
     raise ValidationError(f"unsupported max_features spec: {max_features!r}")
+
+
+def grow_trees(
+    trees: Sequence["DecisionTreeClassifier"],
+    X: np.ndarray,
+    y: np.ndarray,
+    classes: np.ndarray,
+    samples: Sequence[np.ndarray],
+) -> None:
+    """Fit ``trees[t]`` on rows ``samples[t]`` of ``(X, y)``, in lock-step.
+
+    The trees share the hyperparameters of ``trees[0]`` and differ in
+    their seeds and samples; ``y`` is already encoded against
+    ``classes``.  Each tree pops nodes from its own depth-first stack
+    (right child first) and draws each node's ``max_features`` subset
+    from its own RNG, exactly as it would grown alone.  One step takes
+    the next node to search from every tree and searches them all with
+    one :func:`~repro.ml.tree.splitter.find_best_splits` call, so no
+    tree's draws or splits depend on the trees beside it.
+    """
+    spec = trees[0]
+    if spec.min_samples_split < 2:
+        raise ValidationError("min_samples_split must be >= 2")
+    if spec.min_samples_leaf < 1:
+        raise ValidationError("min_samples_leaf must be >= 1")
+    if spec.max_depth is not None and spec.max_depth < 1:
+        raise ValidationError("max_depth must be >= 1 or None")
+    n_features = X.shape[1]
+    n_classes = classes.shape[0]
+    criterion = get_criterion(spec.criterion)
+    k_features = resolve_max_features(spec.max_features, n_features)
+    rngs = [ensure_generator(tree.seed) for tree in trees]
+    weights = [
+        _class_weights(spec.class_weight, y[s], n_classes) for s in samples
+    ]
+    bufs = [TreeBuffer(n_classes) for _ in trees]
+    stacks: List[list] = [[] for _ in trees]
+
+    def add_nodes(nodes: list) -> List[int]:
+        """Append ``(tree, rows, depth)`` nodes with their class counts
+        to their trees and stacks, in order; return their node ids."""
+        flat = np.concatenate([rows for _, rows, _ in nodes])
+        slot = np.repeat(
+            np.arange(len(nodes)), [rows.shape[0] for _, rows, _ in nodes]
+        )
+        labels = y[flat]
+        key = slot * n_classes + labels
+        size = len(nodes) * n_classes
+        raw = np.bincount(key, minlength=size).reshape(-1, n_classes)
+        if weights[0] is None:
+            counts = raw.astype(np.float64)
+        else:
+            tree_of = np.array([t for t, _, _ in nodes])
+            w = np.stack(weights)[tree_of[slot], labels]
+            counts = np.bincount(key, weights=w, minlength=size).reshape(
+                -1, n_classes
+            )
+        mixed = np.count_nonzero(raw, axis=1) > 1
+        ids = []
+        for (t, rows, depth), c, m in zip(nodes, counts, mixed.tolist()):
+            ids.append(bufs[t].add_node(c))
+            stacks[t].append((ids[-1], rows, depth, m))
+        return ids
+
+    add_nodes([(t, s, 0) for t, s in enumerate(samples)])
+    while True:
+        batch = []
+        for t, stack in enumerate(stacks):
+            while stack:
+                node, rows, depth, mixed = stack.pop()
+                if (
+                    rows.shape[0] >= spec.min_samples_split
+                    and (spec.max_depth is None or depth < spec.max_depth)
+                    and mixed
+                ):
+                    batch.append((t, node, rows, depth))
+                    break
+        if not batch:
+            break
+        if k_features < n_features:
+            features = np.array([
+                rngs[t].choice(n_features, size=k_features, replace=False)
+                for t, _, _, _ in batch
+            ])
+        else:
+            features = np.broadcast_to(
+                np.arange(n_features), (len(batch), n_features)
+            )
+        splits = find_best_splits(
+            X,
+            [rows for _, _, rows, _ in batch],
+            y,
+            n_classes,
+            criterion=criterion,
+            features=features,
+            min_samples_leaf=spec.min_samples_leaf,
+            min_impurity_decrease=spec.min_impurity_decrease,
+            weights=(
+                None
+                if weights[0] is None
+                else [weights[t][y[rows]] for t, _, rows, _ in batch]
+            ),
+        )
+        parents, children = [], []
+        for (t, node, rows, depth), split in zip(batch, splits):
+            if split is None:
+                continue  # stays a leaf
+            parents.append((t, node, split))
+            children.append((t, rows[split.left_mask], depth + 1))
+            children.append((t, rows[~split.left_mask], depth + 1))
+        if children:
+            ids = add_nodes(children)
+            for (t, node, split), left, right in zip(parents, ids[::2], ids[1::2]):
+                bufs[t].set_split(node, split.feature, split.threshold, left, right)
+
+    for tree, buf in zip(trees, bufs):
+        tree.classes_ = classes
+        tree.n_features_in_ = n_features
+        tree.tree_ = buf.freeze()
+        tree.feature_importances_ = tree.tree_.feature_importances(n_features)
 
 
 class DecisionTreeClassifier(BaseEstimator):
@@ -149,7 +271,7 @@ class DecisionTreeClassifier(BaseEstimator):
         *,
         class_labels: Sequence[int] | None = None,
     ) -> "DecisionTreeClassifier":
-        """Grow the tree on ``(X, y)``.
+        """Grow the tree on ``(X, y)``: :func:`grow_trees` with one tree.
 
         ``class_labels`` fixes the label universe (useful in ensembles
         where a bootstrap may miss a rare class entirely).
@@ -164,80 +286,9 @@ class DecisionTreeClassifier(BaseEstimator):
             )
         if X.shape[0] == 0:
             raise ValidationError("cannot fit on an empty dataset")
-        if self.min_samples_split < 2:
-            raise ValidationError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValidationError("max_depth must be >= 1 or None")
-
-        self.classes_ = (
-            np.unique(y) if class_labels is None else np.asarray(class_labels)
-        )
-        label_of = {int(c): i for i, c in enumerate(self.classes_)}
-        try:
-            y_enc = np.asarray([label_of[int(v)] for v in y], dtype=np.int64)
-        except KeyError as exc:
-            raise ValidationError(f"label {exc} not in class_labels") from exc
-
-        self.n_features_in_ = X.shape[1]
-        n_classes = self.classes_.shape[0]
-        criterion = get_criterion(self.criterion)
-        k_features = resolve_max_features(self.max_features, self.n_features_in_)
-        rng = ensure_generator(self.seed)
-        sample_weight = compute_sample_weight(self.class_weight, y_enc, n_classes)
-
-        buf = TreeBuffer(n_classes)
-        root = buf.add_node(
-            _weighted_counts(y_enc, sample_weight, n_classes)
-        )
-        # explicit stack => no recursion-limit concerns for deep trees
-        stack: List[tuple[int, np.ndarray, int]] = [
-            (root, np.arange(X.shape[0], dtype=np.int64), 0)
-        ]
-        while stack:
-            node, idx, depth = stack.pop()
-            n_node = idx.shape[0]
-            counts = np.bincount(y_enc[idx], minlength=n_classes)
-            if (
-                n_node < self.min_samples_split
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.count_nonzero(counts) <= 1
-            ):
-                continue  # stays a leaf
-            if k_features < self.n_features_in_:
-                feats = rng.choice(self.n_features_in_, size=k_features, replace=False)
-            else:
-                feats = np.arange(self.n_features_in_)
-            split = find_best_split(
-                X[idx],
-                y_enc[idx],
-                n_classes,
-                criterion=criterion,
-                feature_indices=feats,
-                min_samples_leaf=self.min_samples_leaf,
-                min_impurity_decrease=self.min_impurity_decrease,
-                sample_weight=(
-                    None if sample_weight is None else sample_weight[idx]
-                ),
-            )
-            if split is None:
-                continue
-            left_idx = idx[split.left_mask]
-            right_idx = idx[~split.left_mask]
-            left = buf.add_node(
-                _weighted_counts(y_enc[left_idx], _sub(sample_weight, left_idx), n_classes)
-            )
-            right = buf.add_node(
-                _weighted_counts(y_enc[right_idx], _sub(sample_weight, right_idx), n_classes)
-            )
-            buf.set_split(node, split.feature, split.threshold, left, right)
-            stack.append((left, left_idx, depth + 1))
-            stack.append((right, right_idx, depth + 1))
-
-        self.tree_ = buf.freeze()
-        self.feature_importances_ = self.tree_.feature_importances(
-            self.n_features_in_
+        classes = np.unique(y) if class_labels is None else np.asarray(class_labels)
+        grow_trees(
+            [self], X, encode_labels(y, classes), classes, [np.arange(X.shape[0])]
         )
         return self
 

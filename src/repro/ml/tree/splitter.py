@@ -1,19 +1,31 @@
-"""Best-split search for one CART node.
+"""Best-split search for CART nodes, many nodes per call.
 
-For each candidate feature the samples are sorted by value; prefix sums of
-one-hot class indicators give the left-partition class counts at every
-possible threshold simultaneously, so the impurity of all splits of a
-feature is scored in one vectorised sweep.
+:func:`find_best_splits` searches a batch of classification nodes at
+once: the lock-step grower (``classifier.py``) passes one node per
+growing tree.  The nodes' candidate-feature values are padded into one
+``(B, k, n_max)`` block.  The padding is NaN, which a stable argsort
+puts after every real value, so each node's real prefix sorts exactly
+as it would alone.  Prefix sums of a weighted one-hot class block,
+gathered in that order, give the left-partition class counts at every
+threshold of every candidate feature of every node, so one criterion
+call per side scores them all.  :func:`find_best_split` is the one-node
+call.  :func:`find_best_split_mse` is the regression trees' per-node
+search (gradient boosting).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["SplitResult", "find_best_split"]
+__all__ = ["SplitResult", "find_best_split", "find_best_splits"]
+
+#: Byte budget of one chunk's sorted one-hot block ``(B, k, n_max, C)``.
+#: A batch is searched in as many chunks as this needs, at least one
+#: node per chunk; the criterion's temporaries are a few times this.
+BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -60,64 +72,125 @@ def find_best_split(
         class counts (this is how ``class_weight='balanced'`` training
         re-weights the rare-format classes).
     """
-    n = X.shape[0]
-    if n < 2 * min_samples_leaf:
-        return None
-    onehot = np.zeros((n, n_classes), dtype=np.float64)
-    if sample_weight is None:
-        onehot[np.arange(n), y] = 1.0
-    else:
-        onehot[np.arange(n), y] = sample_weight
-    parent_counts = onehot.sum(axis=0)
-    parent_imp = float(criterion(parent_counts[None, :])[0])
-    if parent_imp <= 0.0:
-        return None  # pure node
+    return find_best_splits(
+        X,
+        [np.arange(X.shape[0])],
+        y,
+        n_classes,
+        criterion=criterion,
+        features=np.asarray(feature_indices, dtype=np.int64)[None, :],
+        min_samples_leaf=min_samples_leaf,
+        min_impurity_decrease=min_impurity_decrease,
+        weights=None if sample_weight is None else [sample_weight],
+    )[0]
 
-    best_gain = min_impurity_decrease
-    best: Optional[tuple[int, float]] = None
 
-    for f in feature_indices:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        v_sorted = values[order]
-        # split position i means left = sorted samples [0..i]; a position is
-        # valid only between distinct consecutive values
-        distinct = v_sorted[:-1] < v_sorted[1:]
-        if not distinct.any():
-            continue
-        left_counts = np.cumsum(onehot[order], axis=0)[:-1]
-        right_counts = parent_counts[None, :] - left_counts
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        valid = (
-            distinct
-            & (n_left >= min_samples_leaf)
-            & (n_right >= min_samples_leaf)
-        )
-        if not valid.any():
-            continue
-        child_imp = (
-            n_left * criterion(left_counts) + n_right * criterion(right_counts)
-        ) / n
-        gains = parent_imp - child_imp
-        gains[~valid] = -np.inf
-        pos = int(np.argmax(gains))
-        gain = float(gains[pos])
-        if gain > best_gain + 1e-15:
-            best_gain = gain
-            # midpoint threshold, matching scikit-learn
-            thr = 0.5 * (float(v_sorted[pos]) + float(v_sorted[pos + 1]))
-            best = (int(f), thr)
+def find_best_splits(
+    X: np.ndarray,
+    rows: Sequence[np.ndarray],
+    y: np.ndarray,
+    n_classes: int,
+    *,
+    criterion: Callable[[np.ndarray], np.ndarray],
+    features: np.ndarray,
+    min_samples_leaf: int,
+    min_impurity_decrease: float = 0.0,
+    weights: Sequence[np.ndarray] | None = None,
+) -> List[Optional[SplitResult]]:
+    """Best split of each node in *rows*, or None where it has none.
 
-    if best is None:
-        return None
-    feature, threshold = best
-    return SplitResult(
-        feature=feature,
-        threshold=threshold,
-        gain=best_gain,
-        left_mask=X[:, feature] <= threshold,
+    ``rows[b]`` indexes node *b*'s samples in ``X`` and ``y``, in node
+    order; ``features[b]`` are its candidate features in evaluation
+    order (every node has the same number); ``weights[b]``, if given,
+    are its samples' weights.  Each node's result is the one it would
+    get searched alone: the first feature whose best gain beats the
+    best so far by more than ``1e-15`` wins, and a split must beat
+    ``min_impurity_decrease`` the same way.
+    """
+    features = np.asarray(features, dtype=np.int64)
+    n_nodes, k = features.shape
+    sizes = np.fromiter((r.shape[0] for r in rows), np.int64, n_nodes)
+    width = int(sizes.max(initial=0))
+    step = max(1, BLOCK_BYTES // max(1, k * width * n_classes * 8))
+    if step < n_nodes:  # one chunk at a time; no chunk is wider
+        return [
+            split
+            for lo in range(0, n_nodes, step)
+            for split in find_best_splits(
+                X,
+                rows[lo : lo + step],
+                y,
+                n_classes,
+                criterion=criterion,
+                features=features[lo : lo + step],
+                min_samples_leaf=min_samples_leaf,
+                min_impurity_decrease=min_impurity_decrease,
+                weights=None if weights is None else weights[lo : lo + step],
+            )
+        ]
+    if width < 2 or k == 0:
+        return [None] * n_nodes
+    flat = np.concatenate(rows)
+    node = np.repeat(np.arange(n_nodes), sizes)
+    pos = np.arange(flat.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+
+    values = np.full((n_nodes, k, width), np.nan)
+    values[node[:, None], np.arange(k), pos[:, None]] = X[
+        flat[:, None], features[node]
+    ]
+    onehot = np.zeros((n_nodes, width, n_classes))
+    onehot[node, pos, y[flat]] = 1.0 if weights is None else np.concatenate(weights)
+    parent = onehot.sum(axis=1)
+    parent_imp = criterion(parent)
+
+    order = np.argsort(values, axis=2, kind="stable")
+    v_sorted = np.take_along_axis(values, order, axis=2)
+    # split position i means left = sorted samples [0..i]
+    left = np.cumsum(onehot[np.arange(n_nodes)[:, None, None], order], axis=2)[
+        :, :, :-1
+    ]
+    right = parent[:, None, None, :] - left
+    n = sizes.astype(np.float64)[:, None, None]
+    n_left = np.arange(1, width, dtype=np.float64)
+    n_right = n - n_left
+    # a position is valid only between distinct consecutive values; NaN
+    # padding compares false, so no position reaches past a node's end
+    valid = (
+        (v_sorted[:, :, :-1] < v_sorted[:, :, 1:])
+        & (n_left >= min_samples_leaf)
+        & (n_right >= min_samples_leaf)
     )
+    child = (n_left * criterion(left) + n_right * criterion(right)) / n
+    gains = parent_imp[:, None, None] - child
+    gains[~valid] = -np.inf
+    at = gains.argmax(axis=2)
+    feature_gain = np.take_along_axis(gains, at[:, :, None], axis=2)[:, :, 0]
+
+    best_gain = np.full(n_nodes, float(min_impurity_decrease))
+    chosen = np.full(n_nodes, -1)
+    for j in range(k):
+        better = feature_gain[:, j] > best_gain + 1e-15
+        best_gain[better] = feature_gain[better, j]
+        chosen[better] = j
+    chosen[parent_imp <= 0.0] = -1  # pure node
+
+    out: List[Optional[SplitResult]] = [None] * n_nodes
+    found = np.flatnonzero(chosen >= 0)
+    j, p = chosen[found], at[found, chosen[found]]
+    # midpoint threshold, matching scikit-learn
+    thresholds = 0.5 * (v_sorted[found, j, p] + v_sorted[found, j, p + 1])
+    masks = values[found, j] <= thresholds[:, None]
+    for b, f, thr, gain, mask in zip(
+        found.tolist(),
+        features[found, j].tolist(),
+        thresholds.tolist(),
+        best_gain[found].tolist(),
+        masks,
+    ):
+        out[b] = SplitResult(
+            feature=f, threshold=thr, gain=gain, left_mask=mask[: sizes[b]]
+        )
+    return out
 
 
 def find_best_split_mse(

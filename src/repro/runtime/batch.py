@@ -12,7 +12,7 @@ per-call cost the way a serving system would.  Two entry points:
 
 :func:`matvec` is the one dispatch (:func:`batched_spmv` adds only its
 2-D check): it checks the operand with :func:`validate_operand`, then
-picks the kernel in this order:
+:func:`dispatch` picks the kernel in this order:
 
 1. a compiled kernel *backend* (:mod:`repro.kernels`), resolved through
    ``REGISTRY.resolve`` with clean fallback down the preference order;
@@ -58,6 +58,7 @@ __all__ = [
     "batched_spmv",
     "block_operator",
     "cached_operator",
+    "dispatch",
     "have_accelerator",
     "matvec",
     "validate_operand",
@@ -76,8 +77,8 @@ def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
     Accepts a length-``ncols`` vector or an ``(ncols, k)`` block and
     returns it as a contiguous float64 array; a wrong length or row
     count raises :class:`ShapeError`, any other rank
-    :class:`ValidationError`.  The dispatch below and every request
-    front end (the engine's queue, the tuning service) validate with
+    :class:`ValidationError`.  :func:`matvec` and every request front
+    end (``WorkloadEngine.execute``, the tuning service) validate with
     it, so the checks cannot diverge between them.
     """
     ncols = _concrete(matrix).ncols
@@ -201,7 +202,22 @@ def matvec(
     compiled operator (the registry's NumPy kernel without scipy).
     """
     m = _concrete(matrix)
-    operand = validate_operand(m, x)
+    return dispatch(m, validate_operand(m, x), backend=backend)
+
+
+def dispatch(
+    matrix: MatrixLike,
+    operand: np.ndarray,
+    *,
+    backend: Optional[str] = None,
+) -> np.ndarray:
+    """:func:`matvec` on an *operand* :func:`validate_operand` returned.
+
+    Checks nothing: the workload engine calls it with the operand its
+    caller (``WorkloadEngine.execute`` or the service front end) already
+    validated, so a request is validated once.
+    """
+    m = _concrete(matrix)
     op = "spmm" if operand.ndim == 2 else "spmv"
     if backend is not None and backend != "numpy":
         kernel, _ = REGISTRY.resolve(op, m.format, backend)

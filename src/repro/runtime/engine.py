@@ -50,10 +50,10 @@ from repro.kernels import check_kernel_backend, default_backend
 from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
-    batched_spmv,
     cached_operator,
+    dispatch,
     have_accelerator,
-    matvec,
+    validate_operand,
 )
 from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
@@ -268,6 +268,13 @@ class _Chain(NamedTuple):
     report: "TuningReport"
 
 
+#: The engine's kernel calls, for a 1-D and for an ``(ncols, k)``
+#: operand: :func:`repro.runtime.batch.dispatch` on an operand the
+#: engine's caller already validated.  The two names are the kernel
+#: layer's entry points, the ones a tracer wraps (``perfbench/tracer.py``).
+matvec = batched_spmv = dispatch
+
+
 class _Warm(NamedTuple):
     """A key's memoised warm chain (:attr:`WorkloadEngine._warm`)."""
 
@@ -285,9 +292,8 @@ class WorkloadEngine:
     :meth:`execute` runs one request chain
     (fingerprint → stats → decision → serving container → kernel
     backend, each a counted cache lookup), reach the kernel through
-    :func:`repro.runtime.batch.matvec` or
-    :func:`~repro.runtime.batch.batched_spmv`, and account each request
-    in one step.
+    this module's :func:`matvec` or :func:`batched_spmv` with the
+    operand validated once, and account each request in one step.
 
     Parameters
     ----------
@@ -1129,10 +1135,27 @@ class WorkloadEngine:
 
         ``x`` may be a length-``ncols`` vector or an ``(ncols, k)`` block;
         ``repetitions`` scales the modelled SpMV seconds (iterative
-        workloads run the same product many times).
+        workloads run the same product many times).  A malformed ``x``
+        raises :class:`~repro.errors.ShapeError` or
+        :class:`~repro.errors.ValidationError` before any cache is
+        touched.
         """
+        return self.execute_checked(
+            matrix, validate_operand(matrix, x), key=key, repetitions=repetitions
+        )
+
+    def execute_checked(
+        self,
+        matrix: MatrixLike,
+        operand: np.ndarray,
+        *,
+        key: Optional[str] = None,
+        repetitions: int = 1,
+    ) -> EngineResult:
+        """:meth:`execute` for an *operand* that
+        :func:`~repro.runtime.batch.validate_operand` already returned
+        (the service validates each request once, in its front end)."""
         chain = self._chain(matrix, self.fingerprint(matrix, key=key))
-        operand = np.ascontiguousarray(x, dtype=np.float64)
         y = self._run_kernel(chain.prepared, operand, chain.backend)
         return self._served(chain, y, operand, repetitions)
 
