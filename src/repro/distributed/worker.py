@@ -12,7 +12,7 @@ engine host and serve step the in-process
 :class:`~repro.service.service.TuningService` drains into: a batch of
 plain single-vector requests arrives as one stacked shared-memory block
 and a lone request as its own operand; either is served by one
-``engine.execute_checked``.  Distributed results are therefore
+``engine.execute``.  Distributed results are therefore
 bitwise-identical to single-process serve (and to serial dispatch) by
 construction, not by tolerance.
 

@@ -110,6 +110,8 @@ def grow_trees(
     tree's draws or splits depend on the trees beside it.
     """
     spec = trees[0]
+    if X.shape[0] == 0:
+        raise ValidationError("cannot fit on an empty dataset")
     if spec.min_samples_split < 2:
         raise ValidationError("min_samples_split must be >= 2")
     if spec.min_samples_leaf < 1:
@@ -284,8 +286,6 @@ class DecisionTreeClassifier(BaseEstimator):
             raise ValidationError(
                 f"y must be 1-D with len(X)={X.shape[0]}, got shape {y.shape}"
             )
-        if X.shape[0] == 0:
-            raise ValidationError("cannot fit on an empty dataset")
         classes = np.unique(y) if class_labels is None else np.asarray(class_labels)
         grow_trees(
             [self], X, encode_labels(y, classes), classes, [np.arange(X.shape[0])]

@@ -16,15 +16,17 @@ search (gradient boosting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["SplitResult", "find_best_split", "find_best_splits"]
 
 #: Byte budget of one chunk's sorted one-hot block ``(B, k, n_max, C)``.
-#: A batch is searched in as many chunks as this needs, at least one
-#: node per chunk; the criterion's temporaries are a few times this.
+#: A batch is searched in as many chunks of nodes as this needs; a node
+#: over the budget alone is searched a slice of its candidate features
+#: at a time (at least one).  The criterion's temporaries are a few
+#: times this.
 BLOCK_BYTES = 1 << 21
 
 
@@ -133,16 +135,76 @@ def find_best_splits(
     flat = np.concatenate(rows)
     node = np.repeat(np.arange(n_nodes), sizes)
     pos = np.arange(flat.shape[0]) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-
-    values = np.full((n_nodes, k, width), np.nan)
-    values[node[:, None], np.arange(k), pos[:, None]] = X[
-        flat[:, None], features[node]
-    ]
     onehot = np.zeros((n_nodes, width, n_classes))
     onehot[node, pos, y[flat]] = 1.0 if weights is None else np.concatenate(weights)
     parent = onehot.sum(axis=1)
     parent_imp = criterion(parent)
 
+    # a chunk still over the budget is one node: score its candidate
+    # features a slice at a time (each feature's score is independent)
+    k_step = max(1, BLOCK_BYTES // (n_nodes * width * n_classes * 8))
+    scored = [
+        _score_features(
+            X[flat[:, None], features[node, lo : lo + k_step]],
+            node,
+            pos,
+            onehot,
+            parent,
+            parent_imp,
+            sizes,
+            criterion=criterion,
+            min_samples_leaf=min_samples_leaf,
+        )
+        for lo in range(0, k, k_step)
+    ]
+    feature_gain = np.concatenate([gain for gain, _ in scored], axis=1)
+    feature_threshold = np.concatenate([thr for _, thr in scored], axis=1)
+
+    best_gain = np.full(n_nodes, float(min_impurity_decrease))
+    chosen = np.full(n_nodes, -1)
+    for j in range(k):
+        better = feature_gain[:, j] > best_gain + 1e-15
+        best_gain[better] = feature_gain[better, j]
+        chosen[better] = j
+    chosen[parent_imp <= 0.0] = -1  # pure node
+
+    out: List[Optional[SplitResult]] = [None] * n_nodes
+    found = np.flatnonzero(chosen >= 0)
+    for b, f, thr, gain in zip(
+        found.tolist(),
+        features[found, chosen[found]].tolist(),
+        feature_threshold[found, chosen[found]].tolist(),
+        best_gain[found].tolist(),
+    ):
+        out[b] = SplitResult(
+            feature=f, threshold=thr, gain=gain, left_mask=X[rows[b], f] <= thr
+        )
+    return out
+
+
+def _score_features(
+    cols: np.ndarray,
+    node: np.ndarray,
+    pos: np.ndarray,
+    onehot: np.ndarray,
+    parent: np.ndarray,
+    parent_imp: np.ndarray,
+    sizes: np.ndarray,
+    *,
+    criterion: Callable[[np.ndarray], np.ndarray],
+    min_samples_leaf: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Best gain and threshold of each node's candidate features.
+
+    *cols* holds the nodes' samples' values, one column per candidate
+    (row ``i`` is sample ``pos[i]`` of node ``node[i]``).  Returns two
+    ``(B, kc)`` arrays: each feature's best gain (``-inf`` where no
+    position is valid) and the midpoint threshold that reaches it.
+    """
+    n_nodes, width, _ = onehot.shape
+    k = cols.shape[1]
+    values = np.full((n_nodes, k, width), np.nan)
+    values[node[:, None], np.arange(k), pos[:, None]] = cols
     order = np.argsort(values, axis=2, kind="stable")
     v_sorted = np.take_along_axis(values, order, axis=2)
     # split position i means left = sorted samples [0..i]
@@ -163,34 +225,13 @@ def find_best_splits(
     child = (n_left * criterion(left) + n_right * criterion(right)) / n
     gains = parent_imp[:, None, None] - child
     gains[~valid] = -np.inf
-    at = gains.argmax(axis=2)
-    feature_gain = np.take_along_axis(gains, at[:, :, None], axis=2)[:, :, 0]
-
-    best_gain = np.full(n_nodes, float(min_impurity_decrease))
-    chosen = np.full(n_nodes, -1)
-    for j in range(k):
-        better = feature_gain[:, j] > best_gain + 1e-15
-        best_gain[better] = feature_gain[better, j]
-        chosen[better] = j
-    chosen[parent_imp <= 0.0] = -1  # pure node
-
-    out: List[Optional[SplitResult]] = [None] * n_nodes
-    found = np.flatnonzero(chosen >= 0)
-    j, p = chosen[found], at[found, chosen[found]]
+    at = gains.argmax(axis=2)[:, :, None]
     # midpoint threshold, matching scikit-learn
-    thresholds = 0.5 * (v_sorted[found, j, p] + v_sorted[found, j, p + 1])
-    masks = values[found, j] <= thresholds[:, None]
-    for b, f, thr, gain, mask in zip(
-        found.tolist(),
-        features[found, j].tolist(),
-        thresholds.tolist(),
-        best_gain[found].tolist(),
-        masks,
-    ):
-        out[b] = SplitResult(
-            feature=f, threshold=thr, gain=gain, left_mask=mask[: sizes[b]]
-        )
-    return out
+    threshold = 0.5 * (
+        np.take_along_axis(v_sorted, at, axis=2)
+        + np.take_along_axis(v_sorted, at + 1, axis=2)
+    )
+    return np.take_along_axis(gains, at, axis=2)[:, :, 0], threshold[:, :, 0]
 
 
 def find_best_split_mse(

@@ -58,6 +58,7 @@ __all__ = [
     "batched_spmv",
     "block_operator",
     "cached_operator",
+    "check_operand",
     "dispatch",
     "have_accelerator",
     "matvec",
@@ -77,12 +78,19 @@ def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
     Accepts a length-``ncols`` vector or an ``(ncols, k)`` block and
     returns it as a contiguous float64 array; a wrong length or row
     count raises :class:`ShapeError`, any other rank
-    :class:`ValidationError`.  :func:`matvec` and every request front
-    end (``WorkloadEngine.execute``, the tuning service) validate with
-    it, so the checks cannot diverge between them.
+    :class:`ValidationError`.  :func:`matvec` and the tuning service's
+    front end validate with it, and ``WorkloadEngine.execute`` makes
+    the same :func:`check_operand` against the container it serves, so
+    the checks cannot diverge between them.
     """
-    ncols = _concrete(matrix).ncols
     operand = np.ascontiguousarray(x, dtype=np.float64)
+    check_operand(operand, _concrete(matrix).ncols)
+    return operand
+
+
+def check_operand(operand: np.ndarray, ncols: int) -> None:
+    """The O(1) shape checks of :func:`validate_operand` on an *operand*
+    that is already an array, against a container's *ncols*."""
     if operand.ndim == 1:
         check_vector_length(operand, ncols, name="x")
     elif operand.ndim == 2:
@@ -94,7 +102,6 @@ def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"operand must be 1-D or 2-D, got ndim={operand.ndim}"
         )
-    return operand
 
 
 def have_accelerator() -> bool:
@@ -213,9 +220,9 @@ def dispatch(
 ) -> np.ndarray:
     """:func:`matvec` on an *operand* :func:`validate_operand` returned.
 
-    Checks nothing: the workload engine calls it with the operand its
-    caller (``WorkloadEngine.execute`` or the service front end) already
-    validated, so a request is validated once.
+    Checks nothing: ``WorkloadEngine.execute`` calls it once it has
+    checked the operand against the container it serves (the
+    compiled kernels do not bounds-check).
     """
     m = _concrete(matrix)
     op = "spmm" if operand.ndim == 2 else "spmv"

@@ -51,9 +51,9 @@ from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
     cached_operator,
+    check_operand,
     dispatch,
     have_accelerator,
-    validate_operand,
 )
 from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
@@ -269,8 +269,8 @@ class _Chain(NamedTuple):
 
 
 #: The engine's kernel calls, for a 1-D and for an ``(ncols, k)``
-#: operand: :func:`repro.runtime.batch.dispatch` on an operand the
-#: engine's caller already validated.  The two names are the kernel
+#: operand: :func:`repro.runtime.batch.dispatch` on an operand
+#: :meth:`WorkloadEngine.execute` already checked.  The two names are the kernel
 #: layer's entry points, the ones a tracer wraps (``perfbench/tracer.py``).
 matvec = batched_spmv = dispatch
 
@@ -293,7 +293,8 @@ class WorkloadEngine:
     (fingerprint → stats → decision → serving container → kernel
     backend, each a counted cache lookup), reach the kernel through
     this module's :func:`matvec` or :func:`batched_spmv` with the
-    operand validated once, and account each request in one step.
+    operand checked against the serving container, and account each
+    request in one step.
 
     Parameters
     ----------
@@ -1135,27 +1136,18 @@ class WorkloadEngine:
 
         ``x`` may be a length-``ncols`` vector or an ``(ncols, k)`` block;
         ``repetitions`` scales the modelled SpMV seconds (iterative
-        workloads run the same product many times).  A malformed ``x``
-        raises :class:`~repro.errors.ShapeError` or
-        :class:`~repro.errors.ValidationError` before any cache is
-        touched.
+        workloads run the same product many times).  ``x`` is checked
+        against the serving container the request resolves to — under a
+        warm *key* that is the key's cached container, whatever *matrix*
+        is passed — so a malformed or mismatched ``x`` raises
+        :class:`~repro.errors.ShapeError` or
+        :class:`~repro.errors.ValidationError` before any kernel runs.
+        The check is O(1); a front end that already ran
+        :func:`~repro.runtime.batch.validate_operand` pays no copy.
         """
-        return self.execute_checked(
-            matrix, validate_operand(matrix, x), key=key, repetitions=repetitions
-        )
-
-    def execute_checked(
-        self,
-        matrix: MatrixLike,
-        operand: np.ndarray,
-        *,
-        key: Optional[str] = None,
-        repetitions: int = 1,
-    ) -> EngineResult:
-        """:meth:`execute` for an *operand* that
-        :func:`~repro.runtime.batch.validate_operand` already returned
-        (the service validates each request once, in its front end)."""
         chain = self._chain(matrix, self.fingerprint(matrix, key=key))
+        operand = np.ascontiguousarray(x, dtype=np.float64)
+        check_operand(operand, chain.prepared.ncols)
         y = self._run_kernel(chain.prepared, operand, chain.backend)
         return self._served(chain, y, operand, repetitions)
 

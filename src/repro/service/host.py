@@ -13,11 +13,11 @@ queues into one host; every distributed worker process hosts its own
 slice.  Both tiers therefore run the same serve step — lease the
 engine, read its model version and epoch, promote from the storage
 tier on a miss, serve the batch's one operand (a stacked block or a
-lone request's operand) through one ``execute_checked``, then resolve
+lone request's operand) through one ``execute``, then resolve
 features and the shadow probe — so results and accounting are
 bitwise-identical across tiers by construction.  A blocking request on
 an idle in-process service runs :meth:`EngineHost.serve_one`: the same
-step under one lease, cut to one ``engine.execute_checked`` when the
+step under one lease, cut to one ``engine.execute`` when the
 key's chain is warm.
 """
 
@@ -169,7 +169,7 @@ class EngineHost:
         *operand* is the batch's one operand: the ``(ncols, k)`` block of
         its stacked single-vector requests, or a lone request's operand
         (with its *repetitions*), validated at submission.  Either way
-        it is one ``engine.execute_checked``.  *matrix* is the batch's
+        it is one ``engine.execute``.  *matrix* is the batch's
         first matrix: the operand, the features and the shadow probe
         resolve against it.
         ``telemetry`` also resolves the matrix's cached features; every
@@ -187,7 +187,7 @@ class EngineHost:
         The warm step: when the engine holds *fp*'s warm chain
         (:meth:`~repro.runtime.engine.WorkloadEngine.has_chain`) and no
         shadow cadence is set, the request is one
-        ``engine.execute_checked`` whose artefacts resolve with one
+        ``engine.execute`` whose artefacts resolve with one
         lookup — no promote check, no :class:`Served`.  A cold key
         (which includes a key the storage tier must promote) or a shadow
         cadence runs the full
@@ -214,7 +214,7 @@ class EngineHost:
                 )
             streamed = engine.streaming["seconds"]
             kernel_start = time.perf_counter()
-            result = engine.execute_checked(
+            result = engine.execute(
                 matrix, operand, key=fp, repetitions=repetitions
             )
             kernel_seconds = time.perf_counter() - kernel_start
@@ -251,7 +251,7 @@ class EngineHost:
             promote_seconds = self._promote_into(fp, engine)
         stream_before = engine.streaming["seconds"]
         kernel_start = time.perf_counter()
-        result = engine.execute_checked(
+        result = engine.execute(
             matrix, operand, key=fp, repetitions=repetitions
         )
         kernel_seconds = time.perf_counter() - kernel_start

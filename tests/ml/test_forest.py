@@ -64,6 +64,13 @@ class TestFit:
         with pytest.raises(ValidationError):
             RandomForestClassifier(voting="ranked").fit(X, y)
 
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_empty_dataset_raises(self, bootstrap):
+        with pytest.raises(ValidationError, match="empty dataset"):
+            RandomForestClassifier(n_estimators=3, bootstrap=bootstrap).fit(
+                np.empty((0, 4)), np.empty(0, dtype=int)
+            )
+
     def test_rare_class_survives_bootstrap(self):
         """class_labels plumbing: a class absent from some bootstrap must
         still be predictable by the ensemble."""

@@ -248,7 +248,8 @@ def test_single_tree_matches_reference(index):
 
 @pytest.mark.parametrize("budget", [1, 4096])
 def test_chunked_search_gives_the_same_trees(monkeypatch, budget):
-    """A budget that cuts each step into one-node (or few-node) chunks."""
+    """Budgets that cut each step into chunks of one or a few nodes, and
+    a node's candidate features into slices (one feature each at 1)."""
     monkeypatch.setattr(splitter, "BLOCK_BYTES", budget)
     for case in GRID[::5]:
         _check_forest(case, seed=3, n_estimators=9)

@@ -1,10 +1,11 @@
 """A request's operand is validated once, in the front end that admits it.
 
 ``TuningService`` checks each operand with ``validate_operand`` in the
-caller's thread, and the engine's kernel call then takes that checked
-operand as it is.  ``WorkloadEngine.execute`` and the public
-``repro.runtime.batch.matvec`` still check what they are handed and
-raise the same typed errors.
+caller's thread.  ``WorkloadEngine.execute`` then makes only the O(1)
+shape check against the container it serves, which under a warm key is
+the key's cached container, not the matrix passed with the request.
+The public ``repro.runtime.batch.matvec`` still validates what it is
+handed and raises the same typed errors.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from repro.backends import make_space
 from repro.errors import ShapeError, ValidationError
 from repro.formats import COOMatrix
+from repro.kernels import available_backends
 from repro.runtime import batch
 from repro.runtime.engine import WorkloadEngine
 from repro.service import TuningService
@@ -60,10 +62,42 @@ def test_warm_blocking_spmv_validates_once(matrix, validations):
     np.testing.assert_allclose(result.y, matrix.to_dense() @ x)
 
 
-def test_engine_execute_validates_once(matrix, validations):
-    x = np.ones(matrix.ncols)
-    WorkloadEngine(make_space("cirrus", "serial")).execute(matrix, x, key="m")
-    assert validations == [x.shape]
+def _tridiagonal(n):
+    dense = np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), 1)
+    return COOMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_engine_checks_against_served_container(backend):
+    wide, narrow = _tridiagonal(40), _tridiagonal(30)
+    engine = WorkloadEngine(make_space("cirrus", "serial"), kernel_backend=backend)
+    engine.execute(wide, np.ones(40), key="m")
+    assert engine.has_chain("m")
+    # the warm key serves its cached 40-column container, whatever
+    # matrix comes with the request: a length-30 operand must not reach
+    # a kernel that indexes x by the container's column indices
+    for operand in (np.ones(30), np.ones((30, 2))):
+        with pytest.raises(ShapeError):
+            engine.execute(narrow, operand, key="m")
+    assert engine.requests_served == 1
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_warm_spmv_checks_against_served_container(backend):
+    wide, narrow = _tridiagonal(40), _tridiagonal(30)
+    with TuningService(
+        make_space("cirrus", "serial"), kernel_backend=backend
+    ) as service:
+        session = service.session("s")
+        session.spmv(wide, np.ones(40), key="m")
+        with service._host.engines.lease("m") as engine:
+            assert engine.has_chain("m")
+        with pytest.raises(ShapeError):
+            session.spmv(narrow, np.ones(30), key="m")
+        # the key still serves its own matrix
+        x = np.arange(40, dtype=np.float64)
+        result = session.spmv(wide, x, key="m")
+    np.testing.assert_allclose(result.y, wide.to_dense() @ x)
 
 
 @pytest.mark.parametrize(
@@ -81,9 +115,7 @@ def test_bad_operand_raises_typed(matrix, operand, error):
     engine = WorkloadEngine(make_space("cirrus", "serial"))
     with pytest.raises(error):
         engine.execute(matrix, operand, key="m")
-    # rejected before any cache was touched
     assert engine.requests_served == 0
-    assert engine.counters.misses == 0
     with TuningService(make_space("cirrus", "serial")) as service:
         with pytest.raises(error):
             service.session().spmv(matrix, operand, key="m")
