@@ -142,14 +142,19 @@ class RandomForestClassifier(BaseEstimator):
         if self.voting == "soft":
             probas = [t.predict_proba(X) for t in self.estimators_]
             return np.mean(probas, axis=0)
-        n_classes = self.classes_.shape[0]
-        votes = np.zeros((np.asarray(X).shape[0], n_classes), dtype=np.float64)
-        for tree in self.estimators_:
-            pred = tree.predict(X)
-            # tree classes_ equal forest classes_ (fixed via class_labels)
-            enc = np.searchsorted(self.classes_, pred)
-            votes[np.arange(votes.shape[0]), enc] += 1.0
-        return votes / self.n_estimators
+        X = self.estimators_[0]._check_X(X)
+        n, n_classes = X.shape[0], self.classes_.shape[0]
+        # tree classes_ equal forest classes_ (fixed via class_labels),
+        # so a tree's vote is the class index its reached leaf argmaxes to
+        votes = np.stack([
+            np.argmax(t.tree_.predict_proba(X), axis=1)
+            for t in self.estimators_
+        ])
+        tally = np.bincount(
+            (np.arange(n) * n_classes + votes).ravel(),
+            minlength=n * n_classes,
+        )
+        return tally.reshape(n, n_classes) / self.n_estimators
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote (or argmax-soft) class per sample."""

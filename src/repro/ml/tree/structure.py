@@ -68,14 +68,13 @@ class Tree:
 
     def depth(self) -> int:
         """Longest root-to-leaf path (0 for a stump with a single leaf)."""
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        out = 0
-        for i in range(self.n_nodes):  # parents precede children by builder
-            if self.feature[i] != LEAF:
-                for child in (self.left[i], self.right[i]):
-                    depths[child] = depths[i] + 1
-                    out = max(out, int(depths[child]))
-        return out
+        level = np.zeros(min(self.n_nodes, 1), dtype=np.int64)
+        out = -1
+        while level.size:  # one step per tree level, not per node
+            out += 1
+            split = level[self.feature[level] != LEAF]
+            level = np.concatenate((self.left[split], self.right[split]))
+        return max(out, 0)
 
     # ------------------------------------------------------------------
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -115,23 +114,28 @@ class Tree:
 
     # ------------------------------------------------------------------
     def feature_importances(self, n_features: int) -> np.ndarray:
-        """Impurity-decrease importance per feature, normalised to sum 1."""
+        """Impurity-decrease importance per feature, normalised to sum 1.
+
+        Each feature's decreases are summed in node order (``bincount``
+        adds its weights in input order), as a walk over the nodes would.
+        """
         from repro.ml.tree.criteria import gini_impurity
 
-        importances = np.zeros(n_features, dtype=np.float64)
         node_imp = gini_impurity(self.counts)
         node_n = self.counts.sum(axis=1)
         total = node_n[0] if self.n_nodes else 0
-        for i in range(self.n_nodes):
-            if self.feature[i] == LEAF:
-                continue
-            li, ri = self.left[i], self.right[i]
-            decrease = (
-                node_n[i] * node_imp[i]
-                - node_n[li] * node_imp[li]
-                - node_n[ri] * node_imp[ri]
-            )
-            importances[self.feature[i]] += max(0.0, decrease) / max(total, 1)
+        split = np.flatnonzero(self.feature != LEAF)
+        li, ri = self.left[split], self.right[split]
+        decrease = (
+            node_n[split] * node_imp[split]
+            - node_n[li] * node_imp[li]
+            - node_n[ri] * node_imp[ri]
+        )
+        importances = np.bincount(
+            self.feature[split],
+            weights=np.where(decrease > 0.0, decrease, 0.0) / max(total, 1),
+            minlength=n_features,
+        )
         s = importances.sum()
         return importances / s if s > 0 else importances
 

@@ -13,7 +13,8 @@ of the memory hierarchy instead of a cliff:
   HYB/HDC composites.
 * :mod:`repro.storage.tier` — the :class:`StorageTier` demote/promote
   store the engine cache spills cold converted containers into; a
-  promote hands back the container and its operator, round
+  promote hands back the container and its operator (from the entry's
+  map, held between promotes and re-checked on each), round
   trips are bitwise-stable and the residency/traffic counters feed the
   ``repro.obs`` registry.
 * :mod:`repro.storage.stream` — row-block streaming SpMV/SpMM over

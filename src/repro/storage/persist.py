@@ -6,7 +6,12 @@ array back to back, each at a 64-byte-aligned offset the manifest
 records with its dtype and shape; nothing else is in it.  A re-attach
 maps the file once (``np.memmap(..., mode="r")``) and slices the arrays
 out of the map as page-cache-backed views with zero bytes copied, which
-is what makes the disk tier a real memory tier.  The arrays per format:
+is what makes the disk tier a real memory tier.  Re-attaching is two
+steps: :func:`load_arrays` checks the data file's size and maps it;
+:func:`attach_arrays` runs every content check and builds the
+container.  The disk tier keeps the first step's views between
+promotes of an entry and repeats only the size check and the second
+step (:mod:`repro.storage.tier`).  The arrays per format:
 
 ========  ==========================================================
 format    arrays
@@ -62,10 +67,12 @@ __all__ = [
     "DATA_NAME",
     "MANIFEST_NAME",
     "MANIFEST_VERSION",
+    "attach_arrays",
+    "check_data_file",
     "container_arrays",
     "container_fingerprint",
+    "load_arrays",
     "load_container",
-    "load_entry",
     "read_manifest",
     "save_container",
 ]
@@ -334,9 +341,14 @@ def read_manifest(directory: str) -> dict:
     return manifest
 
 
-def _load_arrays(
-    directory: str, manifest: dict, *, mmap: bool
-) -> Dict[str, np.ndarray]:
+def check_data_file(directory: str, manifest: dict) -> None:
+    """Raise unless the entry's data file is as long as *manifest* says.
+
+    A map of a file cut short raises ``SIGBUS`` when a page past the new
+    end is touched, so a map is read only after this check passes —
+    :class:`~repro.storage.tier.StorageTier` runs it on every promote,
+    of a held map too.
+    """
     path = os.path.join(directory, DATA_NAME)
     size = manifest["data_bytes"]
     actual = os.path.getsize(path)
@@ -345,6 +357,24 @@ def _load_arrays(
             f"tier data file {path} holds {actual} bytes, its manifest "
             f"describes {size}"
         )
+
+
+def load_arrays(
+    directory: str, manifest: dict, *, mmap: bool = True
+) -> Dict[str, np.ndarray]:
+    """The ``name -> array`` map of the entry *manifest* describes.
+
+    *manifest* is the entry's checked manifest (:func:`read_manifest`);
+    a caller that keeps it parses no JSON here.  Checks the data file's
+    size first (:func:`check_data_file`).  With ``mmap=True`` (the
+    default) the file is mapped once and every array is a read-only
+    view of that map — nothing is read until a kernel touches it, so a
+    promoted container costs pages, not resident bytes; otherwise each
+    array is read into RAM.  Nothing here checks the arrays' contents:
+    :func:`attach_arrays` does, each time they are attached.
+    """
+    check_data_file(directory, manifest)
+    path = os.path.join(directory, DATA_NAME)
     specs = [
         (
             name,
@@ -355,7 +385,7 @@ def _load_arrays(
         )
         for name, spec in manifest["arrays"].items()
     ]
-    if mmap and size:  # np.memmap cannot map an empty file
+    if mmap and manifest["data_bytes"]:  # np.memmap cannot map an empty file
         buf = np.memmap(path, dtype=np.uint8, mode="r")
         # each array is a memmap of exactly its own elements, handed
         # out as a plain ndarray view: mmap_backed() still finds the
@@ -433,26 +463,25 @@ def _operator(
     return indptr, indices, data
 
 
-def load_entry(
-    directory: str, manifest: dict, *, mmap: bool = True, verify: bool = False
+def attach_arrays(
+    directory: str,
+    manifest: dict,
+    arrays: Dict[str, np.ndarray],
+    *,
+    verify: bool = False,
 ) -> Tuple[SparseMatrix, Optional[Operator]]:
-    """Re-attach the entry *manifest* describes: ``(container, operator)``.
+    """Build the entry's ``(container, operator)`` from its *arrays*.
 
-    *manifest* is the entry's checked manifest (:func:`read_manifest`);
-    a caller that keeps it parses no JSON here.  With ``mmap=True`` (the
-    default) the data file is mapped once and every array is a
-    read-only view of that map — nothing is read until a kernel touches
-    it, so a promoted container costs pages, not resident bytes.  The
-    container's arrays pass through the normal validating constructors,
-    which never copy an already-contiguous buffer of the right dtype;
-    the round trip is bitwise-stable.  *operator* is the persisted
-    ``(indptr, indices, data)`` of the serving CSR operator, checked as
-    a CSR triple, or ``None`` when the entry holds the container alone.
-
-    ``verify=True`` recomputes the content fingerprint (reads every
-    byte) and raises :class:`ValidationError` on mismatch.
+    *arrays* is what :func:`load_arrays` returned for *manifest*, fresh
+    or held from an earlier attach: either way every check runs again.
+    The container's arrays pass through the normal validating
+    constructors, which never copy an already-contiguous buffer of the
+    right dtype, so the round trip is bitwise-stable.  *operator* is the
+    persisted ``(indptr, indices, data)`` of the serving CSR operator,
+    checked as a CSR triple, or ``None`` when the entry holds the
+    container alone.  ``verify=True`` recomputes the content fingerprint
+    (reads every byte) and raises :class:`ValidationError` on mismatch.
     """
-    arrays = _load_arrays(directory, manifest, mmap=mmap)
     matrix = _build(
         manifest["format"], manifest["nrows"], manifest["ncols"], arrays
     )
@@ -477,9 +506,10 @@ def load_container(
 ) -> SparseMatrix:
     """Re-attach the container persisted in *directory*.
 
-    Reads and checks the manifest, then :func:`load_entry`; the
-    persisted operator, if any, is checked and dropped.
+    Reads and checks the manifest, then :func:`load_arrays` and
+    :func:`attach_arrays`; the persisted operator, if any, is checked
+    and dropped.
     """
-    return load_entry(
-        directory, read_manifest(directory), mmap=mmap, verify=verify
-    )[0]
+    manifest = read_manifest(directory)
+    arrays = load_arrays(directory, manifest, mmap=mmap)
+    return attach_arrays(directory, manifest, arrays, verify=verify)[0]

@@ -11,6 +11,17 @@ its serving operator hands that operator back too
 (:meth:`StorageTier.promoted_operator`), so the promoted request
 rebuilds nothing.
 
+The tier holds each promoted entry's map, and the views sliced from it,
+for the next promote of that entry, so a held promote opens and maps
+nothing.  At most :data:`HELD_MAPS` maps are held, least recently
+promoted dropped first: each keeps a file descriptor open, and the
+pages kernels touch count in the process's RSS while mapped.  Every
+check runs on every promote all the same — the data file's size
+(before the map is touched: reading a map past the end of a file cut
+short faults), the validating constructors and the operator's CSR
+check.  A held map is used only while the index holds the entry it was
+made for; every path that pops or replaces an index entry drops it.
+
 Entries are keyed by the serving-cache key (the matrix fingerprint) and
 live one-per-directory under ``<root>/entries/<blake2b(key)>/``; the
 manifest records the original key, the epoch, and the decision metadata
@@ -31,6 +42,7 @@ import shutil
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -39,14 +51,23 @@ from repro.formats.base import SparseMatrix
 from repro.storage.persist import (
     MANIFEST_NAME,
     Operator,
-    load_entry,
+    attach_arrays,
+    check_data_file,
+    load_arrays,
     read_manifest,
     save_container,
 )
 
-__all__ = ["StorageTier", "TierEntry"]
+__all__ = ["HELD_MAPS", "StorageTier", "TierEntry"]
 
 _ENTRIES_DIR = "entries"
+
+#: Most entries whose data-file map one tier holds between promotes,
+#: least recently promoted dropped first.  Each held map keeps one file
+#: descriptor open (Python's ``mmap`` object keeps a duplicate of the
+#: one it mapped), so the bound stays far below the common 1,024 soft
+#: descriptor limit.
+HELD_MAPS = 64
 
 
 def _key_dir(key: str) -> str:
@@ -88,7 +109,8 @@ class StorageTier:
         construction, so a tier outlives the process that filled it.
     mmap:
         Whether :meth:`promote` re-attaches arrays as mmap views
-        (default) or materialises them in RAM.
+        (default; the maps are held between promotes) or materialises
+        them in RAM.
     capacity_bytes:
         Optional cap on resident tier bytes; demotions evict the
         oldest entries (by store time) until the new entry fits.
@@ -117,6 +139,9 @@ class StorageTier:
         self._index: Dict[str, TierEntry] = {}
         #: operators re-attached by :meth:`promote`, until handed over
         self._operators = weakref.WeakKeyDictionary()
+        #: key -> (its index entry, the array views of that entry's map),
+        #: least recently promoted first
+        self._held = OrderedDict()
         # traffic counters (mirrored into the obs registry by the
         # service's gauge collector; the tier itself stays obs-free)
         self.demotions = 0
@@ -194,6 +219,7 @@ class StorageTier:
         )
         entry = self._entry(path, manifest)
         with self._lock:
+            self._held.pop(key, None)  # maps the superseded file
             self._index[key] = entry
             self.demotions += 1
             self.bytes_written += entry.nbytes
@@ -212,10 +238,15 @@ class StorageTier:
         for victim in victims:
             if total <= self.capacity_bytes:
                 break
-            self._index.pop(victim.key, None)
+            self._forget_locked(victim.key)
             shutil.rmtree(victim.path, ignore_errors=True)
             self.tier_evictions += 1
             total -= victim.nbytes
+
+    def _forget_locked(self, key: str) -> Optional[TierEntry]:
+        """Pop *key*'s index entry and the map held for it."""
+        self._held.pop(key, None)
+        return self._index.pop(key, None)
 
     def promote(
         self,
@@ -230,35 +261,54 @@ class StorageTier:
         is treated as a miss (and dropped — it can never be served
         again).  The returned container's arrays are read-only views of
         one map of the entry's data file when the tier was built with
-        ``mmap=True``.  An entry that fails any check (truncated file,
-        manifest out of step with the file, malformed operator) is
-        dropped and reads as a miss.  The persisted operator, if any,
-        waits in :meth:`promoted_operator`.
+        ``mmap=True``; that map and its views are held for the next
+        promote of the same entry (up to :data:`HELD_MAPS` entries), so
+        a held entry is promoted without opening or mapping anything.
+        Every check runs on every promote all the same: the data file's
+        size, the validating container constructors and the operator's
+        CSR check (and the fingerprint with *verify*).  An entry that
+        fails one (truncated file, manifest out of step with the file,
+        malformed operator) is dropped and reads as a miss.  The
+        persisted operator, if any, waits in :meth:`promoted_operator`.
         """
         start = time.perf_counter()
+        arrays = None
         with self._lock:
             entry = self._index.get(key)
             if entry is not None and epoch is not None and entry.epoch != int(epoch):
-                self._index.pop(key, None)
+                self._forget_locked(key)
                 shutil.rmtree(entry.path, ignore_errors=True)
                 entry = None
+            held = self._held.get(key)
+            if entry is not None and held is not None and held[0] is entry:
+                self._held.move_to_end(key)
+                arrays = held[1]
         if entry is None:
             with self._lock:
                 self.promote_misses += 1
             return None
+        fresh = arrays is None
         try:
-            matrix, operator = load_entry(
-                entry.path, entry.manifest, mmap=self.mmap, verify=verify
+            if fresh:
+                arrays = load_arrays(entry.path, entry.manifest, mmap=self.mmap)
+            else:
+                check_data_file(entry.path, entry.manifest)
+            matrix, operator = attach_arrays(
+                entry.path, entry.manifest, arrays, verify=verify
             )
         except (OSError, ValidationError, ValueError):
             # torn or vanished entry: drop it and report a miss rather
             # than failing the request — the engine just re-converts
             with self._lock:
-                self._index.pop(key, None)
+                self._forget_locked(key)
                 self.promote_misses += 1
             shutil.rmtree(entry.path, ignore_errors=True)
             return None
         with self._lock:
+            if fresh and self.mmap and self._index.get(key) is entry:
+                self._held[key] = (entry, arrays)
+                if len(self._held) > HELD_MAPS:
+                    self._held.popitem(last=False)
             if operator is not None:
                 self._operators[matrix] = operator
             self.promotions += 1
@@ -323,7 +373,7 @@ class StorageTier:
         mmap views hold the unlinked files open until released.
         """
         with self._lock:
-            entry = self._index.pop(key, None)
+            entry = self._forget_locked(key)
         if entry is None:
             return False
         shutil.rmtree(entry.path, ignore_errors=True)
@@ -334,6 +384,7 @@ class StorageTier:
         with self._lock:
             entries = list(self._index.values())
             self._index.clear()
+            self._held.clear()
         for entry in entries:
             shutil.rmtree(entry.path, ignore_errors=True)
         return len(entries)

@@ -118,12 +118,23 @@ def check_square(nrows: int, ncols: int, *, context: str = "matrix") -> None:
 def check_index_bounds(
     indices: np.ndarray, upper: int, *, name: str
 ) -> None:
-    """Raise unless every index lies in ``[0, upper)``."""
+    """Raise unless every index lies in ``[0, upper)``.
+
+    An integer array is read once: its max is taken through an unsigned
+    view, where a negative index reads as a huge value and fails the
+    same ``< upper`` test.  The range the error reports is computed only
+    on failure.
+    """
     if indices.size == 0:
         return
-    lo = int(indices.min())
-    hi = int(indices.max())
-    if lo < 0 or hi >= upper:
+    if indices.dtype.kind in ("i", "u"):
+        unsigned = indices.view(indices.dtype.str.replace("i", "u"))
+        ok = int(unsigned.max()) < upper
+    else:
+        ok = indices.min() >= 0 and indices.max() < upper
+    if not ok:
+        lo = int(indices.min())
+        hi = int(indices.max())
         raise ValidationError(
             f"{name!r} entries must lie in [0, {upper}), got range [{lo}, {hi}]"
         )
@@ -158,7 +169,7 @@ def check_csr_structure(
             "row_ptr must start at 0 and end at nnz="
             f"{data.shape[0]}, got [{row_ptr[0]}, {row_ptr[-1]}]"
         )
-    if np.any(np.diff(row_ptr) < 0):
+    if (row_ptr[1:] < row_ptr[:-1]).any():
         raise ValidationError("row_ptr must be non-decreasing")
     check_index_bounds(col_idx, ncols, name="col_idx")
 

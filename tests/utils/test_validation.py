@@ -116,6 +116,24 @@ class TestBounds:
         with pytest.raises(ValidationError):
             check_index_bounds(np.array([5]), 5, name="i")
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    def test_error_reports_the_range(self, dtype):
+        arr = np.array([3, 1, 7], dtype=dtype)
+        check_index_bounds(arr, 8, name="i")
+        with pytest.raises(
+            ValidationError,
+            match=r"'i' entries must lie in \[0, 7\), got range \[1, 7\]",
+        ):
+            check_index_bounds(arr, 7, name="i")
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_in_a_narrow_dtype_raises(self, dtype):
+        # through the unsigned view -1 reads as the dtype's largest value
+        arr = np.array([0, -1, 2], dtype=dtype)[::2]  # strided: [0, 2]
+        check_index_bounds(arr, 3, name="i")
+        with pytest.raises(ValidationError, match=r"got range \[-1, 2\]"):
+            check_index_bounds(np.array([0, -1, 2], dtype=dtype), 3, name="i")
+
     def test_vector_length_ok(self):
         check_vector_length(np.ones(3), 3, name="x")
 
