@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, List, Union
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from repro.errors import ModelIOError
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree.classifier import DecisionTreeClassifier
-from repro.ml.tree.structure import Tree
+from repro.ml.tree.structure import Tree, TreeStack
 
 __all__ = ["OracleModel", "save_model", "load_model"]
 
@@ -80,10 +81,14 @@ class OracleModel:
     def n_estimators(self) -> int:
         return len(self.trees)
 
-    @property
+    @cached_property
     def mean_depth(self) -> float:
         """Average tree depth (drives the modelled prediction cost)."""
         return float(np.mean([t.depth() for t in self.trees]))
+
+    @cached_property
+    def _stack(self) -> TreeStack:
+        return TreeStack(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote prediction in the original label space."""
@@ -94,11 +99,7 @@ class OracleModel:
             raise ModelIOError(
                 f"model expects {self.n_features} features, got {X.shape[1]}"
             )
-        n_classes = self.classes.shape[0]
-        votes = np.zeros((X.shape[0], n_classes), dtype=np.float64)
-        for tree in self.trees:
-            proba = tree.predict_proba(X)
-            votes[np.arange(X.shape[0]), np.argmax(proba, axis=1)] += 1.0
+        votes = self._stack.votes(X, self.classes.shape[0])
         return self.classes[np.argmax(votes, axis=1)]
 
     def predict_one(self, x: np.ndarray) -> int:

@@ -23,6 +23,7 @@ from repro.ml.tree.classifier import (
     encode_labels,
     grow_trees,
 )
+from repro.ml.tree.structure import TreeStack
 from repro.utils.rng import derive_seed, ensure_generator
 
 __all__ = ["RandomForestClassifier"]
@@ -126,6 +127,7 @@ class RandomForestClassifier(BaseEstimator):
             samples.append(sample)
         y_enc = encode_labels(y, self.classes_)
         grow_trees(self.estimators_, X, y_enc, self.classes_, samples)
+        self.stack_ = TreeStack([t.tree_ for t in self.estimators_])
         self.feature_importances_ = np.mean(
             [t.feature_importances_ for t in self.estimators_], axis=0
         )
@@ -143,18 +145,10 @@ class RandomForestClassifier(BaseEstimator):
             probas = [t.predict_proba(X) for t in self.estimators_]
             return np.mean(probas, axis=0)
         X = self.estimators_[0]._check_X(X)
-        n, n_classes = X.shape[0], self.classes_.shape[0]
         # tree classes_ equal forest classes_ (fixed via class_labels),
         # so a tree's vote is the class index its reached leaf argmaxes to
-        votes = np.stack([
-            np.argmax(t.tree_.predict_proba(X), axis=1)
-            for t in self.estimators_
-        ])
-        tally = np.bincount(
-            (np.arange(n) * n_classes + votes).ravel(),
-            minlength=n * n_classes,
-        )
-        return tally.reshape(n, n_classes) / self.n_estimators
+        votes = self.stack_.votes(X, self.classes_.shape[0])
+        return votes / self.n_estimators
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote (or argmax-soft) class per sample."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import ModelError
 
-__all__ = ["Tree", "LEAF"]
+__all__ = ["Tree", "TreeStack", "LEAF"]
 
 #: Sentinel feature index marking leaf nodes.
 LEAF = -1
@@ -92,10 +92,7 @@ class Tree:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class distribution of the reached leaf, normalised."""
-        leaves = self.apply(X)
-        counts = self.counts[leaves].astype(np.float64)
-        totals = counts.sum(axis=1, keepdims=True)
-        return np.where(totals > 0, counts / totals, 1.0 / self.n_classes)
+        return _distribution(self.counts[self.apply(X)])
 
     def decision_path_length(self, X: np.ndarray) -> np.ndarray:
         """Number of internal nodes traversed per sample."""
@@ -163,6 +160,60 @@ class Tree:
             )
         except KeyError as exc:
             raise ModelError(f"tree payload missing key: {exc}") from exc
+
+
+def _distribution(counts: np.ndarray) -> np.ndarray:
+    """Rows of class *counts* normalised (uniform where a row is empty)."""
+    counts = counts.astype(np.float64)
+    totals = counts.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(totals > 0, counts / totals, 1.0 / counts.shape[1])
+
+
+class TreeStack:
+    """An ensemble's trees with their node arrays concatenated once.
+
+    One descent then moves every ``(tree, sample)`` pair down a level
+    per step, instead of descending each tree separately.  ``vote``
+    holds, per node, the class index its normalised distribution
+    argmaxes to: exactly ``argmax(tree.predict_proba(X))`` for a sample
+    whose leaf it is.
+    """
+
+    def __init__(self, trees: List[Tree]) -> None:
+        sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+        self.roots = np.cumsum(sizes) - sizes
+        shift = np.repeat(self.roots, sizes)
+        self.feature = np.concatenate([t.feature for t in trees])
+        self.threshold = np.concatenate([t.threshold for t in trees])
+        self.left = np.concatenate([t.left for t in trees]) + shift
+        self.right = np.concatenate([t.right for t in trees]) + shift
+        self.vote = np.argmax(
+            _distribution(np.concatenate([t.counts for t in trees])), axis=1
+        )
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """``(n_trees, n_samples)`` stacked index of the leaf reached."""
+        X = np.asarray(X, dtype=np.float64)
+        n = X.shape[0]
+        node = np.repeat(self.roots, n)
+        sample = np.tile(np.arange(n), self.roots.shape[0])
+        active = np.flatnonzero(self.feature[node] != LEAF)
+        while active.size:
+            idx = node[active]
+            go_left = X[sample[active], self.feature[idx]] <= self.threshold[idx]
+            node[active] = np.where(go_left, self.left[idx], self.right[idx])
+            active = active[self.feature[node[active]] != LEAF]
+        return node.reshape(self.roots.shape[0], n)
+
+    def votes(self, X: np.ndarray, n_classes: int) -> np.ndarray:
+        """``(n_samples, n_classes)`` count of trees voting each class."""
+        leaves = self.apply(X)
+        n = leaves.shape[1]
+        return np.bincount(
+            (np.arange(n) * n_classes + self.vote[leaves]).ravel(),
+            minlength=n * n_classes,
+        ).reshape(n, n_classes)
 
 
 class TreeBuffer:

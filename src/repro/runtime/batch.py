@@ -17,13 +17,22 @@ per-call cost the way a serving system would.  Two entry points:
 1. a compiled kernel *backend* (:mod:`repro.kernels`), resolved through
    ``REGISTRY.resolve`` with clean fallback down the preference order;
 2. on the ``numpy`` tier with scipy importable (it is an existing
-   dependency — the containers' ``to_scipy`` uses it as a test oracle),
-   the cached compiled CSR operator of the concrete container
-   (:class:`BlockOperator`): the conversion cost is paid once per matrix
-   and every subsequent call runs at compiled-kernel speed, which is the
-   whole amortisation argument of the paper applied to the serving layer;
+   dependency — the containers' ``to_scipy`` uses it as a test oracle):
+   * DIA and COO run scipy's own compiled DIA and COO kernels directly
+     on the container's validated arrays; nothing is converted or
+     cached;
+   * CSR, ELL, HYB and HDC run the cached compiled CSR image of the
+     concrete container (:class:`BlockOperator`): the conversion cost
+     is paid once per matrix and every subsequent call runs at
+     compiled-kernel speed;
 3. without scipy, the registry's vectorised NumPy kernel — same results,
    slower.
+
+Every path gives the same bits for finite operands: DIA offsets ascend
+and canonical COO is row-major, so each output element sums its terms
+in ascending column order, as the CSR image does.  DIA also multiplies
+the zeros it stores, so an ``inf`` or ``NaN`` in the operand can give
+``NaN`` where the CSR image skips the entry (``0 * inf``).
 
 Containers are immutable, so caching operators per container object (a
 :class:`weakref.WeakKeyDictionary`, entries die with the container) is
@@ -42,18 +51,22 @@ import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.formats.base import SparseMatrix
+from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.formats.dia import DIAMatrix
 from repro.formats.dynamic import DynamicMatrix
 from repro.runtime.registry import REGISTRY
 from repro.utils.validation import check_vector_length
 
 try:  # gated optional accelerator: compiled sparse kernels
     import scipy.sparse as _scipy_sparse
+    from scipy.sparse import _sparsetools
 except ImportError:  # pragma: no cover - environment without scipy
-    _scipy_sparse = None
+    _scipy_sparse = _sparsetools = None
 
 __all__ = [
     "BlockOperator",
+    "OWN_KERNELS",
     "attach_operator",
     "batched_spmv",
     "block_operator",
@@ -109,9 +122,55 @@ def have_accelerator() -> bool:
     return _scipy_sparse is not None
 
 
+def _dia_kernel(m: DIAMatrix, operand: np.ndarray) -> np.ndarray:
+    """scipy's compiled DIA kernel on *m*'s own ``offsets`` and ``data``."""
+    nrows, ncols = m.shape
+    if operand.ndim == 1:
+        y = np.zeros(nrows)
+        _sparsetools.dia_matvec(
+            nrows, ncols, *m.data.shape, m.offsets, m.data, operand, y
+        )
+    else:
+        y = np.zeros((nrows, operand.shape[1]))
+        _sparsetools.dia_matvecs(
+            nrows, ncols, *m.data.shape, m.offsets, m.data,
+            operand.shape[1], operand, y,
+        )
+    return y
+
+
+def _coo_kernel(m: COOMatrix, operand: np.ndarray) -> np.ndarray:
+    """scipy's compiled COO kernel on *m*'s own ``row``, ``col``, ``data``."""
+    if operand.ndim == 1:
+        y = np.zeros(m.nrows)
+        _sparsetools.coo_matvec(m.nnz, m.row, m.col, m.data, operand, y)
+    else:
+        y = np.zeros((m.nrows, operand.shape[1]))
+        _sparsetools.coo_matmat_dense(
+            m.nnz, operand.shape[1], m.row, m.col, m.data, operand, y
+        )
+    return y
+
+
+#: Formats the ``numpy`` tier runs through scipy's kernel for that very
+#: format (empty with a scipy too old to have them all).  These kernels
+#: do not bounds-check: the containers' validating constructors
+#: (offsets in range; row and col indices in bounds) are what stands
+#: between a corrupt array and them.
+OWN_KERNELS = (
+    {"DIA": _dia_kernel, "COO": _coo_kernel}
+    if all(
+        hasattr(_sparsetools, name)
+        for name in ("dia_matvec", "dia_matvecs", "coo_matvec", "coo_matmat_dense")
+    )
+    else {}
+)
+
+
 class BlockOperator:
     """Compiled SpMV/SpMM operator for one immutable concrete container.
 
+    Serves the formats without an entry in :data:`OWN_KERNELS`.
     Wraps a ``scipy.sparse.csr_matrix`` built once from the container:
     CSR containers share their arrays directly (no conversion); every
     other format goes through its canonical COO view once.  *arrays*,
@@ -187,9 +246,9 @@ def attach_operator(
 ) -> None:
     """Serve *matrix* through the checked ``(indptr, indices, data)``
     of its own earlier operator instead of building one (no-op without
-    scipy)."""
-    if _scipy_sparse is not None:
-        m = _concrete(matrix)
+    scipy, and for a format that runs its own kernel)."""
+    m = _concrete(matrix)
+    if _scipy_sparse is not None and m.format not in OWN_KERNELS:
         _OPERATORS[m] = BlockOperator(m, arrays)
 
 
@@ -203,10 +262,11 @@ def matvec(
 
     The one dispatch (module docstring) and the entry point the
     iterative solvers route their hot loop through: repeated calls on
-    the same container reuse its cached compiled operator, so a
-    thousand-iteration solve pays the setup once.  *backend* names a
-    :mod:`repro.kernels` tier; ``None`` and ``"numpy"`` run the cached
-    compiled operator (the registry's NumPy kernel without scipy).
+    the same container reuse its compiled kernel, so a
+    thousand-iteration solve pays any setup once.  *backend* names a
+    :mod:`repro.kernels` tier; ``None`` and ``"numpy"`` run scipy's
+    kernel for DIA and COO and the cached compiled CSR image otherwise
+    (the registry's NumPy kernel without scipy).
     """
     m = _concrete(matrix)
     return dispatch(m, validate_operand(m, x), backend=backend)
@@ -230,6 +290,9 @@ def dispatch(
         kernel, _ = REGISTRY.resolve(op, m.format, backend)
         return kernel(m, operand)
     if _scipy_sparse is not None:
+        own = OWN_KERNELS.get(m.format)
+        if own is not None:
+            return own(m, operand)
         return block_operator(m).apply(operand)
     return REGISTRY.get(op, m.format)(m, operand)
 

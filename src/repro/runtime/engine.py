@@ -633,10 +633,12 @@ class WorkloadEngine:
         the matrix statistics — enough for :meth:`adopt_prepared` on a
         fresh engine to restore the full first-request artefact chain
         without recomputing anything.  The operator is the
-        ``(indptr, indices, data)`` of the compiled operator the
-        ``numpy`` tier has built for *prepared*; it is ``None`` for a
-        compiled backend, before the first kernel call, and for a
-        container that will stream by row panels once mmap-backed.
+        ``(indptr, indices, data)`` of the compiled CSR image the
+        ``numpy`` tier has built for *prepared*; it is ``None`` for DIA
+        and COO (which run scipy's kernel for their own format and
+        build none), for a compiled backend, before the first kernel
+        call, and for a container that will stream by row panels once
+        mmap-backed.
         """
         report = self._reports.get(key)
         meta: Dict[str, object] = {

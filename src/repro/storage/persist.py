@@ -23,9 +23,10 @@ ELL       ``col_idx`` / ``data``
 HYB       ``ell__col_idx`` / ``ell__data`` / ``coo__row`` / ...
 HDC       ``dia__offsets`` / ``dia__data`` / ``csr__row_ptr`` / ...
 (any)     optional ``operator__indptr`` / ``operator__indices`` /
-          ``operator__data``: the CSR operator that served the
+          ``operator__data``: the CSR image that served the
           container (no ``operator__data`` for CSR, whose operator
-          multiplies the container's own ``data``)
+          multiplies the container's own ``data``); DIA and COO run
+          their own kernel and are written without one
 ========  ==========================================================
 
 Publication is atomic: the data file and manifest are written into a

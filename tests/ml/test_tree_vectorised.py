@@ -1,8 +1,9 @@
 """Vectorised tree walks give the node-loop results bit for bit.
 
 ``Tree.feature_importances`` and ``Tree.depth`` once walked every node
-in a Python loop, and a forest's hard vote went through each tree's
-``predict`` and back through ``searchsorted``.  The loops are kept here
+in a Python loop, a forest's hard vote went through each tree's
+``predict`` and back through ``searchsorted``, and a deployed model
+descended each of its trees separately.  The loops are kept here
 as references; the vectorised versions must match them exactly on
 fitted trees (importances summed per feature in node order), with and
 without class weights.
@@ -105,4 +106,38 @@ def test_stump_and_single_leaf_walks():
             )
         assert np.array_equal(
             forest.predict_proba(X), _reference_hard_vote(forest, X)
+        )
+
+
+def _reference_oracle_predict(model, X):
+    votes = np.zeros((X.shape[0], model.classes.shape[0]))
+    for tree in model.trees:
+        proba = tree.predict_proba(X)
+        votes[np.arange(X.shape[0]), np.argmax(proba, axis=1)] += 1.0
+    return model.classes[np.argmax(votes, axis=1)]
+
+
+@pytest.mark.parametrize("class_weight", [None, "balanced"])
+def test_stacked_descent_matches_each_tree(class_weight):
+    """One lock-step descent over every (tree, sample) pair reaches the
+    leaf each tree's own descent reaches, and a deployed model votes as
+    the per-tree loop did, NaN features included."""
+    from repro.core.model_io import OracleModel
+    from repro.ml.tree.structure import TreeStack
+
+    X, y = _dataset(3)
+    forest = RandomForestClassifier(
+        n_estimators=12, class_weight=class_weight, seed=3
+    ).fit(X, y)
+    probe = np.random.default_rng(4).standard_normal((60, X.shape[1]))
+    probe[::7, 0] = np.nan
+    trees = [est.tree_ for est in forest.estimators_]
+    stack = TreeStack(trees)
+    leaves = stack.apply(probe)
+    for t, tree in enumerate(trees):
+        assert np.array_equal(leaves[t] - stack.roots[t], tree.apply(probe))
+    model = OracleModel.from_estimator(forest)
+    for data in (X, probe):
+        assert np.array_equal(
+            model.predict(data), _reference_oracle_predict(model, data)
         )

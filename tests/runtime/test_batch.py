@@ -5,14 +5,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets.generators import block_diagonal
 from repro.errors import ShapeError, ValidationError
-from repro.formats import COOMatrix, DynamicMatrix, convert
+from repro.formats import COOMatrix, DIAMatrix, DynamicMatrix, convert
 from repro.runtime.batch import (
+    OWN_KERNELS,
+    BlockOperator,
     batched_spmv,
     block_operator,
+    cached_operator,
     have_accelerator,
     matvec,
 )
+from repro.storage.stream import mmap_backed
+from repro.storage.tier import StorageTier
 from repro.runtime.registry import REGISTRY
 
 from tests.conftest import ALL_FORMATS, random_sparse_dense
@@ -119,6 +125,59 @@ class TestOperatorCache:
         op_coo = block_operator(dyn)
         dyn.switch("CSR")
         assert block_operator(dyn) is not op_coo
+
+
+def _own_kernel_case(name, fmt, tmp_path):
+    """A container in *fmt* for the own-kernel identity checks."""
+    rng = np.random.default_rng(41)
+
+    def sparse(shape):
+        return (rng.random(shape) < 0.2) * rng.standard_normal(shape)
+
+    if name == "in-band-zeros":  # stored zeros inside DIA's band
+        n = 24
+        data = rng.standard_normal((3, n))
+        data[:, ::5] = 0.0
+        dia = DIAMatrix(n, n, np.array([-1, 0, 1]), data)
+        return dia if fmt == "DIA" else convert(dia, fmt)
+    if name == "padded":  # many padded DIA slots per stored entry
+        return convert(block_diagonal(64, block=8, fill=0.6, seed=3), fmt)
+    if name == "empty-rows":
+        dense = sparse((30, 30))
+        dense[[0, 7, 8, 29]] = 0.0
+    else:
+        dense = sparse({"square": (40, 40), "wide": (17, 45),
+                        "tall": (45, 17), "mmap": (37, 33)}[name])
+    m = convert(COOMatrix.from_dense(dense), fmt)
+    if name == "mmap":
+        tier = StorageTier(str(tmp_path / "tier"))
+        tier.demote("k", m)
+        m = tier.promote("k")
+        assert mmap_backed(m)
+    return m
+
+
+@pytest.mark.skipif(not OWN_KERNELS, reason="needs scipy's DIA and COO kernels")
+@pytest.mark.parametrize("k", [None, 1, 4, 8], ids=["spmv", "k1", "k4", "k8"])
+@pytest.mark.parametrize(
+    "case",
+    ["square", "wide", "tall", "empty-rows", "padded", "in-band-zeros", "mmap"],
+)
+@pytest.mark.parametrize("fmt", ["DIA", "COO"])
+def test_own_kernel_equals_the_csr_image(fmt, case, k, tmp_path):
+    """DIA and COO run scipy's kernel for their own format, on their own
+    arrays, bit for bit what the CSR image computes; nothing is built
+    or cached for them, and a stacked block equals its columns."""
+    m = _own_kernel_case(case, fmt, tmp_path)
+    assert m.format == fmt
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(m.ncols if k is None else (m.ncols, k))
+    got = matvec(m, x)
+    assert np.array_equal(got, BlockOperator(m).apply(x))
+    assert cached_operator(m) is None
+    if k is not None:
+        for j in range(k):
+            assert np.array_equal(got[:, j], matvec(m, x[:, j]))
 
 
 class TestSolverRouting:

@@ -85,7 +85,13 @@ def _truncate(entry):
 
 
 def _index_past_ncols(entry):
-    _poke(entry, "operator__indices", 0, entry.ncols)
+    # a column index one past its bound; for DIA, the last offset one
+    # past ncols - 1
+    if entry.format == "DIA":
+        _poke(entry, "offsets", -1, entry.ncols)
+    else:
+        name = "col" if entry.format == "COO" else "operator__indices"
+        _poke(entry, name, 0, entry.ncols)
 
 
 def test_held_promote_maps_nothing_and_checks_everything(tier, loads, monkeypatch):
@@ -133,7 +139,7 @@ def test_mmap_false_tier_holds_no_map(tmp_path, loads):
 
 @pytest.mark.parametrize("damage", [_index_past_ncols, _truncate],
                          ids=["index-past-ncols", "truncated"])
-@pytest.mark.parametrize("fmt", ["CSR", "DIA"])
+@pytest.mark.parametrize("fmt", ["CSR", "DIA", "COO"])
 def test_damage_behind_a_held_map_is_a_miss(tmp_path, fmt, damage):
     """In one service: promote (the map is now held), evict, damage the
     file behind the held map, promote again: a miss, the exact answer,
@@ -157,7 +163,8 @@ def test_damage_behind_a_held_map_is_a_miss(tmp_path, fmt, damage):
         before = service.stats()["storage"]
         assert before["promotions"] == 2  # mx0, then mx1
         entry = {e.key: e for e in service.storage.entries()}["mx0"]
-        assert "operator__indices" in entry.manifest["arrays"]
+        has_operator = "operator__indices" in entry.manifest["arrays"]
+        assert has_operator == (fmt == "CSR")
         damage(entry)
         matrix = matrices["mx0"]
         x = rng.standard_normal(matrix.ncols)

@@ -270,12 +270,26 @@ def _truncate(entry):
 
 
 def _index_past_ncols(entry):
-    _poke(entry, "operator__indices", 0, entry.ncols)
+    # a column index one past its bound; for DIA, the last offset
+    # one past ncols - 1
+    if entry.format == "DIA":
+        _poke(entry, "offsets", -1, entry.ncols)
+    else:
+        name = "col" if entry.format == "COO" else "operator__indices"
+        _poke(entry, name, 0, entry.ncols)
 
 
 def _indptr_not_monotone(entry):
-    # row 1 claims to end where the last row does: row 2 then runs backwards
-    _poke(entry, "operator__indptr", 1, lambda ptr: ptr[-1])
+    if entry.format == "DIA":
+        # the last two offsets equal: not increasing (the last diagonal
+        # then reaches further left, into slots its padding kept zero)
+        _poke(entry, "offsets", -1, lambda offsets: offsets[-2])
+    elif entry.format == "COO":  # the first row one past its bound
+        _poke(entry, "row", 0, entry.nrows)
+    else:
+        # row 1 claims to end where the last row does: row 2 then runs
+        # backwards
+        _poke(entry, "operator__indptr", 1, lambda ptr: ptr[-1])
 
 
 def _rewrite_manifest(entry, edit):
@@ -300,7 +314,7 @@ def _manifest_shape(entry):
     _rewrite_manifest(entry, edit)
 
 
-@pytest.mark.parametrize("fmt", ["CSR", "DIA"])
+@pytest.mark.parametrize("fmt", ["CSR", "DIA", "COO"])
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -314,6 +328,9 @@ def _manifest_shape(entry):
          "manifest-dtype", "manifest-shape"],
 )
 def test_damaged_entry_is_a_promote_miss(space, tmp_path, fmt, corrupt):
+    """Only CSR persists a serving operator (DIA and COO run their own
+    kernel on their own arrays, which do not bounds-check): each damage
+    must still be caught by a check before any kernel runs."""
     matrices = _matrices(count=2)
     kwargs = dict(
         workers=1, capacity=1, shards=1, storage_dir=str(tmp_path / "tier")
@@ -324,7 +341,7 @@ def test_damaged_entry_is_a_promote_miss(space, tmp_path, fmt, corrupt):
             first.spmv(matrix, np.ones(matrix.ncols), key=key)
         (entry,) = first.storage.entries()  # mx0, demoted by mx1
     assert entry.key == "mx0" and entry.format == fmt
-    assert "operator__indices" in entry.manifest["arrays"]
+    assert ("operator__indices" in entry.manifest["arrays"]) == (fmt == "CSR")
     corrupt(entry)
     matrix = matrices["mx0"]
     x = np.random.default_rng(5).standard_normal(matrix.ncols)
@@ -376,6 +393,54 @@ def test_promote_serves_without_any_rebuild(space, tmp_path, fmt, monkeypatch):
         got = service.spmv(target, x, key="target").y
         storage = service.stats()["storage"]
     assert storage["promotions"] == 1
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fmt", ["DIA", "COO"])
+def test_own_kernel_entries_and_operator_layout_entries(
+    space, tmp_path, fmt, monkeypatch
+):
+    """A DIA or COO entry persists no operator arrays, and an entry in
+    the layout that persisted a CSR operator for every format (still on
+    disk: the tier outlives the process) promotes and serves the same
+    bits."""
+    import repro.runtime.engine as engine_mod
+    from repro.runtime.batch import BlockOperator
+
+    matrices = _matrices(count=2)
+    matrix = matrices["mx0"]
+    x = np.random.default_rng(31).standard_normal(matrix.ncols)
+    want = BlockOperator(convert(matrix, fmt)).apply(x)
+    kwargs = dict(
+        workers=1, capacity=1, shards=1, storage_dir=str(tmp_path / "tier")
+    )
+    tuner = RunFirstTuner(formats=(fmt,))
+
+    def demote_all(service):
+        for key, m in matrices.items():  # mx1 demotes mx0
+            service.spmv(m, np.ones(m.ncols), key=key)
+        return {e.key: e for e in service.storage.entries()}["mx0"]
+
+    with TuningService(space, tuner, **kwargs) as first:
+        entry = demote_all(first)
+    assert not any(n.startswith("operator__") for n in entry.manifest["arrays"])
+
+    payload = engine_mod.WorkloadEngine.demote_payload
+
+    def with_operator(self, key, prepared):  # the operator-per-entry layout
+        meta, _ = payload(self, key, prepared)
+        return meta, BlockOperator(prepared).arrays()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_mod.WorkloadEngine, "demote_payload", with_operator)
+        with TuningService(space, tuner, **kwargs) as writer:
+            writer.storage.clear()
+            entry = demote_all(writer)
+    assert "operator__indices" in entry.manifest["arrays"]
+    with TuningService(space, tuner, **kwargs) as second:
+        got = second.spmv(matrix, x, key="mx0").y
+        storage = second.stats()["storage"]
+    assert storage["promotions"] == 1 and storage["promote_misses"] == 0
     assert np.array_equal(got, want)
 
 
