@@ -12,6 +12,7 @@ default) is also provided for comparison and as an ablation axis.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Sequence
 
 import numpy as np
@@ -100,6 +101,7 @@ class RandomForestClassifier(BaseEstimator):
             raise ValidationError(
                 f"inconsistent shapes X{X.shape} y{y.shape}"
             )
+        vars(self).pop("_stack", None)  # a refit votes with its new trees
         self.classes_ = np.unique(y)
         self.n_features_in_ = X.shape[1]
         n = X.shape[0]
@@ -127,11 +129,14 @@ class RandomForestClassifier(BaseEstimator):
             samples.append(sample)
         y_enc = encode_labels(y, self.classes_)
         grow_trees(self.estimators_, X, y_enc, self.classes_, samples)
-        self.stack_ = TreeStack([t.tree_ for t in self.estimators_])
         self.feature_importances_ = np.mean(
             [t.feature_importances_ for t in self.estimators_], axis=0
         )
         return self
+
+    @cached_property
+    def _stack(self) -> TreeStack:
+        return TreeStack([t.tree_ for t in self.estimators_])
 
     # ------------------------------------------------------------------
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -147,7 +152,7 @@ class RandomForestClassifier(BaseEstimator):
         X = self.estimators_[0]._check_X(X)
         # tree classes_ equal forest classes_ (fixed via class_labels),
         # so a tree's vote is the class index its reached leaf argmaxes to
-        votes = self.stack_.votes(X, self.classes_.shape[0])
+        votes = self._stack.votes(X, self.classes_.shape[0])
         return votes / self.n_estimators
 
     def predict(self, X: np.ndarray) -> np.ndarray:

@@ -60,9 +60,15 @@ from repro.utils.validation import check_vector_length
 
 try:  # gated optional accelerator: compiled sparse kernels
     import scipy.sparse as _scipy_sparse
-    from scipy.sparse import _sparsetools
 except ImportError:  # pragma: no cover - environment without scipy
-    _scipy_sparse = _sparsetools = None
+    _scipy_sparse = None
+else:  # DIA and COO kernels: scipy >= 1.17 (docs/backends.md)
+    from scipy.sparse._sparsetools import (
+        coo_matmat_dense,
+        coo_matvec,
+        dia_matvec,
+        dia_matvecs,
+    )
 
 __all__ = [
     "BlockOperator",
@@ -127,12 +133,12 @@ def _dia_kernel(m: DIAMatrix, operand: np.ndarray) -> np.ndarray:
     nrows, ncols = m.shape
     if operand.ndim == 1:
         y = np.zeros(nrows)
-        _sparsetools.dia_matvec(
+        dia_matvec(
             nrows, ncols, *m.data.shape, m.offsets, m.data, operand, y
         )
     else:
         y = np.zeros((nrows, operand.shape[1]))
-        _sparsetools.dia_matvecs(
+        dia_matvecs(
             nrows, ncols, *m.data.shape, m.offsets, m.data,
             operand.shape[1], operand, y,
         )
@@ -143,28 +149,20 @@ def _coo_kernel(m: COOMatrix, operand: np.ndarray) -> np.ndarray:
     """scipy's compiled COO kernel on *m*'s own ``row``, ``col``, ``data``."""
     if operand.ndim == 1:
         y = np.zeros(m.nrows)
-        _sparsetools.coo_matvec(m.nnz, m.row, m.col, m.data, operand, y)
+        coo_matvec(m.nnz, m.row, m.col, m.data, operand, y)
     else:
         y = np.zeros((m.nrows, operand.shape[1]))
-        _sparsetools.coo_matmat_dense(
+        coo_matmat_dense(
             m.nnz, operand.shape[1], m.row, m.col, m.data, operand, y
         )
     return y
 
 
 #: Formats the ``numpy`` tier runs through scipy's kernel for that very
-#: format (empty with a scipy too old to have them all).  These kernels
-#: do not bounds-check: the containers' validating constructors
-#: (offsets in range; row and col indices in bounds) are what stands
-#: between a corrupt array and them.
-OWN_KERNELS = (
-    {"DIA": _dia_kernel, "COO": _coo_kernel}
-    if all(
-        hasattr(_sparsetools, name)
-        for name in ("dia_matvec", "dia_matvecs", "coo_matvec", "coo_matmat_dense")
-    )
-    else {}
-)
+#: format.  These kernels do not bounds-check: the containers'
+#: validating constructors (offsets in range; row and col indices in
+#: bounds) are what stands between a corrupt array and them.
+OWN_KERNELS = {"DIA": _dia_kernel, "COO": _coo_kernel}
 
 
 class BlockOperator:

@@ -141,3 +141,15 @@ def test_stacked_descent_matches_each_tree(class_weight):
         assert np.array_equal(
             model.predict(data), _reference_oracle_predict(model, data)
         )
+
+
+def test_refit_votes_with_the_new_trees():
+    """A forest's stacked trees are built on its first hard vote; a refit
+    of the same forest votes with the trees of that refit."""
+    X, y = _dataset(5)
+    X2, y2 = _dataset(6)
+    forest = RandomForestClassifier(n_estimators=8, seed=5).fit(X, y)
+    forest.predict(X2)
+    forest.fit(X2, y2)
+    fresh = RandomForestClassifier(n_estimators=8, seed=5).fit(X2, y2)
+    assert np.array_equal(forest.predict_proba(X), fresh.predict_proba(X))

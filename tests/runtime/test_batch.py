@@ -9,7 +9,6 @@ from repro.datasets.generators import block_diagonal
 from repro.errors import ShapeError, ValidationError
 from repro.formats import COOMatrix, DIAMatrix, DynamicMatrix, convert
 from repro.runtime.batch import (
-    OWN_KERNELS,
     BlockOperator,
     batched_spmv,
     block_operator,
@@ -157,7 +156,7 @@ def _own_kernel_case(name, fmt, tmp_path):
     return m
 
 
-@pytest.mark.skipif(not OWN_KERNELS, reason="needs scipy's DIA and COO kernels")
+@pytest.mark.skipif(not have_accelerator(), reason="needs scipy")
 @pytest.mark.parametrize("k", [None, 1, 4, 8], ids=["spmv", "k1", "k4", "k8"])
 @pytest.mark.parametrize(
     "case",
