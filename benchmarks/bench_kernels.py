@@ -12,9 +12,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.generators import banded, uniform_random
-from repro.formats import COOMatrix, convert
-from repro.kernels import available_backends, backend_info
-from repro.runtime.registry import REGISTRY
+from repro.formats import convert
 
 from benchmarks._emit import emit
 from tests.conftest import ALL_FORMATS
@@ -145,110 +143,4 @@ def test_batched_speedup_over_sequential_csr(random_matrix):
     )
     assert speedup >= 5.0, (
         f"batched SpMV only {speedup:.1f}x faster than {k} sequential calls"
-    )
-
-
-# ----------------------------------------------------------------------
-# compiled kernel backends (repro.kernels generations)
-# ----------------------------------------------------------------------
-
-
-def _best_of(fn, repeats=7):
-    import time
-
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-@pytest.fixture(scope="module")
-def int_banded_matrix():
-    """Banded matrix with integer-valued float64 data.
-
-    Integer values keep every backend's accumulation exact (sums stay
-    well below 2**53), so outputs must be *bitwise* identical across
-    backends regardless of summation order — the equivalence the table
-    below asserts alongside its timings.
-    """
-    base = banded(N, half_bandwidth=2, seed=0)
-    data = np.random.default_rng(7).integers(1, 9, base.nnz).astype(np.float64)
-    return COOMatrix(base.nrows, base.ncols, base.row, base.col, data)
-
-
-def test_backend_comparison_table(int_banded_matrix):
-    """NumPy-vs-compiled table: per format, per operation, warm + cold.
-
-    The cold column is the per-process first-touch warm-up
-    (:meth:`KernelRegistry.warmup` — the shared-library load for native,
-    zero once warm); the warm columns are
-    best-of-repeats kernel wall times.  Every compiled backend's output
-    must be bitwise identical to the NumPy reference on the
-    integer-valued fixture.
-    """
-    backends = available_backends()
-    x = np.random.default_rng(0).integers(1, 5, N).astype(np.float64)
-    X = np.random.default_rng(1).integers(1, 5, (N, 8)).astype(np.float64)
-    header = (f"\n{'format':<7}{'op':<6}{'backend':<9}{'cold (s)':<10}"
-              f"{'warm (ms)':<11}{'vs numpy':<10}bitwise")
-    print(header)
-    print("-" * len(header))
-    for fmt in ALL_FORMATS:
-        m = convert(int_banded_matrix, fmt)
-        for op, operand in (("spmv", x), ("spmm", X)):
-            reference = None
-            t_numpy = None
-            for kb in ("numpy",) + tuple(b for b in backends if b != "numpy"):
-                cold = REGISTRY.warmup(op, fmt, kb)
-                kernel = REGISTRY.get(op, fmt, kb)
-                y = kernel(m, operand)
-                if kb == "numpy":
-                    reference, t_numpy = y, _best_of(lambda: kernel(m, operand))
-                    t_warm, ratio, identical = t_numpy, 1.0, True
-                else:
-                    identical = bool(np.array_equal(y, reference))
-                    t_warm = _best_of(lambda: kernel(m, operand))
-                    ratio = t_numpy / t_warm
-                    assert identical, (
-                        f"{kb} {op} on {fmt} is not bitwise identical to "
-                        f"the NumPy reference on integer-valued data"
-                    )
-                print(f"{fmt:<7}{op:<6}{kb:<9}{cold:<10.4f}"
-                      f"{t_warm * 1e3:<11.3f}{ratio:<10.2f}"
-                      f"{'yes' if identical else 'NO'}")
-
-
-def test_compiled_backend_speedup_single_thread(int_banded_matrix):
-    """Perf acceptance: a compiled tier beats NumPy >= 5x on >= 2 formats.
-
-    Single-thread comparison (native is serial), min-over-repeats wall
-    time.
-    Skipped when no compiled backend is available on the host.
-    """
-    compiled = [
-        kb for kb in available_backends()
-        if kb != "numpy" and backend_info(kb).available
-    ]
-    if not compiled:
-        pytest.skip("no compiled kernel backend available on this host")
-    x = np.random.default_rng(0).integers(1, 5, N).astype(np.float64)
-    winners = {}
-    for fmt in ALL_FORMATS:
-        m = convert(int_banded_matrix, fmt)
-        k_numpy = REGISTRY.get("spmv", fmt, "numpy")
-        t_numpy = _best_of(lambda: k_numpy(m, x))
-        for kb in compiled:
-            REGISTRY.warmup("spmv", fmt, kb)
-            kernel = REGISTRY.get("spmv", fmt, kb)
-            assert np.array_equal(kernel(m, x), k_numpy(m, x))
-            speedup = t_numpy / _best_of(lambda: kernel(m, x))
-            winners[fmt] = max(winners.get(fmt, 0.0), speedup)
-    table = ", ".join(f"{f} {s:.1f}x" for f, s in sorted(winners.items()))
-    print(f"\ncompiled-vs-numpy single-thread SpMV speedups: {table}")
-    fast = [f for f, s in winners.items() if s >= 5.0]
-    assert len(fast) >= 2, (
-        f"expected a >=5x compiled speedup on at least two formats, got "
-        f"{table}"
     )

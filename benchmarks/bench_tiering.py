@@ -174,7 +174,7 @@ _OUT_OF_CORE_SCRIPT = textwrap.dedent(
     demote_s = time.perf_counter() - t0
 
     x = rng.standard_normal(nrows)
-    want = streaming_spmv(csr, x, backend="numpy")
+    want = streaming_spmv(csr, x)
     del csr, col_idx, data, row_ptr
 
     # RAM budget: whatever the interpreter already holds plus HALF the
@@ -201,7 +201,7 @@ _OUT_OF_CORE_SCRIPT = textwrap.dedent(
     back = tier.promote("big")
     promote_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    got = streaming_spmv(back, x, backend="numpy", block_bytes=1 << 22)
+    got = streaming_spmv(back, x, block_bytes=1 << 22)
     stream_s = time.perf_counter() - t0
     print(json.dumps({
         "identical": bool(np.array_equal(got, want)),

@@ -7,8 +7,8 @@ The package re-creates the paper's full stack in pure Python/NumPy:
 * :mod:`repro.formats` — the six sparse storage formats (COO, CSR, DIA,
   ELL, HYB, HDC) and the runtime-switching :class:`DynamicMatrix`
   (the Morpheus substrate).
-* :mod:`repro.kernels` — the SpMV/SpMM kernel generations (NumPy
-  reference, native C) behind a capability probe.
+* :mod:`repro.kernels` — the NumPy reference SpMV/SpMM kernels; scipy's
+  compiled kernels serve in their place when scipy is importable.
 * :mod:`repro.machine` / :mod:`repro.backends` — simulated HPC systems
   (Table II) and Serial/OpenMP/CUDA/HIP execution spaces with a
   roofline-style timing model.

@@ -40,9 +40,8 @@ class Observation:
     ``features`` is the Table-I feature vector of the served matrix (the
     engine's cached copy); ``shadow_times`` carries the rival per-format
     timings on shadow-probed batches and is ``None`` otherwise.
-    ``backend`` is the kernel backend (:mod:`repro.kernels`) that
-    actually executed the request — per-backend latency attribution for
-    the adaptive layer.  ``epoch`` is the matrix version the request was
+    ``backend`` names the kernel tier (:mod:`repro.kernels`) that
+    executed the request.  ``epoch`` is the matrix version the request was
     served against (0 = never mutated) — trace-grade provenance, so a
     replayed observation stream can be aligned against the update
     barriers of the trace that produced it.

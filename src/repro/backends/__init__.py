@@ -5,8 +5,8 @@ An :class:`ExecutionSpace` pairs a simulated device (from
 / ``cuda`` / ``hip``).  A space *times* SpMV with the analytic cost
 model, while the workload engine bound to it (``space.engine()``)
 computes the numerical result with a real kernel — the host/device
-substitution described in ``docs/architecture.md``; the kernel tiers
-that run the numbers are in ``docs/backends.md``.
+substitution described in ``docs/architecture.md``; the kernels that
+produce the numbers are in ``docs/backends.md``.
 """
 
 from repro.backends.base import ExecutionSpace

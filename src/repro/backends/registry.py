@@ -16,38 +16,23 @@ def make_space(
     backend: str,
     *,
     cost_model: CostModel | None = None,
-    kernel_backend: str = "numpy",
 ) -> ExecutionSpace:
     """Build the execution space for ``system/backend`` by name.
-
-    *kernel_backend* selects the real kernel generation
-    (:mod:`repro.kernels`) the space executes with — ``"numpy"`` (the
-    reference default), a compiled tier, or ``"auto"`` for the best
-    available one.
 
     Examples
     --------
     >>> make_space("cirrus", "cuda").name
     'cirrus/cuda'
     """
-    return ExecutionSpace(
-        get_system(system),
-        backend,
-        cost_model=cost_model,
-        kernel_backend=kernel_backend,
-    )
+    return ExecutionSpace(get_system(system), backend, cost_model=cost_model)
 
 
 def available_spaces(
-    *,
-    cost_model: CostModel | None = None,
-    kernel_backend: str = "numpy",
+    *, cost_model: CostModel | None = None
 ) -> List[ExecutionSpace]:
     """All eleven evaluation (system, backend) spaces, paper order."""
     shared = cost_model if cost_model is not None else CostModel()
     return [
-        make_space(
-            sys_name, backend, cost_model=shared, kernel_backend=kernel_backend
-        )
+        make_space(sys_name, backend, cost_model=shared)
         for sys_name, backend in SYSTEM_BACKENDS
     ]

@@ -4,10 +4,6 @@ Subcommands mirror the paper's pipeline:
 
 ``repro-oracle systems``
     List the simulated systems and their backends (Table II).
-``repro-oracle backends``
-    List the real kernel backends (:mod:`repro.kernels`): probe results,
-    generation, compiled/reference kind, and the resolution order requests
-    fall through.
 ``repro-oracle profile --system cirrus --backend cuda [-n 300]``
     Profiling runs on the synthetic corpus; prints the optimal-format
     distribution (Figure 2 column).
@@ -110,28 +106,6 @@ def cmd_systems(_args: argparse.Namespace) -> int:
             sorted({d.name for d in system.devices.values()})
         )
         print(f"{name:<10}{', '.join(system.backends):<24}{devices}")
-    return 0
-
-
-def cmd_backends(_args: argparse.Namespace) -> int:
-    from repro.kernels import (
-        PREFERENCE,
-        available_backends,
-        backend_info,
-        default_backend,
-    )
-
-    print(f"{'backend':<9}{'gen':<5}{'available':<11}{'kind':<11}detail")
-    print("-" * 78)
-    for name in PREFERENCE:
-        info = backend_info(name)
-        kind = "compiled" if info.compiled else "reference"
-        print(f"{name:<9}{info.generation:<5}"
-              f"{'yes' if info.available else 'no':<11}{kind:<11}"
-              f"{info.detail}")
-    avail = available_backends()
-    print(f"resolution order     {' > '.join(avail)}")
-    print(f"default backend      {default_backend()}")
     return 0
 
 
@@ -282,7 +256,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         max_batch=args.max_batch,
         shadow_every=shadow_every,
-        kernel_backend=args.kernel_backend,
     )
     # the reference replay for --verify-identity runs without the disk
     # tier: identical results prove demote/promote/streaming change
@@ -427,10 +400,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"({v['seconds']:.6f} s)"
             for kb, v in sorted(backends.items())
         )
-        warmups = engines.get("warmups", 0)
-        warmup_s = engines["seconds"].get("warmup", 0.0)
-        print(f"kernel backends      {parts}; {warmups} warm-ups "
-              f"({warmup_s:.3f} s wall)")
+        print(f"kernel tier          {parts}")
     inv = stats["invalidations"]
     print(f"invalidations        epoch advances {inv['epoch_advances']}, "
           f"carried forward {inv['carried_forward']}, "
@@ -1038,10 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         func=cmd_systems
     )
 
-    sub.add_parser(
-        "backends", help="list real kernel backends and probe results"
-    ).set_defaults(func=cmd_backends)
-
     p = sub.add_parser("profile", help="optimal-format distribution")
     _add_target_args(p)
     _add_corpus_args(p)
@@ -1179,13 +1145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-every", type=int, default=32,
         help="drift-check cadence in observations (with --adaptive)",
-    )
-    p.add_argument(
-        "--kernel-backend", default=None,
-        choices=["numpy", "native", "auto"],
-        help="pin the real kernel backend for every request "
-             "(default: follow each matrix's tuner decision; "
-             "'auto' = best available tier)",
     )
     p.add_argument(
         "--metrics-dir", default=None,

@@ -48,23 +48,10 @@ class ProfilingResult:
 
     ``times[space_name][matrix_name][fmt]`` is the modelled seconds of one
     SpMV; ``optimal[space_name][matrix_name]`` is the winning format id.
-
-    Backend-aware profiling runs (``profile_backends=True`` in
-    :func:`repro.experiments.stages.run_profile_stage`) additionally fill
-    ``backend_times[space][matrix][kernel_backend][fmt]`` — the full
-    (format × kernel backend) surface — and
-    ``optimal_backend[space][matrix]``, the kernel backend of the
-    surface's argmin (whose format is then the ``optimal`` label).
     """
 
     times: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
     optimal: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Per-kernel-backend timing surfaces (backend-aware runs only).
-    backend_times: Dict[str, Dict[str, Dict[str, Dict[str, float]]]] = field(
-        default_factory=dict
-    )
-    #: Winning kernel backend per (space, matrix) (backend-aware runs only).
-    optimal_backend: Dict[str, Dict[str, str]] = field(default_factory=dict)
     #: True when restored from an artifact store rather than computed.
     from_store: bool = False
 
@@ -72,30 +59,6 @@ class ProfilingResult:
         """Optimal-format ids for *names* on one space, in order."""
         table = self.optimal[space_name]
         return np.asarray([table[n] for n in names], dtype=np.int64)
-
-    def backend_labels(self, space_name: str, names: Sequence[str]) -> List[str]:
-        """Optimal kernel backends for *names* on one space, in order.
-
-        Only available after a backend-aware profiling run; raises
-        ``KeyError`` otherwise.
-        """
-        table = self.optimal_backend[space_name]
-        return [table[n] for n in names]
-
-    def dominant_backend(self, space_name: str) -> str:
-        """The most frequently optimal kernel backend on one space.
-
-        The natural ``metadata["kernel_backend"]`` stamp for a model
-        trained from this profiling run (ties break alphabetically for
-        determinism); ``"numpy"`` when the run was not backend-aware.
-        """
-        table = self.optimal_backend.get(space_name)
-        if not table:
-            return "numpy"
-        counts: Dict[str, int] = {}
-        for kb in table.values():
-            counts[kb] = counts.get(kb, 0) + 1
-        return min(counts, key=lambda kb: (-counts[kb], kb))
 
     def format_distribution(self, space_name: str) -> Dict[str, float]:
         """Fraction of matrices whose optimum is each format (Figure 2)."""

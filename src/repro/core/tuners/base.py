@@ -11,38 +11,9 @@ from repro.formats.dynamic import DynamicMatrix
 from repro.backends.base import ExecutionSpace
 from repro.machine.stats import MatrixStats
 
-__all__ = ["Tuner", "TuningReport", "choose_kernel_backend"]
+__all__ = ["Tuner", "TuningReport"]
 
 MatrixLike = Union[SparseMatrix, DynamicMatrix]
-
-
-def choose_kernel_backend(
-    space: ExecutionSpace,
-    stats: MatrixStats,
-    fmt: str,
-    *,
-    matrix_key: str = "",
-    requested: str | None = None,
-) -> str:
-    """The kernel backend a decision for *fmt* should execute on.
-
-    A pinned space (or an explicit *requested* name) decides directly;
-    ``"auto"`` argmins the modelled per-backend times for the chosen
-    format over :meth:`ExecutionSpace.kernel_backend_candidates` — the
-    backend half of the tuners' (format × backend) decision.
-    """
-    spec = requested if requested is not None else space.kernel_backend_spec
-    spec = str(spec).strip().lower()
-    if spec != "auto":
-        return spec
-    candidates = space.kernel_backend_candidates()
-    times = {
-        kb: space.time_spmv(
-            stats, fmt, matrix_key=matrix_key, kernel_backend=kb
-        )
-        for kb in candidates
-    }
-    return min(times, key=times.get)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -63,11 +34,6 @@ class TuningReport:
         only; zero for ML tuners).
     details:
         Tuner-specific extras (per-format trial times, feature vector, ...).
-    backend:
-        Selected *kernel backend* (:mod:`repro.kernels` generation) the
-        decision should execute on.  Defaults to the reference tier;
-        backend-aware tuners stamp the second half of their
-        (format × backend) argmin here.
     """
 
     format_id: int
@@ -75,7 +41,6 @@ class TuningReport:
     t_prediction: float = 0.0
     t_profiling: float = 0.0
     details: Dict[str, object] = field(default_factory=dict)
-    backend: str = "numpy"
 
     @property
     def format_name(self) -> str:

@@ -16,16 +16,11 @@ import numpy as np
 
 from repro.backends.base import ExecutionSpace
 from repro.core.features import extract_features, extract_features_from_stats
-from repro.core.tuners.base import (
-    MatrixLike,
-    Tuner,
-    TuningReport,
-    choose_kernel_backend,
-)
+from repro.core.tuners.base import MatrixLike, Tuner, TuningReport
 from repro.core.tuners.ml import MLTuner, ModelLike, _coerce_model
 from repro.core.tuners.run_first import RunFirstTuner
 from repro.errors import TuningError
-from repro.formats.base import FORMAT_IDS, format_name
+from repro.formats.base import FORMAT_IDS
 from repro.formats.dynamic import DynamicMatrix
 from repro.machine.stats import MatrixStats
 
@@ -96,9 +91,6 @@ class ConfidenceFallbackTuner(Tuner):
                 t_feature_extraction=t_fe,
                 t_prediction=t_pred,
                 details={"confidence": confidence, "fallback": False},
-                backend=choose_kernel_backend(
-                    space, stats, format_name(fmt_id), matrix_key=matrix_key
-                ),
             )
         # low confidence: pay the run-first price for a measured answer
         fallback = self.run_first.tune(
@@ -114,7 +106,6 @@ class ConfidenceFallbackTuner(Tuner):
                 "fallback": True,
                 "ml_choice": fmt_id,
             },
-            backend=fallback.backend,
         )
 
 
@@ -166,7 +157,6 @@ class OverheadConsciousTuner(Tuner):
                 t_feature_extraction=report.t_feature_extraction,
                 t_prediction=report.t_prediction,
                 details=details,
-                backend=report.backend,
             )
         details = dict(report.details)
         details.update(
@@ -182,7 +172,4 @@ class OverheadConsciousTuner(Tuner):
             t_feature_extraction=report.t_feature_extraction,
             t_prediction=report.t_prediction,
             details=details,
-            backend=choose_kernel_backend(
-                space, stats, active, matrix_key=matrix_key
-            ),
         )

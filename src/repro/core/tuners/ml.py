@@ -20,15 +20,8 @@ from typing import Union
 from repro.backends.base import ExecutionSpace
 from repro.core.features import extract_features, extract_features_from_stats
 from repro.core.model_io import OracleModel, load_model
-from repro.core.tuners.base import (
-    MatrixLike,
-    Tuner,
-    TuningReport,
-    choose_kernel_backend,
-)
+from repro.core.tuners.base import MatrixLike, Tuner, TuningReport
 from repro.errors import TuningError
-from repro.formats.base import format_name
-from repro.kernels import check_kernel_backend
 from repro.machine.stats import MatrixStats
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree.classifier import DecisionTreeClassifier
@@ -53,27 +46,13 @@ class MLTuner(Tuner):
     ----------
     model:
         The oracle model (path, open model, or fitted estimator).
-    kernel_backend:
-        Kernel-backend policy for the decisions: an explicit
-        :mod:`repro.kernels` backend name pins every decision, ``"auto"``
-        argmins the modelled per-backend time for the predicted format,
-        ``None`` (default) defers — first to the model's own
-        ``metadata["kernel_backend"]`` stamp (set by backend-aware
-        training), then to the space's configured backend.
     """
 
     #: expected model kind; subclasses override ("decision_tree" / ...).
     expected_kind: str | None = None
 
-    def __init__(
-        self, model: ModelLike, *, kernel_backend: str | None = None
-    ) -> None:
+    def __init__(self, model: ModelLike) -> None:
         self.model = _coerce_model(model)
-        if kernel_backend is not None:
-            kernel_backend = str(kernel_backend).strip().lower()
-            if kernel_backend != "auto":
-                kernel_backend = check_kernel_backend(kernel_backend)
-        self.kernel_backend = kernel_backend
         if (
             self.expected_kind is not None
             and self.model.kind != self.expected_kind
@@ -82,13 +61,6 @@ class MLTuner(Tuner):
                 f"{type(self).__name__} needs a {self.expected_kind!r} "
                 f"model, got {self.model.kind!r}"
             )
-
-    def _backend_request(self) -> str | None:
-        """The explicit backend request, if any (tuner arg > model stamp)."""
-        if self.kernel_backend is not None:
-            return self.kernel_backend
-        stamped = self.model.metadata.get("kernel_backend", "")
-        return str(stamped).strip().lower() or None
 
     # ------------------------------------------------------------------
     @property
@@ -136,19 +108,11 @@ class MLTuner(Tuner):
             n_estimators=self.model.n_estimators,
             avg_depth=self.model.mean_depth,
         )
-        backend = choose_kernel_backend(
-            space,
-            stats,
-            format_name(fmt_id),
-            matrix_key=matrix_key,
-            requested=self._backend_request(),
-        )
         return TuningReport(
             format_id=fmt_id,
             t_feature_extraction=t_fe,
             t_prediction=t_pred,
             details={"features": features, "n_estimators": self.model.n_estimators},
-            backend=backend,
         )
 
 

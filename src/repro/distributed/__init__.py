@@ -17,7 +17,7 @@ splits the service into a front-end **gateway** and N supervised
   each process hosts its own :class:`~repro.service.host.EngineHost`
   slice — the same engine cache and serve step the in-process tier
   runs, so distributed results are bitwise-identical to single-process
-  serve by construction — plus per-process kernel-backend warm-up;
+  serve by construction;
 * :mod:`repro.distributed.shm` — the zero-copy vector transport:
   request/response vectors cross the process boundary through
   ``multiprocessing.shared_memory`` slots (pickling only for control

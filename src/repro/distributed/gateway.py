@@ -203,7 +203,6 @@ class DistributedService(TuningService):
         capacity: int = 64,
         shards: int = 8,
         max_batch: int = 32,
-        kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
         shm_slot_bytes: int = 1 << 18,
@@ -220,7 +219,6 @@ class DistributedService(TuningService):
             tier="distributed",
             workers=default_process_workers() if workers is None else workers,
             max_batch=max_batch,
-            kernel_backend=kernel_backend,
             shadow_every=shadow_every,
             redecision=redecision,
             observability=observability,
@@ -293,7 +291,6 @@ class DistributedService(TuningService):
             model_info=dict(info),
             capacity=slice_capacity,
             shards=max(1, min(self.shards, slice_capacity)),
-            kernel_backend=self.kernel_backend,
             shadow_every=self.shadow_every,
             redecision=self.redecision,
             heartbeat_interval=self.heartbeat_interval,

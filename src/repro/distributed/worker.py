@@ -84,12 +84,10 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.formats.base import FORMAT_IDS
-from repro.kernels import available_backends, probe_backends
+from repro.kernels import available_backends
 from repro.obs.metrics import Histogram
-from repro.runtime.registry import REGISTRY
 from repro.service.host import EngineHost
 from repro.distributed.shm import SegmentCache, ShmRef
 
@@ -111,13 +109,9 @@ class WorkerConfig:
     model_info: Dict[str, object] = field(default_factory=dict)
     capacity: int = 16
     shards: int = 4
-    kernel_backend: Optional[str] = None
     shadow_every: int = 0
     redecision: object = None
     heartbeat_interval: float = 0.25
-    #: kernel triples to warm at boot, before "ready" is sent — a
-    #: respawned worker pays first-touch cost here, not inside a request
-    warm_ops: tuple = ("spmv",)
 
 
 class _WorkerState:
@@ -137,7 +131,6 @@ class _WorkerState:
             dict(config.model_info),
             capacity=max(1, config.capacity),
             shards=max(1, config.shards),
-            kernel_backend=config.kernel_backend,
             shadow_every=config.shadow_every,
             redecision=config.redecision,
         )
@@ -284,26 +277,6 @@ def _error_reply(msg_id: int, kind: str, exc: Exception):
     return ("error", msg_id, kind, shipped, text)
 
 
-def _boot_warmup(config: WorkerConfig) -> Dict[str, float]:
-    """Per-process backend probe + kernel warm-up; returns warm seconds.
-
-    Compiled backends (native library loads) are per-process state: a
-    forked or respawned worker starts cold, so the full format x backend
-    surface of each configured operation is touched here, before the
-    worker reports ready, keeping first-touch pauses out of served
-    requests.
-    """
-    probe_backends()
-    warm: Dict[str, float] = {}
-    for backend in available_backends():
-        for op in config.warm_ops:
-            for fmt in FORMAT_IDS:
-                seconds = REGISTRY.warmup(op, fmt, backend)
-                if seconds:
-                    warm[f"{op}/{fmt}/{backend}"] = seconds
-    return warm
-
-
 class _PipeSender:
     """Lock-serialised sender for the worker's control pipe.
 
@@ -355,7 +328,6 @@ def worker_main(config: WorkerConfig, conn) -> None:
     """
     gateway_pid = os.getppid()
     state = _WorkerState(config)
-    warm = _boot_warmup(config)
     sender = _PipeSender(conn)
     snapshot_box = {"snapshot": state.snapshot()}
     stop_beating = threading.Event()
@@ -372,10 +344,7 @@ def worker_main(config: WorkerConfig, conn) -> None:
     )
     try:
         sender.send(
-            ("ready", config.index, {
-                "backends": list(available_backends()),
-                "warm_seconds": warm,
-            })
+            ("ready", config.index, {"backends": list(available_backends())})
         )
         beat_thread.start()
         while True:

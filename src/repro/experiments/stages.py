@@ -111,15 +111,11 @@ def _profile_payload(
 ) -> dict:
     """Artifact payload: timings, labels *and* the per-matrix stats, so a
     resumed run can feed every downstream stage with zero generation."""
-    payload = {
+    return {
         "times": result.times,
         "optimal": result.optimal,
         "stats": {s.name: collection.stats(s).to_dict() for s in specs},
     }
-    if result.backend_times:
-        payload["backend_times"] = result.backend_times
-        payload["optimal_backend"] = result.optimal_backend
-    return payload
 
 
 def _adopt_profile_payload(
@@ -127,32 +123,21 @@ def _adopt_profile_payload(
     specs: Sequence[MatrixSpec],
     spaces: Sequence[ExecutionSpace],
     payload: dict,
-    *,
-    profile_backends: bool = False,
 ) -> Optional["ProfilingResult"]:
     """Rebuild a ProfilingResult from a stored payload, priming the
     collection's stats cache.  Returns ``None`` if the payload does not
-    cover the requested matrices/spaces (treated as a store miss) — a
-    backend-aware request is a miss on payloads written without the
-    backend tables."""
+    cover the requested matrices/spaces (treated as a store miss)."""
     from repro.core.pipeline import ProfilingResult
 
     names = [s.name for s in specs]
     stats = payload.get("stats", {})
     times = payload.get("times", {})
     optimal = payload.get("optimal", {})
-    backend_times = payload.get("backend_times", {})
-    optimal_backend = payload.get("optimal_backend", {})
     for space in spaces:
         if space.name not in times or space.name not in optimal:
             return None
         if any(n not in times[space.name] for n in names):
             return None
-        if profile_backends:
-            if space.name not in backend_times:
-                return None
-            if any(n not in backend_times[space.name] for n in names):
-                return None
     if any(n not in stats for n in names):
         return None
     for name in names:
@@ -167,20 +152,6 @@ def _adopt_profile_payload(
         result.optimal[space.name] = {
             n: int(optimal[space.name][n]) for n in names
         }
-        if space.name in backend_times:
-            result.backend_times[space.name] = {
-                n: {
-                    kb: dict(fmts)
-                    for kb, fmts in backend_times[space.name][n].items()
-                }
-                for n in names
-                if n in backend_times[space.name]
-            }
-            result.optimal_backend[space.name] = {
-                n: str(optimal_backend[space.name][n])
-                for n in names
-                if n in optimal_backend.get(space.name, {})
-            }
     return result
 
 
@@ -193,7 +164,6 @@ def run_profile_stage(
     store: Optional["ArtifactStore"] = None,
     key: Optional[str] = None,
     engines: Optional[Dict[str, "WorkloadEngine"]] = None,
-    profile_backends: bool = False,
 ) -> "ProfilingResult":
     """Profiling runs: label the optimal format for every (matrix, space).
 
@@ -203,13 +173,6 @@ def run_profile_stage(
     memoised per matrix key.  With a *store* and *key* the stage is
     resumable: a stored artifact restores timings, labels and stats
     without generating a single matrix.
-
-    With ``profile_backends=True`` the stage also measures every kernel
-    backend the space would trial
-    (:meth:`~repro.runtime.engine.WorkloadEngine.profile_backends`): the
-    optimal label becomes the format of the argmin over the full
-    (format × kernel backend) surface and the winning backend is
-    recorded in ``optimal_backend`` — feeding backend-aware training.
     """
     from repro.core.pipeline import ProfilingResult
 
@@ -220,10 +183,7 @@ def run_profile_stage(
     if store is not None:
         payload = store.get("profile", key)
         if payload is not None:
-            adopted = _adopt_profile_payload(
-                collection, specs, spaces, payload,
-                profile_backends=profile_backends,
-            )
+            adopted = _adopt_profile_payload(collection, specs, spaces, payload)
             if adopted is not None:
                 return adopted
     compute_collection_stats(collection, specs, jobs=jobs)
@@ -235,29 +195,12 @@ def run_profile_stage(
             engine = engines.setdefault(space.name, space.engine())
         result.times[space.name] = {}
         result.optimal[space.name] = {}
-        if profile_backends:
-            result.backend_times[space.name] = {}
-            result.optimal_backend[space.name] = {}
         for spec in specs:
             times = engine.profile_formats(
                 key=spec.name, stats=collection.stats(spec)
             )
             result.times[space.name][spec.name] = times
             best = min(times, key=times.get)  # type: ignore[arg-type]
-            if profile_backends:
-                grid = engine.profile_backends(
-                    key=spec.name, stats=collection.stats(spec)
-                )
-                result.backend_times[space.name][spec.name] = grid
-                best_kb, best = min(
-                    (
-                        (kb, fmt)
-                        for kb, fmts in sorted(grid.items())
-                        for fmt in fmts
-                    ),
-                    key=lambda pair: grid[pair[0]][pair[1]],
-                )
-                result.optimal_backend[space.name][spec.name] = best_kb
             result.optimal[space.name][spec.name] = FORMAT_IDS[best]
     if store is not None:
         store.put("profile", key, _profile_payload(result, collection, specs))
@@ -505,16 +448,8 @@ def run_train_stage(
     seed: int = 0,
     store: Optional["ArtifactStore"] = None,
     key: Optional[str] = None,
-    kernel_backend: Optional[str] = None,
 ) -> TrainOutcome:
-    """Train + grid-search one (space, algorithm) cell, store-resumable.
-
-    *kernel_backend* (typically the profiling run's
-    :meth:`~repro.core.pipeline.ProfilingResult.dominant_backend`) is
-    stamped into both exported models' ``metadata["kernel_backend"]``:
-    the ML tuners read that stamp at serve time, so a model trained
-    against backend-aware labels deploys its backend along with itself.
-    """
+    """Train + grid-search one (space, algorithm) cell, store-resumable."""
     if store is not None and key is not None:
         payload = store.get("train", key)
         if payload is not None:
@@ -555,13 +490,6 @@ def run_train_stage(
         oracle_model=tm.oracle_model,
         baseline_oracle_model=tm.baseline_oracle_model,
     )
-    if kernel_backend:
-        # the stamp rides the model file itself (the "meta" line), so it
-        # survives the store round-trip and the export stage unchanged
-        outcome.oracle_model.metadata["kernel_backend"] = str(kernel_backend)
-        outcome.baseline_oracle_model.metadata["kernel_backend"] = str(
-            kernel_backend
-        )
     if store is not None and key is not None:
         store.put(
             "train",

@@ -1,14 +1,13 @@
-"""The ``numpy`` kernel backend — generation 1, always available.
+"""The ``numpy`` kernel tier: the vectorised NumPy reference kernels.
 
-Pure-NumPy vectorised kernels (:mod:`repro.kernels.numpy.kernels`) plus the
-container adapters that register them on a kernel registry under backend id
-``"numpy"``.  This generation defines the reference semantics: every
-compiled generation must produce output equal to these kernels (bitwise on
-integer-valued data, where summation order cannot change the result).
+Pure-NumPy vectorised kernels (:mod:`repro.kernels.numpy.kernels`) plus
+the container adapters :func:`register` puts on a kernel registry.  These
+kernels define the reference semantics: scipy's compiled kernels, which
+serve when scipy is importable, must give output equal to them (bitwise
+on integer-valued data, where summation order cannot change the result).
 
-The HYB/HDC adapters compose through the *registry* (same backend), so a
-caller that overrides e.g. the ``("spmv", "ELL", "numpy")`` entry improves
-HYB automatically — the behaviour the pre-backend registry had.
+The HYB/HDC adapters compose through the *registry*, so a caller that
+overrides e.g. the ``("spmv", "ELL")`` entry improves HYB automatically.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from repro.kernels.numpy.kernels import (  # noqa: F401  (re-exported API)
 )
 
 __all__ = [
-    "BACKEND",
-    "GENERATION",
     "register",
     "coo_spmv",
     "csr_spmv",
@@ -44,70 +41,62 @@ __all__ = [
     "ell_spmm",
 ]
 
-#: Backend identifier used in the dispatch table.
-BACKEND = "numpy"
-
-#: Kernel generation (1 = reference tier).
-GENERATION = 1
-
 
 def register(registry) -> None:
     """Register the NumPy container adapters on *registry*."""
 
-    @registry.register("spmv", "COO", BACKEND)
+    @registry.register("spmv", "COO")
     def _coo_spmv(m, x: np.ndarray) -> np.ndarray:
         return coo_spmv(m.nrows, m.row, m.col, m.data, x)
 
-    @registry.register("spmv", "CSR", BACKEND)
+    @registry.register("spmv", "CSR")
     def _csr_spmv(m, x: np.ndarray) -> np.ndarray:
         return csr_spmv(m.row_ptr, m.col_idx, m.data, x)
 
-    @registry.register("spmv", "DIA", BACKEND)
+    @registry.register("spmv", "DIA")
     def _dia_spmv(m, x: np.ndarray) -> np.ndarray:
         return dia_spmv(m.nrows, m.ncols, m.offsets, m.data, x)
 
-    @registry.register("spmv", "ELL", BACKEND)
+    @registry.register("spmv", "ELL")
     def _ell_spmv(m, x: np.ndarray) -> np.ndarray:
         return ell_spmv(m.col_idx, m.data, x, valid=m._valid)
 
-    @registry.register("spmv", "HYB", BACKEND)
+    @registry.register("spmv", "HYB")
     def _hyb_spmv(m, x: np.ndarray) -> np.ndarray:
-        y = registry.get("spmv", "ELL", BACKEND)(m.ell, x)
+        y = registry.get("spmv", "ELL")(m.ell, x)
         if m.coo.nnz:
-            y = y + registry.get("spmv", "COO", BACKEND)(m.coo, x)
+            y = y + registry.get("spmv", "COO")(m.coo, x)
         return y
 
-    @registry.register("spmv", "HDC", BACKEND)
+    @registry.register("spmv", "HDC")
     def _hdc_spmv(m, x: np.ndarray) -> np.ndarray:
-        return registry.get("spmv", "DIA", BACKEND)(m.dia, x) + registry.get(
-            "spmv", "CSR", BACKEND
-        )(m.csr, x)
+        return registry.get("spmv", "DIA")(m.dia, x) + registry.get(
+            "spmv", "CSR")(m.csr, x)
 
-    @registry.register("spmm", "COO", BACKEND)
+    @registry.register("spmm", "COO")
     def _coo_spmm(m, X: np.ndarray) -> np.ndarray:
         return coo_spmm(m.nrows, m.row, m.col, m.data, X)
 
-    @registry.register("spmm", "CSR", BACKEND)
+    @registry.register("spmm", "CSR")
     def _csr_spmm(m, X: np.ndarray) -> np.ndarray:
         return csr_spmm(m.row_ptr, m.col_idx, m.data, X)
 
-    @registry.register("spmm", "DIA", BACKEND)
+    @registry.register("spmm", "DIA")
     def _dia_spmm(m, X: np.ndarray) -> np.ndarray:
         return dia_spmm(m.nrows, m.ncols, m.offsets, m.data, X)
 
-    @registry.register("spmm", "ELL", BACKEND)
+    @registry.register("spmm", "ELL")
     def _ell_spmm(m, X: np.ndarray) -> np.ndarray:
         return ell_spmm(m.col_idx, m.data, X, valid=m._valid)
 
-    @registry.register("spmm", "HYB", BACKEND)
+    @registry.register("spmm", "HYB")
     def _hyb_spmm(m, X: np.ndarray) -> np.ndarray:
-        Y = registry.get("spmm", "ELL", BACKEND)(m.ell, X)
+        Y = registry.get("spmm", "ELL")(m.ell, X)
         if m.coo.nnz:
-            Y = Y + registry.get("spmm", "COO", BACKEND)(m.coo, X)
+            Y = Y + registry.get("spmm", "COO")(m.coo, X)
         return Y
 
-    @registry.register("spmm", "HDC", BACKEND)
+    @registry.register("spmm", "HDC")
     def _hdc_spmm(m, X: np.ndarray) -> np.ndarray:
-        return registry.get("spmm", "DIA", BACKEND)(m.dia, X) + registry.get(
-            "spmm", "CSR", BACKEND
-        )(m.csr, X)
+        return registry.get("spmm", "DIA")(m.dia, X) + registry.get(
+            "spmm", "CSR")(m.csr, X)

@@ -1,14 +1,12 @@
-"""Raw-array SpMV / SpMM kernels — the NumPy reference generation.
+"""Raw-array SpMV / SpMM kernels — the NumPy reference.
 
 One vectorised kernel per (operation, simple format), operating on the
-format's bare arrays the way a C kernel library would.  These functions are
-the reference semantics the compiled kernel generation
-(:mod:`repro.kernels.native`) is checked against: the kernel registry
-(:mod:`repro.runtime.registry`) maps
-``(operation, format, backend)`` to thin container adapters, and the
-``"numpy"`` backend's adapters wrap these functions.  Composite formats
-(HYB, HDC) have no dedicated kernels — the registry composes their block
-kernels.
+format's bare arrays the way a C kernel library would.  These functions
+are the reference semantics scipy's compiled kernels are checked
+against: the kernel registry (:mod:`repro.runtime.registry`) maps
+``(operation, format)`` to thin container adapters that wrap these
+functions.  Composite formats (HYB, HDC) have no dedicated kernels — the
+registry composes their block kernels.
 
 Correctness is cross-checked against scipy and dense references in the test
 suite; the kernels must never rely on column order within a row.

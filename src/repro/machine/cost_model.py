@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import BackendError, ShapeError
 from repro.formats.base import FORMAT_IDS
 from repro.formats.convert import convert_cost_weight
-from repro.kernels import check_kernel_backend, modelled_speedup
 from repro.machine.arch import ArchSpec, CPUSpec, GPUSpec
 from repro.machine.stats import IDX_BYTES, VAL_BYTES, MatrixStats
 from repro.utils.rng import stable_hash
@@ -101,40 +100,27 @@ class CostModel:
         backend: str,
         *,
         matrix_key: str = "",
-        kernel_backend: str = "numpy",
     ) -> float:
         """Modelled seconds for one ``y = A @ x`` in format *fmt*.
 
         *backend* is the modelled execution backend of the archetype
-        (serial/openmp/cuda/hip); *kernel_backend* is the real kernel
-        generation (:mod:`repro.kernels`) producing the numbers.  On CPU
-        archetypes a compiled kernel backend divides the base time by
-        its per-format modelled speedup; GPU archetypes model device
-        kernels, which no host kernel generation touches, so the factor
-        is 1.  The ``numpy`` reference keeps the historical noise key,
-        making it bit-stable against pre-backend model outputs.
+        (serial/openmp/cuda/hip).
         """
         fmt = fmt.upper()
         if fmt not in FORMAT_IDS:
             raise BackendError(f"unknown format {fmt!r}")
         self._check_backend(arch, backend)
-        kb = check_kernel_backend(kernel_backend)
         if stats.nnz == 0:
             return self._fixed_cost(arch, backend)
         if isinstance(arch, GPUSpec):
             base = self._gpu_time(stats, fmt, arch)
-            factor = 1.0
         else:
             assert isinstance(arch, CPUSpec)
             if backend == "serial":
                 base = self._cpu_serial_time(stats, fmt, arch)
             else:
                 base = self._cpu_openmp_time(stats, fmt, arch)
-            factor = 1.0 / modelled_speedup(kb, fmt)
-        noise_key = (matrix_key, fmt, arch.name, backend)
-        if kb != "numpy":
-            noise_key = noise_key + (kb,)
-        return base * factor * self._noise(*noise_key)
+        return base * self._noise(matrix_key, fmt, arch.name, backend)
 
     def spmv_times(
         self,
@@ -143,36 +129,11 @@ class CostModel:
         backend: str,
         *,
         matrix_key: str = "",
-        kernel_backend: str = "numpy",
     ) -> Dict[str, float]:
         """Modelled time for every format; keys are canonical format names."""
         return {
-            fmt: self.spmv_time(
-                stats,
-                fmt,
-                arch,
-                backend,
-                matrix_key=matrix_key,
-                kernel_backend=kernel_backend,
-            )
+            fmt: self.spmv_time(stats, fmt, arch, backend, matrix_key=matrix_key)
             for fmt in FORMAT_IDS
-        }
-
-    def spmv_times_by_backend(
-        self,
-        stats: MatrixStats,
-        arch: ArchSpec,
-        backend: str,
-        kernel_backends: Sequence[str],
-        *,
-        matrix_key: str = "",
-    ) -> Dict[str, Dict[str, float]]:
-        """Nested ``{kernel_backend: {format: seconds}}`` timings."""
-        return {
-            kb: self.spmv_times(
-                stats, arch, backend, matrix_key=matrix_key, kernel_backend=kb
-            )
-            for kb in kernel_backends
         }
 
     def feature_extraction_time(

@@ -66,9 +66,9 @@ def build_service_stats(
         "profiled_matrices": profiled_matrices,
         "engine_cache": engine_cache,
         "engines": engines_total,
-        # per-kernel-backend request counts and modelled seconds across
-        # every engine the tier ever owned — the backend-attribution
-        # surface dashboards and the CLI report
+        # request counts and modelled seconds by kernel tier across
+        # every engine the tier ever owned — the attribution surface
+        # dashboards and the CLI report
         "backends": {
             kb: dict(v) for kb, v in engines_total["backends"].items()
         },

@@ -7,9 +7,9 @@ system, bottom-up:
   kernel`` table every SpMV/SpMM dispatch resolves through; format
   containers delegate here, composite formats compose registered
   sub-kernels.
-* :mod:`~repro.runtime.batch` — the one SpMV/SpMM dispatch: a compiled
-  kernel backend, else a cached compiled operator (scipy-backed when
-  available, NumPy fallback); batched multi-vector ``Y = A @ X`` in one
+* :mod:`~repro.runtime.batch` — the one SpMV/SpMM dispatch: scipy's own
+  DIA and COO kernels, else a cached compiled CSR operator (the NumPy
+  kernels without scipy); batched multi-vector ``Y = A @ X`` in one
   pass, and the solvers' hot loops route through
   :func:`~repro.runtime.batch.matvec`.
 * :mod:`~repro.runtime.engine` — the request-queue

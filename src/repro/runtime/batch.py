@@ -12,12 +12,10 @@ per-call cost the way a serving system would.  Two entry points:
 
 :func:`matvec` is the one dispatch (:func:`batched_spmv` adds only its
 2-D check): it checks the operand with :func:`validate_operand`, then
-:func:`dispatch` picks the kernel in this order:
+:func:`dispatch` picks the kernel:
 
-1. a compiled kernel *backend* (:mod:`repro.kernels`), resolved through
-   ``REGISTRY.resolve`` with clean fallback down the preference order;
-2. on the ``numpy`` tier with scipy importable (it is an existing
-   dependency — the containers' ``to_scipy`` uses it as a test oracle):
+1. with scipy importable (it is an existing dependency — the
+   containers' ``to_scipy`` uses it as a test oracle):
    * DIA and COO run scipy's own compiled DIA and COO kernels directly
      on the container's validated arrays; nothing is converted or
      cached;
@@ -25,7 +23,7 @@ per-call cost the way a serving system would.  Two entry points:
      concrete container (:class:`BlockOperator`): the conversion cost
      is paid once per matrix and every subsequent call runs at
      compiled-kernel speed;
-3. without scipy, the registry's vectorised NumPy kernel — same results,
+2. without scipy, the registry's vectorised NumPy kernel — same results,
    slower.
 
 Every path gives the same bits for finite operands: DIA offsets ascend
@@ -158,8 +156,7 @@ def _coo_kernel(m: COOMatrix, operand: np.ndarray) -> np.ndarray:
     return y
 
 
-#: Formats the ``numpy`` tier runs through scipy's kernel for that very
-#: format.  These kernels do not bounds-check: the containers'
+#: Formats that run through scipy's kernel for that very format.  These kernels do not bounds-check: the containers'
 #: validating constructors (offsets in range; row and col indices in
 #: bounds) are what stands between a corrupt array and them.
 OWN_KERNELS = {"DIA": _dia_kernel, "COO": _coo_kernel}
@@ -250,32 +247,19 @@ def attach_operator(
         _OPERATORS[m] = BlockOperator(m, arrays)
 
 
-def matvec(
-    matrix: MatrixLike,
-    x: np.ndarray,
-    *,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def matvec(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
     """``y = A @ x`` for a 1-D vector or ``(ncols, k)`` block operand.
 
     The one dispatch (module docstring) and the entry point the
     iterative solvers route their hot loop through: repeated calls on
     the same container reuse its compiled kernel, so a
-    thousand-iteration solve pays any setup once.  *backend* names a
-    :mod:`repro.kernels` tier; ``None`` and ``"numpy"`` run scipy's
-    kernel for DIA and COO and the cached compiled CSR image otherwise
-    (the registry's NumPy kernel without scipy).
+    thousand-iteration solve pays any setup once.
     """
     m = _concrete(matrix)
-    return dispatch(m, validate_operand(m, x), backend=backend)
+    return dispatch(m, validate_operand(m, x))
 
 
-def dispatch(
-    matrix: MatrixLike,
-    operand: np.ndarray,
-    *,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def dispatch(matrix: MatrixLike, operand: np.ndarray) -> np.ndarray:
     """:func:`matvec` on an *operand* :func:`validate_operand` returned.
 
     Checks nothing: ``WorkloadEngine.execute`` calls it once it has
@@ -283,24 +267,16 @@ def dispatch(
     compiled kernels do not bounds-check).
     """
     m = _concrete(matrix)
-    op = "spmm" if operand.ndim == 2 else "spmv"
-    if backend is not None and backend != "numpy":
-        kernel, _ = REGISTRY.resolve(op, m.format, backend)
-        return kernel(m, operand)
     if _scipy_sparse is not None:
         own = OWN_KERNELS.get(m.format)
         if own is not None:
             return own(m, operand)
         return block_operator(m).apply(operand)
+    op = "spmm" if operand.ndim == 2 else "spmv"
     return REGISTRY.get(op, m.format)(m, operand)
 
 
-def batched_spmv(
-    matrix: MatrixLike,
-    X: np.ndarray,
-    *,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def batched_spmv(matrix: MatrixLike, X: np.ndarray) -> np.ndarray:
     """``Y = A @ X`` for a dense block ``X`` of shape ``(ncols, k)``.
 
     One call serves all ``k`` right-hand sides; it is :func:`matvec`
@@ -308,4 +284,4 @@ def batched_spmv(
     """
     if np.ndim(X) != 2:
         raise ShapeError(f"SpMM operand must be 2-D, got ndim={np.ndim(X)}")
-    return matvec(matrix, X, backend=backend)
+    return matvec(matrix, X)

@@ -46,7 +46,7 @@ from repro.formats.dynamic import DynamicMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.hdc import HDCMatrix
 from repro.formats.hyb import HYBMatrix
-from repro.kernels import check_kernel_backend, default_backend
+from repro.kernels import BACKEND
 from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
@@ -55,7 +55,6 @@ from repro.runtime.batch import (
     dispatch,
     have_accelerator,
 )
-from repro.runtime.registry import REGISTRY
 from repro.runtime.epoch import (
     RedecisionPolicy,
     StreamState,
@@ -241,9 +240,8 @@ class EngineResult:
     ``overhead_seconds`` carries the tuning + conversion cost paid by this
     request (zero whenever the decision came from cache).  ``epoch`` is
     the matrix version that served the request — 0 for matrices that
-    never mutated.  ``backend`` is the kernel backend that actually ran
-    the request (after any fallback), so per-backend latency can be
-    attributed downstream.
+    never mutated.  ``backend`` names the kernel tier that ran the
+    request (:mod:`repro.kernels`).
     """
 
     y: np.ndarray
@@ -253,7 +251,7 @@ class EngineResult:
     fingerprint: str
     from_cache: bool
     epoch: int = 0
-    backend: str = "numpy"
+    backend: str = BACKEND
 
 
 class _Chain(NamedTuple):
@@ -262,7 +260,6 @@ class _Chain(NamedTuple):
     fp: str
     stats: MatrixStats
     prepared: SparseMatrix
-    backend: str
     overhead: float
     cached: bool
     report: "TuningReport"
@@ -281,17 +278,16 @@ class _Warm(NamedTuple):
     report: "TuningReport"
     prepared: SparseMatrix
     stats: MatrixStats
-    #: ``(backend, seconds)``: the single-SpMV price of ``prepared`` on
-    #: the backend it was last served by.
-    price: Tuple[str, float]
+    #: The modelled single-SpMV seconds of ``prepared``.
+    price: float
 
 
 class WorkloadEngine:
     """Serve ``(matrix, x)`` SpMV requests with full artefact reuse.
 
     :meth:`execute` runs one request chain
-    (fingerprint → stats → decision → serving container → kernel
-    backend, each a counted cache lookup), reach the kernel through
+    (fingerprint → stats → decision → serving container, each a
+    counted cache lookup), reach the kernel through
     this module's :func:`matvec` or :func:`batched_spmv` with the
     operand checked against the serving container, and account each
     request in one step.
@@ -303,20 +299,13 @@ class WorkloadEngine:
     tuner:
         Optional format tuner; when absent every matrix is served in its
         active format (decision overhead zero).
-    kernel_backend:
-        Kernel-backend policy for serving.  ``None`` (default) follows
-        the decision chain — the tuner's per-matrix ``report.backend``
-        stamp, which itself defaults to the space's configured backend.
-        An explicit :mod:`repro.kernels` name pins every request to that
-        backend (with clean fallback when unavailable); ``"auto"``
-        re-resolves the best available tier per request.
     stream_threshold_bytes:
         Size above which an mmap-backed CSR serving container is served
         by row-block streaming (:mod:`repro.storage.stream`) instead of
         one whole-matrix kernel call — the out-of-core path.  ``0``
         streams every mmap-backed CSR container; ``None`` disables
         streaming.  Streamed results are bitwise-identical to the
-        non-streamed path on every backend.
+        non-streamed path.
     stream_block_bytes:
         Row-panel byte budget for the streaming path (``None`` uses
         :data:`repro.storage.stream.DEFAULT_BLOCK_BYTES`).
@@ -328,18 +317,11 @@ class WorkloadEngine:
         tuner: Optional["Tuner"] = None,
         *,
         redecision: Optional[RedecisionPolicy] = None,
-        kernel_backend: Optional[str] = None,
         stream_threshold_bytes: Optional[int] = STREAM_THRESHOLD_BYTES,
         stream_block_bytes: Optional[int] = None,
     ) -> None:
         self.space = space
         self.tuner = tuner
-        if kernel_backend is not None:
-            kernel_backend = str(kernel_backend).strip().lower()
-            if kernel_backend != "auto":
-                kernel_backend = check_kernel_backend(kernel_backend)
-        #: Engine-level kernel-backend pin (``None`` follows the tuner).
-        self.kernel_backend = kernel_backend
         #: Policy deciding when an epoch advance forces a re-tune
         #: (:meth:`update`); below its threshold the prior decision is
         #: carried forward.
@@ -350,19 +332,13 @@ class WorkloadEngine:
         #: exact model that decided their format.
         self.model_version = "-"
         self.counters = CacheCounters()
-        #: Modelled seconds spent on this space, by category.  ``warmup``
-        #: is real wall time: the per-process first-touch compilation /
-        #: load cost of compiled kernel backends (:meth:`KernelRegistry
-        #: .warmup`), paid at most once per (operation, format, backend).
+        #: Modelled seconds spent on this space, by category.
         self.seconds: Dict[str, float] = {
             "tuning": 0.0,
             "conversion": 0.0,
             "spmv": 0.0,
-            "warmup": 0.0,
         }
         self.requests_served = 0
-        #: Number of first-touch kernel warm-ups this engine triggered.
-        self.warmups = 0
         #: Out-of-core serving policy (see the constructor parameters).
         self.stream_threshold_bytes = (
             int(stream_threshold_bytes)
@@ -379,14 +355,13 @@ class WorkloadEngine:
             "blocks": 0,
             "seconds": 0.0,
         }
-        #: Per-kernel-backend request counts and modelled SpMV seconds.
+        #: Request counts and modelled SpMV seconds by kernel tier.
         self.backend_seconds: Dict[str, Dict[str, float]] = {}
         self._stats: Dict[str, MatrixStats] = {}
         self._features: Dict[str, np.ndarray] = {}
         self._reports: Dict[str, "TuningReport"] = {}
         self._prepared: Dict[str, SparseMatrix] = {}
         self._format_times: Dict[str, Dict[str, float]] = {}
-        self._backend_times: Dict[str, Dict[str, Dict[str, float]]] = {}
         #: Memoised warm chain per key (decision, serving container,
         #: stats and single-SpMV price), so a warm request resolves its
         #: artefacts with one lookup; dropped wherever any of them change.
@@ -524,43 +499,6 @@ class WorkloadEngine:
         self._format_times[fp] = dict(times)
         return dict(times)
 
-    def profile_backends(
-        self,
-        matrix: Optional[MatrixLike] = None,
-        *,
-        key: Optional[str] = None,
-        stats: Optional[MatrixStats] = None,
-    ) -> Dict[str, Dict[str, float]]:
-        """Memoised ``{kernel_backend: {format: seconds}}`` timing surface.
-
-        The backend-aware sibling of :meth:`profile_formats`: one probe
-        per (matrix, space) covering every kernel backend this space
-        would trial (:meth:`~repro.backends.base.ExecutionSpace
-        .kernel_backend_candidates`).  Shares the profile hit/miss
-        counters with the per-format probe.
-        """
-        if matrix is None and key is None:
-            raise ValidationError(
-                "profile_backends needs a matrix or an explicit key"
-            )
-        fp = key if matrix is None else self.fingerprint(matrix, key=key)
-        if fp in self._backend_times:
-            self.counters.profile_hits += 1
-            return {kb: dict(t) for kb, t in self._backend_times[fp].items()}
-        self.counters.profile_misses += 1
-        if stats is not None:
-            self.prime_stats(fp, stats)
-        elif matrix is None:
-            raise ValidationError(
-                "profile_backends with a bare key also needs stats"
-            )
-        grid = self.space.time_format_backends(
-            self.stats_for(matrix, key=fp) if stats is None else stats,
-            matrix_key=fp,
-        )
-        self._backend_times[fp] = {kb: dict(t) for kb, t in grid.items()}
-        return {kb: dict(t) for kb, t in grid.items()}
-
     def decision_for(
         self, matrix: MatrixLike, *, key: Optional[str] = None
     ) -> "TuningReport":
@@ -586,10 +524,7 @@ class WorkloadEngine:
             concrete = (
                 matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
             )
-            report = TuningReport(
-                format_id=concrete.format_id,
-                backend=self.space.kernel_backend,
-            )
+            report = TuningReport(format_id=concrete.format_id)
         else:
             report = self.tuner.tune(matrix, self.space, stats=stats, matrix_key=fp)
         self.seconds["tuning"] += report.overhead_seconds
@@ -629,29 +564,21 @@ class WorkloadEngine:
         """The decision metadata and operator a tier demotion of *key*'s
         serving container *prepared* stores with it.
 
-        ``meta`` carries the decided format, the serving backend, and
-        the matrix statistics — enough for :meth:`adopt_prepared` on a
-        fresh engine to restore the full first-request artefact chain
-        without recomputing anything.  The operator is the
-        ``(indptr, indices, data)`` of the compiled CSR image the
-        ``numpy`` tier has built for *prepared*; it is ``None`` for DIA
-        and COO (which run scipy's kernel for their own format and
-        build none), for a compiled backend, before the first kernel
-        call, and for a container that will stream by row panels once
-        mmap-backed.
+        ``meta`` carries the decided format and the matrix statistics —
+        enough for :meth:`adopt_prepared` on a fresh engine to restore
+        the full first-request artefact chain without recomputing
+        anything.  The operator is the ``(indptr, indices, data)`` of
+        the compiled CSR image built for *prepared*; it is ``None`` for
+        DIA and COO (which run scipy's kernel for their own format and
+        build none), before the first kernel call, and for a container
+        that will stream by row panels once mmap-backed.
         """
-        report = self._reports.get(key)
-        meta: Dict[str, object] = {
-            "format": prepared.format,
-            "backend": (
-                report.backend if report is not None else self.space.kernel_backend
-            ),
-        }
+        meta: Dict[str, object] = {"format": prepared.format}
         stats = self._stats.get(key)
         if stats is not None:
             meta["stats"] = stats.to_dict()
         operator = None
-        if meta["backend"] == "numpy" and not self._streams_when_mapped(prepared):
+        if not self._streams_when_mapped(prepared):
             built = cached_operator(prepared)
             if built is not None:
                 operator = built.arrays()
@@ -662,7 +589,6 @@ class WorkloadEngine:
         key: str,
         container: SparseMatrix,
         *,
-        backend: Optional[str] = None,
         stats: Optional[MatrixStats] = None,
     ) -> None:
         """Pre-seed the serving artefacts for *key* from a promoted container.
@@ -670,7 +596,7 @@ class WorkloadEngine:
         The disk tier's promotion path: *container* (typically read-only
         mmap views re-attached by :meth:`repro.storage.tier.StorageTier
         .promote`) becomes the memoised serving container, and a
-        decision pinning its format (and *backend*) is installed so the
+        decision pinning its format is installed so the
         next request is a full cache hit — no stats pass, no tuner, no
         conversion.  *stats* (persisted with the demoted entry) restores
         the pricing statistics without an ``O(nnz)`` recompute over the
@@ -683,12 +609,7 @@ class WorkloadEngine:
         self._prepared[key] = container
         self._warm.pop(key, None)
         if key not in self._reports:
-            self._reports[key] = TuningReport(
-                format_id=container.format_id,
-                backend=(
-                    str(backend) if backend else self.space.kernel_backend
-                ),
-            )
+            self._reports[key] = TuningReport(format_id=container.format_id)
 
     def prepare(self, matrix: MatrixLike, *, key: Optional[str] = None) -> SparseMatrix:
         """Resolve the serving container for *matrix*: decide + convert.
@@ -884,7 +805,6 @@ class WorkloadEngine:
             self._reports.pop(key, None)
             self._prepared.pop(key, None)
             self._format_times.pop(key, None)
-            self._backend_times.pop(key, None)
             self.invalidations.forced_retunes += 1
             content = state.content()
             report = self._decide(content, key, new_stats)
@@ -934,34 +854,10 @@ class WorkloadEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _serving_backend(self, report: "TuningReport", fmt: str) -> str:
-        """The kernel backend that will serve a request in format *fmt*.
-
-        Precedence: the engine-level pin, then the tuner's per-matrix
-        decision stamp.  ``"auto"`` re-resolves the best available tier;
-        compiled requests resolve through the registry (clean fallback
-        when masked or unavailable) and charge their per-process
-        first-touch warm-up to ``seconds["warmup"]`` as real wall time.
-        """
-        requested = (
-            self.kernel_backend
-            if self.kernel_backend is not None
-            else report.backend
-        )
-        if requested == "auto":
-            requested = default_backend()
-        if requested == "numpy":
-            return "numpy"
-        _, actual = REGISTRY.resolve("spmv", fmt, requested)
-        if actual != "numpy" and not REGISTRY.is_warm("spmv", fmt, actual):
-            self.seconds["warmup"] += REGISTRY.warmup("spmv", fmt, actual)
-            self.warmups += 1
-        return actual
-
-    def _account_backend(self, backend: str, seconds: float) -> None:
-        """Fold one served request into the per-backend attribution."""
+    def _account_backend(self, seconds: float) -> None:
+        """Fold one served request into the per-tier attribution."""
         entry = self.backend_seconds.setdefault(
-            backend, {"requests": 0, "seconds": 0.0}
+            BACKEND, {"requests": 0, "seconds": 0.0}
         )
         entry["requests"] += 1
         entry["seconds"] += seconds
@@ -989,29 +885,28 @@ class WorkloadEngine:
         return mmap_backed(prepared)
 
     def _run_kernel(
-        self, prepared: SparseMatrix, operand: np.ndarray, backend: str
+        self, prepared: SparseMatrix, operand: np.ndarray
     ) -> np.ndarray:
         """One kernel call; mmap-backed CSR above threshold streams."""
         if self._should_stream(prepared):
-            return self._stream_kernel(prepared, operand, backend)
+            return self._stream_kernel(prepared, operand)
         if operand.ndim == 2:
-            return batched_spmv(prepared, operand, backend=backend)
-        return matvec(prepared, operand, backend=backend)
+            return batched_spmv(prepared, operand)
+        return matvec(prepared, operand)
 
     def _stream_kernel(
-        self, prepared: CSRMatrix, operand: np.ndarray, backend: str
+        self, prepared: CSRMatrix, operand: np.ndarray
     ) -> np.ndarray:
         """Serve one request by row panels, bitwise-identical per path.
 
         Each configuration streams through the *same arithmetic* its
         whole-matrix counterpart uses, so results match bit for bit:
 
-        * ``numpy`` with scipy present — per-panel compiled operators;
-          the compiled CSR kernel accumulates each row locally, so panel
+        * with scipy present — per-panel compiled operators; the
+          compiled CSR kernel accumulates each row locally, so panel
           rows are exactly the rows of the full-matrix call;
-        * otherwise — per-panel registry dispatch (row-local kernels) or
-          the carry-seeded prefix-sum replay for the ``numpy`` reference
-          kernel (see :mod:`repro.storage.stream`).
+        * otherwise — the carry-seeded prefix-sum replay of the NumPy
+          reference kernel (see :mod:`repro.storage.stream`).
         """
         from repro.storage.stream import (
             iter_row_blocks,
@@ -1022,7 +917,7 @@ class WorkloadEngine:
 
         started = time.perf_counter()
         step = plan_block_rows(prepared, self.stream_block_bytes)
-        if backend == "numpy" and have_accelerator():
+        if have_accelerator():
             shape = (
                 (prepared.nrows,)
                 if operand.ndim == 1
@@ -1032,9 +927,9 @@ class WorkloadEngine:
             for i0, i1, panel in iter_row_blocks(prepared, step):
                 y[i0:i1] = matvec(panel, operand)
         elif operand.ndim == 2:
-            y = streaming_spmm(prepared, operand, backend=backend, block_rows=step)
+            y = streaming_spmm(prepared, operand, block_rows=step)
         else:
-            y = streaming_spmv(prepared, operand, backend=backend, block_rows=step)
+            y = streaming_spmv(prepared, operand, block_rows=step)
         self.streaming["requests"] += 1
         self.streaming["blocks"] += -(-prepared.nrows // step)
         self.streaming["seconds"] += time.perf_counter() - started
@@ -1046,9 +941,7 @@ class WorkloadEngine:
         A key with a warm chain (:attr:`_warm`) resolves stats, decision
         and serving container with that one lookup, counted as the three
         hits the separate lookups would count.  Otherwise each is one
-        cache lookup (a miss pays and memoises it).  The kernel backend
-        is resolved on every call, so backend masking applies at once.
-        ``overhead`` is the tuning + conversion cost this request paid
+        cache lookup (a miss pays and memoises it).  ``overhead`` is the tuning + conversion cost this request paid
         (zero on warm caches); ``cached`` whether the decision already
         existed.
         """
@@ -1058,10 +951,7 @@ class WorkloadEngine:
             counters.stats_hits += 1
             counters.decision_hits += 1
             counters.conversion_hits += 1
-            backend = self._serving_backend(warm.report, warm.prepared.format)
-            return _Chain(
-                fp, warm.stats, warm.prepared, backend, 0.0, True, warm.report
-            )
+            return _Chain(fp, warm.stats, warm.prepared, 0.0, True, warm.report)
         matrix = self._resolve(matrix, fp)
         cached = fp in self._reports
         before = self.seconds["tuning"] + self.seconds["conversion"]
@@ -1069,8 +959,7 @@ class WorkloadEngine:
         report = self._decide(matrix, fp, stats)
         prepared = self._prepared_for(matrix, fp, report, stats)
         overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
-        backend = self._serving_backend(report, prepared.format)
-        return _Chain(fp, stats, prepared, backend, overhead, cached, report)
+        return _Chain(fp, stats, prepared, overhead, cached, report)
 
     def has_chain(self, key: str) -> bool:
         """True when *key* has a warm chain: its next request resolves
@@ -1089,32 +978,26 @@ class WorkloadEngine:
         The modelled SpMV seconds are the single-SpMV price scaled by
         ``repetitions`` and by the SpMM traffic factor of the operand's
         column count.  The price is asked of the space once per
-        ``(key, serving container, backend)``; it is memoised with the
-        chain in :attr:`_warm`, which this also (re)fills.
+        ``(key, serving container)``; it is memoised with the chain in
+        :attr:`_warm`, which this also (re)fills.
         """
         fp = chain.fp
         warm = self._warm.get(fp)
-        if warm is None or warm.price[0] != chain.backend:
+        if warm is None:
             warm = _Warm(
                 chain.report,
                 chain.prepared,
                 chain.stats,
-                (
-                    chain.backend,
-                    self.space.time_spmv(
-                        chain.stats,
-                        chain.prepared.format,
-                        matrix_key=fp,
-                        kernel_backend=chain.backend,
-                    ),
+                self.space.time_spmv(
+                    chain.stats, chain.prepared.format, matrix_key=fp
                 ),
             )
             self._warm[fp] = warm
         n_vectors = operand.shape[1] if operand.ndim == 2 else 1
-        seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price[1]
+        seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price
         self.seconds["spmv"] += seconds
         self.requests_served += 1
-        self._account_backend(chain.backend, seconds)
+        self._account_backend(seconds)
         return EngineResult(
             y=y,
             seconds=seconds,
@@ -1123,7 +1006,6 @@ class WorkloadEngine:
             fingerprint=fp,
             from_cache=chain.cached,
             epoch=self.epoch_of(fp),
-            backend=chain.backend,
         )
 
     def execute(
@@ -1150,7 +1032,7 @@ class WorkloadEngine:
         chain = self._chain(matrix, self.fingerprint(matrix, key=key))
         operand = np.ascontiguousarray(x, dtype=np.float64)
         check_operand(operand, chain.prepared.ncols)
-        y = self._run_kernel(chain.prepared, operand, chain.backend)
+        y = self._run_kernel(chain.prepared, operand)
         return self._served(chain, y, operand, repetitions)
 
     # ------------------------------------------------------------------
@@ -1168,11 +1050,9 @@ class WorkloadEngine:
           (:meth:`CacheCounters.as_dict`);
         * ``hits`` / ``misses`` / ``hit_rate`` — the cross-cache totals;
         * ``seconds`` — modelled time by category
-          (tuning / conversion / spmv / warmup, the last being real
-          wall time spent on compiled-kernel first-touch);
-        * ``backends`` — per-kernel-backend request counts and modelled
-          SpMV seconds, plus ``warmups`` (first-touch compilations this
-          engine triggered);
+          (tuning / conversion / spmv);
+        * ``backends`` — request counts and modelled SpMV seconds by
+          kernel tier;
         * ``invalidations`` — epoch bookkeeping for mutable matrices
           (epoch advances, carried-forward decisions, forced re-tunes;
           :meth:`InvalidationCounters.as_dict`) plus the number of live
@@ -1190,7 +1070,6 @@ class WorkloadEngine:
             "hit_rate": self.counters.hit_rate,
             "seconds": dict(self.seconds),
             "backends": {kb: dict(v) for kb, v in self.backend_seconds.items()},
-            "warmups": self.warmups,
             "streaming": dict(self.streaming),
             "invalidations": self.invalidations.as_dict(),
             "streams": len(self._streams),
@@ -1203,9 +1082,7 @@ class WorkloadEngine:
             "tuning": 0.0,
             "conversion": 0.0,
             "spmv": 0.0,
-            "warmup": 0.0,
         }
         self.requests_served = 0
-        self.warmups = 0
         self.backend_seconds = {}
         self.streaming = {"requests": 0, "blocks": 0, "seconds": 0.0}

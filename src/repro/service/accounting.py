@@ -30,7 +30,6 @@ ENGINE_TOTAL_KEYS = (
     "counters",
     "invalidations",
     "backends",
-    "warmups",
     "streaming",
 )
 
@@ -43,12 +42,10 @@ def empty_engine_totals() -> Dict[str, object]:
             "tuning": 0.0,
             "conversion": 0.0,
             "spmv": 0.0,
-            "warmup": 0.0,
         },
         "counters": {},
         "invalidations": {},
         "backends": {},
-        "warmups": 0,
         "streaming": {"requests": 0, "blocks": 0, "seconds": 0.0},
     }
 
@@ -70,7 +67,6 @@ def fold_engine_stats(totals: Dict[str, object], stats: Dict[str, object]) -> No
         slot = backends.setdefault(kb, {"requests": 0, "seconds": 0.0})
         slot["requests"] += entry["requests"]
         slot["seconds"] += entry["seconds"]
-    totals["warmups"] += stats["warmups"]
     streaming = totals["streaming"]
     for name, value in stats.get("streaming", {}).items():
         streaming[name] = streaming.get(name, 0) + value

@@ -73,8 +73,7 @@ class EngineHost:
     """One engine cache plus the serve step every tier runs against it.
 
     Parameters mirror the serving knobs of
-    :class:`~repro.service.service.TuningService` (``kernel_backend``
-    is the only kernel knob); ``storage`` is an
+    :class:`~repro.service.service.TuningService`; ``storage`` is an
     optional :class:`~repro.storage.tier.StorageTier` (eviction demotes
     to it, a miss promotes from it) and ``obs`` the
     :class:`~repro.obs.Observability` that receives its tier events
@@ -89,7 +88,6 @@ class EngineHost:
         *,
         capacity: int,
         shards: int,
-        kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
         stream_threshold_bytes: Optional[int] = STREAM_THRESHOLD_BYTES,
@@ -98,7 +96,6 @@ class EngineHost:
         obs=None,
     ) -> None:
         self.space = space
-        self.kernel_backend = kernel_backend
         self.shadow_every = int(shadow_every)
         self.redecision = redecision
         self.stream_threshold_bytes = stream_threshold_bytes
@@ -131,7 +128,6 @@ class EngineHost:
             self.space,
             tuner=tuner,
             redecision=self.redecision,
-            kernel_backend=self.kernel_backend,
             stream_threshold_bytes=self.stream_threshold_bytes,
             stream_block_bytes=self.stream_block_bytes,
         )
@@ -303,7 +299,7 @@ class EngineHost:
         Runs under the fingerprint's shard lock, so a promote can never
         race a demotion of the same key.  Restores the serving container
         (as read-only mmap views), the compiled operator that served it
-        (when one was persisted), the decided format + backend, and the
+        (when one was persisted), the decided format, and the
         persisted matrix statistics; returns the wall seconds spent (0.0
         on a tier miss).
         """
@@ -319,7 +315,6 @@ class EngineHost:
         engine.adopt_prepared(
             fp,
             promoted,
-            backend=meta.get("backend"),
             stats=(
                 MatrixStats.from_dict(stats_dict)
                 if isinstance(stats_dict, dict)

@@ -74,6 +74,7 @@ from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
+from repro.kernels import BACKEND
 from repro.obs import Observability
 from repro.obs.views import build_service_stats
 from repro.runtime.batch import validate_operand
@@ -106,8 +107,8 @@ class ServiceResult:
     produced this result), ``latency_seconds`` (wall-clock time from
     submission to completion) and ``model_version`` (which deployed
     model the serving batch ran under — the hot-swap audit trail).
-    ``backend`` is the kernel backend that actually ran the batch
-    (:mod:`repro.kernels`), after any fallback.
+    ``backend`` names the kernel tier that ran the batch
+    (:mod:`repro.kernels`).
     """
 
     y: np.ndarray
@@ -121,8 +122,8 @@ class ServiceResult:
     model_version: str = ""
     #: Matrix version that served this request (0 = never mutated).
     epoch: int = 0
-    #: Kernel backend that executed the serving kernel.
-    backend: str = "numpy"
+    #: Kernel tier that executed the serving kernel.
+    backend: str = BACKEND
     #: Observability trace ID minted at submit() — correlates this
     #: result with its span timeline and trace-replay events.
     trace_id: str = ""
@@ -235,14 +236,6 @@ class TuningService:
         Upper bound on how many queued requests one drain coalesces into
         a single batched kernel call; ``1`` disables coalescing (the
         "naive dispatch" baseline the benchmark compares against).
-    kernel_backend:
-        Kernel-backend policy handed to every engine the cache builds
-        (see :class:`~repro.runtime.engine.WorkloadEngine`): ``None``
-        (default) follows each matrix's tuner decision, an explicit
-        :mod:`repro.kernels` name pins every request, ``"auto"``
-        re-resolves the best available tier.  It is the only kernel
-        knob: every request reaches its kernel through the one dispatch
-        of :mod:`repro.runtime.batch`.
     shadow_every:
         Shadow-profiling cadence for the telemetry feed: every
         ``shadow_every``-th batch per matrix (starting with the first)
@@ -290,7 +283,6 @@ class TuningService:
         capacity: int = 64,
         shards: int = 8,
         max_batch: int = 32,
-        kernel_backend: Optional[str] = None,
         shadow_every: int = 0,
         redecision=None,
         observability: bool = True,
@@ -305,7 +297,6 @@ class TuningService:
             tier="inproc",
             workers=default_thread_workers() if workers is None else workers,
             max_batch=max_batch,
-            kernel_backend=kernel_backend,
             shadow_every=shadow_every,
             redecision=redecision,
             observability=observability,
@@ -325,7 +316,6 @@ class TuningService:
             self.model_info,
             capacity=capacity,
             shards=shards,
-            kernel_backend=kernel_backend,
             shadow_every=self.shadow_every,
             redecision=redecision,
             stream_threshold_bytes=stream_threshold_bytes,
@@ -346,7 +336,6 @@ class TuningService:
         tier: str,
         workers: int,
         max_batch: int,
-        kernel_backend: Optional[str],
         shadow_every: int,
         redecision,
         observability: bool,
@@ -369,8 +358,6 @@ class TuningService:
         self.tuner = tuner
         self.workers = int(workers)
         self.max_batch = int(max_batch)
-        #: Kernel-backend policy for the engines (None follows tuners).
-        self.kernel_backend = kernel_backend
         self.shadow_every = int(shadow_every)
         #: Optional :class:`~repro.runtime.epoch.RedecisionPolicy` every
         #: engine is built with (None = the engine default).

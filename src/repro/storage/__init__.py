@@ -18,9 +18,8 @@ of the memory hierarchy instead of a cliff:
   trips are bitwise-stable and the residency/traffic counters feed the
   ``repro.obs`` registry.
 * :mod:`repro.storage.stream` — row-block streaming SpMV/SpMM over
-  mmapped CSR arrays: cache-sized row panels driven through the same
-  ``(operation, format, backend)`` kernel registry as the in-RAM path,
-  producing bitwise-identical results for matrices larger than RAM.
+  mmapped CSR arrays: cache-sized row panels, producing results
+  bitwise-identical to the in-RAM path for matrices larger than RAM.
 """
 
 from repro.storage.persist import (

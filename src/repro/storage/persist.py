@@ -203,7 +203,8 @@ def save_container(
     The entry is built in a hidden temp sibling and renamed into place
     (same-filesystem rename is atomic), so concurrent readers observe
     either nothing or the complete entry.  If *directory* already
-    exists it is replaced.  *extra* is stored verbatim in the manifest
+    exists it is renamed aside first and removed once the new entry is
+    in place.  *extra* is stored verbatim in the manifest
     under ``"extra"`` — the tier uses it for decision metadata.
     *operator* is the ``(indptr, indices, data)`` of the CSR operator
     that served *matrix*; it is persisted beside the container so a
@@ -248,6 +249,7 @@ def save_container(
     parent = os.path.dirname(os.path.abspath(directory)) or "."
     os.makedirs(parent, exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=".tier-", dir=parent)
+    old = None
     try:
         with open(os.path.join(tmp, DATA_NAME), "wb") as fh:
             for name, arr in arrays.items():
@@ -257,11 +259,15 @@ def save_container(
         with open(os.path.join(tmp, MANIFEST_NAME), "w") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
         if os.path.isdir(directory):
-            shutil.rmtree(directory)
+            old = tempfile.mkdtemp(prefix=".tier-old-", dir=parent)
+            os.rename(directory, os.path.join(old, "entry"))
         os.rename(tmp, directory)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    finally:
+        if old is not None:
+            shutil.rmtree(old, ignore_errors=True)
     return manifest
 
 

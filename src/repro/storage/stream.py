@@ -2,27 +2,23 @@
 
 A matrix larger than RAM cannot be handed to a kernel whole — but CSR
 is row-separable, so the iterator here partitions ``row_ptr`` into
-cache-sized row panels and drives each panel through the same
-``(operation, format, backend)`` kernel registry the in-RAM path uses.
-Panels slice the (typically mmap-backed) ``col_idx`` / ``data`` arrays
-without copying, so resident memory is bounded by one panel regardless
-of matrix size; the OS pages panel data in as the kernel touches it and
-drops it under pressure.
+cache-sized row panels.  Panels slice the (typically mmap-backed)
+``col_idx`` / ``data`` arrays without copying, so resident memory is
+bounded by one panel regardless of matrix size; the OS pages panel data
+in as the kernel touches it and drops it under pressure.
 
-Bitwise identity with the in-RAM path is a hard contract:
+Bitwise identity with the in-RAM NumPy reference kernel is a hard
+contract.  That kernel is a *global* prefix sum
+(``y[i] = prefix[row_ptr[i+1]] - prefix[row_ptr[i]]``), whose float
+values depend on everything summed before row ``i``.  The streaming
+path replays that arithmetic exactly by seeding each panel's
+``np.add.accumulate`` with the previous panel's final prefix value —
+sequential accumulation from an identical seed is bit-for-bit the tail
+of the full accumulation.  (The engine's scipy path streams through
+:func:`iter_row_blocks` itself: scipy's CSR kernel is row-local, so its
+per-panel calls reproduce the whole-matrix call.)
 
-* the ``native`` CSR kernel accumulates strictly row-locally, so
-  per-panel dispatch reproduces it exactly;
-* the ``numpy`` reference kernel is a *global* prefix sum
-  (``y[i] = prefix[row_ptr[i+1]] - prefix[row_ptr[i]]``), whose float
-  values depend on everything summed before row ``i``.  The streaming
-  path replays that arithmetic exactly by seeding each panel's
-  ``np.add.accumulate`` with the previous panel's final prefix value —
-  sequential accumulation from an identical seed is bit-for-bit the
-  tail of the full accumulation.
-
-``tests/storage/`` locks both properties against every available
-backend.
+``tests/storage/`` locks the property down.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import numpy as np
 
 from repro.errors import FormatError, ShapeError
 from repro.formats.csr import CSRMatrix
-from repro.runtime.registry import REGISTRY
 from repro.utils.validation import check_vector_length
 
 __all__ = [
@@ -165,12 +160,10 @@ def _stream(
     csr: CSRMatrix,
     operand: np.ndarray,
     *,
-    operation: str,
-    backend: str,
     block_rows: Optional[int],
     block_bytes: Optional[int],
     out: Optional[np.ndarray],
-) -> Tuple[np.ndarray, str, int]:
+) -> np.ndarray:
     step = (
         int(block_rows)
         if block_rows
@@ -189,27 +182,22 @@ def _stream(
         raise ShapeError(
             f"streaming output has shape {out.shape}, expected {shape}"
         )
-    kernel, actual = REGISTRY.resolve(operation, "CSR", backend)
     if csr.nnz == 0:
         out[...] = 0.0
-        return out, actual, step
-    if actual == "numpy":
-        return _numpy_stream(csr, operand, out, step), actual, step
-    for i0, i1, panel in iter_row_blocks(csr, step):
-        out[i0:i1] = kernel(panel, operand)
-    return out, actual, step
+        return out
+    return _numpy_stream(csr, operand, out, step)
 
 
 def streaming_spmv(
     csr: CSRMatrix,
     x: np.ndarray,
     *,
-    backend: str = "numpy",
     block_rows: Optional[int] = None,
     block_bytes: Optional[int] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """``y = A @ x`` over row panels, bitwise-identical to the in-RAM path.
+    """``y = A @ x`` over row panels, bitwise-identical to the NumPy
+    reference kernel on the whole matrix.
 
     Resident memory is bounded by one panel plus the dense operand and
     result; *csr*'s arrays may be mmap views far larger than RAM.
@@ -218,23 +206,15 @@ def streaming_spmv(
     if vec.ndim != 1:
         raise ShapeError(f"SpMV operand must be 1-D, got ndim={vec.ndim}")
     check_vector_length(vec, csr.ncols, name="x")
-    result, _, _ = _stream(
-        csr,
-        vec,
-        operation="spmv",
-        backend=backend,
-        block_rows=block_rows,
-        block_bytes=block_bytes,
-        out=out,
+    return _stream(
+        csr, vec, block_rows=block_rows, block_bytes=block_bytes, out=out
     )
-    return result
 
 
 def streaming_spmm(
     csr: CSRMatrix,
     X: np.ndarray,
     *,
-    backend: str = "numpy",
     block_rows: Optional[int] = None,
     block_bytes: Optional[int] = None,
     out: Optional[np.ndarray] = None,
@@ -244,13 +224,6 @@ def streaming_spmm(
     if block.ndim != 2:
         raise ShapeError(f"SpMM operand must be 2-D, got ndim={block.ndim}")
     check_vector_length(block, csr.ncols, name="X")
-    result, _, _ = _stream(
-        csr,
-        block,
-        operation="spmm",
-        backend=backend,
-        block_rows=block_rows,
-        block_bytes=block_bytes,
-        out=out,
+    return _stream(
+        csr, block, block_rows=block_rows, block_bytes=block_bytes, out=out
     )
-    return result

@@ -22,21 +22,30 @@ short faults), the validating constructors and the operator's CSR
 check.  A held map is used only while the index holds the entry it was
 made for; every path that pops or replaces an index entry drops it.
 
-Entries are keyed by the serving-cache key (the matrix fingerprint) and
-live one-per-directory under ``<root>/entries/<blake2b(key)>/``; the
-manifest records the original key, the epoch, and the decision metadata
-(chosen format/backend) so promotion restores both the container and
-the tuner decision it was serving under.  Writes are atomic
-(temp-dir + rename), the in-memory index is rebuilt from disk on
-construction (the tier survives restarts) and keeps every entry's
-parsed manifest, so a promote reads no JSON; every mutation/lookup is
-guarded by one lock — demote/promote latency is file IO, not lock
-contention, so a finer sharding is not worth its complexity here.
+Entries are keyed by the serving-cache key (the matrix fingerprint).
+Each demote writes a directory of its own,
+``<root>/entries/<blake2b(key)>.<generation>/``, and never rewrites
+one: the generation counts the tier's demotes.  The manifest records
+the original key, the epoch, and the decision metadata (chosen format,
+matrix statistics) so promotion restores both the container and the
+tuner decision it was serving under.  Writes are atomic (temp-dir +
+rename), the in-memory index is rebuilt from disk on construction (the
+tier survives restarts) and keeps every entry's parsed manifest, so a
+promote reads no JSON; every mutation/lookup is guarded by one lock —
+demote/promote latency is file IO, not lock contention, so a finer
+sharding is not worth its complexity here.
+
+A demote swaps its complete directory into the index, and removes the
+one it supersedes, under the lock.  A promote whose read fails removes
+the directory of the entry it read only while the index still holds
+that entry.  So a promote racing a demote of the same key can delete
+neither the demoter's directory nor its files.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import shutil
 import threading
@@ -74,6 +83,13 @@ def _key_dir(key: str) -> str:
     """Filesystem-safe directory name for a cache key (keys may hold
     ``/`` — branched stable ids like ``mx0001/b2``)."""
     return hashlib.blake2b(key.encode(), digest_size=16).hexdigest()
+
+
+def _generation(name: str) -> int:
+    """The demote generation of an entry directory's *name* (0 for the
+    ``<blake2b(key)>`` directories of tiers that rewrote one per key)."""
+    _, _, suffix = name.partition(".")
+    return int(suffix) if suffix.isdigit() else 0
 
 
 @dataclass(frozen=True)
@@ -152,16 +168,26 @@ class StorageTier:
         self.demote_seconds = 0.0
         self.promote_seconds = 0.0
         self.bytes_written = 0
-        self._rebuild_index()
+        self._generations = itertools.count(self._rebuild_index() + 1)
 
     # ------------------------------------------------------------------
     # index maintenance
     # ------------------------------------------------------------------
-    def _rebuild_index(self) -> None:
-        for name in sorted(os.listdir(self._entries_root)):
+    def _rebuild_index(self) -> int:
+        """Index the entries on disk; returns the highest generation.
+
+        Of two complete directories for one key (a process that died
+        between a demote's swap and its removal of the superseded
+        directory), the later generation is indexed and the other
+        removed.
+        """
+        latest = 0
+        names = os.listdir(self._entries_root)
+        for name in sorted(names, key=lambda n: (_generation(n), n)):
             path = os.path.join(self._entries_root, name)
             if name.startswith(".") or not os.path.isdir(path):
                 continue
+            latest = max(latest, _generation(name))
             if not os.path.exists(os.path.join(path, MANIFEST_NAME)):
                 continue  # torn entry from a crashed writer: unreachable
             try:
@@ -170,7 +196,11 @@ class StorageTier:
                 # unreadable or older-layout entry: leave it for inspection
                 continue
             if entry.key:
+                superseded = self._index.get(entry.key)
+                if superseded is not None:
+                    shutil.rmtree(superseded.path, ignore_errors=True)
                 self._index[entry.key] = entry
+        return latest
 
     @staticmethod
     def _entry(path: str, manifest: dict) -> TierEntry:
@@ -210,7 +240,9 @@ class StorageTier:
         Returns the resident entry.
         """
         start = time.perf_counter()
-        path = os.path.join(self._entries_root, _key_dir(key))
+        with self._lock:
+            generation = next(self._generations)
+        path = os.path.join(self._entries_root, f"{_key_dir(key)}.{generation}")
         stored_extra = dict(extra or {})
         stored_extra["tier_key"] = key
         stored_extra["tier_stored_at"] = time.time()
@@ -219,8 +251,10 @@ class StorageTier:
         )
         entry = self._entry(path, manifest)
         with self._lock:
-            self._held.pop(key, None)  # maps the superseded file
+            superseded = self._forget_locked(key)
             self._index[key] = entry
+            if superseded is not None:
+                shutil.rmtree(superseded.path, ignore_errors=True)
             self.demotions += 1
             self.bytes_written += entry.nbytes
             self.demote_seconds += time.perf_counter() - start
@@ -298,11 +332,14 @@ class StorageTier:
             )
         except (OSError, ValidationError, ValueError):
             # torn or vanished entry: drop it and report a miss rather
-            # than failing the request — the engine just re-converts
+            # than failing the request — the engine just re-converts.  A
+            # demote may have replaced the entry since it was read; its
+            # successor is left alone.
             with self._lock:
-                self._forget_locked(key)
+                if self._index.get(key) is entry:
+                    self._forget_locked(key)
+                    shutil.rmtree(entry.path, ignore_errors=True)
                 self.promote_misses += 1
-            shutil.rmtree(entry.path, ignore_errors=True)
             return None
         with self._lock:
             if fresh and self.mmap and self._index.get(key) is entry:

@@ -1,11 +1,12 @@
-"""Bitwise equivalence: every compiled kernel against the NumPy reference.
+"""Bitwise equivalence: the served kernels against the NumPy reference.
 
-Every registered ``(operation, format)`` kernel runs under every backend
-available on this host and must produce output *bitwise identical*
-(``np.array_equal``, not allclose) to the numpy tier.  All fixtures
-carry integer-valued float64 data, so sums are exact (well below
-``2**53``) and accumulation order cannot leak into the result — any
-mismatch is a real kernel bug, not rounding.
+For every ``(operation, format)`` pair, the path the batch dispatch
+serves (:func:`repro.runtime.batch.dispatch`: scipy's own DIA and COO
+kernels, the compiled CSR image otherwise) must produce output *bitwise
+identical* (``np.array_equal``, not allclose) to the registry's NumPy
+reference kernel.  All fixtures carry integer-valued float64 data, so
+sums are exact (well below ``2**53``) and accumulation order cannot leak
+into the result — any mismatch is a real kernel bug, not rounding.
 
 The adversarial fixtures cover the shapes that break naive traversals:
 empty rows and columns, a single row, a single column, duplicate COO
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.formats import COOMatrix, convert
-from repro.kernels import available_backends
+from repro.runtime.batch import dispatch
 from repro.runtime.registry import REGISTRY
 
 from tests.conftest import ALL_FORMATS
@@ -69,9 +70,6 @@ SCENARIOS = [
     "magnitude_edges",
 ]
 
-COMPILED = tuple(kb for kb in available_backends() if kb != "numpy")
-
-
 def _operand(op: str, ncols: int) -> np.ndarray:
     rng = np.random.default_rng(7)
     if op == "spmm":
@@ -83,24 +81,18 @@ def _operand(op: str, ncols: int) -> np.ndarray:
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
 @pytest.mark.parametrize("op", sorted(REGISTRY.operations()))
 def test_backends_bitwise_match_numpy(op, fmt, scenario):
-    if not REGISTRY.has(op, fmt, "numpy"):
-        pytest.skip(f"no numpy kernel for ({op}, {fmt})")
     m = convert(_matrix(scenario), fmt)
     operand = _operand(op, m.ncols)
-    reference = REGISTRY.get(op, fmt, "numpy")(m, operand)
+    reference = REGISTRY.get(op, fmt)(m, operand)
     # the reference itself must agree with the dense ground truth
     dense = m.to_coo().to_dense() if hasattr(m, "to_coo") else m.to_dense()
     np.testing.assert_array_equal(reference, dense @ operand)
-    for kb in COMPILED:
-        if not REGISTRY.has(op, fmt, kb):
-            continue
-        REGISTRY.warmup(op, fmt, kb)
-        result = REGISTRY.get(op, fmt, kb)(m, operand)
-        assert result.dtype == reference.dtype
-        assert np.array_equal(result, reference), (
-            f"{kb} {op} on {fmt} ({scenario}) diverges from the numpy "
-            f"reference on integer-valued data"
-        )
+    result = dispatch(m, operand)
+    assert result.dtype == reference.dtype
+    assert np.array_equal(result, reference), (
+        f"served {op} on {fmt} ({scenario}) diverges from the numpy "
+        f"reference on integer-valued data"
+    )
 
 
 @pytest.mark.parametrize("op", sorted(REGISTRY.operations()))
@@ -120,29 +112,24 @@ def test_duplicate_coo_triplets_accumulate_identically(op):
     dense = np.zeros((4, 4))
     np.add.at(dense, (row, col), data)
 
-    reference = REGISTRY.get(op, "COO", "numpy")(m, operand)
+    reference = REGISTRY.get(op, "COO")(m, operand)
     np.testing.assert_array_equal(reference, dense @ operand)
-    for kb in COMPILED:
-        if not REGISTRY.has(op, "COO", kb):
-            continue
-        REGISTRY.warmup(op, "COO", kb)
-        result = REGISTRY.get(op, "COO", kb)(m, operand)
-        assert np.array_equal(result, reference), (
-            f"{kb} {op} on duplicated COO triplets diverges from numpy"
-        )
+    assert np.array_equal(dispatch(m, operand), reference), (
+        f"served {op} on duplicated COO triplets diverges from numpy"
+    )
 
 
 @pytest.mark.parametrize("fmt", ALL_FORMATS)
 def test_spmm_single_column_block_matches_spmv(fmt):
-    """A ``(n, 1)`` spmm block must agree elementwise with spmv."""
+    """A ``(n, 1)`` spmm block must agree elementwise with spmv, on the
+    reference kernels and on the served path."""
     m = convert(_matrix("generic_banded"), fmt)
     x = _operand("spmv", m.ncols)
-    for kb in available_backends():
-        if not (REGISTRY.has("spmm", fmt, kb) and REGISTRY.has("spmv", fmt, kb)):
-            continue
-        REGISTRY.warmup("spmm", fmt, kb)
-        REGISTRY.warmup("spmv", fmt, kb)
-        y = REGISTRY.get("spmv", fmt, kb)(m, x)
-        Y = REGISTRY.get("spmm", fmt, kb)(m, x.reshape(-1, 1))
+    for spmv, spmm in (
+        (REGISTRY.get("spmv", fmt), REGISTRY.get("spmm", fmt)),
+        (dispatch, dispatch),
+    ):
+        y = spmv(m, x)
+        Y = spmm(m, x.reshape(-1, 1))
         assert Y.shape == (m.nrows, 1)
         assert np.array_equal(Y[:, 0], y)

@@ -16,7 +16,6 @@ from repro.core import RunFirstTuner
 from repro.core.tuners.base import Tuner, TuningReport
 from repro.formats import COOMatrix, DynamicMatrix, MatrixDelta, convert
 from repro.formats.base import FORMAT_IDS
-from repro.kernels import available_backends
 from repro.machine import CostModel
 from repro.machine.cost_model import spmm_time_factor
 from repro.runtime import engine as engine_module
@@ -352,15 +351,12 @@ class _SettableTuner(Tuner):
         self.format_name = format_name
 
     def tune(self, matrix, space, *, stats=None, matrix_key=""):
-        return TuningReport(
-            format_id=FORMAT_IDS[self.format_name],
-            backend=space.kernel_backend,
-        )
+        return TuningReport(format_id=FORMAT_IDS[self.format_name])
 
 
 class TestPriceMemo:
-    """The single-SpMV price is memoised per key, format and backend;
-    every request must still read exactly a fresh ``time_spmv``."""
+    """The single-SpMV price is memoised per key and format; every
+    request must still read exactly a fresh ``time_spmv``."""
 
     @pytest.fixture
     def noisy_space(self):
@@ -386,7 +382,6 @@ class TestPriceMemo:
             engine.stats_for(matrix, key=key),
             result.format,
             matrix_key=key,
-            kernel_backend=result.backend,
         )
         expected = repetitions * spmm_time_factor(n_vectors) * fresh
         assert result.seconds == expected
@@ -428,15 +423,6 @@ class TestPriceMemo:
         engine.set_tuner(_SettableTuner("DIA"), version="v2")
         assert self._serve(engine, banded, x).format == "DIA"
         self._serve(engine, banded, x)
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_pinned_kernel_backend(self, noisy_space, banded, rng, backend):
-        engine = WorkloadEngine(
-            noisy_space, _SettableTuner("CSR"), kernel_backend=backend
-        )
-        x = rng.standard_normal(banded.ncols)
-        for _ in range(2):
-            assert self._serve(engine, banded, x).backend == backend
 
     def test_repetitions_and_blocks(self, noisy_space, banded, rng):
         engine = WorkloadEngine(noisy_space, _SettableTuner("HYB"))

@@ -3,9 +3,9 @@
 A drained batch is either a stacked run of plain single-vector requests
 or one lone request (a block operand, a repeated request or an update),
 on both tiers, and the serve step hands its one operand to
-``engine.execute``.  These tests pin that: on every available kernel
-backend, for every serving format, in process and on a one-worker
-distributed tier, a lone request matches bit for bit
+``engine.execute``.  These tests pin that: for every serving format, in
+process and on a one-worker distributed tier, a lone request matches
+bit for bit
 
 * ``engine.execute`` on the same operand as an ``(ncols, 1)`` block, and
 * the same operand served inside a coalesced batch,
@@ -25,7 +25,6 @@ from repro.backends import make_space
 from repro.core.tuners.base import Tuner, TuningReport
 from repro.distributed import DistributedService
 from repro.formats import FORMAT_IDS, COOMatrix
-from repro.kernels import available_backends
 from repro.machine import CostModel
 from repro.runtime.engine import WorkloadEngine
 from repro.service import TuningService
@@ -42,7 +41,6 @@ class _KeyedFormatTuner(Tuner):
         return TuningReport(
             format_id=FORMAT_IDS[matrix_key.rsplit("-", 1)[1]],
             t_prediction=1e-6,
-            backend=space.kernel_backend,
         )
 
 
@@ -64,17 +62,11 @@ def _deferred(base):
     return Deferred
 
 
-def _build(tier, space, backend):
+def _build(tier, space):
     if tier == "inproc":
-        return _deferred(TuningService)(
-            space, _KeyedFormatTuner(), workers=1, kernel_backend=backend
-        )
+        return _deferred(TuningService)(space, _KeyedFormatTuner(), workers=1)
     return _deferred(DistributedService)(
-        space,
-        _KeyedFormatTuner(),
-        workers=1,
-        kernel_backend=backend,
-        heartbeat_interval=0.05,
+        space, _KeyedFormatTuner(), workers=1, heartbeat_interval=0.05
     )
 
 
@@ -105,19 +97,14 @@ def matrix(dense_medium):
     return COOMatrix.from_dense(dense_medium)
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("tier", ["inproc", "distributed"])
-def test_lone_request_matches_block_queue_and_batch(
-    tier, backend, space, matrix
-):
+def test_lone_request_matches_block_queue_and_batch(tier, space, matrix):
     gen = np.random.default_rng(11)
     references = []
-    with _build(tier, space, backend) as service:
+    with _build(tier, space) as service:
         for fmt in ALL_FORMATS:
             key = f"lone-{fmt}"
-            block_ref = WorkloadEngine(
-                space, _KeyedFormatTuner(), kernel_backend=backend
-            )
+            block_ref = WorkloadEngine(space, _KeyedFormatTuner())
             references.append(block_ref)
             xs = [gen.standard_normal(matrix.ncols) for _ in range(3)]
             lone_ys = []
@@ -158,7 +145,7 @@ def test_lone_repeated_and_block_requests_keep_their_accounting(
     x = gen.standard_normal(matrix.ncols)
     X = gen.standard_normal((matrix.ncols, 4))
     reference = WorkloadEngine(space, _KeyedFormatTuner())
-    with _build(tier, space, None) as service:
+    with _build(tier, space) as service:
         (repeated,) = _serve(service, matrix, [x], "rep-CSR", repetitions=10)
         (block,) = _serve(service, matrix, [X], "rep-CSR")
         served = service.stats()["engines"]
@@ -184,7 +171,7 @@ def test_mixed_queue_drains_by_one_rule(tier, space, matrix):
     requests = [(xs[0], 1), (xs[1], 1), (X, 1), (xs[2], 1), (xs[3], 3)]
     key = "mixed-CSR"
     reference = WorkloadEngine(space, _KeyedFormatTuner())
-    with _build(tier, space, None) as service:
+    with _build(tier, space) as service:
         futures = [
             service.submit(matrix, x, key=key, repetitions=reps)
             for x, reps in requests

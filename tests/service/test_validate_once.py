@@ -18,7 +18,6 @@ import pytest
 from repro.backends import make_space
 from repro.errors import ShapeError, ValidationError
 from repro.formats import COOMatrix
-from repro.kernels import available_backends
 from repro.runtime import batch
 from repro.runtime.engine import WorkloadEngine
 from repro.service import TuningService
@@ -67,10 +66,9 @@ def _tridiagonal(n):
     return COOMatrix.from_dense(dense)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_engine_checks_against_served_container(backend):
+def test_engine_checks_against_served_container():
     wide, narrow = _tridiagonal(40), _tridiagonal(30)
-    engine = WorkloadEngine(make_space("cirrus", "serial"), kernel_backend=backend)
+    engine = WorkloadEngine(make_space("cirrus", "serial"))
     engine.execute(wide, np.ones(40), key="m")
     assert engine.has_chain("m")
     # the warm key serves its cached 40-column container, whatever
@@ -82,12 +80,9 @@ def test_engine_checks_against_served_container(backend):
     assert engine.requests_served == 1
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_warm_spmv_checks_against_served_container(backend):
+def test_warm_spmv_checks_against_served_container():
     wide, narrow = _tridiagonal(40), _tridiagonal(30)
-    with TuningService(
-        make_space("cirrus", "serial"), kernel_backend=backend
-    ) as service:
+    with TuningService(make_space("cirrus", "serial")) as service:
         session = service.session("s")
         session.spmv(wide, np.ones(40), key="m")
         with service._host.engines.lease("m") as engine:

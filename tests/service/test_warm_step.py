@@ -7,14 +7,14 @@ These tests pin two properties of that shortcut:
 
 * **no stale chain** — after every point that invalidates the memo (a
   carried-forward and a re-deciding update, a model promotion, a tier
-  promote, an eviction, a container adopted over a warm key, and
-  backend masking after a native-served call) the next blocking call
+  promote, an eviction, and a container adopted over a warm key) the
+  next blocking call
   returns ``y``, ``seconds``, ``epoch``, ``format`` and ``backend``
   exactly as a fresh engine brought to the same state does;
 * **same books as the queue** — N blocking calls and the same N
   requests through asynchronous ``submit`` produce identical results
   (but for latency and trace id), ``stats()`` counters, engine totals,
-  per-backend attribution, engine-cache hits and span key sets; and
+  per-tier attribution, engine-cache hits and span key sets; and
   under an eight-thread stress mixing blocking SpMVs with updates every
   thread sees non-decreasing epochs with exact answers.
 """
@@ -31,7 +31,6 @@ from repro.backends import make_space
 from repro.core.tuners.base import Tuner, TuningReport
 from repro.formats import FORMAT_IDS, COOMatrix, MatrixDelta
 from repro.formats.convert import convert
-from repro.kernels import available_backends, only_backends
 from repro.runtime.engine import WorkloadEngine
 from repro.runtime.epoch import RedecisionPolicy
 from repro.service import TuningService
@@ -62,7 +61,6 @@ class _SettableTuner(Tuner):
         return TuningReport(
             format_id=FORMAT_IDS[self.format_name],
             t_prediction=1e-6,
-            backend=space.kernel_backend,
         )
 
 
@@ -185,26 +183,6 @@ class TestNoStaleChain:
         assert want.format == "ELL"
         _same(got, want)
 
-    @pytest.mark.skipif(
-        "native" not in available_backends(), reason="native backend absent"
-    )
-    def test_backend_masked_after_native_call(self, space, banded, rng):
-        x = rng.standard_normal(banded.ncols)
-        with TuningService(
-            space, _SettableTuner("CSR"), kernel_backend="native"
-        ) as service:
-            _warm(service, banded, x, "m")
-            assert service.spmv(banded, x, key="m").backend == "native"
-            with only_backends("numpy"):
-                got = service.spmv(banded, x, key="m")
-        reference = WorkloadEngine(
-            space, _SettableTuner("CSR"), kernel_backend="native"
-        )
-        with only_backends("numpy"):
-            want = reference.execute(banded, x, key="m")
-        assert want.backend == "numpy"
-        _same(got, want)
-
 
 def _queued(service):
     """Serve like ``spmv`` through asynchronous ``submit``."""
@@ -246,14 +224,13 @@ def _books(service):
     return counters, spans
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize(
     "shape,repetitions",
     [("vector", 1), ("block", 1), ("vector", 3)],
     ids=["1d", "ncols_k", "repetitions"],
 )
 def test_warm_and_queued_paths_keep_the_same_books(
-    space, banded, backend, shape, repetitions
+    space, banded, shape, repetitions
 ):
     gen = np.random.default_rng(5)
     n_requests = 6
@@ -264,15 +241,9 @@ def test_warm_and_queued_paths_keep_the_same_books(
         for _ in range(n_requests)
     ]
     keys = ["a", "b", "a", "a", "b", "a"]
-    # compiled kernels charge their first touch in this process as wall
-    # time: pay it before either side is measured
-    with TuningService(space, _SettableTuner("HYB"), kernel_backend=backend) as s:
-        s.spmv(banded, operands[0])
     outcomes = []
     for queued in (False, True):
-        with TuningService(
-            space, _SettableTuner("HYB"), workers=1, kernel_backend=backend
-        ) as service:
+        with TuningService(space, _SettableTuner("HYB"), workers=1) as service:
             serve = _queued(service) if queued else service.spmv
             results = [
                 serve(banded, x, key=key, repetitions=repetitions)

@@ -1,14 +1,13 @@
 """Row-block streaming SpMV/SpMM: bitwise identity with the in-RAM path.
 
-The streaming contract is not "close": every backend must reproduce the
-exact bits the full-matrix kernel produces, for every panel size.  The
-``numpy`` reference kernel is the hard case — a *global* prefix sum —
-replayed by carry-seeding each panel's accumulation; ``native``
-accumulates row-locally, so per-panel dispatch is exact by construction.  The engine-level tests additionally pin the dispatch
-rule: an engine streams only mmap-backed CSR containers at or above its
-threshold, and its streamed results match a plain engine bitwise in
-every configuration (scipy present or masked, vector and stacked
-operands, pinned backends).
+The streaming contract is not "close": streaming must reproduce the
+exact bits the full-matrix reference kernel produces, for every panel
+size.  That kernel is a *global* prefix sum, replayed by carry-seeding
+each panel's accumulation.  The engine-level tests additionally pin the
+dispatch rule: an engine streams only mmap-backed CSR containers at or
+above its threshold, and its streamed results match a plain engine
+bitwise in every configuration (scipy present or masked, vector and
+stacked operands).
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.backends import make_space
 from repro.errors import FormatError, ShapeError
 from repro.formats import convert
 from repro.formats.coo import COOMatrix
-from repro.kernels import available_backends
 from repro.runtime.engine import WorkloadEngine
 from repro.runtime.registry import REGISTRY
 from repro.storage.persist import load_container, save_container
@@ -31,13 +29,6 @@ from repro.storage.stream import (
     streaming_spmm,
     streaming_spmv,
 )
-
-
-def _streaming_backends():
-    usable = set(available_backends())
-    return sorted(
-        set(REGISTRY.backends("spmv", "CSR")) & usable
-    )
 
 
 @pytest.fixture(scope="module")
@@ -58,25 +49,19 @@ def X(csr):
     return np.random.default_rng(6).standard_normal((csr.ncols, 4))
 
 
-@pytest.mark.parametrize("backend", _streaming_backends())
 @pytest.mark.parametrize("block_rows", [1, 3, 7, 16, 1000, None])
-def test_spmv_bitwise_per_backend(csr, x, backend, block_rows):
-    kernel, actual = REGISTRY.resolve("spmv", "CSR", backend)
-    assert actual == backend
-    want = kernel(csr, x)
-    got = streaming_spmv(csr, x, backend=backend, block_rows=block_rows)
+def test_spmv_bitwise(csr, x, block_rows):
+    want = REGISTRY.get("spmv", "CSR")(csr, x)
+    got = streaming_spmv(csr, x, block_rows=block_rows)
     assert np.array_equal(got, want), (
-        f"{backend} streaming diverged at block_rows={block_rows}"
+        f"streaming diverged at block_rows={block_rows}"
     )
 
 
-@pytest.mark.parametrize("backend", _streaming_backends())
 @pytest.mark.parametrize("block_rows", [1, 5, 13, None])
-def test_spmm_bitwise_per_backend(csr, X, backend, block_rows):
-    kernel, actual = REGISTRY.resolve("spmm", "CSR", backend)
-    assert actual == backend
-    want = kernel(csr, X)
-    got = streaming_spmm(csr, X, backend=backend, block_rows=block_rows)
+def test_spmm_bitwise(csr, X, block_rows):
+    want = REGISTRY.get("spmm", "CSR")(csr, X)
+    got = streaming_spmm(csr, X, block_rows=block_rows)
     assert np.array_equal(got, want)
 
 
@@ -140,8 +125,8 @@ def test_engine_streams_bitwise(
     tmp_path, monkeypatch, csr, x, X, scipy, stacked
 ):
     if not scipy:
-        # the only platform where the engine's numpy tier streams
-        # through the registry kernels instead of compiled operators
+        # the only platform where the engine streams through the
+        # reference kernels instead of compiled operators
         monkeypatch.setattr("repro.runtime.batch._scipy_sparse", None)
     space = make_space("cirrus", "serial")
     plain = WorkloadEngine(space)
@@ -158,23 +143,6 @@ def test_engine_streams_bitwise(
     assert streaming.streaming["requests"] == 1
     assert streaming.streaming["blocks"] > 1
     assert plain.streaming["requests"] == 0
-
-
-@pytest.mark.parametrize("backend", _streaming_backends())
-def test_engine_streams_bitwise_pinned_backend(tmp_path, csr, x, backend):
-    space = make_space("cirrus", "serial")
-    plain = WorkloadEngine(space, kernel_backend=backend)
-    streaming = WorkloadEngine(
-        space,
-        kernel_backend=backend,
-        stream_threshold_bytes=0,
-        stream_block_bytes=1 << 10,
-    )
-    mm = _mmap_csr(tmp_path, csr)
-    want = plain.execute(csr, x, key="k").y
-    got = streaming.execute(mm, x, key="k").y
-    assert np.array_equal(got, want)
-    assert streaming.streaming["requests"] == 1
 
 
 def test_engine_does_not_stream_ram_or_below_threshold(tmp_path, csr, x):

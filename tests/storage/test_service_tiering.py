@@ -476,7 +476,7 @@ _OUT_OF_CORE_SCRIPT = textwrap.dedent(
     csr = CSRMatrix(nrows, nrows, row_ptr, col_idx.reshape(-1), data)
     save_container(csr, sys.argv[1] + "/entry")
     x = rng.standard_normal(nrows)
-    want = streaming_spmv(csr, x, backend="numpy")
+    want = streaming_spmv(csr, x)
     del csr, col_idx, data, row_ptr
 
     budget = vmdata() + payload // 3
@@ -497,7 +497,7 @@ _OUT_OF_CORE_SCRIPT = textwrap.dedent(
 
     # ...but the mmap-promoted streaming path serves, bitwise.
     back = load_container(sys.argv[1] + "/entry", mmap=True)
-    got = streaming_spmv(back, x, backend="numpy", block_bytes=1 << 22)
+    got = streaming_spmv(back, x, block_bytes=1 << 22)
     print("IDENTICAL" if np.array_equal(got, want) else "MISMATCH")
     """
 )

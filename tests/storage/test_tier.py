@@ -11,6 +11,7 @@ promoted must keep serving through its live mmap views.
 from __future__ import annotations
 
 import json
+import os
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro.errors import ValidationError
 from repro.formats import DeltaOverlay, convert
 from repro.formats.coo import COOMatrix
 from repro.runtime.batch import BlockOperator
+from repro.storage import tier as tier_module
 from repro.storage.stream import mmap_backed
 from repro.storage.tier import StorageTier
 
@@ -148,8 +150,11 @@ def test_concurrent_demote_promote_race(tier):
     errors = []
 
     def demoter():
-        for _ in range(20):
-            tier.demote("hot", csr)
+        try:
+            for _ in range(20):
+                tier.demote("hot", csr)
+        except Exception as exc:  # a demote must not fail under the race
+            errors.append(f"demote raised {exc!r}")
 
     def promoter():
         for _ in range(20):
@@ -167,6 +172,40 @@ def test_concurrent_demote_promote_race(tier):
     for t in threads:
         t.join()
     assert not errors
+
+
+def test_torn_read_racing_a_demote_spares_the_new_entry(tier, monkeypatch):
+    """A promote whose read fails while a demote of the same key lands
+    removes nothing the demote wrote: the next promote serves it."""
+    first = convert(_matrix(20), "CSR")
+    second = convert(_matrix(21, shape=(31, 17)), "CSR")
+    tier.demote("k", first)
+    load_arrays = tier_module.load_arrays
+
+    def read_torn_by_a_demote(*args, **kwargs):
+        # the window: between the promote's index lookup and its read
+        monkeypatch.setattr(tier_module, "load_arrays", load_arrays)
+        tier.demote("k", second)
+        raise OSError("entry rewritten under the reader")
+
+    monkeypatch.setattr(tier_module, "load_arrays", read_torn_by_a_demote)
+    assert tier.promote("k") is None
+    back = tier.promote("k", verify=True)
+    assert back is not None
+    assert back.shape == second.shape
+    assert np.array_equal(back.to_coo().data, second.to_coo().data)
+    assert len(tier) == 1
+
+
+def test_each_demote_writes_its_own_directory(tmp_path):
+    root = tmp_path / "tier"
+    tier = StorageTier(str(root))
+    paths = [tier.demote("k", convert(_matrix(s), "CSR")).path for s in (1, 2)]
+    assert paths[0] != paths[1]
+    # the superseded directory went with the index swap
+    assert os.listdir(root / "entries") == [os.path.basename(paths[1])]
+    # a restart continues the generations instead of reusing one
+    assert StorageTier(str(root)).demote("j", _matrix(3)).path not in paths
 
 
 def test_stats_schema(tier):
