@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backends.base import ExecutionSpace
-from repro.core.features import extract_features_from_stats
 from repro.core.model_io import OracleModel, load_model, save_model
 from repro.datasets.collection import MatrixCollection, MatrixSpec
 from repro.errors import TuningError, ValidationError

@@ -32,7 +32,7 @@ have the run-to-run jitter character of real measurements (configurable,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 import numpy as np

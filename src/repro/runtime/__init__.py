@@ -8,8 +8,8 @@ system, bottom-up:
   containers delegate here, composite formats compose registered
   sub-kernels.
 * :mod:`~repro.runtime.batch` — the one SpMV/SpMM dispatch: scipy's own
-  DIA and COO kernels, else a cached compiled CSR operator (the NumPy
-  kernels without scipy); batched multi-vector ``Y = A @ X`` in one
+  CSR, DIA and COO kernels, the CSR one on a cached CSR image for the
+  other formats (the NumPy kernels without scipy); batched multi-vector ``Y = A @ X`` in one
   pass, and the solvers' hot loops route through
   :func:`~repro.runtime.batch.matvec`.
 * :mod:`~repro.runtime.engine` — the request-queue
@@ -31,13 +31,7 @@ from repro.runtime.registry import (
     dispatch,
     register_kernel,
 )
-from repro.runtime.batch import (
-    BlockOperator,
-    batched_spmv,
-    block_operator,
-    have_accelerator,
-    matvec,
-)
+from repro.runtime.batch import batched_spmv, have_accelerator, matvec
 from repro.runtime.engine import (
     CacheCounters,
     EngineResult,
@@ -58,9 +52,7 @@ __all__ = [
     "KernelRegistry",
     "dispatch",
     "register_kernel",
-    "BlockOperator",
     "batched_spmv",
-    "block_operator",
     "have_accelerator",
     "matvec",
     "CacheCounters",

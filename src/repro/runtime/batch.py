@@ -16,39 +16,42 @@ per-call cost the way a serving system would.  Two entry points:
 
 1. with scipy importable (it is an existing dependency — the
    containers' ``to_scipy`` uses it as a test oracle):
-   * DIA and COO run scipy's own compiled DIA and COO kernels directly
-     on the container's validated arrays; nothing is converted or
-     cached;
-   * CSR, ELL, HYB and HDC run the cached compiled CSR image of the
-     concrete container (:class:`BlockOperator`): the conversion cost
-     is paid once per matrix and every subsequent call runs at
+   * CSR, DIA and COO run scipy's own compiled kernel for their format
+     directly on the container's validated arrays (a CSR container
+     stores int32 indices whenever they fit, the width that kernel runs
+     fastest at); nothing is converted or cached;
+   * ELL, HYB and HDC run that same CSR kernel on the cached CSR image
+     of the concrete container (``convert(m, "CSR")``): the conversion
+     cost is paid once per matrix and every subsequent call runs at
      compiled-kernel speed;
 2. without scipy, the registry's vectorised NumPy kernel — same results,
    slower.
 
 Every path gives the same bits for finite operands: DIA offsets ascend
 and canonical COO is row-major, so each output element sums its terms
-in ascending column order, as the CSR image does.  DIA also multiplies
-the zeros it stores, so an ``inf`` or ``NaN`` in the operand can give
-``NaN`` where the CSR image skips the entry (``0 * inf``).
+in ascending column order, as the CSR kernel does on a CSR image.  DIA
+also multiplies the zeros it stores, so an ``inf`` or ``NaN`` in the
+operand can give ``NaN`` where a CSR image skips the entry
+(``0 * inf``).
 
-Containers are immutable, so caching operators per container object (a
+Containers are immutable, so caching images per container object (a
 :class:`weakref.WeakKeyDictionary`, entries die with the container) is
 safe; a :class:`~repro.formats.dynamic.DynamicMatrix` that switches format
-simply maps to a new concrete container and therefore a new operator.
-An operator persisted by the disk tier is re-attached to its promoted
+simply maps to a new concrete container and therefore a new image.
+An image persisted by the disk tier is re-attached to its promoted
 container with :func:`attach_operator`, so a promote rebuilds nothing.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
 from repro.formats.base import SparseMatrix
+from repro.formats.convert import convert
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
@@ -60,20 +63,20 @@ try:  # gated optional accelerator: compiled sparse kernels
     import scipy.sparse as _scipy_sparse
 except ImportError:  # pragma: no cover - environment without scipy
     _scipy_sparse = None
-else:  # DIA and COO kernels: scipy >= 1.17 (docs/backends.md)
+else:  # CSR, DIA and COO kernels: scipy >= 1.17 (docs/backends.md)
     from scipy.sparse._sparsetools import (
         coo_matmat_dense,
         coo_matvec,
+        csr_matvec,
+        csr_matvecs,
         dia_matvec,
         dia_matvecs,
     )
 
 __all__ = [
-    "BlockOperator",
     "OWN_KERNELS",
     "attach_operator",
     "batched_spmv",
-    "block_operator",
     "cached_operator",
     "check_operand",
     "dispatch",
@@ -156,95 +159,55 @@ def _coo_kernel(m: COOMatrix, operand: np.ndarray) -> np.ndarray:
     return y
 
 
-#: Formats that run through scipy's kernel for that very format.  These kernels do not bounds-check: the containers'
-#: validating constructors (offsets in range; row and col indices in
-#: bounds) are what stands between a corrupt array and them.
-OWN_KERNELS = {"DIA": _dia_kernel, "COO": _coo_kernel}
+def _csr_kernel(m: CSRMatrix, operand: np.ndarray) -> np.ndarray:
+    """scipy's compiled CSR kernel on *m*'s own ``row_ptr``, ``col_idx``
+    and ``data``."""
+    nrows, ncols = m.shape
+    if operand.ndim == 1:
+        y = np.zeros(nrows)
+        csr_matvec(nrows, ncols, m.row_ptr, m.col_idx, m.data, operand, y)
+    else:
+        y = np.zeros((nrows, operand.shape[1]))
+        csr_matvecs(
+            nrows, ncols, operand.shape[1], m.row_ptr, m.col_idx, m.data,
+            operand, y,
+        )
+    return y
 
 
-class BlockOperator:
-    """Compiled SpMV/SpMM operator for one immutable concrete container.
-
-    Serves the formats without an entry in :data:`OWN_KERNELS`.
-    Wraps a ``scipy.sparse.csr_matrix`` built once from the container:
-    CSR containers share their arrays directly (no conversion); every
-    other format goes through its canonical COO view once.  *arrays*,
-    an ``(indptr, indices, data)`` triple from an earlier build of the
-    same container, replaces that build; scipy does not bounds-check
-    them, so they must already be checked as a CSR triple.  ``apply``
-    then serves 1-D vectors and 2-D blocks at compiled speed.
-    """
-
-    __slots__ = ("shape", "format", "_op")
-
-    def __init__(
-        self,
-        matrix: SparseMatrix,
-        arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
-    ) -> None:
-        if _scipy_sparse is None:  # pragma: no cover - scipy always in CI
-            raise ValidationError(
-                "BlockOperator needs scipy; without it the batch dispatch "
-                "runs the registry's NumPy kernels"
-            )
-        self.shape = matrix.shape
-        self.format = matrix.format
-        if arrays is not None:
-            indptr, indices, data = arrays
-            self._op = _scipy_sparse.csr_matrix(
-                (data, indices, indptr), shape=matrix.shape
-            )
-        elif isinstance(matrix, CSRMatrix):
-            self._op = _scipy_sparse.csr_matrix(
-                (matrix.data, matrix.col_idx, matrix.row_ptr), shape=matrix.shape
-            )
-        else:
-            coo = matrix.to_coo()
-            self._op = _scipy_sparse.csr_matrix(
-                _scipy_sparse.coo_matrix(
-                    (coo.data, (coo.row, coo.col)), shape=coo.shape
-                )
-            )
-
-    def apply(self, operand: np.ndarray) -> np.ndarray:
-        """``A @ operand`` for a 1-D vector or ``(ncols, k)`` block."""
-        out = self._op @ operand
-        return np.asarray(out, dtype=np.float64)
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The operator's ``(indptr, indices, data)``, as it multiplies."""
-        return self._op.indptr, self._op.indices, self._op.data
+#: Formats that run through scipy's kernel for that very format.  These
+#: kernels do not bounds-check: the containers' validating constructors
+#: (row structure and column indices; offsets in range; row and col
+#: indices in bounds) are what stands between a corrupt array and them.
+OWN_KERNELS = {"CSR": _csr_kernel, "DIA": _dia_kernel, "COO": _coo_kernel}
 
 
-_OPERATORS: "weakref.WeakKeyDictionary[SparseMatrix, BlockOperator]" = (
+#: The CSR image of each concrete ELL, HYB or HDC container served so far.
+_IMAGES: "weakref.WeakKeyDictionary[SparseMatrix, CSRMatrix]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def block_operator(matrix: MatrixLike) -> BlockOperator:
-    """The cached :class:`BlockOperator` for *matrix*'s concrete container."""
+def _csr_image(m: SparseMatrix) -> CSRMatrix:
+    """The cached CSR image of the concrete container *m*."""
+    image = _IMAGES.get(m)
+    if image is None:
+        image = _IMAGES[m] = convert(m, "CSR")
+    return image
+
+
+def cached_operator(matrix: MatrixLike) -> Optional[CSRMatrix]:
+    """The CSR image already built for *matrix*'s container, if any."""
+    return _IMAGES.get(_concrete(matrix))
+
+
+def attach_operator(matrix: MatrixLike, image: CSRMatrix) -> None:
+    """Serve *matrix* through *image*, the checked CSR image persisted
+    with it, instead of converting it again (no-op for a format that
+    runs its own kernel)."""
     m = _concrete(matrix)
-    op = _OPERATORS.get(m)
-    if op is None:
-        op = BlockOperator(m)
-        _OPERATORS[m] = op
-    return op
-
-
-def cached_operator(matrix: MatrixLike) -> Optional[BlockOperator]:
-    """The operator already built for *matrix*'s container, if any."""
-    return _OPERATORS.get(_concrete(matrix))
-
-
-def attach_operator(
-    matrix: MatrixLike, arrays: Tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> None:
-    """Serve *matrix* through the checked ``(indptr, indices, data)``
-    of its own earlier operator instead of building one (no-op without
-    scipy, and for a format that runs its own kernel)."""
-    m = _concrete(matrix)
-    if _scipy_sparse is not None and m.format not in OWN_KERNELS:
-        _OPERATORS[m] = BlockOperator(m, arrays)
+    if m.format not in OWN_KERNELS:
+        _IMAGES[m] = image
 
 
 def matvec(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
@@ -271,7 +234,7 @@ def dispatch(matrix: MatrixLike, operand: np.ndarray) -> np.ndarray:
         own = OWN_KERNELS.get(m.format)
         if own is not None:
             return own(m, operand)
-        return block_operator(m).apply(operand)
+        return _csr_kernel(_csr_image(m), operand)
     op = "spmm" if operand.ndim == 2 else "spmv"
     return REGISTRY.get(op, m.format)(m, operand)
 

@@ -30,7 +30,7 @@ import copy
 import hashlib
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -120,8 +120,9 @@ def matrix_fingerprint(matrix: MatrixLike) -> str:
     numerical difference separates them.  The same logical matrix stored
     in two *different* formats hashes differently — callers that want
     cross-format identity pass their own ``key`` to the engine instead.
-    The ``O(nnz)`` hash runs once per container object; later calls
-    return the memoised digest.
+    Index arrays hash as int64 whatever width a container stores them
+    at, so a digest does not depend on it.  The ``O(nnz)`` hash runs
+    once per container object; later calls return the memoised digest.
     """
     m = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
     digest = _DIGESTS.get(m)
@@ -129,6 +130,8 @@ def matrix_fingerprint(matrix: MatrixLike) -> str:
         h = hashlib.blake2b(digest_size=16)
         h.update(f"{m.format}:{m.nrows}x{m.ncols}:".encode())
         for arr in _defining_arrays(m):
+            if arr.dtype == np.int32:
+                arr = arr.astype(np.int64)
             h.update(np.ascontiguousarray(arr).tobytes())
         digest = _DIGESTS[m] = h.hexdigest()
     return digest
@@ -560,29 +563,23 @@ class WorkloadEngine:
 
     def demote_payload(
         self, key: str, prepared: SparseMatrix
-    ) -> Tuple[Dict[str, object], Optional[Tuple[np.ndarray, ...]]]:
+    ) -> Tuple[Dict[str, object], Optional[CSRMatrix]]:
         """The decision metadata and operator a tier demotion of *key*'s
         serving container *prepared* stores with it.
 
         ``meta`` carries the decided format and the matrix statistics —
         enough for :meth:`adopt_prepared` on a fresh engine to restore
         the full first-request artefact chain without recomputing
-        anything.  The operator is the ``(indptr, indices, data)`` of
-        the compiled CSR image built for *prepared*; it is ``None`` for
-        DIA and COO (which run scipy's kernel for their own format and
-        build none), before the first kernel call, and for a container
-        that will stream by row panels once mmap-backed.
+        anything.  The operator is the CSR image an ELL, HYB or HDC
+        *prepared* runs through once its first kernel call built it;
+        it is ``None`` for CSR, DIA and COO, which run scipy's kernel
+        for their own format on their own arrays.
         """
         meta: Dict[str, object] = {"format": prepared.format}
         stats = self._stats.get(key)
         if stats is not None:
             meta["stats"] = stats.to_dict()
-        operator = None
-        if not self._streams_when_mapped(prepared):
-            built = cached_operator(prepared)
-            if built is not None:
-                operator = built.arrays()
-        return meta, operator
+        return meta, cached_operator(prepared)
 
     def adopt_prepared(
         self,

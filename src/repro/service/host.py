@@ -298,8 +298,8 @@ class EngineHost:
 
         Runs under the fingerprint's shard lock, so a promote can never
         race a demotion of the same key.  Restores the serving container
-        (as read-only mmap views), the compiled operator that served it
-        (when one was persisted), the decided format, and the
+        (as read-only mmap views), the CSR image it runs through (when
+        one was persisted), the decided format, and the
         persisted matrix statistics; returns the wall seconds spent (0.0
         on a tier miss).
         """
@@ -336,8 +336,8 @@ class EngineHost:
         A container that is *already* an mmap view of a resident tier
         entry (a promoted engine being re-evicted) is not rewritten —
         the entry on disk is still its exact content — and is checked
-        for before any payload is built.  The compiled operator that
-        served the container is persisted with it.  Demotion failures
+        for before any payload is built.  The CSR image an ELL, HYB or
+        HDC container runs through is persisted with it.  Demotion failures
         are reported through the event ring and never break eviction.
         """
         try:

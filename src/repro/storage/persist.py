@@ -22,12 +22,19 @@ DIA       ``offsets`` / ``data``
 ELL       ``col_idx`` / ``data``
 HYB       ``ell__col_idx`` / ``ell__data`` / ``coo__row`` / ...
 HDC       ``dia__offsets`` / ``dia__data`` / ``csr__row_ptr`` / ...
-(any)     optional ``operator__indptr`` / ``operator__indices`` /
-          ``operator__data``: the CSR image that served the
-          container (no ``operator__data`` for CSR, whose operator
-          multiplies the container's own ``data``); DIA and COO run
-          their own kernel and are written without one
+ELL, HYB, ``operator__indptr`` / ``operator__indices`` /
+HDC       ``operator__data``: the CSR image the container runs through,
+          when one was built; CSR, DIA and COO run their own kernel on
+          their own arrays and are written without one
 ========  ==========================================================
+
+CSR index arrays (``row_ptr``, ``col_idx`` and HDC's ``csr__`` ones,
+and the image's) are int32 or int64, as the container stores them
+(:class:`~repro.formats.csr.CSRMatrix`); every other index array is
+int64.  Entries written before CSR narrowed its indices still promote:
+their int64 CSR arrays are narrowed by the constructor, and the
+``operator__indptr`` / ``operator__indices`` pair a CSR entry then
+carried is ignored.
 
 Publication is atomic: the data file and manifest are written into a
 hidden sibling temp directory, any previous entry is removed and the
@@ -35,12 +42,12 @@ temp directory is ``os.rename``d into place, so a reader never observes
 a half-written entry.  The manifest carries one blake2b content
 fingerprint over every array in the file.  A round trip is
 bitwise-stable by construction: the bytes written are the exact
-read-only buffers the frozen container (and its operator) holds, and
+read-only buffers the frozen container (and its image) holds, and
 re-attachment feeds them back through the normal validating
-constructors, which never copy an already-contiguous
-``int64``/``float64`` buffer.  Persisted operator arrays are checked as
-a CSR triple before they are handed back, since the compiled kernel
-that runs them does not bounds-check.
+constructors, which never copy an already-contiguous buffer of the
+dtype they store.  A persisted image is rebuilt through
+:class:`~repro.formats.csr.CSRMatrix` too, since the compiled kernel
+that runs it does not bounds-check.
 """
 
 from __future__ import annotations
@@ -62,7 +69,6 @@ from repro.formats.dia import DIAMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.hdc import HDCMatrix
 from repro.formats.hyb import HYBMatrix
-from repro.utils.validation import check_csr_structure
 
 __all__ = [
     "DATA_NAME",
@@ -102,11 +108,15 @@ _COMPOSITES = {
 #: Separator between a composite prefix and a nested array name.
 _SEP = "__"
 
-#: Prefix of the persisted serving operator's arrays.
+#: Prefix of the persisted CSR image's arrays.
 _OPERATOR = "operator" + _SEP
 
-#: A serving operator: the ``(indptr, indices, data)`` of a CSR product.
-Operator = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: The image's array names in an entry, in file order, per CSR array.
+_IMAGE_ARRAYS = {
+    _OPERATOR + "indptr": "row_ptr",
+    _OPERATOR + "indices": "col_idx",
+    _OPERATOR + "data": "data",
+}
 
 
 def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
@@ -130,49 +140,55 @@ def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
 
 
 def _entry_arrays(
-    matrix: SparseMatrix, operator: Optional[Operator]
+    matrix: SparseMatrix, operator: Optional[CSRMatrix]
 ) -> Dict[str, np.ndarray]:
-    """Every array an entry's data file holds, in file order."""
+    """Every array an entry's data file holds, in file order (a CSR
+    container is its own image: none is written with it)."""
     arrays = container_arrays(matrix)
-    if operator is not None:
-        indptr, indices, data = operator
-        arrays[_OPERATOR + "indptr"] = indptr
-        arrays[_OPERATOR + "indices"] = indices
-        if not isinstance(matrix, CSRMatrix):
-            arrays[_OPERATOR + "data"] = data
+    if operator is not None and not isinstance(matrix, CSRMatrix):
+        for name, attr in _IMAGE_ARRAYS.items():
+            arrays[name] = getattr(operator, attr)
     return arrays
 
 
-def _expected_dtypes(name: str) -> Tuple[str, ...]:
-    """The dtypes array *name* may be persisted with."""
+def _expected_dtypes(fmt: str, name: str) -> Tuple[str, ...]:
+    """The dtypes array *name* of a *fmt* entry may be persisted with."""
     if name.endswith("data"):
         return ("<f8",)
-    if name.startswith(_OPERATOR):
-        return ("<i4", "<i8")  # scipy picks the narrowest index type
+    if fmt == "CSR" or name.startswith(("csr" + _SEP, _OPERATOR)):
+        return ("<i4", "<i8")  # CSRMatrix's width rule
     return ("<i8",)
 
 
-def container_fingerprint(
-    matrix: SparseMatrix, operator: Optional[Operator] = None
+def _fingerprint(
+    fmt: str, nrows: int, ncols: int, arrays: Dict[str, np.ndarray]
 ) -> str:
-    """blake2b-128 content fingerprint of a container (and its operator).
-
-    Covers the format, the shape, and every defining array's dtype,
-    shape and raw bytes — two containers share a fingerprint iff they
-    are bitwise-identical in layout and content.  With *operator* the
-    persisted operator arrays are covered too, so one fingerprint
-    vouches for every byte of an entry's data file.
-    """
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(
-        f"{matrix.format}:{matrix.nrows}x{matrix.ncols}:".encode()
-    )
-    for name, arr in _entry_arrays(matrix, operator).items():
+    digest.update(f"{fmt}:{nrows}x{ncols}:".encode())
+    for name, arr in arrays.items():
         digest.update(
             f"{name}:{arr.dtype.str}:{arr.shape}:".encode()
         )
         digest.update(np.ascontiguousarray(arr).tobytes())
     return digest.hexdigest()
+
+
+def container_fingerprint(
+    matrix: SparseMatrix, operator: Optional[CSRMatrix] = None
+) -> str:
+    """blake2b-128 content fingerprint of a container (and its image).
+
+    Covers the format, the shape, and every defining array's dtype,
+    shape and raw bytes — two containers share a fingerprint iff they
+    are bitwise-identical in layout and content.  With *operator*, the
+    CSR image an ELL, HYB or HDC container runs through, the image's
+    arrays are covered too, so one fingerprint vouches for every byte
+    of an entry's data file.
+    """
+    return _fingerprint(
+        matrix.format, matrix.nrows, matrix.ncols,
+        _entry_arrays(matrix, operator),
+    )
 
 
 def _nbytes(dtype, shape) -> int:
@@ -196,7 +212,7 @@ def save_container(
     directory: str,
     *,
     extra: Optional[dict] = None,
-    operator: Optional[Operator] = None,
+    operator: Optional[CSRMatrix] = None,
 ) -> dict:
     """Persist *matrix* into *directory* atomically; returns the manifest.
 
@@ -206,9 +222,9 @@ def save_container(
     exists it is renamed aside first and removed once the new entry is
     in place.  *extra* is stored verbatim in the manifest
     under ``"extra"`` — the tier uses it for decision metadata.
-    *operator* is the ``(indptr, indices, data)`` of the CSR operator
-    that served *matrix*; it is persisted beside the container so a
-    re-attach needs no rebuild.
+    *operator* is the CSR image an ELL, HYB or HDC *matrix* runs
+    through; it is persisted beside the container so a re-attach needs
+    no rebuild (and ignored for a CSR *matrix*).
     """
     fmt = matrix.format.upper()
     if fmt not in FORMAT_IDS:
@@ -218,7 +234,7 @@ def save_container(
         for name, arr in _entry_arrays(matrix, operator).items()
     }
     for name, arr in arrays.items():
-        if arr.dtype.str not in _expected_dtypes(name):
+        if arr.dtype.str not in _expected_dtypes(fmt, name):
             raise ValidationError(
                 f"cannot persist array {name!r} of dtype {arr.dtype.str}"
             )
@@ -298,9 +314,9 @@ def _check_manifest(manifest: dict, path: str) -> None:
         raise ValidationError(f"tier manifest {path} has no array table")
     names = set(_required_arrays(fmt))
     if any(name.startswith(_OPERATOR) for name in arrays):
-        names |= {_OPERATOR + "indptr", _OPERATOR + "indices"}
-        if fmt != "CSR":
-            names.add(_OPERATOR + "data")
+        names |= set(_IMAGE_ARRAYS)
+        if fmt == "CSR":  # the older layout: structure only
+            names.discard(_OPERATOR + "data")
     if set(arrays) != names:
         raise ValidationError(
             f"tier manifest {path} lists arrays {sorted(arrays)}, "
@@ -311,7 +327,7 @@ def _check_manifest(manifest: dict, path: str) -> None:
         shape = spec.get("shape") if isinstance(spec, dict) else None
         if (
             shape is None
-            or spec.get("dtype") not in _expected_dtypes(name)
+            or spec.get("dtype") not in _expected_dtypes(fmt, name)
             or not isinstance(shape, list)
             or not all(isinstance(n, int) and n >= 0 for n in shape)
             or not isinstance(spec.get("offset"), int)
@@ -396,8 +412,7 @@ def load_arrays(
         buf = np.memmap(path, dtype=np.uint8, mode="r")
         # each array is a memmap of exactly its own elements, handed
         # out as a plain ndarray view: mmap_backed() still finds the
-        # map through its base, and scipy (which copies a view of a
-        # much larger base) takes it as it is
+        # map through its base
         return {
             name: buf[offset:offset + nbytes]
             .view(dtype)
@@ -453,53 +468,46 @@ def _sub(arrays: Dict[str, np.ndarray], prefix: str) -> Dict[str, np.ndarray]:
     }
 
 
-def _operator(
-    matrix: SparseMatrix, arrays: Dict[str, np.ndarray]
-) -> Optional[Operator]:
-    """The persisted operator of an entry, checked as a CSR triple."""
-    if _OPERATOR + "indptr" not in arrays:
-        return None
-    indptr = arrays[_OPERATOR + "indptr"]
-    indices = arrays[_OPERATOR + "indices"]
-    data = arrays.get(_OPERATOR + "data")
-    if data is None:
-        data = matrix.data  # a CSR operator multiplies the container's data
-    if indptr.ndim != 1 or indices.ndim != 1 or data.ndim != 1:
-        raise ValidationError("persisted operator arrays must be 1-D")
-    check_csr_structure(matrix.nrows, matrix.ncols, indptr, indices, data)
-    return indptr, indices, data
-
-
 def attach_arrays(
     directory: str,
     manifest: dict,
     arrays: Dict[str, np.ndarray],
     *,
     verify: bool = False,
-) -> Tuple[SparseMatrix, Optional[Operator]]:
+) -> Tuple[SparseMatrix, Optional[CSRMatrix]]:
     """Build the entry's ``(container, operator)`` from its *arrays*.
 
     *arrays* is what :func:`load_arrays` returned for *manifest*, fresh
     or held from an earlier attach: either way every check runs again.
     The container's arrays pass through the normal validating
     constructors, which never copy an already-contiguous buffer of the
-    right dtype, so the round trip is bitwise-stable.  *operator* is the
-    persisted ``(indptr, indices, data)`` of the serving CSR operator,
-    checked as a CSR triple, or ``None`` when the entry holds the
-    container alone.  ``verify=True`` recomputes the content fingerprint
-    (reads every byte) and raises :class:`ValidationError` on mismatch.
+    dtype they store, so the round trip is bitwise-stable.  *operator*
+    is the persisted CSR image, rebuilt through the validating
+    :class:`~repro.formats.csr.CSRMatrix` constructor, or ``None`` when
+    the entry holds the container alone (always, for a CSR entry).
+    ``verify=True`` recomputes the content fingerprint over the arrays
+    the data file holds (reads every byte) and raises
+    :class:`ValidationError` on mismatch.
     """
-    matrix = _build(
-        manifest["format"], manifest["nrows"], manifest["ncols"], arrays
-    )
+    fmt, nrows, ncols = manifest["format"], manifest["nrows"], manifest["ncols"]
+    matrix = _build(fmt, nrows, ncols, arrays)
     # restore the epoch identity so (stable_id, epoch) cache keys keep
     # resolving to the same version after a demote/promote round trip
     if manifest.get("stable_id"):
         matrix._stable_id = manifest["stable_id"]
     matrix._epoch = int(manifest.get("epoch", 0))
-    operator = _operator(matrix, arrays)
+    operator = None
+    if fmt != "CSR" and _OPERATOR + "data" in arrays:
+        operator = CSRMatrix(
+            nrows, ncols, *(arrays[name] for name in _IMAGE_ARRAYS)
+        )
     if verify:
-        actual = container_fingerprint(matrix, operator)
+        names = _required_arrays(fmt) + tuple(
+            name for name in _IMAGE_ARRAYS if name in arrays
+        )
+        actual = _fingerprint(
+            fmt, nrows, ncols, {name: arrays[name] for name in names}
+        )
         if actual != manifest["fingerprint"]:
             raise ValidationError(
                 f"tier entry {directory} failed fingerprint verification: "
@@ -514,8 +522,8 @@ def load_container(
     """Re-attach the container persisted in *directory*.
 
     Reads and checks the manifest, then :func:`load_arrays` and
-    :func:`attach_arrays`; the persisted operator, if any, is checked
-    and dropped.
+    :func:`attach_arrays`; the persisted image, if any, is checked and
+    dropped.
     """
     manifest = read_manifest(directory)
     arrays = load_arrays(directory, manifest, mmap=mmap)

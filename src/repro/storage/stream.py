@@ -45,9 +45,6 @@ __all__ = [
 #: hierarchy + a few pages (8 MiB).
 DEFAULT_BLOCK_BYTES = 8 << 20
 
-#: Bytes one stored entry occupies in CSR (int64 col_idx + float64 data).
-_ENTRY_BYTES = 16
-
 
 def mmap_backed(matrix) -> bool:
     """Whether any defining array of *matrix* is a memory-mapped view."""
@@ -72,9 +69,10 @@ def plan_block_rows(
     """Rows per streaming panel for a target panel byte budget.
 
     The heuristic sizes panels by the matrix's own mean row weight
-    (``16 * nnz/nrows`` entry bytes plus the ``row_ptr`` slot), so
-    short-row matrices stream many rows per panel and heavy rows stream
-    few — panel bytes stay near the budget either way.
+    (``nnz/nrows`` entries of ``col_idx`` plus ``data`` bytes, at the
+    widths *csr* stores, plus the ``row_ptr`` slot), so short-row
+    matrices stream many rows per panel and heavy rows stream few —
+    panel bytes stay near the budget either way.
     """
     budget = int(block_bytes or DEFAULT_BLOCK_BYTES)
     if budget <= 0:
@@ -82,7 +80,8 @@ def plan_block_rows(
     nrows = csr.nrows
     if nrows == 0:
         return 1
-    mean_row_bytes = 8.0 + _ENTRY_BYTES * (csr.nnz / nrows)
+    entry_bytes = csr.col_idx.itemsize + csr.data.itemsize
+    mean_row_bytes = csr.row_ptr.itemsize + entry_bytes * (csr.nnz / nrows)
     return int(max(1, min(nrows, budget // max(1.0, mean_row_bytes))))
 
 
@@ -93,7 +92,7 @@ def iter_row_blocks(
 
     Each panel is a fully valid :class:`CSRMatrix` over zero-copy
     slices of ``col_idx`` / ``data`` (only the rebased ``row_ptr``
-    segment — 8 bytes per row — is copied), so panels of an mmapped
+    segment — one index per row — is copied), so panels of an mmapped
     container stay disk-backed until a kernel touches them.
     """
     if not isinstance(csr, CSRMatrix):

@@ -6,9 +6,9 @@ converted containers here instead of dropping them; a later request for
 the same matrix promotes the entry back as read-only mmap views — the
 conversion cost (the expensive part of a cache miss) is replaced by one
 ``np.memmap`` of the entry's data file, whose round trip is
-bitwise-stable (:mod:`repro.storage.persist`).  An entry demoted with
-its serving operator hands that operator back too
-(:meth:`StorageTier.promoted_operator`), so the promoted request
+bitwise-stable (:mod:`repro.storage.persist`).  An ELL, HYB or HDC
+entry demoted with the CSR image it runs through hands that image back
+too (:meth:`StorageTier.promoted_operator`), so the promoted request
 rebuilds nothing.
 
 The tier holds each promoted entry's map, and the views sliced from it,
@@ -18,8 +18,7 @@ promoted dropped first: each keeps a file descriptor open, and the
 pages kernels touch count in the process's RSS while mapped.  Every
 check runs on every promote all the same — the data file's size
 (before the map is touched: reading a map past the end of a file cut
-short faults), the validating constructors and the operator's CSR
-check.  A held map is used only while the index holds the entry it was
+short faults) and the validating constructors, the image's too.  A held map is used only while the index holds the entry it was
 made for; every path that pops or replaces an index entry drops it.
 
 Entries are keyed by the serving-cache key (the matrix fingerprint).
@@ -57,9 +56,9 @@ from typing import Dict, List, Optional
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
+from repro.formats.csr import CSRMatrix
 from repro.storage.persist import (
     MANIFEST_NAME,
-    Operator,
     attach_arrays,
     check_data_file,
     load_arrays,
@@ -97,7 +96,7 @@ class TierEntry:
     """One resident entry of the disk tier (the ``repro storage`` row).
 
     ``nbytes`` is the size of the entry's data file (the container plus
-    any persisted operator); ``manifest`` is the parsed manifest a
+    any persisted CSR image); ``manifest`` is the parsed manifest a
     promote re-attaches from.
     """
 
@@ -153,7 +152,7 @@ class StorageTier:
         os.makedirs(self._entries_root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Dict[str, TierEntry] = {}
-        #: operators re-attached by :meth:`promote`, until handed over
+        #: CSR images re-attached by :meth:`promote`, until handed over
         self._operators = weakref.WeakKeyDictionary()
         #: key -> (its index entry, the array views of that entry's map),
         #: least recently promoted first
@@ -229,13 +228,13 @@ class StorageTier:
         matrix: SparseMatrix,
         *,
         extra: Optional[dict] = None,
-        operator: Optional[Operator] = None,
+        operator: Optional[CSRMatrix] = None,
     ) -> TierEntry:
         """Spill one converted container to disk under *key*.
 
-        *operator* is the ``(indptr, indices, data)`` of the CSR
-        operator that served *matrix*, persisted with it so a promote
-        re-attaches it instead of rebuilding it.  Replaces any previous
+        *operator* is the CSR image an ELL, HYB or HDC *matrix* runs
+        through, persisted with it so a promote re-attaches it instead
+        of rebuilding it.  Replaces any previous
         entry for the key (a newer epoch supersedes the demoted one).
         Returns the resident entry.
         """
@@ -299,11 +298,11 @@ class StorageTier:
         promote of the same entry (up to :data:`HELD_MAPS` entries), so
         a held entry is promoted without opening or mapping anything.
         Every check runs on every promote all the same: the data file's
-        size, the validating container constructors and the operator's
-        CSR check (and the fingerprint with *verify*).  An entry that
-        fails one (truncated file, manifest out of step with the file,
-        malformed operator) is dropped and reads as a miss.  The
-        persisted operator, if any, waits in :meth:`promoted_operator`.
+        size and the validating constructors of the container and of
+        its CSR image (and the fingerprint with *verify*).  An entry
+        that fails one (truncated file, manifest out of step with the
+        file, malformed arrays) is dropped and reads as a miss.  The
+        persisted image, if any, waits in :meth:`promoted_operator`.
         """
         start = time.perf_counter()
         arrays = None
@@ -352,13 +351,12 @@ class StorageTier:
             self.promote_seconds += time.perf_counter() - start
         return matrix
 
-    def promoted_operator(self, matrix: SparseMatrix) -> Optional[Operator]:
-        """Hand over the operator persisted with a promoted *matrix*.
+    def promoted_operator(self, matrix: SparseMatrix) -> Optional[CSRMatrix]:
+        """Hand over the CSR image persisted with a promoted *matrix*.
 
-        Returns the checked ``(indptr, indices, data)`` that
-        :meth:`promote` re-attached with *matrix* (views of the same
-        map), or ``None`` when its entry held the container alone.
-        Each operator is handed over once.
+        Returns the checked image that :meth:`promote` re-attached with
+        *matrix* (over views of the same map), or ``None`` when its
+        entry held the container alone.  Each image is handed over once.
         """
         with self._lock:
             return self._operators.pop(matrix, None)

@@ -19,6 +19,7 @@ __all__ = [
     "check_array_1d",
     "check_array_2d",
     "check_csr_structure",
+    "csr_index_dtype",
     "check_dtype_float",
     "check_dtype_int",
     "check_index_bounds",
@@ -32,6 +33,8 @@ __all__ = [
 INDEX_DTYPE = np.int64
 #: dtype used for all value arrays in the sparse containers.
 VALUE_DTYPE = np.float64
+#: Largest value an int32 index array holds.
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def check_array_1d(
@@ -172,6 +175,17 @@ def check_csr_structure(
     if (row_ptr[1:] < row_ptr[:-1]).any():
         raise ValidationError("row_ptr must be non-decreasing")
     check_index_bounds(col_idx, ncols, name="col_idx")
+
+
+def csr_index_dtype(nrows: int, ncols: int, nnz: int) -> type:
+    """The dtype of a CSR container's ``row_ptr`` and ``col_idx``.
+
+    int32 when every value they hold (row pointers up to *nnz*, column
+    indices below *ncols*) and the row count, which scipy's compiled
+    CSR kernel takes at the same width, fit in it; int64 otherwise.
+    Derived from the shape alone, so it is not an option.
+    """
+    return np.int32 if max(nrows, ncols, nnz) <= _INT32_MAX else np.int64
 
 
 def check_vector_length(

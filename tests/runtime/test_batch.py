@@ -5,26 +5,29 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.backends import make_space
+from repro.core import RunFirstTuner
 from repro.datasets.generators import block_diagonal
 from repro.errors import ShapeError, ValidationError
-from repro.formats import COOMatrix, DIAMatrix, DynamicMatrix, convert
+from repro.formats import COOMatrix, CSRMatrix, DIAMatrix, DynamicMatrix, convert
 from repro.runtime.batch import (
-    BlockOperator,
+    OWN_KERNELS,
+    attach_operator,
     batched_spmv,
-    block_operator,
     cached_operator,
     have_accelerator,
     matvec,
 )
-from repro.storage.stream import mmap_backed
+from repro.runtime.engine import WorkloadEngine, matrix_fingerprint
+from repro.storage.stream import mmap_backed, plan_block_rows
 from repro.storage.tier import StorageTier
 from repro.runtime.registry import REGISTRY
 
 from tests.conftest import ALL_FORMATS, random_sparse_dense
 
-#: ``True`` runs the batch dispatch (the cached compiled operator when
-#: scipy is present); ``False`` the registry's NumPy block kernel that
-#: the dispatch falls back to without scipy.
+#: ``True`` runs the batch dispatch (scipy's compiled kernels when scipy
+#: is present); ``False`` the registry's NumPy block kernel that the
+#: dispatch falls back to without scipy.
 DISPATCHED = [True, False]
 
 
@@ -112,18 +115,46 @@ class TestValidation:
 
 
 class TestOperatorCache:
+    """ELL, HYB and HDC run through a CSR image built once per container."""
+
     def test_operator_cached_per_container(self, coo_small):
         if not have_accelerator():
             pytest.skip("scipy not available")
-        assert block_operator(coo_small) is block_operator(coo_small)
+        ell = convert(coo_small, "ELL")
+        assert cached_operator(ell) is None
+        matvec(ell, np.ones(ell.ncols))
+        image = cached_operator(ell)
+        assert isinstance(image, CSRMatrix)
+        matvec(ell, np.ones(ell.ncols))
+        assert cached_operator(ell) is image
 
     def test_dynamic_switch_changes_operator(self, coo_small):
         if not have_accelerator():
             pytest.skip("scipy not available")
         dyn = DynamicMatrix(coo_small)
-        op_coo = block_operator(dyn)
-        dyn.switch("CSR")
-        assert block_operator(dyn) is not op_coo
+        dyn.switch("ELL")
+        matvec(dyn, np.ones(dyn.ncols))
+        op_ell = cached_operator(dyn)
+        dyn.switch("HYB")
+        matvec(dyn, np.ones(dyn.ncols))
+        assert cached_operator(dyn) is not op_ell
+        dyn.switch("CSR")  # runs its own arrays: no image
+        matvec(dyn, np.ones(dyn.ncols))
+        assert cached_operator(dyn) is None
+
+
+def _image_reference(m):
+    """What the dispatch served before CSR ran its own arrays: scipy's
+    CSR product on the container's own triple for CSR, and on a CSR
+    matrix built from the canonical COO view for every other format."""
+    import scipy.sparse as sp
+
+    if m.format == "CSR":
+        return sp.csr_matrix((m.data, m.col_idx, m.row_ptr), shape=m.shape)
+    coo = m.to_coo()
+    return sp.csr_matrix(
+        sp.coo_matrix((coo.data, (coo.row, coo.col)), shape=coo.shape)
+    )
 
 
 def _own_kernel_case(name, fmt, tmp_path):
@@ -141,6 +172,14 @@ def _own_kernel_case(name, fmt, tmp_path):
         return dia if fmt == "DIA" else convert(dia, fmt)
     if name == "padded":  # many padded DIA slots per stored entry
         return convert(block_diagonal(64, block=8, fill=0.6, seed=3), fmt)
+    if name == "unsorted":  # columns out of order within each row
+        csr = convert(COOMatrix.from_dense(sparse((36, 28))), "CSR")
+        col_idx = csr.col_idx.copy()
+        for i in range(csr.nrows):
+            lo, hi = csr.row_ptr[i], csr.row_ptr[i + 1]
+            col_idx[lo:hi] = col_idx[lo:hi][::-1]
+        m = CSRMatrix(csr.nrows, csr.ncols, csr.row_ptr, col_idx, csr.data)
+        return m if fmt == "CSR" else convert(m, fmt)
     if name == "empty-rows":
         dense = sparse((30, 30))
         dense[[0, 7, 8, 29]] = 0.0
@@ -148,10 +187,16 @@ def _own_kernel_case(name, fmt, tmp_path):
         dense = sparse({"square": (40, 40), "wide": (17, 45),
                         "tall": (45, 17), "mmap": (37, 33)}[name])
     m = convert(COOMatrix.from_dense(dense), fmt)
-    if name == "mmap":
+    if name == "mmap":  # promoted with the CSR image it was demoted with
+        matvec(m, np.zeros(m.ncols))
         tier = StorageTier(str(tmp_path / "tier"))
-        tier.demote("k", m)
+        tier.demote("k", m, operator=cached_operator(m))
         m = tier.promote("k")
+        image = tier.promoted_operator(m)
+        assert (image is None) == (fmt in OWN_KERNELS)
+        if image is not None:
+            assert mmap_backed(image)
+            attach_operator(m, image)
         assert mmap_backed(m)
     return m
 
@@ -160,23 +205,96 @@ def _own_kernel_case(name, fmt, tmp_path):
 @pytest.mark.parametrize("k", [None, 1, 4, 8], ids=["spmv", "k1", "k4", "k8"])
 @pytest.mark.parametrize(
     "case",
-    ["square", "wide", "tall", "empty-rows", "padded", "in-band-zeros", "mmap"],
+    ["square", "wide", "tall", "empty-rows", "padded", "in-band-zeros", "mmap",
+     "unsorted"],
 )
-@pytest.mark.parametrize("fmt", ["DIA", "COO"])
+@pytest.mark.parametrize("fmt", ["DIA", "COO", "CSR", "ELL", "HYB", "HDC"])
 def test_own_kernel_equals_the_csr_image(fmt, case, k, tmp_path):
-    """DIA and COO run scipy's kernel for their own format, on their own
-    arrays, bit for bit what the CSR image computes; nothing is built
-    or cached for them, and a stacked block equals its columns."""
+    """CSR, DIA and COO run scipy's kernel for their own format, on their
+    own arrays, and ELL, HYB and HDC run the CSR kernel on their cached
+    CSR image: bit for bit what scipy's CSR product computes.  Nothing
+    is built or cached for an own-kernel format, and a stacked block
+    equals its columns."""
     m = _own_kernel_case(case, fmt, tmp_path)
     assert m.format == fmt
     rng = np.random.default_rng(7)
     x = rng.standard_normal(m.ncols if k is None else (m.ncols, k))
     got = matvec(m, x)
-    assert np.array_equal(got, BlockOperator(m).apply(x))
-    assert cached_operator(m) is None
+    assert np.array_equal(got, _image_reference(m) @ x)
+    image = cached_operator(m)
+    if fmt in OWN_KERNELS:
+        assert image is None
+    else:
+        assert image.format == "CSR"
+        want = convert(m, "CSR")
+        assert np.array_equal(image.row_ptr, want.row_ptr)
+        assert np.array_equal(image.col_idx, want.col_idx)
+        assert np.array_equal(image.data, want.data)
     if k is not None:
         for j in range(k):
             assert np.array_equal(got[:, j], matvec(m, x[:, j]))
+
+
+@pytest.mark.skipif(not have_accelerator(), reason="needs scipy")
+@pytest.mark.parametrize("k", [None, 4], ids=["spmv", "k4"])
+def test_streamed_request_over_many_panels_is_bitwise(k, tmp_path):
+    """A promoted mmap-backed CSR container served by row panels gives
+    the bits of the whole-matrix call on its own arrays."""
+    rng = np.random.default_rng(13)
+    dense = (rng.random((150, 90)) < 0.1) * rng.standard_normal((150, 90))
+    tier = StorageTier(str(tmp_path / "tier"))
+    tier.demote("k", convert(COOMatrix.from_dense(dense), "CSR"))
+    m = tier.promote("k")
+    block_bytes = 1 << 10
+    assert -(-m.nrows // plan_block_rows(m, block_bytes)) > 1
+    engine = WorkloadEngine(
+        make_space("cirrus", "serial"),
+        RunFirstTuner(formats=("CSR",)),
+        stream_threshold_bytes=0,
+        stream_block_bytes=block_bytes,
+    )
+    engine.adopt_prepared("k", m)
+    x = rng.standard_normal(m.ncols if k is None else (m.ncols, k))
+    got = engine.execute(m, x, key="k").y
+    assert engine.streaming["blocks"] > engine.streaming["requests"] == 1
+    assert np.array_equal(got, matvec(m, x))
+    assert np.array_equal(got, _image_reference(m) @ x)
+
+
+class TestCSRIndexWidth:
+    def test_int32_when_shape_and_nnz_fit(self, coo_small):
+        csr = convert(coo_small, "CSR")
+        assert csr.row_ptr.dtype == csr.col_idx.dtype == np.int32
+        wide = CSRMatrix(
+            csr.nrows, csr.ncols, csr.row_ptr.astype(np.int64),
+            csr.col_idx.astype(np.int64), csr.data,
+        )
+        assert wide.row_ptr.dtype == wide.col_idx.dtype == np.int32
+
+    def test_ncols_past_int32_keeps_int64(self):
+        ncols = 2**31  # one past int32's largest value
+        csr = CSRMatrix(
+            3, ncols, np.array([0, 1, 1, 2]), np.array([5, ncols - 1]),
+            np.array([1.0, 2.0]),
+        )
+        assert csr.row_ptr.dtype == csr.col_idx.dtype == np.int64
+        assert csr.col_idx[-1] == ncols - 1
+
+    def test_checked_before_narrowing(self):
+        # an int64 column index that would wrap into range as int32
+        with pytest.raises(ValidationError):
+            CSRMatrix(2, 4, np.array([0, 1, 1]), np.array([2**32 + 1]),
+                      np.array([1.0]))
+
+    def test_fingerprint_unchanged_by_width(self):
+        """Index arrays hash as int64: the digest is the one the int64
+        layout gave (pinned from the layout before CSR narrowed)."""
+        rng = np.random.default_rng(0)
+        dense = (rng.random((40, 33)) < 0.2) * rng.standard_normal((40, 33))
+        dense[5] = 0.0
+        csr = convert(COOMatrix.from_dense(dense), "CSR")
+        assert csr.col_idx.dtype == np.int32
+        assert matrix_fingerprint(csr) == "bf0468e2687683809500d94452b6f65c"
 
 
 class TestSolverRouting:

@@ -275,7 +275,7 @@ def _index_past_ncols(entry):
     if entry.format == "DIA":
         _poke(entry, "offsets", -1, entry.ncols)
     else:
-        name = "col" if entry.format == "COO" else "operator__indices"
+        name = "col" if entry.format == "COO" else "col_idx"
         _poke(entry, name, 0, entry.ncols)
 
 
@@ -289,7 +289,7 @@ def _indptr_not_monotone(entry):
     else:
         # row 1 claims to end where the last row does: row 2 then runs
         # backwards
-        _poke(entry, "operator__indptr", 1, lambda ptr: ptr[-1])
+        _poke(entry, "row_ptr", 1, lambda ptr: ptr[-1])
 
 
 def _rewrite_manifest(entry, edit):
@@ -328,9 +328,9 @@ def _manifest_shape(entry):
          "manifest-dtype", "manifest-shape"],
 )
 def test_damaged_entry_is_a_promote_miss(space, tmp_path, fmt, corrupt):
-    """Only CSR persists a serving operator (DIA and COO run their own
-    kernel on their own arrays, which do not bounds-check): each damage
-    must still be caught by a check before any kernel runs."""
+    """CSR, DIA and COO persist no CSR image: each runs its own kernel on
+    its own arrays, which does not bounds-check, so each damage must
+    be caught by a check before any kernel runs."""
     matrices = _matrices(count=2)
     kwargs = dict(
         workers=1, capacity=1, shards=1, storage_dir=str(tmp_path / "tier")
@@ -341,7 +341,7 @@ def test_damaged_entry_is_a_promote_miss(space, tmp_path, fmt, corrupt):
             first.spmv(matrix, np.ones(matrix.ncols), key=key)
         (entry,) = first.storage.entries()  # mx0, demoted by mx1
     assert entry.key == "mx0" and entry.format == fmt
-    assert ("operator__indices" in entry.manifest["arrays"]) == (fmt == "CSR")
+    assert not any(name.startswith("operator__") for name in entry.manifest["arrays"])
     corrupt(entry)
     matrix = matrices["mx0"]
     x = np.random.default_rng(5).standard_normal(matrix.ncols)
@@ -396,21 +396,30 @@ def test_promote_serves_without_any_rebuild(space, tmp_path, fmt, monkeypatch):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("fmt", ["DIA", "COO"])
+@pytest.mark.parametrize("fmt", ["DIA", "COO", "CSR", "HDC"])
 def test_own_kernel_entries_and_operator_layout_entries(
     space, tmp_path, fmt, monkeypatch
 ):
-    """A DIA or COO entry persists no operator arrays, and an entry in
-    the layout that persisted a CSR operator for every format (still on
-    disk: the tier outlives the process) promotes and serves the same
-    bits."""
-    import repro.runtime.engine as engine_mod
-    from repro.runtime.batch import BlockOperator
+    """A CSR, DIA or COO entry persists no operator arrays (HDC persists
+    the CSR image it runs through), and an entry in the layout that
+    stored int64 CSR indices and a scipy CSR operator for every format
+    (still on disk: the tier outlives the process) promotes with no
+    miss, passes verification and serves the same bits."""
+    import scipy.sparse as sp
+
+    from repro.storage import persist
+    from repro.storage.tier import StorageTier
+
+    def scipy_image(m):
+        coo = m.to_coo()
+        return sp.csr_matrix(
+            sp.coo_matrix((coo.data, (coo.row, coo.col)), shape=coo.shape)
+        )
 
     matrices = _matrices(count=2)
     matrix = matrices["mx0"]
     x = np.random.default_rng(31).standard_normal(matrix.ncols)
-    want = BlockOperator(convert(matrix, fmt)).apply(x)
+    want = scipy_image(convert(matrix, fmt)) @ x
     kwargs = dict(
         workers=1, capacity=1, shards=1, storage_dir=str(tmp_path / "tier")
     )
@@ -423,20 +432,34 @@ def test_own_kernel_entries_and_operator_layout_entries(
 
     with TuningService(space, tuner, **kwargs) as first:
         entry = demote_all(first)
-    assert not any(n.startswith("operator__") for n in entry.manifest["arrays"])
+    names = entry.manifest["arrays"]
+    assert any(n.startswith("operator__") for n in names) == (fmt == "HDC")
 
-    payload = engine_mod.WorkloadEngine.demote_payload
-
-    def with_operator(self, key, prepared):  # the operator-per-entry layout
-        meta, _ = payload(self, key, prepared)
-        return meta, BlockOperator(prepared).arrays()
+    def with_operator(m, _operator):  # the int64, operator-per-entry layout
+        arrays = {
+            name: arr.astype(np.int64) if arr.dtype == np.int32 else arr
+            for name, arr in persist.container_arrays(m).items()
+        }
+        image = scipy_image(m)
+        arrays["operator__indptr"] = image.indptr
+        arrays["operator__indices"] = image.indices
+        if m.format != "CSR":  # a CSR operator multiplied the container's data
+            arrays["operator__data"] = image.data
+        return arrays
 
     with monkeypatch.context() as patch:
-        patch.setattr(engine_mod.WorkloadEngine, "demote_payload", with_operator)
+        patch.setattr(persist, "_entry_arrays", with_operator)
         with TuningService(space, tuner, **kwargs) as writer:
             writer.storage.clear()
             entry = demote_all(writer)
-    assert "operator__indices" in entry.manifest["arrays"]
+    names = entry.manifest["arrays"]
+    assert "operator__indices" in names
+    if fmt in ("CSR", "HDC"):
+        index = "col_idx" if fmt == "CSR" else "csr__col_idx"
+        assert names[index]["dtype"] == "<i8"
+    reader = StorageTier(str(tmp_path / "tier"))
+    assert reader.promote("mx0", verify=True) is not None
+    assert reader.stats()["promote_misses"] == 0
     with TuningService(space, tuner, **kwargs) as second:
         got = second.spmv(matrix, x, key="mx0").y
         storage = second.stats()["storage"]

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.formats import DeltaOverlay, convert
 from repro.formats.coo import COOMatrix
-from repro.runtime.batch import BlockOperator
+from repro.formats.csr import CSRMatrix
 from repro.storage import tier as tier_module
 from repro.storage.stream import mmap_backed
 from repro.storage.tier import StorageTier
@@ -228,20 +228,24 @@ def test_stats_schema(tier):
 
 
 def test_operator_round_trip_and_handover(tier):
-    csr = convert(_matrix(13), "CSR")
-    dia = convert(_matrix(14), "DIA")
-    for key, matrix in (("csr", csr), ("dia", dia)):
-        operator = BlockOperator(matrix).arrays()
-        tier.demote(key, matrix, operator=operator)
-        back = tier.promote(key, verify=True)
-        assert mmap_backed(back)
-        for got, want in zip(tier.promoted_operator(back), operator):
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
-        assert tier.promoted_operator(back) is None  # handed over once
-    # a CSR operator multiplies the container's own data: not stored twice
-    arrays = tier.entries()[0].manifest["arrays"]
-    assert "operator__indptr" in arrays and "operator__data" not in arrays
+    hdc = convert(_matrix(13), "HDC")
+    image = convert(hdc, "CSR")
+    tier.demote("hdc", hdc, operator=image)
+    back = tier.promote("hdc", verify=True)
+    assert mmap_backed(back)
+    got = tier.promoted_operator(back)
+    assert isinstance(got, CSRMatrix) and mmap_backed(got)
+    for name in ("row_ptr", "col_idx", "data"):
+        assert getattr(got, name).dtype == getattr(image, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(image, name))
+    assert tier.promoted_operator(back) is None  # handed over once
+    # a CSR container is its own image: none is stored with it
+    csr = convert(_matrix(14), "CSR")
+    tier.demote("csr", csr, operator=csr)
+    arrays = {e.key: e for e in tier.entries()}["csr"].manifest["arrays"]
+    assert not any(name.startswith("operator__") for name in arrays)
+    back = tier.promote("csr", verify=True)
+    assert tier.promoted_operator(back) is None
 
 
 def test_promote_without_operator_hands_over_none(tier):
