@@ -223,148 +223,152 @@ def cmd_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def _serve_service(args: argparse.Namespace, tier: str, **kwargs):
+    """The service a serve drives on *tier*: a stored suite's exported
+    model with ``--store``, else ``--system``/``--backend`` with
+    ``--model`` (default: the run-first tuner)."""
+    from repro.service import service_class, service_for_suite
+
+    if args.store:
+        return service_for_suite(
+            args.store, fingerprint=args.fingerprint, tier=tier, **kwargs
+        )
+    tuner = RandomForestTuner(args.model) if args.model else RunFirstTuner()
+    return service_class(tier)(
+        make_space(args.system, args.backend), tuner, **kwargs
+    )
+
+
+def _adaptive_controller(service, registry, **kwargs):
+    """A background adaptive loop over *service* for :func:`_drive` to
+    attach; its model registry is a temp dir unless *registry* names one."""
     import tempfile
+
+    from repro.adaptive import AdaptiveController, ModelRegistry
+
+    return AdaptiveController(
+        service,
+        ModelRegistry(registry or tempfile.mkdtemp(prefix="repro-registry-")),
+        background=True,
+        **kwargs,
+    )
+
+
+def _drive(args: argparse.Namespace, service, *traces, controller=None,
+           **replay_kwargs):
+    """Replay *traces* in order on *service*, under ``with service``.
+
+    An adaptive *controller* is attached before the first replay, and a
+    metrics spiller runs throughout when ``args.metrics_dir`` is set.
+    Both shut down while the service is still up: the controller closes
+    (joining any retrain in flight), then the spiller makes its final
+    flush.  Returns one replay report per trace.
+    """
+    from repro.trace import replay_trace
+
+    spiller = None
+    metrics_dir = getattr(args, "metrics_dir", None)
+    with service:
+        if metrics_dir:
+            from repro.obs.spill import MetricsSpiller
+
+            spiller = MetricsSpiller(
+                metrics_dir,
+                service.obs,
+                interval=args.metrics_interval,
+                retention_bytes=args.metrics_retention_bytes,
+                retention_segments=args.metrics_retention_segments,
+            ).start()
+        if controller is not None:
+            controller.attach()
+        reports = [
+            replay_trace(service, trace, **replay_kwargs) for trace in traces
+        ]
+        if controller is not None:
+            controller.close()
+        if spiller is not None:
+            spiller.stop()
+    return reports
+
+
+def _print_adaptive(controller) -> None:
+    cstats = controller.stats()
+    telemetry = cstats["telemetry"]
+    print(f"adaptive             {cstats['drift_events']} drift events, "
+          f"{cstats['retrainer']['retrains']} retrains, "
+          f"{cstats['promotions']} promotions "
+          f"({telemetry['recorded']} telemetry records, "
+          f"{telemetry['shadowed']} shadow-probed)")
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.service import TuningService, service_for_suite
     from repro.trace import replay_trace, workload_trace
 
-    shadow_every = args.shadow_every
-    if args.adaptive and shadow_every == 0:
-        shadow_every = 4  # the adaptive loop needs shadow timings
-    distributed = getattr(args, "distributed", False)
-    kill_after = getattr(args, "kill_after", 0)
-    verify_identity = getattr(args, "verify_identity", False)
-    if kill_after and not distributed:
+    if args.kill_after and not args.distributed:
         print("serve: --kill-after requires --distributed",
               file=sys.stderr)
         return 2
-    storage_dir = getattr(args, "storage_dir", None)
-    if storage_dir and distributed:
+    if args.storage_dir and args.distributed:
         print("serve: --storage-dir applies to the in-process tier "
               "(workers own per-process engines)", file=sys.stderr)
         return 2
-    service_cls = TuningService
-    if distributed:
-        from repro.distributed import DistributedService
-
-        service_cls = DistributedService
+    if not (args.store or (args.system and args.backend)):
+        print("serve: --system and --backend are required without "
+              "--store", file=sys.stderr)
+        return 2
     service_kwargs = dict(
         workers=args.workers,
         capacity=args.capacity,
         shards=args.shards,
         max_batch=args.max_batch,
-        shadow_every=shadow_every,
+        # the adaptive loop needs shadow timings
+        shadow_every=args.shadow_every or (4 if args.adaptive else 0),
     )
     # the reference replay for --verify-identity runs without the disk
-    # tier: identical results prove demote/promote/streaming change
-    # nothing about the math
-    reference_kwargs = dict(service_kwargs)
-    if storage_dir:
-        service_kwargs.update(
-            storage_dir=storage_dir,
-            storage_capacity_bytes=getattr(
-                args, "storage_capacity_bytes", None
-            ),
+    # tier or a streaming override: identical results prove
+    # demote/promote/streaming change nothing about the math
+    tier_kwargs = {}
+    if args.storage_dir:
+        tier_kwargs.update(
+            storage_dir=args.storage_dir,
+            storage_capacity_bytes=args.storage_capacity_bytes,
         )
-    stream_threshold = getattr(args, "stream_threshold_bytes", None)
-    if stream_threshold is not None and not distributed:
+    stream_threshold = args.stream_threshold_bytes
+    if stream_threshold is not None and not args.distributed:
         # 0 streams every mmap-backed CSR; negative disables streaming
-        service_kwargs["stream_threshold_bytes"] = (
+        tier_kwargs["stream_threshold_bytes"] = (
             None if stream_threshold < 0 else stream_threshold
         )
+    trace_kwargs = {}
     if args.store:
         from repro.experiments.store import ArtifactStore
 
         spec = ArtifactStore(args.store).load_spec(args.fingerprint)
-        trace = workload_trace(
-            args.n_matrices,
-            args.requests,
-            seed=args.seed,
-            sessions=args.clients,
-            collection=spec.corpus.build(),
-            source=f"suite:{spec.name}",
+        trace_kwargs = dict(
+            collection=spec.corpus.build(), source=f"suite:{spec.name}"
         )
-        service = service_for_suite(
-            args.store,
-            fingerprint=args.fingerprint,
-            service_cls=service_cls,
-            **service_kwargs,
-        )
+    # --kill-after is the trace's kill event, injected by the replay
+    trace = workload_trace(
+        args.n_matrices,
+        args.requests,
+        seed=args.seed,
+        sessions=args.clients,
+        kill_at=args.kill_after,
+        **trace_kwargs,
+    )
+    tier = "distributed" if args.distributed else "inproc"
+    service = _serve_service(args, tier, **service_kwargs, **tier_kwargs)
+    if args.store:
         print(f"replaying suite      {spec.name} "
               f"(fingerprint {spec.fingerprint})")
-    else:
-        if not (args.system and args.backend):
-            print("serve: --system and --backend are required without "
-              "--store", file=sys.stderr)
-            return 2
-        space = make_space(args.system, args.backend)
-        tuner = RandomForestTuner(args.model) if args.model else RunFirstTuner()
-        trace = workload_trace(
-            args.n_matrices, args.requests, seed=args.seed,
-            sessions=args.clients,
-        )
-        service = service_cls(space, tuner, **service_kwargs)
     controller = None
     if args.adaptive:
-        from repro.adaptive import AdaptiveController, ModelRegistry
-
-        registry_dir = args.registry or tempfile.mkdtemp(
-            prefix="repro-registry-"
+        controller = _adaptive_controller(
+            service, args.registry, check_every=args.check_every
         )
-        controller = AdaptiveController(
-            service,
-            ModelRegistry(registry_dir),
-            check_every=args.check_every,
-            background=True,
-        ).attach()
-    spiller = None
-    metrics_dir = getattr(args, "metrics_dir", None)
-    if metrics_dir:
-        from repro.obs.spill import MetricsSpiller
-
-        spiller = MetricsSpiller(
-            metrics_dir,
-            service.obs,
-            interval=getattr(args, "metrics_interval", 1.0),
-            retention_bytes=getattr(args, "metrics_retention_bytes", None),
-            retention_segments=getattr(
-                args, "metrics_retention_segments", 4
-            ),
-        ).start()
-    killer = None
-    if kill_after:
-        import threading
-
-        def kill_one_worker_mid_replay():
-            # wait until the replay is genuinely in flight, then SIGKILL
-            # the worker owning the trace's first matrix — the recovery
-            # drill CI greps for
-            while service.obs.requests_served.value < kill_after:
-                if service.obs.requests_served.value >= args.requests:
-                    return
-                time.sleep(0.005)
-            victim = service.worker_of(trace.events[0]["key"])
-            pid = service.kill_worker(victim)
-            if pid is not None:
-                print(f"kill drill           SIGKILLed worker {victim} "
-                      f"(pid {pid}) after "
-                      f"{kill_after} requests")
-
-        killer = threading.Thread(
-            target=kill_one_worker_mid_replay, name="serve-kill-drill"
-        )
-    with service:
-        if killer is not None:
-            killer.start()
-        report = replay_trace(service, trace)
-        if killer is not None:
-            killer.join()
-        if controller is not None:
-            controller.close()
-        if spiller is not None:
-            spiller.stop()  # final flush while the fleet is still up
+    (report,) = _drive(args, service, trace, controller=controller)
     stats = report.service_stats
     cache = stats["engine_cache"]
     engines = stats["engines"]
@@ -427,21 +431,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"model                {model['version']} "
           f"(source {model['source'] or '-'}, "
           f"promotions {model['promotions']}, promoted {when})")
-    if spiller is not None:
+    if args.metrics_dir:
         obs_block = stats.get("observability", {})
-        print(f"observability        spilled to {metrics_dir} "
+        print(f"observability        spilled to {args.metrics_dir} "
               f"({obs_block.get('spans_recorded', 0)} spans, "
               f"{obs_block.get('spans_dropped', 0)} dropped); "
-              f"inspect with 'repro top {metrics_dir} --once'")
+              f"inspect with 'repro top {args.metrics_dir} --once'")
     if controller is not None:
-        cstats = controller.stats()
-        telemetry = cstats["telemetry"]
-        print(f"adaptive             {cstats['drift_events']} drift events, "
-              f"{cstats['retrainer']['retrains']} retrains, "
-              f"{cstats['promotions']} promotions "
-              f"({telemetry['recorded']} telemetry records, "
-              f"{telemetry['shadowed']} shadow-probed)")
-    if distributed:
+        _print_adaptive(controller)
+    if args.distributed:
         dist = stats["distributed"]
         sup = dist["supervisor"]
         lost = report.lost
@@ -450,25 +448,34 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"shm pool {dist['shm']['slots']}x"
               f"{dist['shm']['slot_bytes']} B "
               f"({dist['shm']['overflows']} overflows)")
+        if report.kills_injected:
+            print(f"kill drill           {report.kills_injected} worker "
+                  f"SIGKILLed after {args.kill_after} submitted requests")
         print(f"worker respawns      {sup['respawns']} "
               f"({dist['retried_requests']} requests retried, "
               f"{lost} lost)")
-        if kill_after and lost == 0:
+        if report.kills_injected and lost == 0:
             print("kill recovery        OK: every request on the killed "
                   "shard was replayed and served")
     if report.lost:
         print(f"serve: {report.lost} requests failed or never completed",
               file=sys.stderr)
         return 1
-    if verify_identity:
+    if args.verify_identity:
         # the reference is a storage-free single-process service:
         # identical results prove sharding and tiering change no math
         reference = (
-            "single-process service" if distributed
+            "single-process service" if args.distributed
             else "in-RAM reference service"
         )
-        mismatches = _verify_reference_identity(
-            args, trace, report, reference_kwargs
+        with _serve_service(args, "inproc", **service_kwargs) as single:
+            reference_report = replay_trace(single, trace)
+        # records pair up by seq; one missing from either side differs
+        got = {r["seq"]: r.get("y_digest") for r in report.records}
+        want = {r["seq"]: r.get("y_digest") for r in reference_report.records}
+        mismatches = sum(
+            got.get(seq) is None or got.get(seq) != want.get(seq)
+            for seq in got.keys() | want.keys()
         )
         if mismatches:
             print(f"bitwise identity     FAILED: {mismatches} of "
@@ -480,46 +487,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_reference_identity(args, trace, report, service_kwargs):
-    """Replay *trace* on a plain in-process service; count differing bits.
-
-    Compares each request's ``y_digest`` by ``seq`` across the two
-    replay reports; a request missing from either side counts as a
-    difference.  The reference kwargs deliberately exclude the storage
-    tier and any streaming override, so this doubles as the bitwise
-    oracle for both the distributed tier and a tiered
-    (``--storage-dir``) serve.
-    """
-    from repro.service import TuningService, service_for_suite
-    from repro.trace import replay_trace
-
-    if args.store:
-        single = service_for_suite(
-            args.store, fingerprint=args.fingerprint, **service_kwargs
-        )
-    else:
-        space = make_space(args.system, args.backend)
-        tuner = (
-            RandomForestTuner(args.model) if args.model else RunFirstTuner()
-        )
-        single = TuningService(space, tuner, **service_kwargs)
-    with single:
-        reference = replay_trace(single, trace)
-    got = {r["seq"]: r.get("y_digest") for r in report.records}
-    want = {r["seq"]: r.get("y_digest") for r in reference.records}
-    return sum(
-        got.get(seq) is None or got.get(seq) != want.get(seq)
-        for seq in got.keys() | want.keys()
-    )
-
-
 def cmd_stream(args: argparse.Namespace) -> int:
     """Serve an evolving matrix through the streaming mutation path."""
-    import time
-
     from repro.datasets.evolving import generate_evolving
     from repro.formats import convert
-    from repro.formats.coo import COOMatrix
     from repro.runtime.engine import WorkloadEngine
     from repro.runtime.epoch import RedecisionPolicy
     from repro.service import TuningService
@@ -530,12 +501,11 @@ def cmd_stream(args: argparse.Namespace) -> int:
     )
     mats = workload.compacted()
     policy = RedecisionPolicy(threshold=args.threshold)
-    tuner = RunFirstTuner()
     key = workload.name
     matrix = DynamicMatrix(workload.initial)
     rng = np.random.default_rng(args.seed)
     service = TuningService(
-        space, tuner, workers=args.workers, redecision=policy
+        space, RunFirstTuner(), workers=args.workers, redecision=policy
     )
     verified = mismatched = epoch_mismatches = 0
     epochs_reached = 0
@@ -577,34 +547,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     inv = stats["invalidations"]
     carried = sum(1 for u in updates if u.carried_forward)
     retuned = sum(1 for u in updates if u.retuned)
-
-    # engine-level timing: the incremental path (delta merge + stat
-    # maintenance + carried-forward decisions) vs rebuilding the engine
-    # entry from scratch each epoch (re-canonicalise, re-hash, re-stat,
-    # re-tune, re-convert) — same requests, same tuner
-    operands = [
-        [rng.standard_normal(m.ncols) for _ in range(args.requests_per_epoch)]
-        for m in mats
-    ]
-    t0 = time.perf_counter()
-    inc_engine = WorkloadEngine(space, tuner, redecision=policy)
-    inc_engine.track(workload.initial, key=key)
-    for epoch in range(workload.epochs + 1):
-        if epoch > 0:
-            inc_engine.update(key, workload.deltas[epoch - 1])
-        for x in operands[epoch]:
-            inc_engine.execute(matrix, x, key=key)
-    incremental_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for epoch in range(workload.epochs + 1):
-        m = mats[epoch]
-        rebuilt = COOMatrix(m.nrows, m.ncols, m.row, m.col, m.data)
-        engine = WorkloadEngine(space, tuner)
-        for x in operands[epoch]:
-            engine.execute(rebuilt, x)
-    scratch_wall = time.perf_counter() - t0
-    speedup = scratch_wall / incremental_wall if incremental_wall else 0.0
-
     total_checks = verified + mismatched
     print(f"stream               {workload.name}: {workload.epochs} epochs, "
           f"{args.requests_per_epoch} requests/epoch on {space.name}")
@@ -623,8 +565,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
     else:
         print(f"identity             {verified}/{total_checks} results "
               f"bitwise-identical to a from-scratch engine")
-    print(f"speedup              incremental serving {speedup:.1f}x vs "
-          f"from-scratch rebuild per epoch")
     failed = False
     if epoch_mismatches:
         print(f"stream: {epoch_mismatches} results stamped with an "
@@ -639,24 +579,19 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 def cmd_record(args: argparse.Namespace) -> int:
     """Capture a seeded live workload into a replayable trace directory."""
+    from repro.service import service_class
     from repro.trace import record_workload
 
-    if args.service == "inproc" and (args.kill_at or args.kill_with_update):
+    distributed = args.service == "distributed"
+    if not distributed and (args.kill_at or args.kill_with_update):
         print("record: kill drills need --service distributed",
               file=sys.stderr)
         return 2
-    space = make_space(args.system, args.backend)
-    tuner = RunFirstTuner()
-    if args.service == "distributed":
-        from repro.distributed import DistributedService
-
-        service = DistributedService(
-            space, tuner, workers=args.workers or 4
-        )
-    else:
-        from repro.service import TuningService
-
-        service = TuningService(space, tuner, workers=args.workers or 2)
+    service = service_class(args.service)(
+        make_space(args.system, args.backend),
+        RunFirstTuner(),
+        workers=args.workers or (4 if distributed else 2),
+    )
     with service:
         trace = record_workload(
             service,
@@ -672,6 +607,7 @@ def cmd_record(args: argparse.Namespace) -> int:
             promote_at=args.promote_at,
             kill_at=args.kill_at,
             kill_with_update=args.kill_with_update,
+            compact=args.compact,
         )
     counts = trace.counts
     print(f"recorded             {counts['requests']} requests, "
@@ -690,14 +626,8 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     """Deterministically re-drive a recorded trace; verify bitwise."""
     import json
-    import tempfile
 
-    from repro.trace import (
-        load_trace,
-        replay_trace,
-        service_for_trace,
-        validate_trace,
-    )
+    from repro.trace import load_trace, service_for_trace, validate_trace
 
     problems = validate_trace(args.trace)
     if problems:
@@ -712,32 +642,29 @@ def cmd_replay(args: argparse.Namespace) -> int:
           f"({counts['requests']} requests, {counts['updates']} updates, "
           f"{counts['kills']} kills, {counts['promotions']} promotions)")
 
-    kind = "inproc" if args.service == "adaptive" else args.service
-    service = service_for_trace(trace, kind, workers=args.workers)
-    controller = None
-    if args.service == "adaptive":
-        from repro.adaptive import AdaptiveController, ModelRegistry
-
-        service.shadow_every = 4
-        registry_dir = args.registry or tempfile.mkdtemp(
-            prefix="repro-registry-"
-        )
-        controller = AdaptiveController(
-            service, ModelRegistry(registry_dir), background=True
-        ).attach()
+    adaptive = args.service == "adaptive"
+    service = service_for_trace(
+        trace,
+        "inproc" if adaptive else args.service,
+        workers=args.workers,
+        # the adaptive loop needs shadow timings
+        shadow_every=4 if adaptive else 0,
+    )
+    controller = (
+        _adaptive_controller(service, args.registry) if adaptive else None
+    )
     print(f"service              {args.service}, "
           f"{service.workers} workers on "
           f"{trace.space.get('system')}/{trace.space.get('backend')}")
     print(f"speed                {args.speed}")
-    with service:
-        report = replay_trace(
-            service,
-            trace,
-            speed=args.speed,
-            verify=not args.no_verify,
-        )
-        if controller is not None:
-            controller.close()
+    (report,) = _drive(
+        args,
+        service,
+        trace,
+        controller=controller,
+        speed=args.speed,
+        verify=not args.no_verify,
+    )
     print(f"replayed             {report.requests} requests, "
           f"{report.updates} updates in {report.wall_seconds:.2f}s "
           f"({report.throughput_rps:.1f} rps)")
@@ -749,6 +676,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     print(f"latency              {report.mean_latency_seconds * 1e3:.3f}ms "
           f"mean vs {report.recorded_mean_latency_seconds * 1e3:.3f}ms "
           f"recorded")
+    if controller is not None:
+        _print_adaptive(controller)
     if args.no_verify:
         print("verification         skipped (--no-verify)")
     elif report.mismatches or report.lost:
@@ -798,7 +727,6 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     )
     from repro.core.tuners.ml import RandomForestTuner
     from repro.service import TuningService
-    from repro.trace import replay_trace
 
     space = make_space(args.system, args.backend)
     boot = bootstrap(
@@ -843,11 +771,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     # serve the pre-drift phase once, then the drifted phase in waves —
     # sustained drifted traffic lets the loop probe the whole population,
     # retrain, and confirm the fix instead of adapting from one snapshot
-    with service, controller:
-        replay_trace(service, scenario.phase_trace("before", args.clients))
-        post = scenario.phase_trace("after", args.clients)
-        for _ in range(args.waves):
-            replay_trace(service, post)
+    before = scenario.phase_trace("before", args.clients)
+    after = scenario.phase_trace("after", args.clients)
+    _drive(args, service, before, *[after] * args.waves, controller=controller)
     stats = controller.stats()
 
     print(f"bootstrap            {initial} trained on "
@@ -1093,14 +1019,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kill-after", type=int, default=0,
-        help="recovery drill (with --distributed): SIGKILL the worker "
-             "owning the trace's first matrix after N served requests",
+        help="recovery drill (with --distributed): the trace carries a "
+             "kill event that SIGKILLs the worker owning its first matrix "
+             "after N submitted requests",
     )
     p.add_argument(
         "--verify-identity", action="store_true",
-        help="after a --distributed replay, re-run the trace on a "
-             "single-process service and require bitwise-identical "
-             "results (exit 1 otherwise)",
+        help="re-run the trace on a single-process service without a "
+             "disk tier and require bitwise-identical results (exit 1 "
+             "otherwise); checks a --distributed or --storage-dir serve",
     )
     p.add_argument(
         "--capacity", type=int, default=32,

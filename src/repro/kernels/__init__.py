@@ -5,9 +5,10 @@ one per (operation, format), which the dispatch table
 (:mod:`repro.runtime.registry`) registers.  They define the reference
 semantics and serve when scipy is absent.  With scipy importable, the
 batch dispatch (:mod:`repro.runtime.batch`) runs scipy's own compiled
-DIA and COO kernels on those containers' arrays, and a cached compiled
-CSR image for CSR, ELL, HYB and HDC; the results are the same bits.
-Served results carry the label ``"numpy"`` for all of these paths.
+CSR, DIA and COO kernels on those containers' own arrays, and the CSR
+kernel on a cached CSR image for ELL, HYB and HDC; the results are the
+same bits.  Served results carry the label ``"numpy"`` for all of these
+paths.
 
 The tier is distinct from the **modelled** backend axis of
 :class:`repro.backends.base.ExecutionSpace` (``serial``/``openmp``/
@@ -38,8 +39,9 @@ BACKEND = "numpy"
 def probe_backends() -> Dict[str, str]:
     """The kernel tiers on this host, each with what serves behind it."""
     return {
-        BACKEND: "vectorised NumPy reference; scipy's DIA and COO kernels "
-        "and a compiled CSR image serve when scipy is importable"
+        BACKEND: "vectorised NumPy reference; scipy's CSR, DIA and COO "
+        "kernels on their own arrays (CSR on a CSR image for ELL, HYB "
+        "and HDC) serve when scipy is importable"
     }
 
 

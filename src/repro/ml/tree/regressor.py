@@ -16,7 +16,7 @@ from repro.errors import ModelError, ValidationError
 from repro.ml.base import BaseEstimator, check_is_fitted
 from repro.ml.tree.classifier import resolve_max_features
 from repro.ml.tree.splitter import find_best_split_mse
-from repro.ml.tree.structure import Tree, TreeBuffer
+from repro.ml.tree.structure import TreeBuffer
 from repro.utils.rng import ensure_generator
 
 __all__ = ["DecisionTreeRegressor"]
@@ -137,7 +137,3 @@ class DecisionTreeRegressor(BaseEstimator):
         ss_res = float(((y - pred) ** 2).sum())
         ss_tot = float(((y - y.mean()) ** 2).sum())
         return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-
-
-def _as_regression_tree(tree: Tree) -> Tree:  # pragma: no cover - reserved
-    return tree

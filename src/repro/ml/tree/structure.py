@@ -94,21 +94,6 @@ class Tree:
         """Class distribution of the reached leaf, normalised."""
         return _distribution(self.counts[self.apply(X)])
 
-    def decision_path_length(self, X: np.ndarray) -> np.ndarray:
-        """Number of internal nodes traversed per sample."""
-        X = np.asarray(X, dtype=np.float64)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        hops = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[node] != LEAF
-        while active.any():
-            idx = node[active]
-            feat = self.feature[idx]
-            go_left = X[active, feat] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
-            hops[active] += 1
-            active = self.feature[node] != LEAF
-        return hops
-
     # ------------------------------------------------------------------
     def feature_importances(self, n_features: int) -> np.ndarray:
         """Impurity-decrease importance per feature, normalised to sum 1.

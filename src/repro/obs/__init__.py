@@ -31,7 +31,7 @@ The spill side lives in :mod:`repro.obs.spill` (the ``serve
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.obs.events import EventRing
 from repro.obs.metrics import (
@@ -143,11 +143,3 @@ class Observability:
         """A fresh trace ID (minted even when disabled: results carry
         their trace ID either way, only the span record is skipped)."""
         return mint_trace_id()
-
-    # -- convenience for stats views -----------------------------------
-    def stats_block(self) -> Dict[str, object]:
-        return {
-            "spans_recorded": self.spans.recorded,
-            "spans_dropped": self.spans.dropped,
-            "events": self.events.counts(),
-        }

@@ -18,8 +18,10 @@ concurrent traffic, top-down:
   capacity-bounded LRU of per-matrix
   :class:`~repro.runtime.engine.WorkloadEngine` instances (per-shard
   locks, eviction with accounting hand-off).
-* :mod:`~repro.service.replay` — :func:`service_for_suite`, a service
-  serving a stored suite's exported model (``repro serve --store``).
+* :mod:`~repro.service.replay` — :func:`service_class`, the one map
+  from a tier name to its service class, and :func:`service_for_suite`,
+  a service serving a stored suite's exported model (``repro serve
+  --store``).
   Traffic comes from :mod:`repro.trace`: generated or recorded traces,
   driven by :func:`~repro.trace.replay.replay_trace`.
 
@@ -28,7 +30,7 @@ semantics.
 """
 
 from repro.service.cache import ShardedEngineCache
-from repro.service.replay import service_for_suite
+from repro.service.replay import service_class, service_for_suite
 from repro.service.service import (
     ServiceResult,
     Session,
@@ -42,5 +44,6 @@ __all__ = [
     "ShardedEngineCache",
     "TuningService",
     "UpdateResult",
+    "service_class",
     "service_for_suite",
 ]

@@ -304,16 +304,17 @@ def service_for_trace(
     """A service matching *trace*'s recorded space, ready for replay.
 
     *trace* may be a :class:`RecordedTrace` or a trace directory path.
-    ``kind`` selects the tier: ``"inproc"`` builds a
-    :class:`~repro.service.service.TuningService`, ``"distributed"`` a
-    :class:`~repro.distributed.gateway.DistributedService` (default 4
-    workers).  The tuner defaults to a fresh
+    ``kind`` names the tier (:func:`repro.service.replay.service_class`):
+    ``"inproc"`` (default 2 threads) or ``"distributed"`` (default 4
+    worker processes).  The tuner defaults to a fresh
     :class:`~repro.core.tuners.run_first.RunFirstTuner` — deterministic
     on the modelled spaces, which is what recorded traces are captured
     with; pass *tuner* to replay under a different model.
     """
     from repro.backends import make_space
+    from repro.service.replay import service_class
 
+    cls = service_class(kind)
     if not isinstance(trace, RecordedTrace):
         trace = RecordedTrace.load(trace)
     space_info = trace.space
@@ -321,20 +322,9 @@ def service_for_trace(
         space_info.get("system", "cirrus"),
         space_info.get("backend", "serial"),
     )
-    if tuner is None:
-        tuner = RunFirstTuner()
-    if kind == "inproc":
-        from repro.service.service import TuningService
-
-        return TuningService(
-            space, tuner, workers=workers or 2, **kwargs
-        )
-    if kind == "distributed":
-        from repro.distributed.gateway import DistributedService
-
-        return DistributedService(
-            space, tuner, workers=workers or 4, **kwargs
-        )
-    raise ValidationError(
-        f"unknown service kind {kind!r}; expected 'inproc' or 'distributed'"
+    return cls(
+        space,
+        RunFirstTuner() if tuner is None else tuner,
+        workers=workers or (4 if kind == "distributed" else 2),
+        **kwargs,
     )

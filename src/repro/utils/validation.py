@@ -9,7 +9,7 @@ estimators share identical error behaviour.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -208,12 +208,3 @@ def as_value_array(arr: Any, *, name: str) -> np.ndarray:
     """Shorthand: 1-D contiguous float64 array."""
     out = check_array_1d(arr, name=name)
     return check_dtype_float(out, name=name).astype(VALUE_DTYPE, copy=False)
-
-
-def as_sequence_of_str(items: Sequence[str], *, name: str) -> list[str]:
-    """Validate a sequence of strings (used for format pools)."""
-    out = list(items)
-    for item in out:
-        if not isinstance(item, str):
-            raise ValidationError(f"{name!r} must contain strings, got {type(item)}")
-    return out

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,82 @@ class TestServe:
         out = capsys.readouterr().out
         assert "replaying suite      serve-suite" in out
         assert "served               20 requests from 2 clients" in out
+
+
+class TestServeDistributed:
+    def test_kill_drill_recovers_every_request(self, capsys):
+        # the trace's kill event SIGKILLs a worker mid-replay; the lines
+        # below are the ones CI's recovery drill greps
+        assert main(
+            [
+                "serve",
+                "--system", "cirrus",
+                "--backend", "serial",
+                "--distributed",
+                "--workers", "2",
+                "--clients", "4",
+                "--requests", "40",
+                "-n", "4",
+                "--kill-after", "8",
+                "--verify-identity",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "kill drill           1 worker SIGKILLed after 8" in out
+        assert re.search(r"worker respawns      [1-9][0-9]* \(.* 0 lost\)", out)
+        assert "kill recovery        OK" in out
+        assert "bitwise identity     OK" in out
+
+    def test_kill_after_requires_distributed(self, capsys):
+        assert main(
+            [
+                "serve",
+                "--system", "cirrus",
+                "--backend", "serial",
+                "--requests", "4",
+                "--kill-after", "2",
+            ]
+        ) == 2
+        assert "--kill-after requires --distributed" in capsys.readouterr().err
+
+
+class TestRecordReplay:
+    def test_record_compact_then_replay(self, capsys, tmp_path):
+        from repro.trace import load_trace
+
+        out = str(tmp_path / "trace")
+        assert main(
+            ["record", "--out", out, "--compact", "-n", "3",
+             "--requests", "12"]
+        ) == 0
+        assert "recorded             12 requests" in capsys.readouterr().out
+        # the compact corpus, not sampled collection matrices
+        assert set(load_trace(out).matrix_keys()) == {
+            "banded_0", "stencil_2d_1", "powerlaw_2"
+        }
+        assert main(["replay", "--trace", out, "--bench-out", ""]) == 0
+        replayed = capsys.readouterr().out
+        assert "bitwise-identical, 0 lost" in replayed
+        assert "replay               OK" in replayed
+
+    def test_adaptive_replay_shadow_probes(self, capsys, tmp_path):
+        golden = os.path.join(
+            os.path.dirname(__file__), "trace", "golden", "adaptive-drift"
+        )
+        assert main(
+            [
+                "replay",
+                "--trace", golden,
+                "--service", "adaptive",
+                "--registry", str(tmp_path / "registry"),
+                "--bench-out", "",
+            ]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "replay               OK" in out
+        # the adaptive line serve prints; shadow timings feed the loop
+        probed = re.search(r"^adaptive .* (\d+) shadow-probed\)$", out, re.M)
+        assert probed is not None and int(probed.group(1)) > 0
 
 
 class TestStream:
