@@ -38,7 +38,6 @@ reopens.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import threading
 import time
@@ -490,9 +489,10 @@ class DistributedService(TuningService):
             self._served.add(fp)
         # the result arrives without y: it is the shared-memory response
         # block, whose column j is request j's output in a stacked batch
-        served.result = dataclasses.replace(
-            served.result,
-            y=self.pool.view(entry.out_ref, release_with_view=True),
+        served = served._replace(
+            result=served.result._replace(
+                y=self.pool.view(entry.out_ref, release_with_view=True)
+            )
         )
         self.pool.release(entry.x_ref)
         stages = {

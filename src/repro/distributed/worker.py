@@ -77,7 +77,6 @@ recounted on the respawn).
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import threading
@@ -161,11 +160,13 @@ class _WorkerState:
         X = self.segments.view(x_ref)
         out = self.segments.view(out_ref)
         attach_seconds = time.perf_counter() - attach_start
+        n = spec["requests"]
         served = self.host.serve(
             fp,
             matrix,
             X,
             spec["repetitions"],
+            requests=n,
             telemetry=bool(spec.get("telemetry", True)),
         )
         write_start = time.perf_counter()
@@ -175,14 +176,13 @@ class _WorkerState:
         for ref in (x_ref, out_ref):
             if ref.slot is None:
                 self.segments.forget(ref.segment)
-        n = spec["requests"]
         self.requests_served += n
         # every member of the batch experienced the batch's worker-side
         # wall time, so each contributes one observation of it
         batch_seconds = attach_seconds + served.kernel_seconds + write_seconds
         for _ in range(n):
             self.latency.observe(batch_seconds)
-        served.result = dataclasses.replace(served.result, y=None)
+        served = served._replace(result=served.result._replace(y=None))
         # one shared stage dict per batch: the whole batch rode one
         # kernel launch, so its members share the worker-side timings
         stages = {

@@ -138,8 +138,3 @@ class Observability:
         """Emit one structured event (no-op when disabled)."""
         if self.enabled:
             self.events.emit(kind, **fields)
-
-    def mint(self) -> str:
-        """A fresh trace ID (minted even when disabled: results carry
-        their trace ID either way, only the span record is skipped)."""
-        return mint_trace_id()

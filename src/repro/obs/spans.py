@@ -37,15 +37,26 @@ __all__ = ["SpanRecorder", "merge_worker_stages", "mint_trace_id"]
 _trace_counter = itertools.count(1)
 
 
+def _pid_prefix() -> None:
+    """Set this process's trace-ID prefix (again in a forked child)."""
+    global _PREFIX
+    _PREFIX = f"t-{os.getpid():x}-"
+
+
+_pid_prefix()
+os.register_at_fork(after_in_child=_pid_prefix)
+
+
 def mint_trace_id() -> str:
     """A process-unique trace ID: ``t-<pid hex>-<counter hex>``.
 
     The PID prefix keeps IDs unique across the gateway and its worker
-    processes; the counter (``itertools.count`` — atomic under the GIL)
-    keeps them unique and *ordered* within a process, so a span timeline
-    sorted by ID is sorted by submission.
+    processes (it is taken once per process, not per ID); the counter
+    (``itertools.count`` — atomic under the GIL) keeps them unique and
+    *ordered* within a process, so a span timeline sorted by ID is
+    sorted by submission.
     """
-    return f"t-{os.getpid():x}-{next(_trace_counter):06x}"
+    return f"{_PREFIX}{next(_trace_counter):06x}"
 
 
 class SpanRecorder:

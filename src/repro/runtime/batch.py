@@ -57,7 +57,6 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.dynamic import DynamicMatrix
 from repro.runtime.registry import REGISTRY
-from repro.utils.validation import check_vector_length
 
 try:  # gated optional accelerator: compiled sparse kernels
     import scipy.sparse as _scipy_sparse
@@ -104,7 +103,9 @@ def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
     the checks cannot diverge between them.
     """
     operand = np.ascontiguousarray(x, dtype=np.float64)
-    check_operand(operand, _concrete(matrix).ncols)
+    if isinstance(matrix, DynamicMatrix):
+        matrix = matrix.concrete
+    check_operand(operand, matrix.ncols)
     return operand
 
 
@@ -112,7 +113,10 @@ def check_operand(operand: np.ndarray, ncols: int) -> None:
     """The O(1) shape checks of :func:`validate_operand` on an *operand*
     that is already an array, against a container's *ncols*."""
     if operand.ndim == 1:
-        check_vector_length(operand, ncols, name="x")
+        if operand.shape[0] != ncols:
+            raise ShapeError(
+                f"'x' has length {operand.shape[0]}, expected {ncols}"
+            )
     elif operand.ndim == 2:
         if operand.shape[0] != ncols:
             raise ShapeError(
@@ -229,7 +233,7 @@ def dispatch(matrix: MatrixLike, operand: np.ndarray) -> np.ndarray:
     checked the operand against the container it serves (the
     compiled kernels do not bounds-check).
     """
-    m = _concrete(matrix)
+    m = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
     if _scipy_sparse is not None:
         own = OWN_KERNELS.get(m.format)
         if own is not None:

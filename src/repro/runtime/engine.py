@@ -30,6 +30,7 @@ import copy
 import hashlib
 import time
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 
@@ -235,8 +236,7 @@ class InvalidationCounters:
         }
 
 
-@dataclass(frozen=True)
-class EngineResult:
+class EngineResult(NamedTuple):
     """Outcome of one served request.
 
     ``seconds`` is the modelled device time of the SpMV itself;
@@ -265,7 +265,6 @@ class _Chain(NamedTuple):
     prepared: SparseMatrix
     overhead: float
     cached: bool
-    report: "TuningReport"
 
 
 #: The engine's kernel calls, for a 1-D and for an ``(ncols, k)``
@@ -275,14 +274,30 @@ class _Chain(NamedTuple):
 matvec = batched_spmv = dispatch
 
 
-class _Warm(NamedTuple):
-    """A key's memoised warm chain (:attr:`WorkloadEngine._warm`)."""
+#: The SpMM traffic factor of a single-vector operand.
+_ONE_VECTOR = spmm_time_factor(1)
 
-    report: "TuningReport"
+
+def _backend_tally() -> "defaultdict[str, Dict[str, float]]":
+    """Per-tier request counts and modelled SpMV seconds, zero on first use."""
+    return defaultdict(lambda: {"requests": 0, "seconds": 0.0})
+
+
+class _Warm(NamedTuple):
+    """A key's memoised warm chain (:attr:`WorkloadEngine._warm`).
+
+    Everything here is fixed until the chain is dropped, which happens
+    wherever the decision, the serving container, the stats or the
+    epoch of the key change.
+    """
+
     prepared: SparseMatrix
-    stats: MatrixStats
     #: The modelled single-SpMV seconds of ``prepared``.
     price: float
+    ncols: int
+    epoch: int
+    #: Whether ``prepared`` is served by row-block streaming.
+    streams: bool
 
 
 class WorkloadEngine:
@@ -290,7 +305,8 @@ class WorkloadEngine:
 
     :meth:`execute` runs one request chain
     (fingerprint → stats → decision → serving container, each a
-    counted cache lookup), reach the kernel through
+    counted cache lookup; a warm key resolves them with one lookup in
+    :meth:`serve_warm`), reach the kernel through
     this module's :func:`matvec` or :func:`batched_spmv` with the
     operand checked against the serving container, and account each
     request in one step.
@@ -359,15 +375,16 @@ class WorkloadEngine:
             "seconds": 0.0,
         }
         #: Request counts and modelled SpMV seconds by kernel tier.
-        self.backend_seconds: Dict[str, Dict[str, float]] = {}
+        self.backend_seconds = _backend_tally()
         self._stats: Dict[str, MatrixStats] = {}
         self._features: Dict[str, np.ndarray] = {}
         self._reports: Dict[str, "TuningReport"] = {}
         self._prepared: Dict[str, SparseMatrix] = {}
         self._format_times: Dict[str, Dict[str, float]] = {}
-        #: Memoised warm chain per key (decision, serving container,
-        #: stats and single-SpMV price), so a warm request resolves its
-        #: artefacts with one lookup; dropped wherever any of them change.
+        #: Memoised warm chain per key (serving container, its
+        #: single-SpMV price, column count and epoch), so a warm request
+        #: resolves its artefacts with one lookup; dropped wherever the
+        #: decision, the container, the stats or the epoch change.
         self._warm: Dict[str, _Warm] = {}
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
@@ -639,6 +656,7 @@ class WorkloadEngine:
             return fp
         state = StreamState(fp, concrete.epoch, concrete.to_coo())
         self._streams[fp] = state
+        self._warm.pop(fp, None)  # resolved at the untracked epoch
         self._stats.setdefault(fp, state.inc.to_stats())
         return fp
 
@@ -851,14 +869,6 @@ class WorkloadEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _account_backend(self, seconds: float) -> None:
-        """Fold one served request into the per-tier attribution."""
-        entry = self.backend_seconds.setdefault(
-            BACKEND, {"requests": 0, "seconds": 0.0}
-        )
-        entry["requests"] += 1
-        entry["seconds"] += seconds
-
     def _streams_when_mapped(self, prepared: SparseMatrix) -> bool:
         """Whether *prepared* is a CSR container at or above the
         :attr:`stream_threshold_bytes` floor."""
@@ -935,20 +945,11 @@ class WorkloadEngine:
     def _chain(self, matrix: MatrixLike, fp: str) -> _Chain:
         """Resolve one request's artefacts up to the kernel call.
 
-        A key with a warm chain (:attr:`_warm`) resolves stats, decision
-        and serving container with that one lookup, counted as the three
-        hits the separate lookups would count.  Otherwise each is one
-        cache lookup (a miss pays and memoises it).  ``overhead`` is the tuning + conversion cost this request paid
-        (zero on warm caches); ``cached`` whether the decision already
-        existed.
+        Each of stats, decision and serving container is one cache
+        lookup (a miss pays and memoises it).  ``overhead`` is the
+        tuning + conversion cost this request paid (zero on warm
+        caches); ``cached`` whether the decision already existed.
         """
-        warm = self._warm.get(fp)
-        if warm is not None:
-            counters = self.counters
-            counters.stats_hits += 1
-            counters.decision_hits += 1
-            counters.conversion_hits += 1
-            return _Chain(fp, warm.stats, warm.prepared, 0.0, True, warm.report)
         matrix = self._resolve(matrix, fp)
         cached = fp in self._reports
         before = self.seconds["tuning"] + self.seconds["conversion"]
@@ -956,12 +957,55 @@ class WorkloadEngine:
         report = self._decide(matrix, fp, stats)
         prepared = self._prepared_for(matrix, fp, report, stats)
         overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
-        return _Chain(fp, stats, prepared, overhead, cached, report)
+        return _Chain(fp, stats, prepared, overhead, cached)
 
     def has_chain(self, key: str) -> bool:
         """True when *key* has a warm chain: its next request resolves
         every artefact with one lookup and pays no tuning or conversion."""
         return key in self._warm
+
+    def serve_warm(
+        self,
+        fp: str,
+        operand: np.ndarray,
+        repetitions: int = 1,
+        requests: int = 1,
+    ) -> Optional[EngineResult]:
+        """Serve one kernel call from *fp*'s warm chain, or return ``None``.
+
+        The warm step: one lookup of :attr:`_warm` resolves the serving
+        container, its price and its epoch, counted as the three hits
+        the separate lookups would count; the O(1) shape check against
+        that container comes first, so a mismatched *operand* (already a
+        float64 array) raises before anything is counted or run.
+        ``None`` — nothing counted — when *fp* has no warm chain or its
+        container is streamed.  The kernel is reached through this
+        module's :func:`matvec` / :func:`batched_spmv`, looked up when
+        the call is made.
+        """
+        warm = self._warm.get(fp)
+        if warm is None or warm.streams:
+            return None
+        check_operand(operand, warm.ncols)
+        counters = self.counters
+        counters.stats_hits += 1
+        counters.decision_hits += 1
+        counters.conversion_hits += 1
+        if operand.ndim == 2:
+            y = batched_spmv(warm.prepared, operand)
+            factor = spmm_time_factor(max(1, operand.shape[1]))
+        else:
+            y = matvec(warm.prepared, operand)
+            factor = _ONE_VECTOR
+        seconds = repetitions * factor * warm.price
+        self.seconds["spmv"] += seconds
+        self.requests_served += 1
+        backend = self.backend_seconds[BACKEND]
+        backend["requests"] += requests
+        backend["seconds"] += seconds
+        return EngineResult(
+            y, seconds, 0.0, warm.prepared.format, fp, True, warm.epoch
+        )
 
     def _served(
         self,
@@ -969,8 +1013,9 @@ class WorkloadEngine:
         y: np.ndarray,
         operand: np.ndarray,
         repetitions: int,
+        requests: int,
     ) -> EngineResult:
-        """Account one served request and wrap its result.
+        """Account one kernel call resolved by :meth:`_chain`; wrap its result.
 
         The modelled SpMV seconds are the single-SpMV price scaled by
         ``repetitions`` and by the SpMM traffic factor of the operand's
@@ -981,20 +1026,23 @@ class WorkloadEngine:
         fp = chain.fp
         warm = self._warm.get(fp)
         if warm is None:
-            warm = _Warm(
-                chain.report,
-                chain.prepared,
-                chain.stats,
+            prepared = chain.prepared
+            warm = self._warm[fp] = _Warm(
+                prepared,
                 self.space.time_spmv(
-                    chain.stats, chain.prepared.format, matrix_key=fp
+                    chain.stats, prepared.format, matrix_key=fp
                 ),
+                prepared.ncols,
+                self.epoch_of(fp),
+                self._should_stream(prepared),
             )
-            self._warm[fp] = warm
         n_vectors = operand.shape[1] if operand.ndim == 2 else 1
         seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price
         self.seconds["spmv"] += seconds
         self.requests_served += 1
-        self._account_backend(seconds)
+        backend = self.backend_seconds[BACKEND]
+        backend["requests"] += requests
+        backend["seconds"] += seconds
         return EngineResult(
             y=y,
             seconds=seconds,
@@ -1002,7 +1050,7 @@ class WorkloadEngine:
             format=chain.prepared.format,
             fingerprint=fp,
             from_cache=chain.cached,
-            epoch=self.epoch_of(fp),
+            epoch=warm.epoch,
         )
 
     def execute(
@@ -1012,25 +1060,33 @@ class WorkloadEngine:
         *,
         key: Optional[str] = None,
         repetitions: int = 1,
+        requests: int = 1,
     ) -> EngineResult:
         """Serve one request: tune (cached), convert (cached), run, account.
 
         ``x`` may be a length-``ncols`` vector or an ``(ncols, k)`` block;
         ``repetitions`` scales the modelled SpMV seconds (iterative
-        workloads run the same product many times).  ``x`` is checked
+        workloads run the same product many times) and ``requests`` is
+        how many requests the call serves (the columns of a coalesced
+        block), which the per-tier attribution counts.  ``x`` is checked
         against the serving container the request resolves to — under a
         warm *key* that is the key's cached container, whatever *matrix*
         is passed — so a malformed or mismatched ``x`` raises
         :class:`~repro.errors.ShapeError` or
         :class:`~repro.errors.ValidationError` before any kernel runs.
         The check is O(1); a front end that already ran
-        :func:`~repro.runtime.batch.validate_operand` pays no copy.
+        :func:`~repro.runtime.batch.validate_operand` pays no copy.  A
+        warm key is served by :meth:`serve_warm`.
         """
-        chain = self._chain(matrix, self.fingerprint(matrix, key=key))
+        fp = self.fingerprint(matrix, key=key)
         operand = np.ascontiguousarray(x, dtype=np.float64)
+        result = self.serve_warm(fp, operand, repetitions, requests)
+        if result is not None:
+            return result
+        chain = self._chain(matrix, fp)
         check_operand(operand, chain.prepared.ncols)
         y = self._run_kernel(chain.prepared, operand)
-        return self._served(chain, y, operand, repetitions)
+        return self._served(chain, y, operand, repetitions, requests)
 
     # ------------------------------------------------------------------
     # reporting
@@ -1081,5 +1137,5 @@ class WorkloadEngine:
             "spmv": 0.0,
         }
         self.requests_served = 0
-        self.backend_seconds = {}
+        self.backend_seconds = _backend_tally()
         self.streaming = {"requests": 0, "blocks": 0, "seconds": 0.0}

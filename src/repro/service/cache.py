@@ -18,7 +18,9 @@ unbounded — so engines live in a :class:`ShardedEngineCache`:
   is blocked until the current one releases.
 
 Shard assignment is a stable blake2b hash of the key, so the same matrix
-always lands on the same shard across runs and processes.
+always lands on the same shard across runs and processes.  The hash is
+taken when a key enters the cache; while the key lives its shard is read
+from :attr:`ShardedEngineCache.live`, which holds exactly the live keys.
 """
 
 from __future__ import annotations
@@ -43,14 +45,28 @@ def _stable_hash(key: str) -> int:
 
 
 class _Shard:
-    """One lock + LRU list; all mutation happens under :attr:`lock`."""
+    """One lock + LRU list + lookup tallies; all mutation happens under
+    :attr:`lock`."""
 
-    __slots__ = ("lock", "entries", "capacity")
+    __slots__ = ("lock", "entries", "capacity", "hits", "misses", "evictions")
 
     def __init__(self, capacity: int) -> None:
         self.lock = threading.Lock()
         self.entries: "OrderedDict[str, object]" = OrderedDict()
         self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def touch(self, key: str):
+        """The live value for *key*, marked most recent and counted as a
+        hit; ``None`` (nothing counted) when *key* is not live.  The
+        caller holds :attr:`lock`."""
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+            self.hits += 1
+        return value
 
 
 class ShardedEngineCache:
@@ -106,23 +122,37 @@ class ShardedEngineCache:
         ]
         self.on_evict = on_evict
         self.pinned = pinned
-        self._counter_lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        #: The shard of every live key: set when the key enters the
+        #: cache and dropped when it is evicted, so it never holds more
+        #: keys than the cache does.  Read without a lock; a reader that
+        #: races an eviction finds the key gone under the shard lock.
+        self.live: Dict[str, _Shard] = {}
 
     # ------------------------------------------------------------------
     def shard_of(self, key: str) -> int:
         """Stable shard index for *key* (same key, same shard, any run)."""
         return _stable_hash(key) % self.n_shards
 
+    @property
+    def hits(self) -> int:
+        """Leases that found their key live (summed over shards)."""
+        return sum(s.hits for s in self._shards)
+
+    @property
+    def misses(self) -> int:
+        """Leases that built a fresh value (summed over shards)."""
+        return sum(s.misses for s in self._shards)
+
+    @property
+    def evictions(self) -> int:
+        """Values evicted by the LRU walk (summed over shards)."""
+        return sum(s.evictions for s in self._shards)
+
     def __len__(self) -> int:
         return sum(len(s.entries) for s in self._shards)
 
     def __contains__(self, key: str) -> bool:
-        shard = self._shards[self.shard_of(key)]
-        with shard.lock:
-            return key in shard.entries
+        return key in self.live
 
     @contextmanager
     def lease(self, key: str) -> Iterator[T]:
@@ -133,18 +163,16 @@ class ShardedEngineCache:
         and guarantees the leased value cannot be evicted mid-use, since
         eviction only happens under the same lock.
         """
-        shard = self._shards[self.shard_of(key)]
+        shard = self.live.get(key)
+        if shard is None:
+            shard = self._shards[self.shard_of(key)]
         with shard.lock:
-            value = shard.entries.get(key)
-            if value is not None:
-                shard.entries.move_to_end(key)
-                with self._counter_lock:
-                    self.hits += 1
-            else:
-                with self._counter_lock:
-                    self.misses += 1
+            value = shard.touch(key)
+            if value is None:
+                shard.misses += 1
                 value = self.factory()
                 shard.entries[key] = value
+                self.live[key] = shard
                 while len(shard.entries) > shard.capacity:
                     victim = None
                     for old_key, old_value in shard.entries.items():
@@ -162,8 +190,8 @@ class ShardedEngineCache:
                         break
                     old_key, old_value = victim
                     del shard.entries[old_key]
-                    with self._counter_lock:
-                        self.evictions += 1
+                    del self.live[old_key]
+                    shard.evictions += 1
                     if self.on_evict is not None:
                         self.on_evict(old_key, old_value)
             yield value
@@ -197,8 +225,7 @@ class ShardedEngineCache:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Lookup/eviction tallies and per-shard occupancy."""
-        with self._counter_lock:
-            hits, misses, evictions = self.hits, self.misses, self.evictions
+        hits, misses, evictions = self.hits, self.misses, self.evictions
         sizes = [len(s.entries) for s in self._shards]
         total = hits + misses
         return {

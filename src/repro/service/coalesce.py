@@ -13,8 +13,9 @@ process boundary too.  This module holds that machinery once:
 * :class:`PendingRequest` — one validated, submitted request (compute or
   mutation) awaiting a drain;
 * :class:`FingerprintQueues` — the lock-protected map of per-fingerprint
-  queues with the scheduled-flag discipline (at most one drain loop in
-  flight per fingerprint) and barrier-aware batch extraction;
+  queues, one per fingerprint with a drain scheduled (so at most one
+  drain loop is in flight per fingerprint), and barrier-aware batch
+  extraction;
 * :func:`split_stacked` — fan a batched ``(nrows, k)`` engine result out
   into per-request results with fair-share accounting (used by the
   completion path both tiers share).
@@ -25,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -89,25 +90,16 @@ class PendingRequest:
         )
 
 
-class _Queue:
-    """Pending requests for one fingerprint plus its drain-scheduled flag."""
-
-    __slots__ = ("items", "scheduled")
-
-    def __init__(self) -> None:
-        self.items: List[PendingRequest] = []
-        self.scheduled = False
-
-
 class FingerprintQueues:
     """Map of per-fingerprint request queues with drain scheduling.
 
     The discipline both serving tiers rely on:
 
+    * a fingerprint has a queue exactly while one drain of it is
+      scheduled or running, so at most one drain is in flight per
+      fingerprint;
     * :meth:`push` appends a request and reports whether the caller must
-      schedule a drain (at most one drain is in flight per fingerprint —
-      the ``scheduled`` flag stays set until :meth:`finish` observes an
-      empty queue);
+      schedule a drain (the queue was absent);
     * :meth:`take_batch` extracts the next batch under the one batching
       rule: a batch is either up to ``max_batch`` plain single-vector
       requests (stacked into one block, one kernel call), stopping at
@@ -116,12 +108,13 @@ class FingerprintQueues:
       alone, in queue order);
     * :meth:`finish` re-checks the queue after a drain: ``True`` means
       more requests arrived and the caller must keep the drain alive;
+      otherwise the queue is dropped;
     * :meth:`reserve` starts a drain with nothing queued, for a request
       served outside the queue.
     """
 
     def __init__(self) -> None:
-        self._queues: Dict[str, _Queue] = {}
+        self._queues: Dict[str, List[PendingRequest]] = {}
         self._lock = threading.Lock()
 
     def push(self, fp: str, request: PendingRequest) -> bool:
@@ -129,21 +122,18 @@ class FingerprintQueues:
         with self._lock:
             queue = self._queues.get(fp)
             if queue is None:
-                queue = self._queues[fp] = _Queue()
-            queue.items.append(request)
-            if queue.scheduled:
-                return False
-            queue.scheduled = True
-            return True
+                self._queues[fp] = [request]
+                return True
+            queue.append(request)
+            return False
 
     def take_batch(self, fp: str, max_batch: int) -> List[PendingRequest]:
         """Extract *fp*'s next batch (may be []): a stacked run of plain
         single-vector requests, or one lone request."""
         with self._lock:
-            queue = self._queues.get(fp)
-            if queue is None or not queue.items:
+            items = self._queues.get(fp)
+            if not items:
                 return []
-            items = queue.items
             if not items[0].stackable:
                 # a mutation, block or repeated request is served alone
                 return [items.pop(0)]
@@ -158,17 +148,14 @@ class FingerprintQueues:
     def finish(self, fp: str) -> bool:
         """Post-drain check: ``True`` when requests remain queued for *fp*.
 
-        When the queue is empty its entry is dropped and the scheduled
-        flag cleared, so the next :meth:`push` schedules a fresh drain.
+        When the queue is empty it is dropped, so the next :meth:`push`
+        schedules a fresh drain.
         """
         with self._lock:
             queue = self._queues.get(fp)
-            if queue is None:
-                return False
-            if queue.items:
-                return True  # stayed scheduled: more arrived
-            queue.scheduled = False
-            del self._queues[fp]
+            if queue:
+                return True  # stays scheduled: more arrived
+            self._queues.pop(fp, None)
             return False
 
     def reserve(self, fp: str) -> bool:
@@ -182,8 +169,7 @@ class FingerprintQueues:
         with self._lock:
             if fp in self._queues:
                 return False
-            queue = self._queues[fp] = _Queue()
-            queue.scheduled = True
+            self._queues[fp] = []
             return True
 
     def keys(self) -> List[str]:
@@ -197,14 +183,14 @@ class FingerprintQueues:
             leftovers = [
                 request
                 for queue in self._queues.values()
-                for request in queue.items
+                for request in queue
             ]
             self._queues.clear()
             return leftovers
 
     def __len__(self) -> int:
         with self._lock:
-            return sum(len(q.items) for q in self._queues.values())
+            return sum(len(q) for q in self._queues.values())
 
 
 def split_stacked(block, n: int) -> List:

@@ -16,17 +16,18 @@ tier on a miss, serve the batch's one operand (a stacked block or a
 lone request's operand) through one ``execute``, then resolve
 features and the shadow probe — so results and accounting are
 bitwise-identical across tiers by construction.  A blocking request on
-an idle in-process service runs :meth:`EngineHost.serve_one`: the same
-step under one lease, cut to one ``engine.execute`` when the
-key's chain is warm.
+an idle in-process service runs :meth:`EngineHost.serve_one`: on a
+live key with a warm chain that is the *warm step* — one shard-lock
+region around one
+:meth:`~repro.runtime.engine.WorkloadEngine.serve_warm` — and the same
+full step otherwise.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +45,7 @@ from repro.storage.stream import mmap_backed
 __all__ = ["EngineHost", "Served"]
 
 
-@dataclass
-class Served:
+class Served(NamedTuple):
     """What one serve step hands back to its tier."""
 
     #: The engine result for the batch's one operand (a stacked block
@@ -158,70 +158,60 @@ class EngineHost:
         operand: np.ndarray,
         repetitions: int = 1,
         *,
+        requests: int = 1,
         telemetry: bool = False,
     ) -> Served:
         """Serve one drained batch under the fingerprint's engine lease.
 
         *operand* is the batch's one operand: the ``(ncols, k)`` block of
-        its stacked single-vector requests, or a lone request's operand
-        (with its *repetitions*), validated at submission.  Either way
-        it is one ``engine.execute``.  *matrix* is the batch's
-        first matrix: the operand, the features and the shadow probe
-        resolve against it.
+        its *requests* stacked single-vector requests, or a lone
+        request's operand (with its *repetitions*), validated at
+        submission.  Either way it is one ``engine.execute``.  *matrix*
+        is the batch's first matrix: the operand, the features and the
+        shadow probe resolve against it.
         ``telemetry`` also resolves the matrix's cached features; every
         ``shadow_every``-th batch per matrix (starting with the first)
         resolves the rival per-format timings.
         """
         with self.engines.lease(fp) as engine:
             return self._serve_leased(
-                engine, fp, matrix, operand, repetitions, telemetry
+                engine, fp, matrix, operand, repetitions, telemetry, requests
             )
 
-    def serve_one(self, fp: str, matrix, operand, repetitions: int):
-        """Serve one blocking request under one engine lease.
+    def serve_one(self, fp: str, matrix, operand, repetitions: int) -> Served:
+        """Serve one blocking request.
 
-        The warm step: when the engine holds *fp*'s warm chain
-        (:meth:`~repro.runtime.engine.WorkloadEngine.has_chain`) and no
-        shadow cadence is set, the request is one
-        ``engine.execute`` whose artefacts resolve with one
-        lookup — no promote check, no :class:`Served`.  A cold key
-        (which includes a key the storage tier must promote) or a shadow
-        cadence runs the full
-        :meth:`serve` step instead, under the same lease, so the engine
-        cache counts one hit or miss either way.
-
-        Returns ``(result, model_version, kernel_start, kernel_seconds,
-        promote_seconds, stream_seconds, shadow)`` with the meanings of
-        the :class:`Served` fields.
+        The warm step: when *fp* is live, no shadow cadence is set and
+        its engine holds a warm chain, one shard-lock region touches the
+        LRU, counts the engine-cache hit and runs
+        :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm` — the
+        shape check, the kernel and the engine's accounting.  A live
+        key without a warm chain (or one that streams) runs the full
+        step in the same region; a key that is not live (cold, evicted
+        or demoted to the storage tier) runs it under a lease.  Either
+        way the engine cache counts one hit or miss.
         """
+        shard = self.engines.live.get(fp)
+        if shard is not None and not self.shadow_every:
+            with shard.lock:
+                engine = shard.touch(fp)
+                if engine is not None:
+                    kernel_start = time.perf_counter()
+                    result = engine.serve_warm(fp, operand, repetitions)
+                    if result is not None:
+                        return Served(
+                            result,
+                            engine.model_version,
+                            result.epoch,
+                            kernel_start,
+                            time.perf_counter() - kernel_start,
+                        )
+                    return self._serve_leased(
+                        engine, fp, matrix, operand, repetitions, False
+                    )
         with self.engines.lease(fp) as engine:
-            if self.shadow_every or not engine.has_chain(fp):
-                served = self._serve_leased(
-                    engine, fp, matrix, operand, repetitions, False
-                )
-                return (
-                    served.result,
-                    served.model_version,
-                    served.kernel_start,
-                    served.kernel_seconds,
-                    served.promote_seconds,
-                    served.stream_seconds,
-                    served.shadow,
-                )
-            streamed = engine.streaming["seconds"]
-            kernel_start = time.perf_counter()
-            result = engine.execute(
-                matrix, operand, key=fp, repetitions=repetitions
-            )
-            kernel_seconds = time.perf_counter() - kernel_start
-            return (
-                result,
-                engine.model_version,
-                kernel_start,
-                kernel_seconds,
-                0.0,
-                engine.streaming["seconds"] - streamed,
-                None,
+            return self._serve_leased(
+                engine, fp, matrix, operand, repetitions, False
             )
 
     def _serve_leased(
@@ -232,6 +222,7 @@ class EngineHost:
         operand: np.ndarray,
         repetitions: int,
         telemetry: bool,
+        requests: int = 1,
     ) -> Served:
         """Body of :meth:`serve`, with *engine* already leased for *fp*."""
         features = shadow = None
@@ -248,7 +239,7 @@ class EngineHost:
         stream_before = engine.streaming["seconds"]
         kernel_start = time.perf_counter()
         result = engine.execute(
-            matrix, operand, key=fp, repetitions=repetitions
+            matrix, operand, key=fp, repetitions=repetitions, requests=requests
         )
         kernel_seconds = time.perf_counter() - kernel_start
         stream_seconds = engine.streaming["seconds"] - stream_before

@@ -66,7 +66,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
 from repro.kernels import BACKEND
 from repro.obs import Observability
+from repro.obs.spans import mint_trace_id
 from repro.obs.views import build_service_stats
 from repro.runtime.batch import validate_operand
 from repro.runtime.engine import STREAM_THRESHOLD_BYTES, request_key
@@ -94,8 +95,7 @@ __all__ = ["ServiceResult", "Session", "TuningService", "UpdateResult"]
 MatrixLike = Union[SparseMatrix, DynamicMatrix]
 
 
-@dataclass(frozen=True)
-class ServiceResult:
+class ServiceResult(NamedTuple):
     """Outcome of one served request.
 
     ``seconds`` / ``overhead_seconds`` / ``format`` / ``from_cache``
@@ -157,41 +157,35 @@ def _service_result(
 ) -> ServiceResult:
     """The :class:`ServiceResult` of one served engine *result*."""
     return ServiceResult(
-        y=result.y,
-        seconds=result.seconds,
-        overhead_seconds=result.overhead_seconds,
-        format=result.format,
-        fingerprint=result.fingerprint,
-        from_cache=result.from_cache,
-        batch_size=batch_size,
-        latency_seconds=latency,
-        model_version=model_version,
-        epoch=epoch,
-        backend=result.backend,
-        trace_id=trace_id,
+        result.y,
+        result.seconds,
+        result.overhead_seconds,
+        result.format,
+        result.fingerprint,
+        result.from_cache,
+        batch_size,
+        latency,
+        model_version,
+        epoch,
+        result.backend,
+        trace_id,
     )
 
 
 def _serve_stages(
-    serve_start: float,
-    kernel_start: float,
-    kernel_seconds: float,
-    promote_seconds: float,
-    stream_seconds: float,
+    stages: Dict[str, float], serve_start: float, served: Served
 ) -> Dict[str, float]:
-    """The span stages of one in-process serve step."""
-    stages = {
-        # lease wait + batch assembly ahead of the kernel
-        "coalesce": kernel_start - serve_start,
-        "kernel": kernel_seconds,
-    }
+    """Add the span stages of one in-process serve step to *stages*."""
+    # lease wait + batch assembly ahead of the kernel
+    stages["coalesce"] = served.kernel_start - serve_start
+    stages["kernel"] = served.kernel_seconds
     # tier traffic rides the span timeline: a batch that promoted a
     # demoted container or streamed row panels shows those stages
     # (absent otherwise, so storage-free span schemas are unchanged)
-    if promote_seconds > 0.0:
-        stages["promote"] = promote_seconds
-    if stream_seconds > 0.0:
-        stages["stream"] = stream_seconds
+    if served.promote_seconds > 0.0:
+        stages["promote"] = served.promote_seconds
+    if served.stream_seconds > 0.0:
+        stages["stream"] = served.stream_seconds
     return stages
 
 
@@ -365,10 +359,11 @@ class TuningService:
         self.storage = None
         self._pending = FingerprintQueues()
         # drains running right now, on the pool or as a blocking call
-        # on its own thread; guarded by (and notified through) this
-        # condition
+        # on its own thread; guarded by this lock, and notified through
+        # the condition once close() has started waiting for it
         self._drains_running = 0
-        self._drains_idle = threading.Condition()
+        self._drains_lock = threading.Lock()
+        self._drains_idle = threading.Condition(self._drains_lock)
         self._model_lock = threading.Lock()
         self._closed = False
         self._observer = None
@@ -536,7 +531,7 @@ class TuningService:
         submitted_at = time.perf_counter()
         operand = validate_operand(matrix, x)
         fp = key if key is not None else request_key(matrix)
-        trace_id = self.obs.mint()
+        trace_id = mint_trace_id()
         return fp, operand, trace_id, time.perf_counter() - submitted_at
 
     def submit(
@@ -600,7 +595,7 @@ class TuningService:
             Future(),
             kind="update",
             delta=delta,
-            trace_id=self.obs.mint(),
+            trace_id=mint_trace_id(),
             validate_seconds=time.perf_counter() - submitted_at,
         )
 
@@ -658,10 +653,13 @@ class TuningService:
 
         The caller waits anyway, so on an idle service (see
         :meth:`_claim_caller`) the request is served right here, on the
-        calling thread, with no future and no queue: one lease, and on
-        a warm key one lookup of its chain and one kernel call
-        (:meth:`~repro.service.host.EngineHost.serve_one`).  Otherwise
-        it is submitted to the pool like :meth:`submit` and waited for.
+        calling thread, with no future and no queue, by
+        :meth:`~repro.service.host.EngineHost.serve_one` — on a warm key
+        the warm step: one shard-lock region and one kernel call.  The
+        same counters, latency sample and span (keys and stage names)
+        are recorded as for a queued batch of one.  Otherwise the
+        request is submitted to the pool like :meth:`submit` and waited
+        for.
         """
         fp, operand, trace_id, validate_seconds = self._admit(matrix, x, key)
         repetitions = int(repetitions)
@@ -670,81 +668,46 @@ class TuningService:
             return self._enqueue_spmv(
                 fp, matrix, operand, repetitions, trace_id, validate_seconds
             ).result()
-        self.obs.requests_submitted.inc()
+        o = self.obs
+        o.requests_submitted.inc()
         try:
             serve_start = time.perf_counter()
-            return self._complete_one(
-                fp,
-                self._host.serve_one(fp, matrix, operand, repetitions),
-                trace_id=trace_id,
-                validate_seconds=validate_seconds,
-                enqueued_at=enqueued_at,
-                serve_start=serve_start,
+            served = self._host.serve_one(fp, matrix, operand, repetitions)
+            result = served.result
+            latency = time.perf_counter() - enqueued_at
+            o.requests_served.inc()
+            o.batches.inc()
+            if served.shadow is not None:
+                o.shadow_probes.inc()
+            o.latency.observe(latency)
+            if o.enabled:
+                stages = _serve_stages(
+                    {
+                        "validate": validate_seconds,
+                        "queue": serve_start - enqueued_at,
+                    },
+                    serve_start,
+                    served,
+                )
+                stages["observer"] = 0.0
+                # recording is already known to be on: skip o.span()
+                o.spans.record(
+                    trace_id,
+                    kind="spmv",
+                    tier=o.tier,
+                    fingerprint=fp,
+                    batch_size=1,
+                    backend=result.backend,
+                    stages=stages,
+                )
+            return _service_result(
+                result, 1, latency, served.model_version, served.epoch, trace_id
             )
         except Exception as exc:
             self._serve_error(fp, "spmv", 1, exc)
             raise
         finally:
             self._caller_done(fp)
-
-    def _complete_one(
-        self,
-        fp: str,
-        served,
-        *,
-        trace_id: str,
-        validate_seconds: float,
-        enqueued_at: float,
-        serve_start: float,
-    ) -> ServiceResult:
-        """Account a blocking request served by ``EngineHost.serve_one``.
-
-        The same counters, latency sample and span (keys and stage
-        names) as :meth:`_complete_batch` records for a batch of one;
-        the result is returned instead of resolving a future.
-        """
-        (
-            result,
-            model_version,
-            kernel_start,
-            kernel_seconds,
-            promote_seconds,
-            stream_seconds,
-            shadow,
-        ) = served
-        latency = time.perf_counter() - enqueued_at
-        o = self.obs
-        o.requests_served.inc()
-        o.batches.inc()
-        if shadow is not None:
-            o.shadow_probes.inc()
-        o.latency.observe(latency)
-        if o.enabled:
-            stages = {
-                "validate": validate_seconds,
-                "queue": serve_start - enqueued_at,
-            }
-            stages.update(
-                _serve_stages(
-                    serve_start,
-                    kernel_start,
-                    kernel_seconds,
-                    promote_seconds,
-                    stream_seconds,
-                )
-            )
-            stages["observer"] = 0.0
-            o.span(
-                trace_id,
-                kind="spmv",
-                fingerprint=fp,
-                batch_size=1,
-                backend=result.backend,
-                stages=stages,
-            )
-        return _service_result(
-            result, 1, latency, model_version, result.epoch, trace_id
-        )
 
     def _claim_caller(self, fp: str) -> bool:
         """Whether a blocking call for *fp* may be served on its own thread.
@@ -759,7 +722,7 @@ class TuningService:
         """
         if not self._caller_runs or self._observer is not None:
             return False
-        with self._drains_idle:
+        with self._drains_lock:
             if self._drains_running or not self._pending.reserve(fp):
                 return False
             self._drains_running += 1
@@ -774,10 +737,15 @@ class TuningService:
             self._drain_done()
 
     def _drain_done(self) -> None:
-        """Stop counting one drain as running."""
-        with self._drains_idle:
+        """Stop counting one drain as running.
+
+        Only :meth:`close` waits for the count to reach zero, and it
+        sets ``_closed`` before it waits, so an open service never pays
+        for a notify.
+        """
+        with self._drains_lock:
             self._drains_running -= 1
-            if self._drains_running == 0:
+            if self._drains_running == 0 and self._closed:
                 self._drains_idle.notify_all()
 
     def _enqueue(self, fp: str, request: PendingRequest) -> Future:
@@ -820,7 +788,7 @@ class TuningService:
         synchronous retrain) overlaps with serving on the pool instead
         of stalling the fingerprint's queue.
         """
-        with self._drains_idle:
+        with self._drains_lock:
             self._drains_running += 1
         try:
             more, telemetry = self._drain_once(fp)
@@ -882,17 +850,15 @@ class TuningService:
             first.matrix,
             operand,
             first.repetitions,
+            requests=len(batch),
             telemetry=self._observer is not None,
         )
-        stages = _serve_stages(
-            serve_start,
-            served.kernel_start,
-            served.kernel_seconds,
-            served.promote_seconds,
-            served.stream_seconds,
-        )
         return self._complete_batch(
-            fp, batch, served, queued_until=serve_start, stages=stages
+            fp,
+            batch,
+            served,
+            queued_until=serve_start,
+            stages=_serve_stages({}, serve_start, served),
         )
 
     def _serve_update(self, fp: str, request: PendingRequest):

@@ -186,3 +186,31 @@ def test_mixed_queue_drains_by_one_rule(tier, space, matrix):
         _assert_same(
             result, reference.execute(matrix, x, key=key, repetitions=reps)
         )
+
+
+@pytest.mark.parametrize("tier", ["inproc", "distributed"])
+def test_backend_attribution_counts_every_request(tier, space, matrix):
+    """The per-tier ``requests`` count counts served SpMV requests, each
+    request of a coalesced batch included, not kernel calls."""
+    from repro.formats import MatrixDelta
+
+    gen = np.random.default_rng(23)
+    key = "count-CSR"
+    with _build(tier, space) as service:
+        if tier == "inproc":
+            # a blocking call on an idle service is served in place
+            service.spmv(matrix, gen.standard_normal(matrix.ncols), key=key)
+        vectors = [gen.standard_normal(matrix.ncols) for _ in range(64)]
+        _serve(service, matrix, vectors, key)
+        update = service.submit_update(
+            matrix, MatrixDelta.sets([0], [1], [0.5]), key=key
+        )
+        service.drain_all()
+        update.result(timeout=10)
+        _serve(service, matrix, vectors[:5], key)
+        stats = service.stats()
+    assert stats["coalesced_batches"] == 3
+    assert stats["updates_served"] == 1
+    assert stats["backends"]["numpy"]["requests"] == (
+        stats["requests_served"] - stats["updates_served"]
+    )

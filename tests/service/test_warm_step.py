@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -322,3 +323,133 @@ def test_stress_blocking_calls_and_updates(space, banded):
     stats = service.stats()
     assert stats["requests_served"] == clients * rounds + n_updates
     assert stats["updates_served"] == n_updates
+
+
+def test_warm_blocking_call_is_at_most_thirty_python_calls(space, banded):
+    """One warm ``Session.spmv`` makes at most 30 Python-frame calls
+    (counted with ``sys.setprofile``, no timing): the warm step is one
+    shard-lock region around one kernel call."""
+    x = np.random.default_rng(2).standard_normal(banded.ncols)
+    with TuningService(space, _SettableTuner("DIA")) as service:
+        session = service.session("s")
+        _warm(service, banded, x, "m")
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = session.spmv(banded, x, key="m")
+        finally:
+            sys.setprofile(None)
+    assert result.format == "DIA" and result.from_cache
+    assert len(calls) <= 30, calls
+
+
+def test_promotions_racing_warm_calls_never_serve_a_stale_chain(space, banded):
+    """One thread makes warm blocking calls while another promotes two
+    tuners deciding different formats, back and forth: every result's
+    ``(model_version, format, seconds, y)`` is that of exactly one model."""
+    x = np.random.default_rng(4).standard_normal(banded.ncols)
+    formats = {"v-csr": "CSR", "v-dia": "DIA"}
+    want = {
+        version: WorkloadEngine(space, _SettableTuner(fmt)).execute(
+            banded, x, key="m"
+        )
+        for version, fmt in formats.items()
+    }
+    service = TuningService(space, _SettableTuner("CSR"), workers=1)
+    service.set_model_info(version="v-csr")
+    _warm(service, banded, x, "m")
+    done = threading.Event()
+    results, errors = [], []
+
+    def caller():
+        try:
+            while not done.is_set():
+                results.append(service.spmv(banded, x, key="m"))
+        except Exception as exc:  # reported below, never swallowed
+            errors.append(repr(exc))
+
+    thread = threading.Thread(target=caller)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread.start()
+        for i in range(40):
+            version = "v-dia" if i % 2 == 0 else "v-csr"
+            service.promote_model(_SettableTuner(formats[version]), version=version)
+            # let the caller re-warm the key and serve warm calls
+            served = len(results)
+            while len(results) < served + 3 and thread.is_alive():
+                time.sleep(1e-4)
+    finally:
+        done.set()
+        thread.join(TIMEOUT)
+        sys.setswitchinterval(switch)
+        service.close()
+    assert not thread.is_alive()
+    assert errors == []
+    assert {r.model_version for r in results} == set(formats)
+    assert {r.batch_size for r in results} == {1}
+    for result in results:
+        expected = want[result.model_version]
+        assert result.format == expected.format
+        assert result.seconds == expected.seconds
+        assert np.array_equal(result.y, expected.y)
+
+
+def test_wrong_length_operand_on_a_warm_key_raises_before_the_kernel(
+    space, rng, monkeypatch
+):
+    """The warm step checks the operand against the served container:
+    a length-30 operand for a key serving a 40-column matrix raises
+    ``ShapeError`` before any kernel runs, and leaves the service idle,
+    so the next call is served on the caller's thread again."""
+    import repro.runtime.engine as engine_module
+    from repro.errors import ShapeError
+
+    def tridiagonal(n):
+        dense = np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), 1)
+        return COOMatrix.from_dense(dense)
+
+    wide, narrow = tridiagonal(40), tridiagonal(30)
+    kernel_threads = []
+    matvec = engine_module.matvec
+
+    def traced(matrix, operand):
+        kernel_threads.append(threading.get_ident())
+        return matvec(matrix, operand)
+
+    monkeypatch.setattr(engine_module, "matvec", traced)
+    x = rng.standard_normal(40)
+    with TuningService(space, _SettableTuner("CSR"), workers=1) as service:
+        _warm(service, wide, x, "m")
+        del kernel_threads[:]
+        with pytest.raises(ShapeError):
+            service.spmv(narrow, np.ones(30), key="m")
+        assert kernel_threads == []
+        assert service._drains_running == 0
+        result = service.spmv(wide, x, key="m")
+    assert kernel_threads == [threading.get_ident()]
+    assert np.allclose(result.y, wide.to_dense() @ x)
+
+
+def test_shard_memo_holds_only_live_keys(space, banded, rng):
+    """Every lease memoises its key's shard; evicting a key drops it,
+    so the memo never holds more keys than the cache capacity."""
+    x = rng.standard_normal(banded.ncols)
+    capacity = 4
+    with TuningService(
+        space, _SettableTuner("CSR"), capacity=capacity, shards=2
+    ) as service:
+        cache = service.engines
+        for i in range(60):
+            service.spmv(banded, x, key=f"k{i}")
+            assert len(cache.live) <= capacity
+        assert set(cache.live) == {
+            key for shard in cache._shards for key in shard.entries
+        }
+        assert service.stats()["engine_cache"]["evictions"] == 60 - capacity

@@ -203,6 +203,9 @@ class TestServe:
         ) == 0
         out = capsys.readouterr().out
         assert "served               40 requests from 4 clients" in out
+        # every served request is attributed to the kernel tier that ran
+        # it, coalesced ones included (the trace has no updates)
+        assert "kernel tier          numpy 40 requests" in out
         assert "throughput" in out
         assert "coalescing" in out
         assert "engine cache" in out
