@@ -384,7 +384,8 @@ class WorkloadEngine:
         #: Memoised warm chain per key (serving container, its
         #: single-SpMV price, column count and epoch), so a warm request
         #: resolves its artefacts with one lookup; dropped wherever the
-        #: decision, the container, the stats or the epoch change.
+        #: decision, the container, the stats or the epoch change (a
+        #: promoted container re-seeds it: :meth:`adopt_prepared`).
         self._warm: Dict[str, _Warm] = {}
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
@@ -604,6 +605,7 @@ class WorkloadEngine:
         container: SparseMatrix,
         *,
         stats: Optional[MatrixStats] = None,
+        price: Optional[float] = None,
     ) -> None:
         """Pre-seed the serving artefacts for *key* from a promoted container.
 
@@ -615,15 +617,23 @@ class WorkloadEngine:
         conversion.  *stats* (persisted with the demoted entry) restores
         the pricing statistics without an ``O(nnz)`` recompute over the
         mmapped arrays.  Existing decisions are never overwritten.
+
+        *price*, the space's single-SpMV seconds for *container* under
+        *stats*, also seeds the key's warm chain, so the next request
+        runs :meth:`serve_warm` — if *stats* are the ones the key holds;
+        otherwise that request resolves and prices the chain itself.
         """
         from repro.core.tuners.base import TuningReport
 
         if stats is not None:
-            self.prime_stats(key, stats)
+            self._stats.setdefault(key, stats)
         self._prepared[key] = container
-        self._warm.pop(key, None)
         if key not in self._reports:
             self._reports[key] = TuningReport(format_id=container.format_id)
+        if price is not None and stats is not None and self._stats[key] is stats:
+            self._seed(key, container, price)
+        else:
+            self._warm.pop(key, None)
 
     def prepare(self, matrix: MatrixLike, *, key: Optional[str] = None) -> SparseMatrix:
         """Resolve the serving container for *matrix*: decide + convert.
@@ -721,9 +731,13 @@ class WorkloadEngine:
         caller's matrix is still the pre-update epoch — so an engine
         with mutated streams cannot be dropped and rebuilt without
         silently losing acknowledged mutations.  Engine caches use this
-        to exempt such engines from eviction.
+        to exempt such engines from eviction (a loop, not ``any`` over a
+        generator: every eviction asks).
         """
-        return any(state.updates > 0 for state in self._streams.values())
+        for state in self._streams.values():
+            if state.updates > 0:
+                return True
+        return False
 
     def update(
         self,
@@ -869,15 +883,6 @@ class WorkloadEngine:
     # ------------------------------------------------------------------
     # serving
     # ------------------------------------------------------------------
-    def _streams_when_mapped(self, prepared: SparseMatrix) -> bool:
-        """Whether *prepared* is a CSR container at or above the
-        :attr:`stream_threshold_bytes` floor."""
-        return (
-            self.stream_threshold_bytes is not None
-            and isinstance(prepared, CSRMatrix)
-            and prepared.nbytes() >= self.stream_threshold_bytes
-        )
-
     def _should_stream(self, prepared: SparseMatrix) -> bool:
         """Whether *prepared* is served out-of-core by row-block streaming.
 
@@ -885,7 +890,11 @@ class WorkloadEngine:
         :attr:`stream_threshold_bytes` floor — in-RAM containers and
         other formats keep the whole-matrix call path.
         """
-        if not self._streams_when_mapped(prepared):
+        if (
+            self.stream_threshold_bytes is None
+            or not isinstance(prepared, CSRMatrix)
+            or prepared.nbytes() < self.stream_threshold_bytes
+        ):
             return False
         from repro.storage.stream import mmap_backed
 
@@ -959,6 +968,17 @@ class WorkloadEngine:
         overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
         return _Chain(fp, stats, prepared, overhead, cached)
 
+    def _seed(self, key: str, prepared: SparseMatrix, price: float) -> _Warm:
+        """Memoise *key*'s warm chain: *prepared* at single-SpMV *price*."""
+        warm = self._warm[key] = _Warm(
+            prepared,
+            price,
+            prepared.ncols,
+            self.epoch_of(key),
+            self._should_stream(prepared),
+        )
+        return warm
+
     def has_chain(self, key: str) -> bool:
         """True when *key* has a warm chain: its next request resolves
         every artefact with one lookup and pays no tuning or conversion."""
@@ -999,7 +1019,7 @@ class WorkloadEngine:
             factor = _ONE_VECTOR
         seconds = repetitions * factor * warm.price
         self.seconds["spmv"] += seconds
-        self.requests_served += 1
+        self.requests_served += requests
         backend = self.backend_seconds[BACKEND]
         backend["requests"] += requests
         backend["seconds"] += seconds
@@ -1027,19 +1047,15 @@ class WorkloadEngine:
         warm = self._warm.get(fp)
         if warm is None:
             prepared = chain.prepared
-            warm = self._warm[fp] = _Warm(
+            warm = self._seed(
+                fp,
                 prepared,
-                self.space.time_spmv(
-                    chain.stats, prepared.format, matrix_key=fp
-                ),
-                prepared.ncols,
-                self.epoch_of(fp),
-                self._should_stream(prepared),
+                self.space.time_spmv(chain.stats, prepared.format, matrix_key=fp),
             )
         n_vectors = operand.shape[1] if operand.ndim == 2 else 1
         seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price
         self.seconds["spmv"] += seconds
-        self.requests_served += 1
+        self.requests_served += requests
         backend = self.backend_seconds[BACKEND]
         backend["requests"] += requests
         backend["seconds"] += seconds
@@ -1068,10 +1084,11 @@ class WorkloadEngine:
         ``repetitions`` scales the modelled SpMV seconds (iterative
         workloads run the same product many times) and ``requests`` is
         how many requests the call serves (the columns of a coalesced
-        block), which the per-tier attribution counts.  ``x`` is checked
-        against the serving container the request resolves to — under a
-        warm *key* that is the key's cached container, whatever *matrix*
-        is passed — so a malformed or mismatched ``x`` raises
+        block), which ``requests_served`` and the per-tier attribution
+        count.  ``x`` is checked against the serving container the
+        request resolves to — under a warm *key* that is the key's
+        cached container, whatever *matrix* is passed — so a malformed
+        or mismatched ``x`` raises
         :class:`~repro.errors.ShapeError` or
         :class:`~repro.errors.ValidationError` before any kernel runs.
         The check is O(1); a front end that already ran

@@ -20,6 +20,7 @@ from typing import Dict
 __all__ = [
     "ENGINE_TOTAL_KEYS",
     "empty_engine_totals",
+    "fold_engine",
     "fold_engine_stats",
 ]
 
@@ -53,20 +54,28 @@ def empty_engine_totals() -> Dict[str, object]:
 def fold_engine_stats(totals: Dict[str, object], stats: Dict[str, object]) -> None:
     """Fold one :meth:`WorkloadEngine.stats` dict into *totals* in place."""
     totals["requests_served"] += stats["requests_served"]
-    seconds = totals["seconds"]
-    for name, value in stats["seconds"].items():
-        seconds[name] = seconds.get(name, 0.0) + value
-    counters = totals["counters"]
-    for name, value in stats["counters"].items():
-        counters[name] = counters.get(name, 0) + value
-    invalidations = totals["invalidations"]
-    for name, value in stats["invalidations"].items():
-        invalidations[name] = invalidations.get(name, 0) + value
+    for block in ("seconds", "counters", "invalidations", "streaming"):
+        into = totals[block]
+        for name, value in stats[block].items():
+            into[name] = into.get(name, 0) + value
     backends = totals["backends"]
     for kb, entry in stats["backends"].items():
         slot = backends.setdefault(kb, {"requests": 0, "seconds": 0.0})
         slot["requests"] += entry["requests"]
         slot["seconds"] += entry["seconds"]
-    streaming = totals["streaming"]
-    for name, value in stats.get("streaming", {}).items():
-        streaming[name] = streaming.get(name, 0) + value
+
+
+def fold_engine(totals: Dict[str, object], engine) -> None:
+    """:func:`fold_engine_stats` of *engine*, read from its counters in
+    place: no :meth:`WorkloadEngine.stats` snapshot is built."""
+    fold_engine_stats(
+        totals,
+        {
+            "requests_served": engine.requests_served,
+            "seconds": engine.seconds,
+            "counters": vars(engine.counters),
+            "invalidations": vars(engine.invalidations),
+            "backends": engine.backend_seconds,
+            "streaming": engine.streaming,
+        },
+    )

@@ -38,9 +38,12 @@ from repro.runtime.engine import (
     EngineResult,
     WorkloadEngine,
 )
-from repro.service.accounting import empty_engine_totals, fold_engine_stats
+from repro.service.accounting import (
+    empty_engine_totals,
+    fold_engine,
+    fold_engine_stats,
+)
 from repro.service.cache import ShardedEngineCache
-from repro.storage.stream import mmap_backed
 
 __all__ = ["EngineHost", "Served"]
 
@@ -120,6 +123,9 @@ class EngineHost:
         #: accounting folded in from engines evicted by the cache
         self._retired = empty_engine_totals()
         self._retired_profiles: Dict[str, Dict[str, float]] = {}
+        #: key -> (the container promoted for it, the tier entry it was
+        #: read from); set and popped under the key's shard lock
+        self._origins: Dict[str, tuple] = {}
         self._shadow_counts: Dict[str, int] = {}
 
     def _make_engine(self) -> WorkloadEngine:
@@ -288,30 +294,32 @@ class EngineHost:
         """Re-attach a demoted container into a fresh engine, if resident.
 
         Runs under the fingerprint's shard lock, so a promote can never
-        race a demotion of the same key.  Restores the serving container
-        (as read-only mmap views), the CSR image it runs through (when
-        one was persisted), the decided format, and the
-        persisted matrix statistics; returns the wall seconds spent (0.0
-        on a tier miss).
+        race a demotion of the same key.  Every check of
+        :meth:`~repro.storage.tier.StorageTier.promote` runs first; then
+        the engine adopts the serving container (as read-only mmap
+        views), the CSR image it runs through (when one was persisted),
+        the decided format, the persisted matrix statistics and a warm
+        chain seeded with their price, so the request that promoted
+        runs :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm`.
+        The decoded statistics and price are memoised on the tier entry,
+        per space.  Returns the wall seconds spent (0.0 on a tier miss).
         """
         started = time.perf_counter()
         promoted = self.storage.promote(fp)
         if promoted is None:
             return 0.0
-        operator = self.storage.promoted_operator(promoted)
+        operator, entry = self.storage.promoted(promoted)
         if operator is not None:
             attach_operator(promoted, operator)
-        meta = self.storage.decision(fp) or {}
-        stats_dict = meta.get("stats")
-        engine.adopt_prepared(
-            fp,
-            promoted,
-            stats=(
-                MatrixStats.from_dict(stats_dict)
-                if isinstance(stats_dict, dict)
-                else None
-            ),
-        )
+        seed = entry.memo.get(self.space)
+        stats = entry.extra.get("stats")
+        if seed is None and isinstance(stats, dict):
+            stats = MatrixStats.from_dict(stats)
+            price = self.space.time_spmv(stats, promoted.format, matrix_key=fp)
+            seed = entry.memo[self.space] = (stats, price)
+        stats, price = seed or (None, None)
+        engine.adopt_prepared(fp, promoted, stats=stats, price=price)
+        self._origins[fp] = (promoted, entry)
         elapsed = time.perf_counter() - started
         self.obs.event(
             "tier_promote",
@@ -324,17 +332,21 @@ class EngineHost:
     def _demote_engine(self, key: str, engine: WorkloadEngine) -> None:
         """Spill an evicted engine's serving container to the disk tier.
 
-        A container that is *already* an mmap view of a resident tier
-        entry (a promoted engine being re-evicted) is not rewritten —
+        A container promoted from the entry the tier still indexes for
+        *key* (a promoted engine being re-evicted) is not rewritten —
         the entry on disk is still its exact content — and is checked
-        for before any payload is built.  The CSR image an ELL, HYB or
-        HDC container runs through is persisted with it.  Demotion failures
-        are reported through the event ring and never break eviction.
+        for in O(1) before any payload is built.  The CSR image an ELL,
+        HYB or HDC container runs through is persisted with it.
+        Demotion failures are reported through the event ring and never
+        break eviction.
         """
         try:
             prepared = engine.serving_container(key)
+            origin = self._origins.pop(key, None)
             if prepared is None or (
-                key in self.storage and mmap_backed(prepared)
+                origin is not None
+                and origin[0] is prepared
+                and self.storage.indexes(key, origin[1])
             ):
                 return
             meta, operator = engine.demote_payload(key, prepared)
@@ -371,16 +383,15 @@ class EngineHost:
         """
         if self.storage is not None:
             self._demote_engine(key, engine)
-        stats = engine.stats()
         profile = engine.profile_snapshot()
         # oldest-first cap on retired timings; 4x the engine capacity
         # keeps every plausibly-hot matrix while bounding the map
         cap = max(256, 4 * self.engines.capacity)
         with self._lock:
             self._shadow_counts.pop(key, None)  # re-probed on return
-            fold_engine_stats(self._retired, stats)
+            fold_engine(self._retired, engine)
             for fp, times in profile.items():
-                self._retired_profiles.setdefault(fp, dict(times))
+                self._retired_profiles.setdefault(fp, times)
             while len(self._retired_profiles) > cap:
                 self._retired_profiles.pop(next(iter(self._retired_profiles)))
 
@@ -405,7 +416,7 @@ class EngineHost:
         with self._lock:
             fold_engine_stats(engines_total, self._retired)
         for engine in self.engines.values():
-            fold_engine_stats(engines_total, engine.stats())
+            fold_engine(engines_total, engine)
         return {
             "engines": engines_total,
             "engine_cache": self.engines.stats(),

@@ -6,10 +6,11 @@ converted containers here instead of dropping them; a later request for
 the same matrix promotes the entry back as read-only mmap views — the
 conversion cost (the expensive part of a cache miss) is replaced by one
 ``np.memmap`` of the entry's data file, whose round trip is
-bitwise-stable (:mod:`repro.storage.persist`).  An ELL, HYB or HDC
-entry demoted with the CSR image it runs through hands that image back
-too (:meth:`StorageTier.promoted_operator`), so the promoted request
-rebuilds nothing.
+bitwise-stable (:mod:`repro.storage.persist`).  A promoted container's
+CSR image (persisted with an ELL, HYB or HDC entry) and the
+:class:`TierEntry` it came from are handed over once, in one call
+(:meth:`StorageTier.promoted`), so the promoted request rebuilds
+nothing and its host can memoise per-entry work on the entry itself.
 
 The tier holds each promoted entry's map, and the views sliced from it,
 for the next promote of that entry, so a held promote opens and maps
@@ -52,7 +53,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
@@ -97,7 +98,10 @@ class TierEntry:
 
     ``nbytes`` is the size of the entry's data file (the container plus
     any persisted CSR image); ``manifest`` is the parsed manifest a
-    promote re-attaches from.
+    promote re-attaches from.  ``memo`` holds what a host derives once
+    per entry object (decoded statistics, modelled prices); it is never
+    written to disk, and every index change replaces the entry object,
+    so it never outlives the entry it was derived from.
     """
 
     key: str
@@ -112,6 +116,7 @@ class TierEntry:
     stored_at: float
     extra: dict
     manifest: dict = field(repr=False, compare=False)
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class StorageTier:
@@ -152,8 +157,9 @@ class StorageTier:
         os.makedirs(self._entries_root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Dict[str, TierEntry] = {}
-        #: CSR images re-attached by :meth:`promote`, until handed over
-        self._operators = weakref.WeakKeyDictionary()
+        #: promoted container -> (its re-attached CSR image, its entry),
+        #: until handed over by :meth:`promoted`
+        self._promoted = weakref.WeakKeyDictionary()
         #: key -> (its index entry, the array views of that entry's map),
         #: least recently promoted first
         self._held = OrderedDict()
@@ -302,7 +308,7 @@ class StorageTier:
         its CSR image (and the fingerprint with *verify*).  An entry
         that fails one (truncated file, manifest out of step with the
         file, malformed arrays) is dropped and reads as a miss.  The
-        persisted image, if any, waits in :meth:`promoted_operator`.
+        persisted image, if any, and the entry wait in :meth:`promoted`.
         """
         start = time.perf_counter()
         arrays = None
@@ -345,21 +351,34 @@ class StorageTier:
                 self._held[key] = (entry, arrays)
                 if len(self._held) > HELD_MAPS:
                     self._held.popitem(last=False)
-            if operator is not None:
-                self._operators[matrix] = operator
+            self._promoted[matrix] = (operator, entry)
             self.promotions += 1
             self.promote_seconds += time.perf_counter() - start
         return matrix
 
-    def promoted_operator(self, matrix: SparseMatrix) -> Optional[CSRMatrix]:
-        """Hand over the CSR image persisted with a promoted *matrix*.
+    def promoted(
+        self, matrix: SparseMatrix
+    ) -> Optional[Tuple[Optional[CSRMatrix], TierEntry]]:
+        """Hand over ``(operator, entry)`` for a promoted *matrix*.
 
-        Returns the checked image that :meth:`promote` re-attached with
-        *matrix* (over views of the same map), or ``None`` when its
-        entry held the container alone.  Each image is handed over once.
+        *operator* is the checked CSR image :meth:`promote` re-attached
+        with *matrix* (over views of the same map), or ``None`` when its
+        entry held the container alone; *entry* is the index entry it
+        was read from.  Each promote is handed over once; ``None`` after
+        that, or for a container this tier did not promote.
         """
         with self._lock:
-            return self._operators.pop(matrix, None)
+            return self._promoted.pop(matrix, None)
+
+    def promoted_operator(self, matrix: SparseMatrix) -> Optional[CSRMatrix]:
+        """The image half of :meth:`promoted` (handed over once)."""
+        handed = self.promoted(matrix)
+        return handed[0] if handed is not None else None
+
+    def indexes(self, key: str, entry: TierEntry) -> bool:
+        """Whether *entry* is still the index entry for *key*."""
+        with self._lock:
+            return self._index.get(key) is entry
 
     def compact(
         self,

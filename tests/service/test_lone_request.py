@@ -123,7 +123,10 @@ def test_lone_request_matches_block_queue_and_batch(tier, space, matrix):
             assert np.array_equal(batch[1].y, lone_ys[0])
             assert np.array_equal(batch[2].y, lone_ys[1])
             block_ref.execute(
-                matrix, np.stack([xs[2], xs[0], xs[1]], axis=1), key=key
+                matrix,
+                np.stack([xs[2], xs[0], xs[1]], axis=1),
+                key=key,
+                requests=3,
             )
         served = service.stats()["engines"]
     expected = {}
@@ -190,8 +193,9 @@ def test_mixed_queue_drains_by_one_rule(tier, space, matrix):
 
 @pytest.mark.parametrize("tier", ["inproc", "distributed"])
 def test_backend_attribution_counts_every_request(tier, space, matrix):
-    """The per-tier ``requests`` count counts served SpMV requests, each
-    request of a coalesced batch included, not kernel calls."""
+    """The per-tier ``requests`` count and the engines' ``requests_served``
+    count served SpMV requests, each request of a coalesced batch
+    included, not kernel calls."""
     from repro.formats import MatrixDelta
 
     gen = np.random.default_rng(23)
@@ -212,5 +216,8 @@ def test_backend_attribution_counts_every_request(tier, space, matrix):
     assert stats["coalesced_batches"] == 3
     assert stats["updates_served"] == 1
     assert stats["backends"]["numpy"]["requests"] == (
+        stats["requests_served"] - stats["updates_served"]
+    )
+    assert stats["engines"]["requests_served"] == (
         stats["requests_served"] - stats["updates_served"]
     )
