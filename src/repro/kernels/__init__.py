@@ -5,10 +5,11 @@ one per (operation, format), which the dispatch table
 (:mod:`repro.runtime.registry`) registers.  They define the reference
 semantics and serve when scipy is absent.  With scipy importable, the
 batch dispatch (:mod:`repro.runtime.batch`) runs scipy's own compiled
-CSR, DIA and COO kernels on those containers' own arrays, and the CSR
-kernel on a cached CSR image for ELL, HYB and HDC; the results are the
-same bits.  Served results carry the label ``"numpy"`` for all of these
-paths.
+CSR, DIA and COO kernels on those containers' own arrays, with the same
+bits.  Each served result names the kernel that ran it: ``scipy.csr``,
+``scipy.dia`` or ``scipy.coo``, or ``numpy`` for the reference
+(:data:`repro.runtime.batch.SERVING`; an ELL, HYB or HDC decision is
+served by a CSR container).
 
 The tier is distinct from the **modelled** backend axis of
 :class:`repro.backends.base.ExecutionSpace` (``serial``/``openmp``/
@@ -32,7 +33,8 @@ __all__ = [
     "probe_backends",
 ]
 
-#: The label every served result carries.
+#: The reference tier's name, and the kernel name of every served
+#: result when scipy is absent.
 BACKEND = "numpy"
 
 
@@ -40,8 +42,7 @@ def probe_backends() -> Dict[str, str]:
     """The kernel tiers on this host, each with what serves behind it."""
     return {
         BACKEND: "vectorised NumPy reference; scipy's CSR, DIA and COO "
-        "kernels on their own arrays (CSR on a CSR image for ELL, HYB "
-        "and HDC) serve when scipy is importable"
+        "kernels on their own arrays serve when scipy is importable"
     }
 
 

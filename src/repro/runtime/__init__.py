@@ -8,10 +8,11 @@ system, bottom-up:
   containers delegate here, composite formats compose registered
   sub-kernels.
 * :mod:`~repro.runtime.batch` — the one SpMV/SpMM dispatch: scipy's own
-  CSR, DIA and COO kernels, the CSR one on a cached CSR image for the
-  other formats (the NumPy kernels without scipy); batched multi-vector ``Y = A @ X`` in one
-  pass, and the solvers' hot loops route through
-  :func:`~repro.runtime.batch.matvec`.
+  CSR, DIA and COO kernels (the NumPy kernels without scipy), and
+  :data:`~repro.runtime.batch.SERVING`, which serves ELL, HYB and HDC
+  decisions from CSR and names each result's kernel; batched
+  multi-vector ``Y = A @ X`` in one pass, and the solvers' hot loops
+  route through :func:`~repro.runtime.batch.matvec`.
 * :mod:`~repro.runtime.engine` — the request-queue
   :class:`~repro.runtime.engine.WorkloadEngine` that serves many
   ``(matrix, x)`` requests against an execution space, memoising stats,

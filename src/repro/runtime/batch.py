@@ -20,10 +20,13 @@ per-call cost the way a serving system would.  Two entry points:
      directly on the container's validated arrays (a CSR container
      stores int32 indices whenever they fit, the width that kernel runs
      fastest at); nothing is converted or cached;
-   * ELL, HYB and HDC run that same CSR kernel on the cached CSR image
-     of the concrete container (``convert(m, "CSR")``): the conversion
-     cost is paid once per matrix and every subsequent call runs at
-     compiled-kernel speed;
+   * ELL, HYB and HDC have no kernel of their own on this host: a
+     direct call runs that same CSR kernel on a private CSR image of
+     the concrete container (``convert(m, "CSR")``), memoised per
+     container object in a weak map, so an iterative solver on such a
+     container pays the conversion once (containers are immutable, and
+     a :class:`~repro.formats.dynamic.DynamicMatrix` that switches
+     format maps to a new container);
 2. without scipy, the registry's vectorised NumPy kernel — same results,
    slower.
 
@@ -34,28 +37,28 @@ also multiplies the zeros it stores, so an ``inf`` or ``NaN`` in the
 operand can give ``NaN`` where a CSR image skips the entry
 (``0 * inf``).
 
-Containers are immutable, so caching images per container object (a
-:class:`weakref.WeakKeyDictionary`, entries die with the container) is
-safe; a :class:`~repro.formats.dynamic.DynamicMatrix` that switches format
-simply maps to a new concrete container and therefore a new image.
-An image persisted by the disk tier is re-attached to its promoted
-container with :func:`attach_operator`, so a promote rebuilds nothing.
+The serving path never reaches the image memo: :data:`SERVING` maps
+each decided format to the container that serves it — the format
+itself for CSR, DIA and COO (:data:`OWN_KERNELS`), a CSR container for
+ELL, HYB and HDC — and to the name of the kernel that runs it, which
+every served result carries.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Optional, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ShapeError, ValidationError
-from repro.formats.base import SparseMatrix
+from repro.formats.base import FORMAT_IDS, SparseMatrix
 from repro.formats.convert import convert
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.dia import DIAMatrix
 from repro.formats.dynamic import DynamicMatrix
+from repro.kernels import BACKEND
 from repro.runtime.registry import REGISTRY
 
 try:  # gated optional accelerator: compiled sparse kernels
@@ -74,9 +77,8 @@ else:  # CSR, DIA and COO kernels: scipy >= 1.17 (docs/backends.md)
 
 __all__ = [
     "OWN_KERNELS",
-    "attach_operator",
+    "SERVING",
     "batched_spmv",
-    "cached_operator",
     "check_operand",
     "dispatch",
     "have_accelerator",
@@ -85,10 +87,6 @@ __all__ = [
 ]
 
 MatrixLike = Union[SparseMatrix, DynamicMatrix]
-
-
-def _concrete(matrix: MatrixLike) -> SparseMatrix:
-    return matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
 
 
 def validate_operand(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
@@ -186,32 +184,33 @@ def _csr_kernel(m: CSRMatrix, operand: np.ndarray) -> np.ndarray:
 OWN_KERNELS = {"CSR": _csr_kernel, "DIA": _dia_kernel, "COO": _coo_kernel}
 
 
-#: The CSR image of each concrete ELL, HYB or HDC container served so far.
+#: Each decided format's ``(served format, kernel name)`` on this host:
+#: a decision outside :data:`OWN_KERNELS` is served by a CSR container,
+#: and the kernel is scipy's for the served format, or the NumPy
+#: reference (``"numpy"``) without scipy.
+SERVING: Dict[str, Tuple[str, str]] = {
+    fmt: (
+        served,
+        BACKEND if _scipy_sparse is None else f"scipy.{served.lower()}",
+    )
+    for fmt in FORMAT_IDS
+    for served in (fmt if fmt in OWN_KERNELS else "CSR",)
+}
+
+
+#: The CSR image of each concrete ELL, HYB or HDC container a direct
+#: :func:`matvec` call has run (never a served one: :data:`SERVING`).
 _IMAGES: "weakref.WeakKeyDictionary[SparseMatrix, CSRMatrix]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _csr_image(m: SparseMatrix) -> CSRMatrix:
-    """The cached CSR image of the concrete container *m*."""
+    """The memoised CSR image of the concrete container *m*."""
     image = _IMAGES.get(m)
     if image is None:
         image = _IMAGES[m] = convert(m, "CSR")
     return image
-
-
-def cached_operator(matrix: MatrixLike) -> Optional[CSRMatrix]:
-    """The CSR image already built for *matrix*'s container, if any."""
-    return _IMAGES.get(_concrete(matrix))
-
-
-def attach_operator(matrix: MatrixLike, image: CSRMatrix) -> None:
-    """Serve *matrix* through *image*, the checked CSR image persisted
-    with it, instead of converting it again (no-op for a format that
-    runs its own kernel)."""
-    m = _concrete(matrix)
-    if m.format not in OWN_KERNELS:
-        _IMAGES[m] = image
 
 
 def matvec(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
@@ -222,7 +221,7 @@ def matvec(matrix: MatrixLike, x: np.ndarray) -> np.ndarray:
     the same container reuse its compiled kernel, so a
     thousand-iteration solve pays any setup once.
     """
-    m = _concrete(matrix)
+    m = matrix.concrete if isinstance(matrix, DynamicMatrix) else matrix
     return dispatch(m, validate_operand(m, x))
 
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.formats.base import SparseMatrix
+from repro.formats.base import FORMAT_IDS, SparseMatrix
 from repro.formats.convert import convert
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -47,11 +47,10 @@ from repro.formats.dynamic import DynamicMatrix
 from repro.formats.ell import ELLMatrix
 from repro.formats.hdc import HDCMatrix
 from repro.formats.hyb import HYBMatrix
-from repro.kernels import BACKEND
 from repro.machine.cost_model import spmm_time_factor
 from repro.machine.stats import MatrixStats
 from repro.runtime.batch import (
-    cached_operator,
+    SERVING,
     check_operand,
     dispatch,
     have_accelerator,
@@ -241,10 +240,14 @@ class EngineResult(NamedTuple):
 
     ``seconds`` is the modelled device time of the SpMV itself;
     ``overhead_seconds`` carries the tuning + conversion cost paid by this
-    request (zero whenever the decision came from cache).  ``epoch`` is
-    the matrix version that served the request — 0 for matrices that
-    never mutated.  ``backend`` names the kernel tier that ran the
-    request (:mod:`repro.kernels`).
+    request (zero whenever the decision came from cache).  ``format``
+    is the decided format, the one both are priced for; ``backend``
+    names the kernel that ran the request
+    (:data:`~repro.runtime.batch.SERVING`: ``scipy.csr``, ``scipy.dia``,
+    ``scipy.coo``, or ``numpy`` without scipy), which for an ELL, HYB or
+    HDC decision runs on a CSR container.  ``epoch`` is the matrix
+    version that served the request — 0 for matrices that never
+    mutated.
     """
 
     y: np.ndarray
@@ -254,7 +257,7 @@ class EngineResult(NamedTuple):
     fingerprint: str
     from_cache: bool
     epoch: int = 0
-    backend: str = BACKEND
+    backend: str = ""
 
 
 class _Chain(NamedTuple):
@@ -265,6 +268,8 @@ class _Chain(NamedTuple):
     prepared: SparseMatrix
     overhead: float
     cached: bool
+    #: The decided format (``prepared`` is its served container).
+    format: str
 
 
 #: The engine's kernel calls, for a 1-D and for an ``(ncols, k)``
@@ -279,7 +284,8 @@ _ONE_VECTOR = spmm_time_factor(1)
 
 
 def _backend_tally() -> "defaultdict[str, Dict[str, float]]":
-    """Per-tier request counts and modelled SpMV seconds, zero on first use."""
+    """Per-kernel request counts and modelled SpMV seconds, zero on first
+    use."""
     return defaultdict(lambda: {"requests": 0, "seconds": 0.0})
 
 
@@ -292,12 +298,16 @@ class _Warm(NamedTuple):
     """
 
     prepared: SparseMatrix
-    #: The modelled single-SpMV seconds of ``prepared``.
+    #: The modelled single-SpMV seconds of the decided format.
     price: float
     ncols: int
     epoch: int
     #: Whether ``prepared`` is served by row-block streaming.
     streams: bool
+    #: The decided format, which ``prepared`` serves.
+    format: str
+    #: The name of the kernel that runs ``prepared``.
+    kernel: str
 
 
 class WorkloadEngine:
@@ -374,7 +384,7 @@ class WorkloadEngine:
             "blocks": 0,
             "seconds": 0.0,
         }
-        #: Request counts and modelled SpMV seconds by kernel tier.
+        #: Request counts and modelled SpMV seconds by kernel name.
         self.backend_seconds = _backend_tally()
         self._stats: Dict[str, MatrixStats] = {}
         self._features: Dict[str, np.ndarray] = {}
@@ -559,7 +569,12 @@ class WorkloadEngine:
         report: "TuningReport",
         stats: MatrixStats,
     ) -> SparseMatrix:
-        """Memoised container converted to the decided serving format."""
+        """Memoised container serving the decided format.
+
+        The conversion is charged as the modelled system pays it, into
+        the decided format; the container is the one that serves it on
+        this host (:data:`~repro.runtime.batch.SERVING`).
+        """
         if fp in self._prepared:
             self.counters.conversion_hits += 1
             return self._prepared[fp]
@@ -570,7 +585,9 @@ class WorkloadEngine:
             self.seconds["conversion"] += self.space.time_conversion(
                 stats, concrete.format, target
             )
-            concrete = convert(concrete, target)
+        served = SERVING[target][0]
+        if concrete.format != served:
+            concrete = convert(concrete, served)
         self._prepared[fp] = concrete
         return concrete
 
@@ -581,23 +598,24 @@ class WorkloadEngine:
 
     def demote_payload(
         self, key: str, prepared: SparseMatrix
-    ) -> Tuple[Dict[str, object], Optional[CSRMatrix]]:
-        """The decision metadata and operator a tier demotion of *key*'s
-        serving container *prepared* stores with it.
+    ) -> Dict[str, object]:
+        """The decision metadata a tier demotion of *key*'s serving
+        container *prepared* stores with it.
 
-        ``meta`` carries the decided format and the matrix statistics —
-        enough for :meth:`adopt_prepared` on a fresh engine to restore
-        the full first-request artefact chain without recomputing
-        anything.  The operator is the CSR image an ELL, HYB or HDC
-        *prepared* runs through once its first kernel call built it;
-        it is ``None`` for CSR, DIA and COO, which run scipy's kernel
-        for their own format on their own arrays.
+        The decided format, the :attr:`model_version` that decided it
+        and the matrix statistics — enough for :meth:`adopt_prepared`
+        on a fresh engine under the same model to restore the full
+        first-request artefact chain without recomputing anything.
         """
-        meta: Dict[str, object] = {"format": prepared.format}
+        report = self._reports.get(key)
+        meta: Dict[str, object] = {
+            "format": prepared.format if report is None else report.format_name,
+            "model_version": self.model_version,
+        }
         stats = self._stats.get(key)
         if stats is not None:
             meta["stats"] = stats.to_dict()
-        return meta, cached_operator(prepared)
+        return meta
 
     def adopt_prepared(
         self,
@@ -606,19 +624,23 @@ class WorkloadEngine:
         *,
         stats: Optional[MatrixStats] = None,
         price: Optional[float] = None,
+        format: Optional[str] = None,
     ) -> None:
         """Pre-seed the serving artefacts for *key* from a promoted container.
 
         The disk tier's promotion path: *container* (typically read-only
         mmap views re-attached by :meth:`repro.storage.tier.StorageTier
         .promote`) becomes the memoised serving container, and a
-        decision pinning its format is installed so the
-        next request is a full cache hit — no stats pass, no tuner, no
-        conversion.  *stats* (persisted with the demoted entry) restores
+        decision pinning *format* (default: the container's own; a CSR
+        container serves an ELL, HYB or HDC decision) is installed so
+        the next request is a full cache hit — no stats pass, no tuner,
+        no conversion.  *stats* (persisted with the demoted entry) restores
         the pricing statistics without an ``O(nnz)`` recompute over the
-        mmapped arrays.  Existing decisions are never overwritten.
+        mmapped arrays.  An existing decision that *container* serves
+        is kept; any other is replaced, so a result is always labelled
+        with a format its container serves.
 
-        *price*, the space's single-SpMV seconds for *container* under
+        *price*, the space's single-SpMV seconds for *format* under
         *stats*, also seeds the key's warm chain, so the next request
         runs :meth:`serve_warm` — if *stats* are the ones the key holds;
         otherwise that request resolves and prices the chain itself.
@@ -628,10 +650,13 @@ class WorkloadEngine:
         if stats is not None:
             self._stats.setdefault(key, stats)
         self._prepared[key] = container
-        if key not in self._reports:
-            self._reports[key] = TuningReport(format_id=container.format_id)
+        report = self._reports.get(key)
+        if report is None or SERVING[report.format_name][0] != container.format:
+            report = self._reports[key] = TuningReport(
+                format_id=FORMAT_IDS[format or container.format]
+            )
         if price is not None and stats is not None and self._stats[key] is stats:
-            self._seed(key, container, price)
+            self._seed(key, container, price, report.format_name)
         else:
             self._warm.pop(key, None)
 
@@ -759,7 +784,7 @@ class WorkloadEngine:
         * **below threshold** — the decision is *carried forward*: no
           features, no tuner, no modelled tuning/conversion charge; the
           serving container is re-materialised from the merged base in
-          the already-decided format, and the per-format profile
+          the format serving the decision, and the per-format profile
           timings survive (they remain the shadow baseline);
         * **above threshold** — a *forced re-tune*: the decision,
           serving container and profile timings are invalidated and the
@@ -844,21 +869,21 @@ class WorkloadEngine:
             # decision, profile timings and modelled charges all carry
             # forward; only the serving container re-materialises so it
             # reflects the merged content — CSR straight from the keyed
-            # arrays, other formats through the COO view
-            target = report.format_name
-            if target == "CSR":
+            # arrays, COO as the view itself, DIA through it
+            served = SERVING[report.format_name][0]
+            if served == "CSR":
                 prepared = state.prepared_csr()
-            elif target == "COO":
+            elif served == "COO":
                 prepared = state.content()
             else:
-                prepared = convert(state.content(), target)
+                prepared = convert(state.content(), served)
             self._prepared[key] = prepared
         return StreamUpdate(
             key=key,
             epoch=state.epoch,
             carried_forward=not retuned,
             retuned=retuned,
-            format=prepared.format,
+            format=report.format_name,
             drift=drift,
             nnz=state.inc.nnz,
             delta_size=len(delta),
@@ -966,16 +991,21 @@ class WorkloadEngine:
         report = self._decide(matrix, fp, stats)
         prepared = self._prepared_for(matrix, fp, report, stats)
         overhead = (self.seconds["tuning"] + self.seconds["conversion"]) - before
-        return _Chain(fp, stats, prepared, overhead, cached)
+        return _Chain(fp, stats, prepared, overhead, cached, report.format_name)
 
-    def _seed(self, key: str, prepared: SparseMatrix, price: float) -> _Warm:
-        """Memoise *key*'s warm chain: *prepared* at single-SpMV *price*."""
+    def _seed(
+        self, key: str, prepared: SparseMatrix, price: float, format: str
+    ) -> _Warm:
+        """Memoise *key*'s warm chain: *prepared* serving the decided
+        *format* at its single-SpMV *price*."""
         warm = self._warm[key] = _Warm(
             prepared,
             price,
             prepared.ncols,
             self.epoch_of(key),
             self._should_stream(prepared),
+            format,
+            SERVING[prepared.format][1],
         )
         return warm
 
@@ -1020,11 +1050,11 @@ class WorkloadEngine:
         seconds = repetitions * factor * warm.price
         self.seconds["spmv"] += seconds
         self.requests_served += requests
-        backend = self.backend_seconds[BACKEND]
+        backend = self.backend_seconds[warm.kernel]
         backend["requests"] += requests
         backend["seconds"] += seconds
         return EngineResult(
-            y, seconds, 0.0, warm.prepared.format, fp, True, warm.epoch
+            y, seconds, 0.0, warm.format, fp, True, warm.epoch, warm.kernel
         )
 
     def _served(
@@ -1037,36 +1067,37 @@ class WorkloadEngine:
     ) -> EngineResult:
         """Account one kernel call resolved by :meth:`_chain`; wrap its result.
 
-        The modelled SpMV seconds are the single-SpMV price scaled by
-        ``repetitions`` and by the SpMM traffic factor of the operand's
-        column count.  The price is asked of the space once per
-        ``(key, serving container)``; it is memoised with the chain in
-        :attr:`_warm`, which this also (re)fills.
+        The modelled SpMV seconds are the decided format's single-SpMV
+        price scaled by ``repetitions`` and by the SpMM traffic factor of
+        the operand's column count.  The price is asked of the space
+        once per ``(key, serving container)``; it is memoised with the
+        chain in :attr:`_warm`, which this also (re)fills.
         """
         fp = chain.fp
         warm = self._warm.get(fp)
         if warm is None:
-            prepared = chain.prepared
             warm = self._seed(
                 fp,
-                prepared,
-                self.space.time_spmv(chain.stats, prepared.format, matrix_key=fp),
+                chain.prepared,
+                self.space.time_spmv(chain.stats, chain.format, matrix_key=fp),
+                chain.format,
             )
         n_vectors = operand.shape[1] if operand.ndim == 2 else 1
         seconds = repetitions * spmm_time_factor(max(1, n_vectors)) * warm.price
         self.seconds["spmv"] += seconds
         self.requests_served += requests
-        backend = self.backend_seconds[BACKEND]
+        backend = self.backend_seconds[warm.kernel]
         backend["requests"] += requests
         backend["seconds"] += seconds
         return EngineResult(
             y=y,
             seconds=seconds,
             overhead_seconds=chain.overhead,
-            format=chain.prepared.format,
+            format=chain.format,
             fingerprint=fp,
             from_cache=chain.cached,
             epoch=warm.epoch,
+            backend=warm.kernel,
         )
 
     def execute(
@@ -1122,7 +1153,7 @@ class WorkloadEngine:
         * ``seconds`` — modelled time by category
           (tuning / conversion / spmv);
         * ``backends`` — request counts and modelled SpMV seconds by
-          kernel tier;
+          the name of the kernel that ran them;
         * ``invalidations`` — epoch bookkeeping for mutable matrices
           (epoch advances, carried-forward decisions, forced re-tunes;
           :meth:`InvalidationCounters.as_dict`) plus the number of live

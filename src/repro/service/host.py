@@ -32,7 +32,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.machine.stats import MatrixStats
-from repro.runtime.batch import attach_operator
+from repro.runtime.batch import SERVING
 from repro.runtime.engine import (
     STREAM_THRESHOLD_BYTES,
     EngineResult,
@@ -295,36 +295,50 @@ class EngineHost:
 
         Runs under the fingerprint's shard lock, so a promote can never
         race a demotion of the same key.  Every check of
-        :meth:`~repro.storage.tier.StorageTier.promote` runs first; then
-        the engine adopts the serving container (as read-only mmap
-        views), the CSR image it runs through (when one was persisted),
-        the decided format, the persisted matrix statistics and a warm
-        chain seeded with their price, so the request that promoted
-        runs :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm`.
-        The decoded statistics and price are memoised on the tier entry,
-        per space.  Returns the wall seconds spent (0.0 on a tier miss).
+        :meth:`~repro.storage.tier.StorageTier.promote` runs first.  An
+        entry the engine's model decided, whose container serves that
+        decision (:data:`~repro.runtime.batch.SERVING`), is adopted: the
+        serving container (as read-only mmap views), the decided format,
+        the persisted matrix statistics and a warm chain seeded with
+        their price, so the request that promoted runs
+        :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm`.  Any
+        other entry — decided by another model version (a missing stamp
+        reads as ``"-"``), or an ELL, HYB or HDC container of an older
+        layout — gives the engine only its statistics; the request
+        re-decides and converts as a cold key does, and the key's next
+        eviction rewrites the entry.  The decoded statistics and price
+        are memoised on the tier entry, per space.  Returns the wall
+        seconds spent (0.0 on a tier miss).
         """
         started = time.perf_counter()
         promoted = self.storage.promote(fp)
         if promoted is None:
             return 0.0
-        operator, entry = self.storage.promoted(promoted)
-        if operator is not None:
-            attach_operator(promoted, operator)
-        seed = entry.memo.get(self.space)
+        entry = self.storage.promoted(promoted)
+        decided = entry.extra.get("format", promoted.format)
         stats = entry.extra.get("stats")
-        if seed is None and isinstance(stats, dict):
-            stats = MatrixStats.from_dict(stats)
-            price = self.space.time_spmv(stats, promoted.format, matrix_key=fp)
-            seed = entry.memo[self.space] = (stats, price)
-        stats, price = seed or (None, None)
-        engine.adopt_prepared(fp, promoted, stats=stats, price=price)
-        self._origins[fp] = (promoted, entry)
+        if (
+            entry.extra.get("model_version", "-") != engine.model_version
+            or SERVING.get(decided, ("",))[0] != promoted.format
+        ):
+            if isinstance(stats, dict):
+                engine.prime_stats(fp, MatrixStats.from_dict(stats))
+        else:
+            seed = entry.memo.get(self.space)
+            if seed is None and isinstance(stats, dict):
+                stats = MatrixStats.from_dict(stats)
+                price = self.space.time_spmv(stats, decided, matrix_key=fp)
+                seed = entry.memo[self.space] = (stats, price)
+            stats, price = seed or (None, None)
+            engine.adopt_prepared(
+                fp, promoted, stats=stats, price=price, format=decided
+            )
+            self._origins[fp] = (promoted, entry)
         elapsed = time.perf_counter() - started
         self.obs.event(
             "tier_promote",
             fingerprint=fp,
-            format=promoted.format,
+            format=decided,
             seconds=elapsed,
         )
         return elapsed
@@ -335,10 +349,8 @@ class EngineHost:
         A container promoted from the entry the tier still indexes for
         *key* (a promoted engine being re-evicted) is not rewritten —
         the entry on disk is still its exact content — and is checked
-        for in O(1) before any payload is built.  The CSR image an ELL,
-        HYB or HDC container runs through is persisted with it.
-        Demotion failures are reported through the event ring and never
-        break eviction.
+        for in O(1) before any payload is built.  Demotion failures are
+        reported through the event ring and never break eviction.
         """
         try:
             prepared = engine.serving_container(key)
@@ -349,14 +361,12 @@ class EngineHost:
                 and self.storage.indexes(key, origin[1])
             ):
                 return
-            meta, operator = engine.demote_payload(key, prepared)
-            entry = self.storage.demote(
-                key, prepared, extra=meta, operator=operator
-            )
+            meta = engine.demote_payload(key, prepared)
+            entry = self.storage.demote(key, prepared, extra=meta)
             self.obs.event(
                 "tier_demote",
                 fingerprint=key,
-                format=prepared.format,
+                format=meta["format"],
                 nbytes=entry.nbytes,
             )
         except Exception as exc:

@@ -74,7 +74,6 @@ from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
 from repro.formats.delta import MatrixDelta
 from repro.formats.dynamic import DynamicMatrix
-from repro.kernels import BACKEND
 from repro.obs import Observability
 from repro.obs.spans import mint_trace_id
 from repro.obs.views import build_service_stats
@@ -107,8 +106,8 @@ class ServiceResult(NamedTuple):
     produced this result), ``latency_seconds`` (wall-clock time from
     submission to completion) and ``model_version`` (which deployed
     model the serving batch ran under — the hot-swap audit trail).
-    ``backend`` names the kernel tier that ran the batch
-    (:mod:`repro.kernels`).
+    ``backend`` names the kernel that ran the batch
+    (:data:`~repro.runtime.batch.SERVING`).
     """
 
     y: np.ndarray
@@ -122,8 +121,8 @@ class ServiceResult(NamedTuple):
     model_version: str = ""
     #: Matrix version that served this request (0 = never mutated).
     epoch: int = 0
-    #: Kernel tier that executed the serving kernel.
-    backend: str = BACKEND
+    #: Name of the kernel that ran the batch (``scipy.csr``, ...).
+    backend: str = ""
     #: Observability trace ID minted at submit() — correlates this
     #: result with its span timeline and trace-replay events.
     trace_id: str = ""

@@ -6,15 +6,14 @@ of the memory hierarchy instead of a cliff:
 
 * :mod:`repro.storage.persist` — one directory per container: a
   ``manifest.json`` plus one data file holding every array at an
-  aligned offset (and, optionally, the compiled operator that served
-  the container), one blake2b content fingerprint, atomic publication,
+  aligned offset, one blake2b content fingerprint, atomic publication,
   and zero-copy re-attachment through a single ``np.memmap`` of the
   data file, for all six registered formats including the nested
   HYB/HDC composites.
 * :mod:`repro.storage.tier` — the :class:`StorageTier` demote/promote
   store the engine cache spills cold converted containers into; a
-  promote hands back the container and its operator (from the entry's
-  map, held between promotes and re-checked on each), round
+  promote hands back the container (from the entry's map, held between
+  promotes and re-checked on each) and then its entry, round
   trips are bitwise-stable and the residency/traffic counters feed the
   ``repro.obs`` registry.
 * :mod:`repro.storage.stream` — row-block streaming SpMV/SpMM over

@@ -22,19 +22,16 @@ DIA       ``offsets`` / ``data``
 ELL       ``col_idx`` / ``data``
 HYB       ``ell__col_idx`` / ``ell__data`` / ``coo__row`` / ...
 HDC       ``dia__offsets`` / ``dia__data`` / ``csr__row_ptr`` / ...
-ELL, HYB, ``operator__indptr`` / ``operator__indices`` /
-HDC       ``operator__data``: the CSR image the container runs through,
-          when one was built; CSR, DIA and COO run their own kernel on
-          their own arrays and are written without one
 ========  ==========================================================
 
-CSR index arrays (``row_ptr``, ``col_idx`` and HDC's ``csr__`` ones,
-and the image's) are int32 or int64, as the container stores them
+CSR index arrays (``row_ptr``, ``col_idx`` and HDC's ``csr__`` ones)
+are int32 or int64, as the container stores them
 (:class:`~repro.formats.csr.CSRMatrix`); every other index array is
-int64.  Entries written before CSR narrowed its indices still promote:
-their int64 CSR arrays are narrowed by the constructor, and the
-``operator__indptr`` / ``operator__indices`` pair a CSR entry then
-carried is ignored.
+int64.  Older entries still promote: int64 CSR arrays written before
+CSR narrowed its indices are narrowed by the constructor, and the CSR
+image an older entry may hold beside its container (the ``operator__``
+arrays, written while ELL, HYB and HDC were served through one) is
+covered by the fingerprint and otherwise ignored.
 
 Publication is atomic: the data file and manifest are written into a
 hidden sibling temp directory, any previous entry is removed and the
@@ -42,12 +39,9 @@ temp directory is ``os.rename``d into place, so a reader never observes
 a half-written entry.  The manifest carries one blake2b content
 fingerprint over every array in the file.  A round trip is
 bitwise-stable by construction: the bytes written are the exact
-read-only buffers the frozen container (and its image) holds, and
-re-attachment feeds them back through the normal validating
-constructors, which never copy an already-contiguous buffer of the
-dtype they store.  A persisted image is rebuilt through
-:class:`~repro.formats.csr.CSRMatrix` too, since the compiled kernel
-that runs it does not bounds-check.
+read-only buffers the frozen container holds, and re-attachment feeds
+them back through the normal validating constructors, which never copy
+an already-contiguous buffer of the dtype they store.
 """
 
 from __future__ import annotations
@@ -108,15 +102,9 @@ _COMPOSITES = {
 #: Separator between a composite prefix and a nested array name.
 _SEP = "__"
 
-#: Prefix of the persisted CSR image's arrays.
-_OPERATOR = "operator" + _SEP
-
-#: The image's array names in an entry, in file order, per CSR array.
-_IMAGE_ARRAYS = {
-    _OPERATOR + "indptr": "row_ptr",
-    _OPERATOR + "indices": "col_idx",
-    _OPERATOR + "data": "data",
-}
+#: The CSR image an older entry may hold after its container's arrays,
+#: in file order: read, fingerprinted, never used.
+_OLD_IMAGE = ("operator__indptr", "operator__indices", "operator__data")
 
 
 def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
@@ -139,23 +127,14 @@ def container_arrays(matrix: SparseMatrix) -> Dict[str, np.ndarray]:
     raise FormatError(f"cannot persist unknown format {matrix.format!r}")
 
 
-def _entry_arrays(
-    matrix: SparseMatrix, operator: Optional[CSRMatrix]
-) -> Dict[str, np.ndarray]:
-    """Every array an entry's data file holds, in file order (a CSR
-    container is its own image: none is written with it)."""
-    arrays = container_arrays(matrix)
-    if operator is not None and not isinstance(matrix, CSRMatrix):
-        for name, attr in _IMAGE_ARRAYS.items():
-            arrays[name] = getattr(operator, attr)
-    return arrays
-
-
 def _expected_dtypes(fmt: str, name: str) -> Tuple[str, ...]:
-    """The dtypes array *name* of a *fmt* entry may be persisted with."""
+    """The dtypes array *name* of a *fmt* entry may be persisted with
+    (none: a *fmt* entry holds no such array)."""
+    if name not in _required_arrays(fmt) and name not in _OLD_IMAGE:
+        return ()
     if name.endswith("data"):
         return ("<f8",)
-    if fmt == "CSR" or name.startswith(("csr" + _SEP, _OPERATOR)):
+    if fmt == "CSR" or name.startswith("csr" + _SEP) or name in _OLD_IMAGE:
         return ("<i4", "<i8")  # CSRMatrix's width rule
     return ("<i8",)
 
@@ -173,21 +152,15 @@ def _fingerprint(
     return digest.hexdigest()
 
 
-def container_fingerprint(
-    matrix: SparseMatrix, operator: Optional[CSRMatrix] = None
-) -> str:
-    """blake2b-128 content fingerprint of a container (and its image).
+def container_fingerprint(matrix: SparseMatrix) -> str:
+    """blake2b-128 content fingerprint of a container.
 
     Covers the format, the shape, and every defining array's dtype,
     shape and raw bytes — two containers share a fingerprint iff they
-    are bitwise-identical in layout and content.  With *operator*, the
-    CSR image an ELL, HYB or HDC container runs through, the image's
-    arrays are covered too, so one fingerprint vouches for every byte
-    of an entry's data file.
+    are bitwise-identical in layout and content.
     """
     return _fingerprint(
-        matrix.format, matrix.nrows, matrix.ncols,
-        _entry_arrays(matrix, operator),
+        matrix.format, matrix.nrows, matrix.ncols, container_arrays(matrix)
     )
 
 
@@ -212,7 +185,6 @@ def save_container(
     directory: str,
     *,
     extra: Optional[dict] = None,
-    operator: Optional[CSRMatrix] = None,
 ) -> dict:
     """Persist *matrix* into *directory* atomically; returns the manifest.
 
@@ -222,16 +194,13 @@ def save_container(
     exists it is renamed aside first and removed once the new entry is
     in place.  *extra* is stored verbatim in the manifest
     under ``"extra"`` — the tier uses it for decision metadata.
-    *operator* is the CSR image an ELL, HYB or HDC *matrix* runs
-    through; it is persisted beside the container so a re-attach needs
-    no rebuild (and ignored for a CSR *matrix*).
     """
     fmt = matrix.format.upper()
     if fmt not in FORMAT_IDS:
         raise FormatError(f"cannot persist unknown format {matrix.format!r}")
     arrays = {
         name: np.ascontiguousarray(arr)
-        for name, arr in _entry_arrays(matrix, operator).items()
+        for name, arr in container_arrays(matrix).items()
     }
     for name, arr in arrays.items():
         if arr.dtype.str not in _expected_dtypes(fmt, name):
@@ -250,7 +219,7 @@ def save_container(
         "nbytes": int(matrix.nbytes()),
         "epoch": int(matrix.epoch),
         "stable_id": matrix.stable_id if matrix.has_identity else None,
-        "fingerprint": container_fingerprint(matrix, operator),
+        "fingerprint": _fingerprint(fmt, matrix.nrows, matrix.ncols, arrays),
         "data_bytes": data_bytes,
         "arrays": {
             name: {
@@ -312,15 +281,10 @@ def _check_manifest(manifest: dict, path: str) -> None:
     arrays = manifest.get("arrays")
     if not isinstance(arrays, dict):
         raise ValidationError(f"tier manifest {path} has no array table")
-    names = set(_required_arrays(fmt))
-    if any(name.startswith(_OPERATOR) for name in arrays):
-        names |= set(_IMAGE_ARRAYS)
-        if fmt == "CSR":  # the older layout: structure only
-            names.discard(_OPERATOR + "data")
-    if set(arrays) != names:
+    if not set(_required_arrays(fmt)) <= set(arrays):
         raise ValidationError(
             f"tier manifest {path} lists arrays {sorted(arrays)}, "
-            f"expected {sorted(names)}"
+            f"expected {sorted(_required_arrays(fmt))}"
         )
     specs = []
     for name, spec in arrays.items():
@@ -474,20 +438,18 @@ def attach_arrays(
     arrays: Dict[str, np.ndarray],
     *,
     verify: bool = False,
-) -> Tuple[SparseMatrix, Optional[CSRMatrix]]:
-    """Build the entry's ``(container, operator)`` from its *arrays*.
+) -> SparseMatrix:
+    """Build the entry's container from its *arrays*.
 
     *arrays* is what :func:`load_arrays` returned for *manifest*, fresh
     or held from an earlier attach: either way every check runs again.
     The container's arrays pass through the normal validating
     constructors, which never copy an already-contiguous buffer of the
-    dtype they store, so the round trip is bitwise-stable.  *operator*
-    is the persisted CSR image, rebuilt through the validating
-    :class:`~repro.formats.csr.CSRMatrix` constructor, or ``None`` when
-    the entry holds the container alone (always, for a CSR entry).
-    ``verify=True`` recomputes the content fingerprint over the arrays
-    the data file holds (reads every byte) and raises
-    :class:`ValidationError` on mismatch.
+    dtype they store, so the round trip is bitwise-stable.
+    ``verify=True`` recomputes the content fingerprint over every array
+    the data file holds, in file order (reads every byte; an older
+    entry's CSR image too), and raises :class:`ValidationError` on
+    mismatch.
     """
     fmt, nrows, ncols = manifest["format"], manifest["nrows"], manifest["ncols"]
     matrix = _build(fmt, nrows, ncols, arrays)
@@ -496,14 +458,9 @@ def attach_arrays(
     if manifest.get("stable_id"):
         matrix._stable_id = manifest["stable_id"]
     matrix._epoch = int(manifest.get("epoch", 0))
-    operator = None
-    if fmt != "CSR" and _OPERATOR + "data" in arrays:
-        operator = CSRMatrix(
-            nrows, ncols, *(arrays[name] for name in _IMAGE_ARRAYS)
-        )
     if verify:
         names = _required_arrays(fmt) + tuple(
-            name for name in _IMAGE_ARRAYS if name in arrays
+            name for name in _OLD_IMAGE if name in arrays
         )
         actual = _fingerprint(
             fmt, nrows, ncols, {name: arrays[name] for name in names}
@@ -513,7 +470,7 @@ def attach_arrays(
                 f"tier entry {directory} failed fingerprint verification: "
                 f"{actual} != {manifest['fingerprint']}"
             )
-    return matrix, operator
+    return matrix
 
 
 def load_container(
@@ -522,9 +479,8 @@ def load_container(
     """Re-attach the container persisted in *directory*.
 
     Reads and checks the manifest, then :func:`load_arrays` and
-    :func:`attach_arrays`; the persisted image, if any, is checked and
-    dropped.
+    :func:`attach_arrays`.
     """
     manifest = read_manifest(directory)
     arrays = load_arrays(directory, manifest, mmap=mmap)
-    return attach_arrays(directory, manifest, arrays, verify=verify)[0]
+    return attach_arrays(directory, manifest, arrays, verify=verify)

@@ -6,11 +6,11 @@ converted containers here instead of dropping them; a later request for
 the same matrix promotes the entry back as read-only mmap views — the
 conversion cost (the expensive part of a cache miss) is replaced by one
 ``np.memmap`` of the entry's data file, whose round trip is
-bitwise-stable (:mod:`repro.storage.persist`).  A promoted container's
-CSR image (persisted with an ELL, HYB or HDC entry) and the
-:class:`TierEntry` it came from are handed over once, in one call
-(:meth:`StorageTier.promoted`), so the promoted request rebuilds
-nothing and its host can memoise per-entry work on the entry itself.
+bitwise-stable (:mod:`repro.storage.persist`).  The :class:`TierEntry`
+a promoted container came from is handed over once
+(:meth:`StorageTier.promoted`), so its host reads the entry's decision
+metadata without a second lookup and can memoise per-entry work on the
+entry itself.
 
 The tier holds each promoted entry's map, and the views sliced from it,
 for the next promote of that entry, so a held promote opens and maps
@@ -19,16 +19,18 @@ promoted dropped first: each keeps a file descriptor open, and the
 pages kernels touch count in the process's RSS while mapped.  Every
 check runs on every promote all the same — the data file's size
 (before the map is touched: reading a map past the end of a file cut
-short faults) and the validating constructors, the image's too.  A held map is used only while the index holds the entry it was
-made for; every path that pops or replaces an index entry drops it.
+short faults) and the container's validating constructors.  A held
+map is used only while the index holds the entry it was made for;
+every path that pops or replaces an index entry drops it.
 
 Entries are keyed by the serving-cache key (the matrix fingerprint).
 Each demote writes a directory of its own,
 ``<root>/entries/<blake2b(key)>.<generation>/``, and never rewrites
 one: the generation counts the tier's demotes.  The manifest records
-the original key, the epoch, and the decision metadata (chosen format,
-matrix statistics) so promotion restores both the container and the
-tuner decision it was serving under.  Writes are atomic (temp-dir +
+the original key, the epoch, and the decision metadata (decided
+format, the model version that decided it, matrix statistics) so
+promotion restores both the container and the tuner decision it was
+serving under.  Writes are atomic (temp-dir +
 rename), the in-memory index is rebuilt from disk on construction (the
 tier survives restarts) and keeps every entry's parsed manifest, so a
 promote reads no JSON; every mutation/lookup is guarded by one lock —
@@ -53,11 +55,10 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
-from repro.formats.csr import CSRMatrix
 from repro.storage.persist import (
     MANIFEST_NAME,
     attach_arrays,
@@ -96,8 +97,7 @@ def _generation(name: str) -> int:
 class TierEntry:
     """One resident entry of the disk tier (the ``repro storage`` row).
 
-    ``nbytes`` is the size of the entry's data file (the container plus
-    any persisted CSR image); ``manifest`` is the parsed manifest a
+    ``nbytes`` is the size of the entry's data file; ``manifest`` is the parsed manifest a
     promote re-attaches from.  ``memo`` holds what a host derives once
     per entry object (decoded statistics, modelled prices); it is never
     written to disk, and every index change replaces the entry object,
@@ -157,8 +157,8 @@ class StorageTier:
         os.makedirs(self._entries_root, exist_ok=True)
         self._lock = threading.Lock()
         self._index: Dict[str, TierEntry] = {}
-        #: promoted container -> (its re-attached CSR image, its entry),
-        #: until handed over by :meth:`promoted`
+        #: promoted container -> the entry it was read from, until
+        #: handed over by :meth:`promoted`
         self._promoted = weakref.WeakKeyDictionary()
         #: key -> (its index entry, the array views of that entry's map),
         #: least recently promoted first
@@ -234,15 +234,11 @@ class StorageTier:
         matrix: SparseMatrix,
         *,
         extra: Optional[dict] = None,
-        operator: Optional[CSRMatrix] = None,
     ) -> TierEntry:
         """Spill one converted container to disk under *key*.
 
-        *operator* is the CSR image an ELL, HYB or HDC *matrix* runs
-        through, persisted with it so a promote re-attaches it instead
-        of rebuilding it.  Replaces any previous
-        entry for the key (a newer epoch supersedes the demoted one).
-        Returns the resident entry.
+        Replaces any previous entry for the key (a newer epoch
+        supersedes the demoted one).  Returns the resident entry.
         """
         start = time.perf_counter()
         with self._lock:
@@ -251,9 +247,7 @@ class StorageTier:
         stored_extra = dict(extra or {})
         stored_extra["tier_key"] = key
         stored_extra["tier_stored_at"] = time.time()
-        manifest = save_container(
-            matrix, path, extra=stored_extra, operator=operator
-        )
+        manifest = save_container(matrix, path, extra=stored_extra)
         entry = self._entry(path, manifest)
         with self._lock:
             superseded = self._forget_locked(key)
@@ -304,11 +298,11 @@ class StorageTier:
         promote of the same entry (up to :data:`HELD_MAPS` entries), so
         a held entry is promoted without opening or mapping anything.
         Every check runs on every promote all the same: the data file's
-        size and the validating constructors of the container and of
-        its CSR image (and the fingerprint with *verify*).  An entry
-        that fails one (truncated file, manifest out of step with the
-        file, malformed arrays) is dropped and reads as a miss.  The
-        persisted image, if any, and the entry wait in :meth:`promoted`.
+        size and the container's validating constructors (and the
+        fingerprint with *verify*).  An entry that fails one (truncated
+        file, manifest out of step with the file, malformed arrays) is
+        dropped and reads as a miss.  The entry waits in
+        :meth:`promoted`.
         """
         start = time.perf_counter()
         arrays = None
@@ -332,7 +326,7 @@ class StorageTier:
                 arrays = load_arrays(entry.path, entry.manifest, mmap=self.mmap)
             else:
                 check_data_file(entry.path, entry.manifest)
-            matrix, operator = attach_arrays(
+            matrix = attach_arrays(
                 entry.path, entry.manifest, arrays, verify=verify
             )
         except (OSError, ValidationError, ValueError):
@@ -351,29 +345,19 @@ class StorageTier:
                 self._held[key] = (entry, arrays)
                 if len(self._held) > HELD_MAPS:
                     self._held.popitem(last=False)
-            self._promoted[matrix] = (operator, entry)
+            self._promoted[matrix] = entry
             self.promotions += 1
             self.promote_seconds += time.perf_counter() - start
         return matrix
 
-    def promoted(
-        self, matrix: SparseMatrix
-    ) -> Optional[Tuple[Optional[CSRMatrix], TierEntry]]:
-        """Hand over ``(operator, entry)`` for a promoted *matrix*.
+    def promoted(self, matrix: SparseMatrix) -> Optional[TierEntry]:
+        """Hand over the index entry a promoted *matrix* was read from.
 
-        *operator* is the checked CSR image :meth:`promote` re-attached
-        with *matrix* (over views of the same map), or ``None`` when its
-        entry held the container alone; *entry* is the index entry it
-        was read from.  Each promote is handed over once; ``None`` after
-        that, or for a container this tier did not promote.
+        Each promote is handed over once; ``None`` after that, or for a
+        container this tier did not promote.
         """
         with self._lock:
             return self._promoted.pop(matrix, None)
-
-    def promoted_operator(self, matrix: SparseMatrix) -> Optional[CSRMatrix]:
-        """The image half of :meth:`promoted` (handed over once)."""
-        handed = self.promoted(matrix)
-        return handed[0] if handed is not None else None
 
     def indexes(self, key: str, entry: TierEntry) -> bool:
         """Whether *entry* is still the index entry for *key*."""
@@ -402,12 +386,6 @@ class StorageTier:
         with self._lock:
             self.compactions += 1
         return entry, successor
-
-    def decision(self, key: str) -> Optional[dict]:
-        """The decision metadata stored with *key*'s entry, if resident."""
-        with self._lock:
-            entry = self._index.get(key)
-        return dict(entry.extra) if entry is not None else None
 
     # ------------------------------------------------------------------
     # maintenance / inspection

@@ -10,11 +10,11 @@ from repro.core import RunFirstTuner
 from repro.datasets.generators import block_diagonal
 from repro.errors import ShapeError, ValidationError
 from repro.formats import COOMatrix, CSRMatrix, DIAMatrix, DynamicMatrix, convert
+from repro.machine.cost_model import spmm_time_factor
 from repro.runtime.batch import (
+    _IMAGES,
     OWN_KERNELS,
-    attach_operator,
     batched_spmv,
-    cached_operator,
     have_accelerator,
     matvec,
 )
@@ -115,18 +115,19 @@ class TestValidation:
 
 
 class TestOperatorCache:
-    """ELL, HYB and HDC run through a CSR image built once per container."""
+    """A direct call on an ELL, HYB or HDC container runs through a CSR
+    image built once per container (the private ``_IMAGES`` memo)."""
 
     def test_operator_cached_per_container(self, coo_small):
         if not have_accelerator():
             pytest.skip("scipy not available")
         ell = convert(coo_small, "ELL")
-        assert cached_operator(ell) is None
+        assert _IMAGES.get(ell) is None
         matvec(ell, np.ones(ell.ncols))
-        image = cached_operator(ell)
+        image = _IMAGES.get(ell)
         assert isinstance(image, CSRMatrix)
         matvec(ell, np.ones(ell.ncols))
-        assert cached_operator(ell) is image
+        assert _IMAGES.get(ell) is image
 
     def test_dynamic_switch_changes_operator(self, coo_small):
         if not have_accelerator():
@@ -134,13 +135,13 @@ class TestOperatorCache:
         dyn = DynamicMatrix(coo_small)
         dyn.switch("ELL")
         matvec(dyn, np.ones(dyn.ncols))
-        op_ell = cached_operator(dyn)
+        op_ell = _IMAGES.get(dyn.concrete)
         dyn.switch("HYB")
         matvec(dyn, np.ones(dyn.ncols))
-        assert cached_operator(dyn) is not op_ell
+        assert _IMAGES.get(dyn.concrete) is not op_ell
         dyn.switch("CSR")  # runs its own arrays: no image
         matvec(dyn, np.ones(dyn.ncols))
-        assert cached_operator(dyn) is None
+        assert _IMAGES.get(dyn.concrete) is None
 
 
 def _image_reference(m):
@@ -187,16 +188,10 @@ def _own_kernel_case(name, fmt, tmp_path):
         dense = sparse({"square": (40, 40), "wide": (17, 45),
                         "tall": (45, 17), "mmap": (37, 33)}[name])
     m = convert(COOMatrix.from_dense(dense), fmt)
-    if name == "mmap":  # promoted with the CSR image it was demoted with
-        matvec(m, np.zeros(m.ncols))
+    if name == "mmap":  # promoted from a storage tier as mmap views
         tier = StorageTier(str(tmp_path / "tier"))
-        tier.demote("k", m, operator=cached_operator(m))
+        tier.demote("k", m)
         m = tier.promote("k")
-        image = tier.promoted_operator(m)
-        assert (image is None) == (fmt in OWN_KERNELS)
-        if image is not None:
-            assert mmap_backed(image)
-            attach_operator(m, image)
         assert mmap_backed(m)
     return m
 
@@ -221,7 +216,7 @@ def test_own_kernel_equals_the_csr_image(fmt, case, k, tmp_path):
     x = rng.standard_normal(m.ncols if k is None else (m.ncols, k))
     got = matvec(m, x)
     assert np.array_equal(got, _image_reference(m) @ x)
-    image = cached_operator(m)
+    image = _IMAGES.get(m)
     if fmt in OWN_KERNELS:
         assert image is None
     else:
@@ -233,6 +228,43 @@ def test_own_kernel_equals_the_csr_image(fmt, case, k, tmp_path):
     if k is not None:
         for j in range(k):
             assert np.array_equal(got[:, j], matvec(m, x[:, j]))
+
+
+@pytest.mark.skipif(not have_accelerator(), reason="needs scipy")
+@pytest.mark.parametrize("k", [None, 4], ids=["spmv", "k4"])
+@pytest.mark.parametrize(
+    "case",
+    ["square", "wide", "tall", "empty-rows", "padded", "in-band-zeros", "mmap",
+     "unsorted"],
+)
+@pytest.mark.parametrize("source", ["DIA", "COO", "CSR", "ELL", "HYB", "HDC"])
+@pytest.mark.parametrize("decided", ["ELL", "HYB", "HDC"])
+def test_decision_without_own_kernel_serves_the_image_bits(
+    decided, source, case, k, tmp_path
+):
+    """An ELL, HYB or HDC decision is served by a CSR container through
+    scipy's CSR kernel, labelled and priced as decided: the ``y`` the CSR
+    image of the decided container gave, bit for bit.  A column-unsorted
+    CSR request is served as it is, so it gives what a CSR decision on
+    it gives."""
+    m = _own_kernel_case(case, source, tmp_path)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(m.ncols if k is None else (m.ncols, k))
+    engine = WorkloadEngine(
+        make_space("cirrus", "serial"), RunFirstTuner(formats=(decided,))
+    )
+    got = engine.execute(m, x, key="k")
+    assert (got.format, got.backend) == (decided, "scipy.csr")
+    assert engine.serving_container("k").format == "CSR"
+    price = engine.space.time_spmv(
+        engine.stats_for(m, key="k"), decided, matrix_key="k"
+    )
+    assert got.seconds == spmm_time_factor(1 if k is None else k) * price
+    if case == "unsorted" and source == "CSR":
+        want = matvec(m, x)
+    else:
+        want = matvec(convert(convert(m, decided), "CSR"), x)
+    assert np.array_equal(got.y, want)
 
 
 @pytest.mark.skipif(not have_accelerator(), reason="needs scipy")

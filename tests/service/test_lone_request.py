@@ -26,6 +26,7 @@ from repro.core.tuners.base import Tuner, TuningReport
 from repro.distributed import DistributedService
 from repro.formats import FORMAT_IDS, COOMatrix
 from repro.machine import CostModel
+from repro.runtime.batch import SERVING, have_accelerator
 from repro.runtime.engine import WorkloadEngine
 from repro.service import TuningService
 
@@ -215,9 +216,52 @@ def test_backend_attribution_counts_every_request(tier, space, matrix):
         stats = service.stats()
     assert stats["coalesced_batches"] == 3
     assert stats["updates_served"] == 1
-    assert stats["backends"]["numpy"]["requests"] == (
+    assert stats["backends"][SERVING["CSR"][1]]["requests"] == (
         stats["requests_served"] - stats["updates_served"]
     )
     assert stats["engines"]["requests_served"] == (
+        stats["requests_served"] - stats["updates_served"]
+    )
+
+
+@pytest.mark.skipif(not have_accelerator(), reason="needs scipy")
+@pytest.mark.parametrize("tier", ["inproc", "distributed"])
+def test_every_result_names_the_kernel_that_ran(tier, space, matrix):
+    """DIA, COO and CSR decisions run scipy's kernel for their format and
+    an HDC decision runs scipy's CSR kernel on a CSR container, before
+    and after a carried-forward update.  Every result keeps its decided
+    format and names its kernel, and the per-kernel counts sum to the
+    served requests."""
+    from repro.formats import MatrixDelta
+
+    gen = np.random.default_rng(29)
+    kernels = {
+        "DIA": "scipy.dia",
+        "COO": "scipy.coo",
+        "CSR": "scipy.csr",
+        "HDC": "scipy.csr",
+    }
+    results = []
+    with _build(tier, space) as service:
+        for fmt in kernels:
+            key = f"kernel-{fmt}"
+            vectors = [gen.standard_normal(matrix.ncols) for _ in range(3)]
+            results += [(fmt, r) for r in _serve(service, matrix, vectors, key)]
+            block = gen.standard_normal((matrix.ncols, 2))
+            results += [(fmt, r) for r in _serve(service, matrix, [block], key)]
+        update = service.submit_update(
+            matrix, MatrixDelta.sets([0], [1], [0.5]), key="kernel-HDC"
+        )
+        service.drain_all()
+        assert update.result(timeout=10).format == "HDC"
+        vectors = [gen.standard_normal(matrix.ncols) for _ in range(2)]
+        results += [
+            ("HDC", r) for r in _serve(service, matrix, vectors, "kernel-HDC")
+        ]
+        stats = service.stats()
+    for fmt, result in results:
+        assert (result.format, result.backend) == (fmt, kernels[fmt])
+    assert set(stats["backends"]) == set(kernels.values())
+    assert sum(v["requests"] for v in stats["backends"].values()) == (
         stats["requests_served"] - stats["updates_served"]
     )

@@ -4,7 +4,8 @@ Earlier releases stamped a kernel-backend name into two kinds of
 persisted state: a disk-tier entry's decision metadata (``"backend"``)
 and an Oracle model's metadata (``"kernel_backend"``), either of which
 could say ``"native"``.  Both are built here the way those releases
-wrote them; both must still load and serve on the ``numpy`` tier.
+wrote them; both must still load and serve, each result naming the
+kernel that ran it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core import OracleModel, RandomForestTuner, save_model
 from repro.formats import COOMatrix, convert
 from repro.machine.stats import MatrixStats
 from repro.ml import RandomForestClassifier
+from repro.runtime.batch import SERVING
 from repro.service import TuningService
 from repro.storage.persist import save_container
 from repro.storage.tier import _key_dir
@@ -55,7 +57,7 @@ def test_tier_entry_decided_for_native_serves(tmp_path):
         storage = service.stats()["storage"]
     assert storage["promotions"] == 1
     assert result.format == "CSR"
-    assert result.backend == "numpy"
+    assert result.backend == SERVING["CSR"][1]
     np.testing.assert_allclose(result.y, matrix.to_dense() @ x)
 
 
@@ -77,5 +79,5 @@ def test_model_stamped_with_native_serves(tmp_path):
     x = rng.standard_normal(matrix.ncols)
     with TuningService(make_space("cirrus", "serial"), tuner) as service:
         result = service.spmv(matrix, x, key="m")
-    assert result.backend == "numpy"
+    assert result.backend == SERVING[result.format][1]
     np.testing.assert_allclose(result.y, matrix.to_dense() @ x)

@@ -20,7 +20,9 @@ invisible in what is served:
 * re-evicting an unchanged promoted container rewrites nothing, on an
   ``mmap=False`` tier too, and one whose entry was replaced is written
   back;
-* a CSR promote miss makes at most 100 Python-frame calls.
+* a CSR or HDC promote miss makes at most 100 Python-frame calls;
+* a model promotion reaches a key with a tier entry: an entry decided
+  by another model version is not adopted, so the key re-decides.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ import numpy as np
 import pytest
 
 from repro.backends import make_space
+from repro.core import RunFirstTuner
 from repro.core.tuners.base import Tuner, TuningReport
 from repro.formats import FORMAT_IDS, COOMatrix
 from repro.formats.convert import convert
 from repro.machine import CostModel
 from repro.machine.stats import MatrixStats
 from repro.obs import Observability
+from repro.runtime.batch import SERVING
 from repro.runtime.engine import WorkloadEngine
 from repro.service import TuningService
 from repro.service.accounting import empty_engine_totals, fold_engine_stats
@@ -106,6 +110,11 @@ def _container(service, key):
         return engine.serving_container(key)
 
 
+def _extra(tier, key):
+    """The decision metadata stored with *key*'s tier entry."""
+    return {e.key: e for e in tier.entries()}[key].extra
+
+
 def _host(space, tuner, tier):
     return EngineHost(
         space,
@@ -129,9 +138,9 @@ def test_promoted_requests_match_a_fresh_engine(space, tmp_path, fmt):
         second = service.spmv(a, xs[3], key="a")
         stats = service.stats()
         promoted = _container(service, "a")
-        persisted = service.storage.decision("a")["stats"]
+        persisted = _extra(service.storage, "a")["stats"]
     assert stats["storage"]["promotions"] == 1
-    assert mmap_backed(promoted) and promoted.format == fmt
+    assert mmap_backed(promoted) and promoted.format == SERVING[fmt][0]
     # the same history on engines of their own: the promoted one adopts
     # the container with its statistics and resolves the full chain
     evicted_a = WorkloadEngine(space, tuner)
@@ -139,7 +148,9 @@ def test_promoted_requests_match_a_fresh_engine(space, tmp_path, fmt):
     evicted_b = WorkloadEngine(space, tuner)
     evicted_b.execute(b, xs[1], key="b")
     fresh = WorkloadEngine(space, tuner)
-    fresh.adopt_prepared("a", promoted, stats=MatrixStats.from_dict(persisted))
+    fresh.adopt_prepared(
+        "a", promoted, stats=MatrixStats.from_dict(persisted), format=fmt
+    )
     _same(first, fresh.execute(a, xs[2], key="a"))
     _same(second, fresh.execute(a, xs[3], key="a"))
     assert first.from_cache and first.overhead_seconds == 0.0
@@ -157,7 +168,7 @@ def test_reopened_tier_is_priced_by_the_new_space(space, tmp_path):
         service.spmv(a, x, key="a")
         service.spmv(b, x, key="b")  # demotes "a"
         service.spmv(a, x, key="a")  # promotes it: its price is memoised
-        stats = MatrixStats.from_dict(service.storage.decision("a")["stats"])
+        stats = MatrixStats.from_dict(_extra(service.storage, "a")["stats"])
     other = make_space(
         "cirrus", "serial", cost_model=CostModel(noise_sigma=0.0)
     )
@@ -233,11 +244,15 @@ def test_promote_into_an_engine_holding_other_stats_prices_like_the_chain(
         service.spmv(a, x, key="a")
         service.spmv(b, x, key="b")  # demotes "a"
         service.spmv(a, x, key="a")  # promotes it
-        held = MatrixStats.from_dict(service.storage.decision("a")["stats"])
+        held = MatrixStats.from_dict(_extra(service.storage, "a")["stats"])
         service.storage.demote(
             "a",
             convert(c, "DIA"),
-            extra={"format": "DIA", "stats": MatrixStats.from_matrix(c).to_dict()},
+            extra={
+                "format": "DIA",
+                "model_version": "v2",  # decided by the promoted model
+                "stats": MatrixStats.from_matrix(c).to_dict(),
+            },
         )
         service.promote_model(_FixedTuner("DIA"), version="v2")
         got = service.spmv(a, x, key="a")  # the live engine promotes again
@@ -308,14 +323,16 @@ def test_entry_replaced_under_a_live_promoted_engine_is_rewritten(
     assert np.array_equal(got.y, want.y)
 
 
-def test_promote_miss_is_at_most_one_hundred_python_calls(space, tmp_path):
+@pytest.mark.parametrize("fmt", ["CSR", "HDC"])
+def test_promote_miss_is_at_most_one_hundred_python_calls(space, tmp_path, fmt):
     """One blocking ``spmv`` that promotes a CSR entry (``capacity=1``,
     two keys alternating) makes at most 100 Python-frame calls, counted
     with ``sys.setprofile``, no timing: the promote's checks, a seeded
-    warm chain and one kernel call."""
+    warm chain and one kernel call.  An HDC decision's entry is a CSR
+    container, so it costs the same."""
     a, b = _matrix(20), _matrix(21)
     x = np.random.default_rng(22).standard_normal(a.ncols)
-    with _service(space, _FixedTuner("CSR"), tmp_path) as service:
+    with _service(space, _FixedTuner(fmt), tmp_path) as service:
         for _ in range(2):
             service.spmv(a, x, key="a")
             service.spmv(b, x, key="b")
@@ -332,5 +349,40 @@ def test_promote_miss_is_at_most_one_hundred_python_calls(space, tmp_path):
         finally:
             sys.setprofile(None)
         assert service.stats()["storage"]["promotions"] == promotions + 1
-    assert result.format == "CSR" and result.from_cache
+    assert result.format == fmt and result.from_cache
+    assert result.backend == SERVING[fmt][1]
     assert len(calls) <= 100, calls
+
+
+@pytest.mark.parametrize("storage", [True, False], ids=["tier", "no-tier"])
+def test_model_promotion_reaches_a_key_with_a_tier_entry(
+    space, tmp_path, storage
+):
+    """``capacity=1``, a CSR model, keys ``a`` and ``b``: serve ``a``,
+    serve ``b`` (evicts ``a``), promote a DIA model, then serve ``a``,
+    ``b`` and ``a`` again.  Both ``a`` requests are served as the new
+    model decides, with a storage tier as without one."""
+    a, b = _matrix(31, density=0.0), _matrix(32, density=0.0)
+    x = np.random.default_rng(33).standard_normal(a.ncols)
+    with TuningService(
+        space,
+        RunFirstTuner(formats=("CSR",)),
+        workers=1,
+        capacity=1,
+        shards=1,
+        storage_dir=str(tmp_path / "tier") if storage else None,
+    ) as service:
+        assert service.spmv(a, x, key="a").format == "CSR"
+        service.spmv(b, x, key="b")
+        service.promote_model(RunFirstTuner(formats=("DIA",)), version="v2")
+        first = service.spmv(a, x, key="a")
+        service.spmv(b, x, key="b")
+        second = service.spmv(a, x, key="a")
+        promotions = service.stats()["storage"]["promotions"] if storage else 0
+    for result in (first, second):
+        assert (result.format, result.model_version) == ("DIA", "v2")
+        assert result.backend == SERVING["DIA"][1]
+        np.testing.assert_allclose(
+            result.y, a.to_scipy() @ x, rtol=1e-12, atol=0
+        )
+    assert promotions == (2 if storage else 0)

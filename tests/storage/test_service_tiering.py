@@ -27,6 +27,7 @@ from repro.core.tuners.base import Tuner, TuningReport
 from repro.formats import convert
 from repro.formats.base import FORMAT_IDS
 from repro.formats.coo import COOMatrix
+from repro.machine.stats import MatrixStats
 from repro.service import TuningService
 from repro.storage.persist import DATA_NAME, MANIFEST_NAME
 from repro.storage.stream import plan_block_rows
@@ -400,11 +401,13 @@ def test_promote_serves_without_any_rebuild(space, tmp_path, fmt, monkeypatch):
 def test_own_kernel_entries_and_operator_layout_entries(
     space, tmp_path, fmt, monkeypatch
 ):
-    """A CSR, DIA or COO entry persists no operator arrays (HDC persists
-    the CSR image it runs through), and an entry in the layout that
-    stored int64 CSR indices and a scipy CSR operator for every format
-    (still on disk: the tier outlives the process) promotes with no
-    miss, passes verification and serves the same bits."""
+    """No entry persists operator arrays (an HDC decision's entry is a
+    CSR container), and an entry in the older layout — int64 CSR
+    indices and a scipy CSR operator beside every container, still on
+    disk: the tier outlives the process — promotes with no miss, passes
+    verification and serves the same bits.  An older HDC container has
+    no kernel of its own, so it is not adopted: the key re-decides and
+    its next eviction rewrites the entry as a CSR container."""
     import scipy.sparse as sp
 
     from repro.storage import persist
@@ -432,13 +435,16 @@ def test_own_kernel_entries_and_operator_layout_entries(
 
     with TuningService(space, tuner, **kwargs) as first:
         entry = demote_all(first)
-    names = entry.manifest["arrays"]
-    assert any(n.startswith("operator__") for n in names) == (fmt == "HDC")
+    assert entry.format == ("CSR" if fmt == "HDC" else fmt)
+    assert entry.extra["format"] == fmt
+    assert not any(n.startswith("operator__") for n in entry.manifest["arrays"])
 
-    def with_operator(m, _operator):  # the int64, operator-per-entry layout
+    container_arrays = persist.container_arrays
+
+    def with_operator(m):  # the int64, operator-per-entry layout
         arrays = {
             name: arr.astype(np.int64) if arr.dtype == np.int32 else arr
-            for name, arr in persist.container_arrays(m).items()
+            for name, arr in container_arrays(m).items()
         }
         image = scipy_image(m)
         arrays["operator__indptr"] = image.indptr
@@ -447,13 +453,20 @@ def test_own_kernel_entries_and_operator_layout_entries(
             arrays["operator__data"] = image.data
         return arrays
 
+    writer = StorageTier(str(tmp_path / "tier"))
+    writer.clear()
     with monkeypatch.context() as patch:
-        patch.setattr(persist, "_entry_arrays", with_operator)
-        with TuningService(space, tuner, **kwargs) as writer:
-            writer.storage.clear()
-            entry = demote_all(writer)
+        patch.setattr(persist, "container_arrays", with_operator)
+        entry = writer.demote(
+            "mx0",
+            convert(matrix, fmt),
+            extra={
+                "format": fmt,
+                "stats": MatrixStats.from_matrix(matrix).to_dict(),
+            },
+        )
     names = entry.manifest["arrays"]
-    assert "operator__indices" in names
+    assert entry.format == fmt and "operator__indices" in names
     if fmt in ("CSR", "HDC"):
         index = "col_idx" if fmt == "CSR" else "csr__col_idx"
         assert names[index]["dtype"] == "<i8"
@@ -461,10 +474,14 @@ def test_own_kernel_entries_and_operator_layout_entries(
     assert reader.promote("mx0", verify=True) is not None
     assert reader.stats()["promote_misses"] == 0
     with TuningService(space, tuner, **kwargs) as second:
-        got = second.spmv(matrix, x, key="mx0").y
+        got = second.spmv(matrix, x, key="mx0")
         storage = second.stats()["storage"]
+        rewritten = demote_all(second)
     assert storage["promotions"] == 1 and storage["promote_misses"] == 0
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.y, want)
+    assert got.from_cache == (fmt != "HDC")
+    assert (rewritten.path == entry.path) == (fmt != "HDC")
+    assert rewritten.format == ("CSR" if fmt == "HDC" else fmt)
 
 
 _OUT_OF_CORE_SCRIPT = textwrap.dedent(

@@ -20,7 +20,6 @@ import pytest
 from repro.errors import ValidationError
 from repro.formats import DeltaOverlay, convert
 from repro.formats.coo import COOMatrix
-from repro.formats.csr import CSRMatrix
 from repro.storage import tier as tier_module
 from repro.storage.stream import mmap_backed
 from repro.storage.tier import StorageTier
@@ -50,7 +49,7 @@ def test_demote_promote_bitwise_with_decision(tier):
     np.testing.assert_array_equal(got.row, want.row)
     np.testing.assert_array_equal(got.col, want.col)
     assert np.array_equal(got.data, want.data)
-    assert tier.decision("mx/1") == {"format": "CSR", "backend": "numpy"}
+    assert tier.entries()[0].extra == {"format": "CSR", "backend": "numpy"}
     stats = tier.stats()
     assert stats["demotions"] == 1
     assert stats["promotions"] == 1
@@ -70,7 +69,7 @@ def test_tier_survives_restart(tmp_path):
     reborn = StorageTier(root)
     assert "k" in reborn
     assert len(reborn) == 1
-    assert reborn.decision("k") == {"backend": "native"}
+    assert reborn.entries()[0].extra == {"backend": "native"}
     back = reborn.promote("k", verify=True)
     assert np.array_equal(back.to_coo().data, csr.to_coo().data)
 
@@ -227,32 +226,16 @@ def test_stats_schema(tier):
     }
 
 
-def test_operator_round_trip_and_handover(tier):
+def test_promote_hands_over_the_entry_once(tier):
     hdc = convert(_matrix(13), "HDC")
-    image = convert(hdc, "CSR")
-    tier.demote("hdc", hdc, operator=image)
-    back = tier.promote("hdc", verify=True)
-    assert mmap_backed(back)
-    got = tier.promoted_operator(back)
-    assert isinstance(got, CSRMatrix) and mmap_backed(got)
-    for name in ("row_ptr", "col_idx", "data"):
-        assert getattr(got, name).dtype == getattr(image, name).dtype
-        assert np.array_equal(getattr(got, name), getattr(image, name))
-    assert tier.promoted_operator(back) is None  # handed over once
-    # a CSR container is its own image: none is stored with it
-    csr = convert(_matrix(14), "CSR")
-    tier.demote("csr", csr, operator=csr)
-    arrays = {e.key: e for e in tier.entries()}["csr"].manifest["arrays"]
+    entry = tier.demote("hdc", hdc)
+    arrays = entry.manifest["arrays"]
     assert not any(name.startswith("operator__") for name in arrays)
-    back = tier.promote("csr", verify=True)
-    assert tier.promoted_operator(back) is None
-
-
-def test_promote_without_operator_hands_over_none(tier):
-    tier.demote("k", convert(_matrix(15), "CSR"))
-    back = tier.promote("k")
-    assert back is not None
-    assert tier.promoted_operator(back) is None
+    back = tier.promote("hdc", verify=True)
+    assert mmap_backed(back) and back.format == "HDC"
+    assert tier.promoted(back) is entry
+    assert tier.promoted(back) is None  # handed over once
+    assert tier.promoted(hdc) is None  # not promoted by this tier
 
 
 def test_v1_entry_is_not_indexed(tmp_path):
