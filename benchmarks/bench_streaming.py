@@ -18,6 +18,9 @@ The workload is a growing power-law graph (``datasets.evolving
 .growing_rmat``): each epoch ingests a batch of new edges, the exact
 streaming-ingestion scenario the delta overlay exists for.  Timings take
 the best of ``TRIALS`` runs; results land in ``benchmarks/results/``.
+A DIA-served widening band (``datasets.evolving.widening_band``) is held
+to the same per-epoch bitwise check, with no format conversion on the
+streaming path.
 """
 
 from __future__ import annotations
@@ -28,8 +31,10 @@ import numpy as np
 
 from repro.backends import make_space
 from repro.core.tuners.run_first import RunFirstTuner
-from repro.datasets.evolving import growing_rmat
+from repro.datasets.evolving import growing_rmat, widening_band
 from repro.formats.coo import COOMatrix
+from repro.runtime import engine as engine_mod
+from repro.runtime.batch import SERVING
 from repro.runtime.engine import WorkloadEngine
 
 from benchmarks._emit import emit
@@ -182,6 +187,41 @@ def test_incremental_epochs_beat_full_rebuilds_5x():
         f"incremental epoch throughput only {speedup:.2f}x the "
         "from-scratch rebuild (acceptance floor: 5x)"
     )
+
+
+def test_dia_served_band_stream_stays_bitwise_identical(monkeypatch):
+    """A widening band served as DIA: every epoch's SpMV equals a fresh
+    engine's on the compacted matrix bit for bit, and the streaming
+    engine never runs a format conversion (its DIA container is built
+    from the maintained histograms)."""
+    workload = widening_band(n=400, epochs=EPOCHS, seed=SEED)
+    mats = workload.compacted()
+    space = make_space("cirrus", "serial")
+    tuner = RunFirstTuner(formats=("DIA",))
+    x = np.random.default_rng(SEED).standard_normal(workload.initial.ncols)
+    engine = WorkloadEngine(space, tuner)
+    key = engine.track(workload.initial, key="band")
+    engine.execute(workload.initial, x, key=key)
+    conversions = []
+    convert = engine_mod.convert
+
+    def counted(matrix, fmt, **params):
+        conversions.append(fmt)
+        return convert(matrix, fmt, **params)
+
+    for epoch, delta in enumerate(workload.deltas, start=1):
+        monkeypatch.setattr(engine_mod, "convert", counted)
+        engine.update(key, delta)
+        result = engine.execute(workload.initial, x, key=key)
+        monkeypatch.setattr(engine_mod, "convert", convert)
+        assert (result.epoch, result.format) == (epoch, "DIA")
+        assert result.backend == SERVING["DIA"][1]
+        fresh = WorkloadEngine(space, tuner).execute(mats[epoch], x)
+        assert np.array_equal(result.y, fresh.y), f"epoch {epoch}"
+    assert conversions == []
+    inv = engine.stats()["invalidations"]
+    assert inv["epoch_advances"] == EPOCHS
+    assert inv["carried_forward"] > 0
 
 
 def test_incremental_stats_match_recompute_over_the_run():

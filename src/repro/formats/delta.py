@@ -256,7 +256,8 @@ def merge_keyed(
 
     *key* is the row-major linear coordinate (``row * ncols + col``,
     strictly increasing — canonical order), *col* / *data* the parallel
-    column and value arrays.  This is the streaming hot path: it never
+    column and value arrays (the merged column array keeps *col*'s
+    integer width).  This is the streaming hot path: it never
     materialises a row array (rows live implicitly in the keys and in
     the incrementally maintained row histogram) and never re-validates
     ``O(nnz)`` container invariants — both merge inputs are already
@@ -294,38 +295,44 @@ def merge_keyed(
         values_changed=int(m_set.sum() + m_add.sum()),
         noop_deletes=noop_deletes,
     )
-    out_data = data.copy()
-    out_data[pos[m_set]] = d.value[m_set]
-    out_data[pos[m_add]] += d.value[m_add]
     if n_del == 0 and n_ins == 0:
         # value-only delta: one value copy, structure arrays shared
+        out_data = data.copy()
+        out_data[pos[m_set]] = d.value[m_set]
+        out_data[pos[m_add]] += d.value[m_add]
         return key, col, out_data, effect
     if n_del:
         keep = np.ones(key.shape[0], dtype=bool)
         keep[pos[m_del]] = False
         kept_key = key[keep]
         kept_col = col[keep]
-        kept_data = out_data[keep]
+        kept_data = data[keep]
     else:
-        kept_key, kept_col, kept_data = key, col, out_data
+        kept_key, kept_col, kept_data = key, col, data
     if n_ins == 0:
-        return kept_key, kept_col, kept_data, effect
-    # one allocation per array, two scatters: kept entries land in their
-    # slots, inserted entries in theirs — canonical order preserved
-    out_size = kept_key.shape[0] + n_ins
-    ins_at = np.searchsorted(kept_key, d_key[inserts])
-    ins_slots = ins_at + np.arange(n_ins, dtype=np.int64)
-    base_slots = np.ones(out_size, dtype=bool)
-    base_slots[ins_slots] = False
-    new_key = np.empty(out_size, dtype=np.int64)
-    new_col = np.empty(out_size, dtype=np.int64)
-    new_data = np.empty(out_size, dtype=np.float64)
-    new_key[base_slots] = kept_key
-    new_col[base_slots] = kept_col
-    new_data[base_slots] = kept_data
-    new_key[ins_slots] = d_key[inserts]
-    new_col[ins_slots] = d.col[inserts]
-    new_data[ins_slots] = d.value[inserts]
+        new_key, new_col, new_data = kept_key, kept_col, kept_data
+    else:
+        # one allocation per array, two scatters: kept entries land in
+        # their slots, inserted entries in theirs — canonical order
+        # preserved
+        out_size = kept_key.shape[0] + n_ins
+        ins_at = np.searchsorted(kept_key, d_key[inserts])
+        ins_slots = ins_at + np.arange(n_ins, dtype=np.int64)
+        base_slots = np.ones(out_size, dtype=bool)
+        base_slots[ins_slots] = False
+        new_key = np.empty(out_size, dtype=np.int64)
+        new_col = np.empty(out_size, dtype=col.dtype)
+        new_data = np.empty(out_size, dtype=np.float64)
+        new_key[base_slots] = kept_key
+        new_col[base_slots] = kept_col
+        new_data[base_slots] = kept_data
+        new_key[ins_slots] = d_key[inserts]
+        new_col[ins_slots] = d.col[inserts]
+        new_data[ins_slots] = d.value[inserts]
+    # the merged value array is fresh, so matched entries are set or
+    # added to at their merged slots: no separate value copy
+    new_data[np.searchsorted(new_key, d_key[m_set])] = d.value[m_set]
+    new_data[np.searchsorted(new_key, d_key[m_add])] += d.value[m_add]
     return new_key, new_col, new_data, effect
 
 

@@ -81,25 +81,31 @@ class DIAMatrix(SparseMatrix):
         # write only where a padding slot actually holds a non-zero, so
         # an already-masked read-only buffer (an mmap view re-attached
         # from the disk tier) passes through without a write.  Diagonal
-        # k holds columns [max(0, off), min(ncols, nrows + off)); its
-        # head and tail padding slots are gathered in one pass, which
-        # reads only padding, never the stored diagonals' pages
+        # k holds columns [max(0, off), min(ncols, nrows + off)), so the
+        # row-major buffer's padding is ndiags + 1 runs: diagonal 0's
+        # head, each diagonal's tail joined to the next one's head, and
+        # the last diagonal's tail.  Their slots are gathered in one
+        # pass, which reads only padding, never the stored diagonals'
+        # pages
+        if not self.offsets.size:
+            return
         j_lo = np.maximum(self.offsets, 0)
         j_hi = np.maximum(np.minimum(self.nrows + self.offsets, self.ncols), j_lo)
-        counts = np.concatenate([j_lo, self.ncols - j_hi])
-        total = int(counts.sum())
+        stop = np.arange(self.offsets.size + 1, dtype=np.int64) * self.ncols
+        start = stop.copy()
+        start[1:] -= self.ncols - j_hi
+        stop[:-1] += j_lo
+        lengths = stop - start
+        total = int(lengths.sum())
         if not total:
             return
-        # segments: every diagonal's head [0, j_lo), then its tail
-        # [j_hi, ncols); a slot's column is its segment's start plus its
-        # position within the segment
-        starts = np.concatenate([np.zeros_like(j_lo), j_hi])
-        rows = np.repeat(np.tile(np.arange(self.offsets.size), 2), counts)
-        first = np.repeat(np.cumsum(counts) - counts, counts)
-        cols = np.arange(total) - first + np.repeat(starts, counts)
-        junk = self.data[rows, cols] != 0.0
-        if junk.any():
-            self.data[rows[junk], cols[junk]] = 0.0
+        # a slot's flat index is its run's start plus its place in the run
+        slots = np.arange(total, dtype=np.int64)
+        slots += np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        flat = self.data.reshape(-1)
+        junk = slots[flat[slots] != 0.0]
+        if junk.size:
+            flat[junk] = 0.0
 
     # ------------------------------------------------------------------
     @property

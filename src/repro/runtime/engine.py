@@ -65,6 +65,7 @@ from repro.runtime.epoch import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.backends.base import ExecutionSpace
     from repro.core.tuners.base import Tuner, TuningReport
+    from repro.storage.tier import TierEntry
 
 __all__ = [
     "CacheCounters",
@@ -395,7 +396,8 @@ class WorkloadEngine:
         #: single-SpMV price, column count and epoch), so a warm request
         #: resolves its artefacts with one lookup; dropped wherever the
         #: decision, the container, the stats or the epoch change (a
-        #: promoted container re-seeds it: :meth:`adopt_prepared`).
+        #: promoted container re-seeds it, :meth:`adopt_prepared`, and
+        #: so does a stream update, :meth:`update`).
         self._warm: Dict[str, _Warm] = {}
         self._streams: Dict[str, StreamState] = {}
         self.invalidations = InvalidationCounters()
@@ -573,7 +575,9 @@ class WorkloadEngine:
 
         The conversion is charged as the modelled system pays it, into
         the decided format; the container is the one that serves it on
-        this host (:data:`~repro.runtime.batch.SERVING`).
+        this host (:data:`~repro.runtime.batch.SERVING`), built by the
+        key's :class:`~repro.runtime.epoch.StreamState` when it is a
+        tracked stream.
         """
         if fp in self._prepared:
             self.counters.conversion_hits += 1
@@ -586,7 +590,10 @@ class WorkloadEngine:
                 stats, concrete.format, target
             )
         served = SERVING[target][0]
-        if concrete.format != served:
+        state = self._streams.get(fp)
+        if state is not None:
+            concrete = state.prepared(served)
+        elif concrete.format != served:
             concrete = convert(concrete, served)
         self._prepared[fp] = concrete
         return concrete
@@ -616,6 +623,18 @@ class WorkloadEngine:
         if stats is not None:
             meta["stats"] = stats.to_dict()
         return meta
+
+    def adopts(self, entry: "TierEntry") -> bool:
+        """Whether a storage-tier *entry* is adopted as it is: the
+        :meth:`demote_payload` metadata it was stored with names this
+        engine's :attr:`model_version`, and its container serves the
+        decided format (:data:`~repro.runtime.batch.SERVING`).  Reads
+        the index entry only, so a promote can ask before mapping it."""
+        decided = entry.extra.get("format", entry.format)
+        return (
+            entry.extra.get("model_version", "-") == self.model_version
+            and SERVING.get(decided, ("",))[0] == entry.format
+        )
 
     def adopt_prepared(
         self,
@@ -783,13 +802,21 @@ class WorkloadEngine:
 
         * **below threshold** — the decision is *carried forward*: no
           features, no tuner, no modelled tuning/conversion charge; the
-          serving container is re-materialised from the merged base in
-          the format serving the decision, and the per-format profile
+          serving container is rebuilt by
+          :meth:`~repro.runtime.epoch.StreamState.prepared` (CSR and
+          DIA from the maintained histograms, COO as the canonical
+          view: no format conversion), and the per-format profile
           timings survive (they remain the shadow baseline);
         * **above threshold** — a *forced re-tune*: the decision,
           serving container and profile timings are invalidated and the
           tuner re-runs against the incrementally maintained stats
-          (still no ``O(nnz)`` recompute).
+          (still no ``O(nnz)`` recompute); the container comes from the
+          same builder, charged as a COO conversion.
+
+        An update that leaves a decision also leaves the key's warm
+        chain, re-seeded with the container and its single-SpMV price at
+        the new stats, so the next request is served by
+        :meth:`serve_warm` without resolving the stream content.
 
         ``matrix`` is only needed on the first update of an untracked
         key (it starts the stream).  Callers must serialise updates with
@@ -867,23 +894,19 @@ class WorkloadEngine:
         else:
             self.invalidations.carried_forward += 1
             # decision, profile timings and modelled charges all carry
-            # forward; only the serving container re-materialises so it
-            # reflects the merged content — CSR straight from the keyed
-            # arrays, COO as the view itself, DIA through it
-            served = SERVING[report.format_name][0]
-            if served == "CSR":
-                prepared = state.prepared_csr()
-            elif served == "COO":
-                prepared = state.content()
-            else:
-                prepared = convert(state.content(), served)
+            # forward; only the serving container is rebuilt, from the
+            # keyed arrays and the maintained histograms
+            prepared = state.prepared(SERVING[report.format_name][0])
             self._prepared[key] = prepared
+        fmt = report.format_name
+        price = self.space.time_spmv(new_stats, fmt, matrix_key=key)
+        self._seed(key, prepared, price, fmt)
         return StreamUpdate(
             key=key,
             epoch=state.epoch,
             carried_forward=not retuned,
             retuned=retuned,
-            format=report.format_name,
+            format=fmt,
             drift=drift,
             nnz=state.inc.nnz,
             delta_size=len(delta),

@@ -39,6 +39,7 @@ from repro.formats.coo import COOMatrix
 from repro.formats.delta import DeltaEffect
 from repro.formats.dynamic import DynamicMatrix
 from repro.machine.stats import MatrixStats
+from repro.utils.validation import csr_index_dtype
 
 __all__ = [
     "IncrementalStats",
@@ -160,10 +161,13 @@ class IncrementalStats:
     @property
     def bandwidth(self) -> int:
         """Largest ``|col - row|`` over occupied diagonals (0 if empty)."""
-        occupied = np.flatnonzero(self.diag_hist)
-        if occupied.size == 0:
+        # the outermost occupied bins on either side of the main diagonal
+        occupied = self.diag_hist != 0
+        if not occupied.any():
             return 0
-        return int(np.abs(occupied - (self.nrows - 1)).max())
+        first = int(occupied.argmax())
+        last = occupied.size - 1 - int(occupied[::-1].argmax())
+        return max(self.nrows - 1 - first, last - (self.nrows - 1))
 
     @property
     def density(self) -> float:
@@ -245,12 +249,14 @@ class StreamState:
     form — the strictly increasing row-major ``key`` array plus parallel
     ``col`` / ``data`` — which is what the sorted-merge hot path
     (:func:`~repro.formats.delta.merge_keyed`) consumes and produces
-    without ever materialising a row array.  :meth:`content` builds the
-    equivalent canonical :class:`~repro.formats.coo.COOMatrix` on demand
-    (re-tunes, conversions to non-CSR formats) and caches it per epoch.
-    ``decided_stats`` is the stats snapshot the live format decision was
-    made against — the reference the :class:`RedecisionPolicy` measures
-    drift from.
+    without ever materialising a row array.  :meth:`prepared` builds the
+    serving container — CSR and DIA from the keyed arrays and the
+    maintained histograms, COO as :meth:`content`, the equivalent
+    canonical :class:`~repro.formats.coo.COOMatrix` built on demand (a
+    re-tune's decision input) and cached per epoch; a stream never runs
+    a format conversion.  ``decided_stats`` is the stats snapshot the
+    live format decision was made against — the reference the
+    :class:`RedecisionPolicy` measures drift from.
     """
 
     __slots__ = (
@@ -280,7 +286,11 @@ class StreamState:
         self.ncols = coo.ncols
         span = np.int64(coo.ncols) if coo.ncols else np.int64(1)
         self.key = coo.row * span + coo.col
-        self.col = coo.col
+        # at the width a CSR container stores column indices, so the
+        # carried-forward CSR container shares the array
+        self.col = coo.col.astype(
+            csr_index_dtype(coo.nrows, coo.ncols, coo.nnz), copy=False
+        )
         self.data = coo.data
         self.inc = inc if inc is not None else IncrementalStats.from_coo(coo)
         self.decided_stats: Optional[MatrixStats] = None
@@ -322,6 +332,24 @@ class StreamState:
             )
         return self._coo
 
+    def prepared(self, served: str) -> SparseMatrix:
+        """The container serving *served* at the current epoch, built
+        from the keyed content and the maintained histograms.
+
+        *served* is one of CSR, DIA and COO, the formats
+        :data:`~repro.runtime.batch.SERVING` serves, so a stream never
+        runs a format conversion: CSR and DIA come from the histograms
+        (:meth:`prepared_csr`, :meth:`prepared_dia`), COO is the
+        canonical view itself.
+        """
+        if served == "CSR":
+            return self.prepared_csr()
+        if served == "DIA":
+            return self.prepared_dia()
+        if served == "COO":
+            return self.content()
+        raise ValidationError(f"a stream cannot serve format {served!r}")
+
     def prepared_csr(self):
         """Direct CSR build from the maintained histograms: no re-sort.
 
@@ -337,6 +365,35 @@ class StreamState:
         row_ptr = np.zeros(self.nrows + 1, dtype=np.int64)
         np.cumsum(self.inc.row_nnz, out=row_ptr[1:])
         return CSRMatrix(self.nrows, self.ncols, row_ptr, self.col, self.data)
+
+    def prepared_dia(self):
+        """Direct DIA build from the maintained histograms.
+
+        The occupied diagonals are the non-zero bins of the diagonal
+        census; an entry's diagonal is a lookup in their running count,
+        indexed by its offset, and the values go in with one scatter.
+        Bitwise-identical to ``DIAMatrix.from_coo(self.content())``
+        without building the COO view, the ``O(nnz log nnz)`` unique
+        over the offsets or the search for each entry's diagonal.
+        """
+        from repro.formats.dia import DIAMatrix
+
+        occupied = self.inc.diag_hist > 0
+        offsets = np.flatnonzero(occupied) - (self.nrows - 1)
+        data = np.zeros((offsets.shape[0], self.ncols), dtype=np.float64)
+        if self.data.shape[0]:
+            # census bin of an entry: col - row + nrows - 1; the flat
+            # slot of bin b's diagonal row, at column 0, is row_of[b]
+            row_of = np.cumsum(occupied) - 1
+            row_of *= self.ncols
+            slots = np.repeat(
+                np.arange(self.nrows - 1, -1, -1), self.inc.row_nnz
+            )
+            slots += self.col
+            slots = row_of[slots]
+            slots += self.col
+            data.reshape(-1)[slots] = self.data
+        return DIAMatrix(self.nrows, self.ncols, offsets, data)
 
 
 @dataclass(frozen=True)

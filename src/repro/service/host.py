@@ -294,46 +294,46 @@ class EngineHost:
         """Re-attach a demoted container into a fresh engine, if resident.
 
         Runs under the fingerprint's shard lock, so a promote can never
-        race a demotion of the same key.  Every check of
-        :meth:`~repro.storage.tier.StorageTier.promote` runs first.  An
-        entry the engine's model decided, whose container serves that
-        decision (:data:`~repro.runtime.batch.SERVING`), is adopted: the
-        serving container (as read-only mmap views), the decided format,
-        the persisted matrix statistics and a warm chain seeded with
-        their price, so the request that promoted runs
-        :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm`.  Any
-        other entry — decided by another model version (a missing stamp
-        reads as ``"-"``), or an ELL, HYB or HDC container of an older
-        layout — gives the engine only its statistics; the request
-        re-decides and converts as a cold key does, and the key's next
-        eviction rewrites the entry.  The decoded statistics and price
-        are memoised on the tier entry, per space.  Returns the wall
+        race a demotion of the same key.  The index entry's metadata is
+        read first (:meth:`~repro.runtime.engine.WorkloadEngine.adopts`).
+        An entry the engine's model decided, whose container serves
+        that decision (:data:`~repro.runtime.batch.SERVING`), is
+        promoted — every check of
+        :meth:`~repro.storage.tier.StorageTier.promote` runs — and
+        adopted: the serving container (as read-only mmap views),
+        the decided format, the persisted matrix statistics and a warm
+        chain seeded with their price, so the request that promoted
+        runs :meth:`~repro.runtime.engine.WorkloadEngine.serve_warm`.
+        Any other entry — decided by another model version (a missing
+        stamp reads as ``"-"``), or an ELL, HYB or HDC container of an
+        older layout — is not mapped and counts as a promote miss; it
+        gives the engine only its statistics, the request re-decides
+        and converts as a cold key does, and the key's next eviction
+        rewrites the entry.  The decoded statistics and price are
+        memoised on the tier entry, per space.  Returns the wall
         seconds spent (0.0 on a tier miss).
         """
         started = time.perf_counter()
-        promoted = self.storage.promote(fp)
+        promoted = self.storage.promote(fp, admit=engine.adopts)
         if promoted is None:
+            stale = self.storage.lookup(fp)
+            stats = stale.extra.get("stats") if stale is not None else None
+            if isinstance(stats, dict):
+                engine.prime_stats(fp, MatrixStats.from_dict(stats))
             return 0.0
         entry = self.storage.promoted(promoted)
         decided = entry.extra.get("format", promoted.format)
+        seed = entry.memo.get(self.space)
         stats = entry.extra.get("stats")
-        if (
-            entry.extra.get("model_version", "-") != engine.model_version
-            or SERVING.get(decided, ("",))[0] != promoted.format
-        ):
-            if isinstance(stats, dict):
-                engine.prime_stats(fp, MatrixStats.from_dict(stats))
-        else:
-            seed = entry.memo.get(self.space)
-            if seed is None and isinstance(stats, dict):
-                stats = MatrixStats.from_dict(stats)
-                price = self.space.time_spmv(stats, decided, matrix_key=fp)
-                seed = entry.memo[self.space] = (stats, price)
-            stats, price = seed or (None, None)
-            engine.adopt_prepared(
-                fp, promoted, stats=stats, price=price, format=decided
-            )
-            self._origins[fp] = (promoted, entry)
+        if seed is None and isinstance(stats, dict):
+            stats = MatrixStats.from_dict(stats)
+            price = self.space.time_spmv(stats, decided, matrix_key=fp)
+            seed = entry.memo[self.space] = (stats, price)
+        stats, price = seed or (None, None)
+        engine.adopt_prepared(
+            fp, promoted, stats=stats, price=price, format=decided
+        )
+        self._origins[fp] = (promoted, entry)
         elapsed = time.perf_counter() - started
         self.obs.event(
             "tier_promote",

@@ -55,7 +55,7 @@ import time
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ValidationError
 from repro.formats.base import SparseMatrix
@@ -287,12 +287,16 @@ class StorageTier:
         *,
         epoch: Optional[int] = None,
         verify: bool = False,
+        admit: Optional[Callable[[TierEntry], bool]] = None,
     ) -> Optional[SparseMatrix]:
         """Re-attach the container demoted under *key*, or ``None``.
 
         With *epoch*, an entry persisted for a different matrix version
         is treated as a miss (and dropped — it can never be served
-        again).  The returned container's arrays are read-only views of
+        again).  With *admit*, the index entry is asked first: an entry
+        it rejects (one the caller would not adopt) is neither mapped
+        nor checked, stays indexed (:meth:`lookup`) and counts as a
+        miss.  The returned container's arrays are read-only views of
         one map of the entry's data file when the tier was built with
         ``mmap=True``; that map and its views are held for the next
         promote of the same entry (up to :data:`HELD_MAPS` entries), so
@@ -316,6 +320,8 @@ class StorageTier:
             if entry is not None and held is not None and held[0] is entry:
                 self._held.move_to_end(key)
                 arrays = held[1]
+        if entry is not None and admit is not None and not admit(entry):
+            entry = None
         if entry is None:
             with self._lock:
                 self.promote_misses += 1
@@ -349,6 +355,12 @@ class StorageTier:
             self.promotions += 1
             self.promote_seconds += time.perf_counter() - start
         return matrix
+
+    def lookup(self, key: str) -> Optional[TierEntry]:
+        """The index entry for *key*, or ``None``; nothing is mapped or
+        counted."""
+        with self._lock:
+            return self._index.get(key)
 
     def promoted(self, matrix: SparseMatrix) -> Optional[TierEntry]:
         """Hand over the index entry a promoted *matrix* was read from.

@@ -180,6 +180,30 @@ class TestMergeKeyed:
         np.testing.assert_array_equal(c2, merged.col)
         np.testing.assert_array_equal(d2, merged.data)
 
+    def test_structural_merge_keeps_column_width_and_inputs(self, base):
+        """A set, an add, a delete and an insert in one delta: the merged
+        column array keeps an int32 input's width, matched values land at
+        their merged slots, and no input array is written."""
+        span = np.int64(base.ncols)
+        key = base.row * span + base.col
+        col = base.col.astype(np.int32)
+        data = base.data.copy()
+        d = MatrixDelta.from_ops(
+            [0, 2, 1, 3], [0, 2, 1, 0], [9.0, 0.5, 0.0, 8.0],
+            [OP_SET, OP_ADD, OP_DEL, OP_SET],
+        )
+        k2, c2, d2, effect = merge_keyed(
+            base.nrows, base.ncols, key, col, data, d
+        )
+        merged, _ = apply_delta(base, d)
+        assert c2.dtype == np.int32
+        np.testing.assert_array_equal(k2, merged.row * span + merged.col)
+        np.testing.assert_array_equal(c2, merged.col)
+        assert d2.tobytes() == merged.data.tobytes()
+        assert _dense_of(merged)[2, 2] == 5.5
+        assert data.tobytes() == base.data.tobytes()
+        assert effect.nnz_change == 0 and effect.values_changed == 2
+
 
 class TestDeltaOverlay:
     def test_len_counts_ops(self):

@@ -405,3 +405,91 @@ class TestEngineStreaming:
         np.testing.assert_array_equal(direct.row_ptr, reference.row_ptr)
         np.testing.assert_array_equal(direct.col_idx, reference.col_idx)
         assert np.array_equal(direct.data, reference.data)
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [
+            ("widening_band", {"n": 24, "epochs": 28}),
+            ("growing_rmat", {"scale": 5, "epochs": 8}),
+            ("decaying_stencil", {"nx": 6, "epochs": 12}),
+        ],
+    )
+    def test_prepared_dia_identical_to_from_coo(self, family, params):
+        """The histogram-built DIA container matches ``from_coo`` on the
+        COO view bit for bit at every epoch — offsets, their dtype and
+        the padded data — including epochs that delete whole diagonals
+        and rows (``decaying_stencil``) and a saturated band."""
+        from repro.formats.dia import DIAMatrix
+
+        workload = generate_evolving(family, seed=4, **params)
+        state = StreamState("s", 0, workload.initial)
+        for epoch in range(len(workload.deltas) + 1):
+            if epoch:
+                state.merge(workload.deltas[epoch - 1])
+            direct = state.prepared_dia()
+            reference = DIAMatrix.from_coo(state.content())
+            assert direct.offsets.dtype == reference.offsets.dtype
+            np.testing.assert_array_equal(direct.offsets, reference.offsets)
+            assert direct.data.shape == reference.data.shape
+            assert direct.data.tobytes() == reference.data.tobytes(), epoch
+
+    def test_prepared_dia_of_an_empty_matrix(self):
+        from repro.formats.dia import DIAMatrix
+
+        empty = np.zeros(0, dtype=np.int64)
+        state = StreamState("s", 0, COOMatrix(5, 7, empty, empty, np.zeros(0)))
+        direct = state.prepared_dia()
+        reference = DIAMatrix.from_coo(state.content())
+        assert direct.offsets.dtype == reference.offsets.dtype
+        assert direct.offsets.size == 0
+        assert direct.data.shape == reference.data.shape == (0, 7)
+
+    @pytest.mark.parametrize("fmt", ["CSR", "DIA", "COO", "HDC"])
+    def test_update_leaves_a_warm_chain(self, space, matrix, monkeypatch, fmt):
+        """A carried-forward update re-seeds the key's warm chain: the
+        next request resolves no stream content, counts one stats, one
+        decision and one conversion hit, is priced at the new stats and
+        serves the bits a fresh engine serves on the compacted matrix.
+        A replayed update does the same with no accounting effect."""
+        engine = WorkloadEngine(space, FixedTuner(fmt))
+        x = np.random.default_rng(5).standard_normal(matrix.ncols)
+        engine.execute(matrix, x, key="k")
+        compacted = matrix
+        for replay, delta in enumerate(
+            (MatrixDelta.sets([0, 3], [1, 9], [0.5, -2.0]),
+             MatrixDelta.adds([2], [2], [0.25]))
+        ):
+            before = engine.stats()
+            upd = engine.update("k", delta, matrix=matrix, replay=bool(replay))
+            compacted, _ = apply_delta(compacted, delta)
+            assert upd.carried_forward and engine.has_chain("k")
+            if replay:
+                after = engine.stats()
+                for name in ("counters", "seconds", "invalidations"):
+                    assert after[name] == before[name]
+
+            calls = []
+            content = StreamState.content
+
+            def counted(state):
+                calls.append(state.epoch)
+                return content(state)
+
+            monkeypatch.setattr(StreamState, "content", counted)
+            counters = engine.counters.as_dict()
+            result = engine.execute(matrix, x, key="k")
+            monkeypatch.setattr(StreamState, "content", content)
+            assert calls == []
+            moved = {
+                name: engine.counters.as_dict()[name] - count
+                for name, count in counters.items()
+            }
+            assert {n: c for n, c in moved.items() if c} == {
+                "stats_hits": 1, "decision_hits": 1, "conversion_hits": 1
+            }
+            assert result.epoch == upd.epoch and result.format == fmt
+            assert result.seconds == space.time_spmv(
+                MatrixStats.from_matrix(compacted), fmt, matrix_key="k"
+            )
+            fresh = WorkloadEngine(space).execute(convert(compacted, fmt), x)
+            assert np.array_equal(result.y, fresh.y)
